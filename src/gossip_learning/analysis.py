@@ -44,15 +44,17 @@ def _log_ratio_series(
     world: WorldModel,
     agent: int,
     check_state: int,
-    times: np.ndarray,
+    inside: np.ndarray,
 ) -> np.ndarray:
+    """log mu_t(check_state) - log mu_t(true) at the snapshots selected by the
+    boolean mask `inside`."""
     theta = world.true_state_index
-    y = np.empty(len(times))
-    for k, t in enumerate(times):
-        snap = trace.log_beliefs[int(t)]
-        if snap[agent, theta] == -np.inf:
-            raise ValidationError(f"agent {agent} has zero belief on the true state at t={int(t)}")
-        y[k] = snap[agent, check_state] - snap[agent, theta]
+    snaps = trace.log_beliefs[inside, agent]
+    zero_truth = np.flatnonzero(snaps[:, theta] == -np.inf)
+    if zero_truth.size:
+        t = np.asarray(trace.snapshot_times)[inside][zero_truth[0]]
+        raise ValidationError(f"agent {agent} has zero belief on the true state at t={int(t)}")
+    y = snaps[:, check_state] - snaps[:, theta]
     if np.any(np.isneginf(y)):
         raise ValidationError(
             f"agent {agent} holds exactly zero belief on state index {check_state} "
@@ -81,13 +83,15 @@ def empirical_rate(
         raise ValidationError(f"agent {agent} outside 0..{trace.n - 1}")
     if not (0 <= check_state < world.num_states):
         raise ValidationError(f"check_state {check_state} outside 0..{world.num_states - 1}")
-    times = np.array([t for t in trace.snapshot_times if t0 <= t <= t1], dtype=float)
+    all_times = np.asarray(trace.snapshot_times)
+    inside = (all_times >= t0) & (all_times <= t1)
+    times = all_times[inside].astype(float)
     if len(times) < 2:
         raise ValidationError(
             f"need at least 2 belief snapshots inside {window}; horizon={trace.horizon}, "
             f"{len(trace.snapshot_times)} snapshots recorded"
         )
-    y = _log_ratio_series(trace, world, agent, check_state, times)
+    y = _log_ratio_series(trace, world, agent, check_state, inside)
 
     tc = times - times.mean()
     sxx = float(tc @ tc)
@@ -210,11 +214,8 @@ def belief_difference(
         if not (0 <= a < trace.n):
             raise ValidationError(f"agent {a} outside 0..{trace.n - 1}")
     times = np.array(trace.snapshot_times, dtype=np.int64)
-    diffs = np.empty(len(times))
-    for k, t in enumerate(times):
-        snap = trace.log_beliefs[int(t)]
-        diffs[k] = abs(np.exp(snap[agent_a, state]) - np.exp(snap[agent_b, state]))
-    return times, diffs
+    mass = np.exp(trace.log_beliefs[:, [agent_a, agent_b], state])
+    return times, np.abs(mass[:, 0] - mass[:, 1])
 
 
 def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -> Path:

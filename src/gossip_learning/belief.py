@@ -1,10 +1,13 @@
 """Log-space beliefs and the without-recall Bayes update rules.
 
 Beliefs are kept as log-probability vectors normalized by a max-shifted
-log-sum-exp. The shift makes the largest entry's contribution exact, which
-keeps an uninformative agent's belief bit-for-bit constant under
-self-updates, and it defers underflow: false-state mass decays exponentially
-and would leave linear-space floats within a few thousand rounds.
+log-sum-exp, computed by one array kernel along the last axis: the simulator
+updates every agent of every replication in one call per round, and the
+vector operations below call the same kernel on a single belief. The shift
+makes the largest entry's contribution exact, which keeps an uninformative
+agent's belief bit-for-bit constant under self-updates, and it defers
+underflow: false-state mass decays exponentially and would leave
+linear-space floats within a few thousand rounds.
 """
 
 from __future__ import annotations
@@ -43,23 +46,26 @@ class BeliefState:
 
 
 def bayes_log_posterior(log_prior: np.ndarray, log_lik_col: np.ndarray) -> np.ndarray:
-    """Normalized log posterior from a normalized log prior plus a
-    log-likelihood column.
+    """Normalized log posteriors from normalized log priors plus log-likelihood
+    columns, along the last axis.
 
-    Shared by the belief operations and the simulator's inner loop so that
-    replaying a trace reproduces simulated beliefs exactly. -inf entries
-    (zero prior or zero likelihood) stay -inf in the posterior.
+    One call updates one belief vector or a whole round of them: the simulator
+    passes every replication's gathered neighbor beliefs as an (R, n, k)
+    array with the matching (R, n, k) columns, and each row comes out exactly
+    as it would alone, so replaying a trace one vector at a time reproduces
+    the simulated beliefs bit for bit. -inf entries (zero prior or zero
+    likelihood) stay -inf in the posterior.
     """
     y = log_prior + log_lik_col
-    m = np.max(y)
-    if m == -np.inf or np.isnan(m):
+    m = np.max(y, axis=-1, keepdims=True)
+    if np.any(m == -np.inf) or np.any(np.isnan(m)):
         raise ImpossibleSignalError("signal has zero likelihood under every state with mass")
-    if log_lik_col[0] != -np.inf and np.all(log_lik_col == log_lik_col[0]):
-        # a constant column carries no evidence; returning the prior untouched
-        # keeps uninformative updates exact in log space, not just up to ulps
-        return log_prior.copy()
+    # a constant column carries no evidence; returning the prior untouched
+    # keeps uninformative updates exact in log space, not just up to ulps
+    first = log_lik_col[..., :1]
+    constant = (first != -np.inf) & np.all(log_lik_col == first, axis=-1, keepdims=True)
     d = y - m
-    return d - np.log(np.exp(d).sum())
+    return np.where(constant, log_prior, d - np.log(np.exp(d).sum(axis=-1, keepdims=True)))
 
 
 def _check_signal(world: WorldModel, agent: int, s: int) -> int:

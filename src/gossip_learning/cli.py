@@ -270,11 +270,9 @@ def cmd_example1(args) -> int:
     labels = [str(s) for s in world.state_space.states]
 
     fig2_agent = example1.FIG2_AGENT - 1
-    rows = []
-    for t in trace0.snapshot_times:
-        probs = np.exp(trace0.log_beliefs[t][fig2_agent])
-        for k, label in enumerate(labels):
-            rows.append([t, label, repr(float(probs[k]))])
+    probs = np.exp(trace0.log_beliefs[:, fig2_agent]).tolist()
+    rows = [[t, label, repr(p)]
+            for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row)]
     _write_series_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], rows)
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 

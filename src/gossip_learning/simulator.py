@@ -7,14 +7,23 @@ Randomness comes from the counter-based Philox generator; per-replication
 streams are derived from the master seed with SeedSequence spawn keys, one
 stream for signals and one for selections, so traces are reproducible
 bit-for-bit across runs and platforms.
+
+All draws are made before the first round. The rounds then run as one array
+update per round over every agent of every replication at once: gather the
+chosen neighbors' previous beliefs from an (R, n, k) array, add the agents'
+log-likelihood columns for their signals, normalize. A trace stores its
+belief snapshots as one read-only (m, n, k) array aligned with its m
+snapshot times.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -61,10 +70,17 @@ class SimulationTrace:
     master_seed: int
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
-    snapshot_times: tuple[int, ...]
-    log_beliefs: dict[int, np.ndarray]  # time -> (n, num_states)
+    snapshot_times: tuple[int, ...]  # ascending
+    log_beliefs: np.ndarray  # (len(snapshot_times), n, num_states); row m is time snapshot_times[m]
     world_fingerprint: str
     matrix_fingerprint: str
+
+    def __post_init__(self):
+        if self.log_beliefs.shape[:2] != (len(self.snapshot_times), self.n):
+            raise ValidationError(
+                f"log_beliefs has shape {self.log_beliefs.shape}, expected "
+                f"({len(self.snapshot_times)}, {self.n}, num_states)"
+            )
 
     def selection(self, t: int, i: int) -> int:
         """The neighbor agent i consulted in round t (1 <= t <= horizon)."""
@@ -72,16 +88,24 @@ class SimulationTrace:
             raise ValidationError(f"round {t} outside 1..{self.horizon}")
         return int(self.selections[t - 1, i])
 
+    def _slot(self, t: int) -> int | None:
+        m = bisect.bisect_left(self.snapshot_times, t)
+        if m < len(self.snapshot_times) and self.snapshot_times[m] == t:
+            return m
+        return None
+
     def has_snapshot(self, t: int) -> bool:
-        return t in self.log_beliefs
+        return self._slot(t) is not None
 
     def log_belief_at(self, t: int) -> np.ndarray:
-        if t not in self.log_beliefs:
+        """The (n, num_states) log beliefs at snapshot time t."""
+        m = self._slot(t)
+        if m is None:
             raise ValidationError(
                 f"no belief snapshot at t={t}; recorded times follow the "
                 "record_beliefs_every stride (plus the final round)"
             )
-        return self.log_beliefs[t]
+        return self.log_beliefs[m]
 
 
 def world_fingerprint(world: WorldModel) -> str:
@@ -103,8 +127,12 @@ def matrix_fingerprint(P: SelectionMatrix) -> str:
 
 
 def _inverse_cdf_draws(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(probs)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
+    """Indices drawn from probs by inverting its CDF at u, over the support
+    only: rounding can leave the CDF's last value below 1, and a u above it
+    must not land on a zero-probability entry."""
+    support = np.flatnonzero(probs > 0.0)
+    cdf = np.cumsum(probs[support])
+    return support[np.minimum(np.searchsorted(cdf, u, side="right"), len(support) - 1)]
 
 
 def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldModel) -> None:
@@ -119,6 +147,82 @@ def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldMode
             raise ValidationError(f"selection row {i} has support outside the network's neighborhoods")
 
 
+def _draw(
+    P: SelectionMatrix,
+    world: WorldModel,
+    cfg: SimulationConfig,
+    replication: int,
+    signals: np.ndarray,
+    selections: np.ndarray,
+) -> None:
+    """Fill one replication's (T+1, n) signals and (T, n) selections."""
+    root = np.random.SeedSequence(cfg.seed, spawn_key=(replication,))
+    sig_ss, sel_ss = root.spawn(2)
+    rng_sig = np.random.Generator(np.random.Philox(sig_ss))
+    rng_sel = np.random.Generator(np.random.Philox(sel_ss))
+
+    theta = world.true_state_index
+    u_sig = rng_sig.random(signals.shape)
+    for i in range(signals.shape[1]):
+        signals[:, i] = _inverse_cdf_draws(world.likelihood(i)[theta], u_sig[:, i])
+
+    u_sel = rng_sel.random(selections.shape)
+    for i in range(selections.shape[1]):
+        selections[:, i] = _inverse_cdf_draws(P.probs[i], u_sel[:, i])
+
+
+def _simulate(
+    net: DirectedNetwork,
+    P: SelectionMatrix,
+    world: WorldModel,
+    cfg: SimulationConfig,
+    replications: Sequence[int],
+) -> list[SimulationTrace]:
+    """Execute the given replications together and record their traces."""
+    _check_consistent(net, P, world)
+    T, n, R = cfg.horizon, net.n, len(replications)
+
+    signals = np.empty((R, T + 1, n), dtype=np.int64)
+    selections = np.empty((R, T, n), dtype=np.int64)
+    for b, r in enumerate(replications):
+        _draw(P, world, cfg, r, signals[b], selections[b])
+
+    cols = world.log_columns  # (n, S_max, k)
+    agents = np.arange(n)
+    reps = np.arange(R)[:, None]
+    times = cfg.snapshot_times()  # starts at 0, ends at T
+    snapshots = np.empty((R, len(times), n, world.num_states))
+
+    current = bayes_log_posterior(world.prior.log_nu, cols[agents, signals[:, 0]])
+    snapshots[:, 0] = current
+    slot = 1
+    for t in range(1, T + 1):
+        neighbor = current[reps, selections[:, t - 1]]
+        current = bayes_log_posterior(neighbor, cols[agents, signals[:, t]])
+        if t == times[slot]:
+            snapshots[:, slot] = current
+            slot += 1
+
+    for arr in (signals, selections, snapshots):
+        arr.flags.writeable = False
+    wfp, mfp = world_fingerprint(world), matrix_fingerprint(P)
+    return [
+        SimulationTrace(
+            n=n,
+            horizon=T,
+            replication=r,
+            master_seed=cfg.seed,
+            signals=signals[b],
+            selections=selections[b],
+            snapshot_times=times,
+            log_beliefs=snapshots[b],
+            world_fingerprint=wfp,
+            matrix_fingerprint=mfp,
+        )
+        for b, r in enumerate(replications)
+    ]
+
+
 def run(
     net: DirectedNetwork,
     P: SelectionMatrix,
@@ -127,63 +231,7 @@ def run(
     replication: int = 0,
 ) -> SimulationTrace:
     """Execute one seeded replication and record its trace."""
-    _check_consistent(net, P, world)
-    T, n = cfg.horizon, net.n
-
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(replication,))
-    sig_ss, sel_ss = root.spawn(2)
-    rng_sig = np.random.Generator(np.random.Philox(sig_ss))
-    rng_sel = np.random.Generator(np.random.Philox(sel_ss))
-
-    theta = world.true_state_index
-    u_sig = rng_sig.random((T + 1, n))
-    signals = np.empty((T + 1, n), dtype=np.int64)
-    for i in range(n):
-        signals[:, i] = _inverse_cdf_draws(world.likelihood(i)[theta], u_sig[:, i])
-
-    u_sel = rng_sel.random((T, n))
-    selections = np.empty((T, n), dtype=np.int64)
-    for i in range(n):
-        support = P.support(i)
-        idx = _inverse_cdf_draws(P.probs[i, support], u_sel[:, i])
-        selections[:, i] = support[idx]
-
-    log_tabs = [world.log_likelihood(i) for i in range(n)]
-    log_nu = world.prior.log_nu
-    snapshot_at = set(cfg.snapshot_times())
-    snapshots: dict[int, np.ndarray] = {}
-
-    current = np.empty((n, world.num_states))
-    for i in range(n):
-        current[i] = bayes_log_posterior(log_nu, log_tabs[i][:, signals[0, i]])
-    if 0 in snapshot_at:
-        snapshots[0] = current.copy()
-
-    for t in range(1, T + 1):
-        nxt = np.empty_like(current)
-        for i in range(n):
-            j = selections[t - 1, i]
-            nxt[i] = bayes_log_posterior(current[j], log_tabs[i][:, signals[t, i]])
-        current = nxt
-        if t in snapshot_at:
-            snapshots[t] = current.copy()
-
-    signals.flags.writeable = False
-    selections.flags.writeable = False
-    for arr in snapshots.values():
-        arr.flags.writeable = False
-    return SimulationTrace(
-        n=n,
-        horizon=T,
-        replication=replication,
-        master_seed=cfg.seed,
-        signals=signals,
-        selections=selections,
-        snapshot_times=cfg.snapshot_times(),
-        log_beliefs=snapshots,
-        world_fingerprint=world_fingerprint(world),
-        matrix_fingerprint=matrix_fingerprint(P),
-    )
+    return _simulate(net, P, world, cfg, [replication])[0]
 
 
 def run_replications(
@@ -192,8 +240,9 @@ def run_replications(
     world: WorldModel,
     cfg: SimulationConfig,
 ) -> list[SimulationTrace]:
-    """All replications of a config, each on an independently derived stream."""
-    return [run(net, P, world, cfg, replication=r) for r in range(cfg.replications)]
+    """All replications of a config, each on an independently derived stream,
+    simulated together."""
+    return _simulate(net, P, world, cfg, range(cfg.replications))
 
 
 def backward_walk(trace: SimulationTrace, i: int, t: int) -> np.ndarray:
@@ -233,16 +282,14 @@ def verify_walk_identity(
         raise ValidationError("belief has zero mass on the true state; ratio undefined")
     lhs = snap[i, check_state] - snap[i, theta]
 
-    llr = []
-    for m in range(trace.n):
-        tab = world.log_likelihood(m)
-        llr.append(tab[check_state] - tab[theta])
-    rhs = float(world.prior.log_nu[check_state] - world.prior.log_nu[theta])
-    rhs += float(llr[i][trace.signals[t, i]])
+    # one signal term per walk node, own round-t term first, summed left to
+    # right after the prior ratio
     walk = backward_walk(trace, i, t)
-    for tau in range(1, t + 1):
-        m = walk[tau]
-        rhs += float(llr[m][trace.signals[t - tau, m]])
+    sigs = trace.signals[t - np.arange(t + 1), walk]
+    cols = world.log_columns
+    terms = cols[walk, sigs, check_state] - cols[walk, sigs, theta]
+    prior_ratio = world.prior.log_nu[check_state] - world.prior.log_nu[theta]
+    rhs = float(np.cumsum(np.concatenate(([prior_ratio], terms)))[-1])
 
     if np.isnan(rhs) or rhs == np.inf:
         raise ValidationError("a walk signal has zero likelihood under the true state")
@@ -265,11 +312,10 @@ def write_trace_csvs(trace: SimulationTrace, world: WorldModel, directory: str |
     with beliefs_path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "agent", "state", "prob"])
-        for t in trace.snapshot_times:
-            probs = np.exp(trace.log_beliefs[t])
-            for i in range(trace.n):
-                for k, label in enumerate(labels):
-                    w.writerow([t, i + 1, label, repr(float(probs[i, k]))])
+        for t, probs in zip(trace.snapshot_times, np.exp(trace.log_beliefs).tolist()):
+            for i, row in enumerate(probs):
+                for label, p in zip(labels, row):
+                    w.writerow([t, i + 1, label, repr(p)])
 
     selections_path = directory / "selections.csv"
     with selections_path.open("w", newline="") as fh:
@@ -327,11 +373,13 @@ def read_trace_csvs(
         if r["state"] not in labels:
             labels.append(r["state"])
     times = sorted({int(r["t"]) for r in rows})
-    snapshots = {t: np.zeros((n, len(labels))) for t in times}
+    slot = {t: m for m, t in enumerate(times)}
+    probs = np.zeros((len(times), n, len(labels)))
     for r in rows:
-        snapshots[int(r["t"])][int(r["agent"]) - 1, labels.index(r["state"])] = float(r["prob"])
+        probs[slot[int(r["t"])], int(r["agent"]) - 1, labels.index(r["state"])] = float(r["prob"])
     with np.errstate(divide="ignore"):
-        log_beliefs = {t: np.log(arr) for t, arr in snapshots.items()}
+        log_beliefs = np.log(probs)
+    log_beliefs.flags.writeable = False
 
     return SimulationTrace(
         n=n,

@@ -149,6 +149,19 @@ class WorldModel:
     def log_likelihood(self, agent: int) -> np.ndarray:
         return self._log_tables[agent]
 
+    @cached_property
+    def log_columns(self) -> np.ndarray:
+        """Every agent's log-likelihood columns in one (n_agents, max signals,
+        num_states) array: [i, s] is log l_i(s | .), the same floats as
+        log_likelihood(i)[:, s], and signals past agent i's signal space are
+        padded with -inf."""
+        s_max = max((lt.signal_space_size for lt in self.likelihoods), default=0)
+        out = np.full((self.n_agents, s_max, self.num_states), -np.inf)
+        for i, logt in enumerate(self._log_tables):
+            out[i, : logt.shape[1]] = logt.T
+        out.flags.writeable = False
+        return out
+
 
 def sample_signal(world: WorldModel, agent: int, rng: np.random.Generator) -> int:
     """Draw one signal for the agent from her table's true-state row."""

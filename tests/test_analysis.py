@@ -34,10 +34,10 @@ RATE_CHECK_STATE_3 = 0.008121250565448948
 def synthetic_trace(rate: float, horizon: int = 100) -> SimulationTrace:
     """One agent, two states, belief ratio decaying at exactly `rate`."""
     times = tuple(range(horizon + 1))
-    logb = {}
+    logb = np.empty((horizon + 1, 1, 2))
     for t in times:
         norm = np.log1p(np.exp(-rate * t))
-        logb[t] = np.array([[-norm, -rate * t - norm]])
+        logb[t, 0] = (-norm, -rate * t - norm)
     return SimulationTrace(
         n=1,
         horizon=horizon,
@@ -104,6 +104,14 @@ class TestEmpiricalRate:
         s2, _ = empirical_rate(tr, TWO_STATE_WORLD, 0, 1, (10, 150))
         assert s1 == pytest.approx(s2, rel=1e-9)
 
+    def test_strided_trace_fits_only_snapshots_inside_the_window(self, ex1_cfg):
+        tr = small_run(ex1_cfg, horizon=200, stride=7)
+        slope, _ = empirical_rate(tr, ex1_cfg.world, 1, 1, (30, 200))
+        times = [t for t in tr.snapshot_times if 30 <= t <= 200]
+        assert times[0] == 35 and times[-1] == 200
+        y = [tr.log_belief_at(t)[1, 1] - tr.log_belief_at(t)[1, 0] for t in times]
+        assert slope == pytest.approx(np.polyfit(times, y, 1)[0], rel=1e-9)
+
     def test_window_validation(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
         for bad in [(-1, 50), (10, 10), (40, 60)]:
@@ -116,7 +124,7 @@ class TestEmpiricalRate:
             empirical_rate(tr, ex1_cfg.world, 0, 1, (1, 89))
 
     def test_zero_belief_on_check_state_rejected(self):
-        logb = {t: np.array([[0.0, -np.inf]]) for t in range(4)}
+        logb = np.tile([0.0, -np.inf], (4, 1, 1))
         tr = SimulationTrace(
             n=1, horizon=3, replication=0, master_seed=0,
             signals=np.zeros((4, 1), dtype=np.int64),
@@ -223,7 +231,7 @@ class TestBeliefDifference:
         times, diffs = belief_difference(tr, 2, 7, 0)
         assert times.tolist() == list(tr.snapshot_times)
         for k, t in enumerate(times):
-            snap = tr.log_beliefs[int(t)]
+            snap = tr.log_belief_at(int(t))
             assert diffs[k] == abs(np.exp(snap[2, 0]) - np.exp(snap[7, 0]))
 
     def test_agent_bounds(self, ex1_cfg):

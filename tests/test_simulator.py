@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossip_learning.belief import gossip_update, initial_belief
 from gossip_learning.errors import ValidationError
-from gossip_learning.graph import from_edge_list, uniform_selection_matrix
+from gossip_learning.graph import custom_selection_matrix, from_edge_list, uniform_selection_matrix
 from gossip_learning.simulator import (
     SimulationConfig,
+    SimulationTrace,
+    _inverse_cdf_draws,
     backward_walk,
     matrix_fingerprint,
     read_trace_csvs,
@@ -51,8 +55,8 @@ class TestDeterminism:
         b = small_run(ex1_cfg)
         assert np.array_equal(a.signals, b.signals)
         assert np.array_equal(a.selections, b.selections)
-        for t in a.snapshot_times:
-            assert np.array_equal(a.log_beliefs[t], b.log_beliefs[t])
+        assert a.snapshot_times == b.snapshot_times
+        assert np.array_equal(a.log_beliefs, b.log_beliefs)
 
     def test_replications_use_distinct_streams(self, ex1_cfg):
         a = small_run(ex1_cfg, replication=0)
@@ -69,9 +73,12 @@ class TestDeterminism:
         cfg = SimulationConfig(horizon=60, seed=3, replications=3)
         batch = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
         assert [tr.replication for tr in batch] == [0, 1, 2]
-        solo = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=2)
-        assert np.array_equal(batch[2].signals, solo.signals)
-        assert np.array_equal(batch[2].selections, solo.selections)
+        for r in range(3):
+            solo = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=r)
+            assert np.array_equal(batch[r].signals, solo.signals)
+            assert np.array_equal(batch[r].selections, solo.selections)
+            assert batch[r].snapshot_times == solo.snapshot_times
+            assert np.array_equal(batch[r].log_beliefs, solo.log_beliefs)
 
 
 class TestDraws:
@@ -96,6 +103,20 @@ class TestDraws:
         tr = small_run(ex1_cfg, horizon=100)
         assert np.all(tr.selections[:, 0] == 2)  # agent 1 observes only agent 3
 
+    def test_rounding_cannot_draw_a_zero_probability_signal(self):
+        # the CDF of this row tops out at 1 - 2**-53, so a full-row inverse
+        # CDF sends the largest uniform Philox can return past every positive
+        # entry, onto the trailing zero
+        row = np.array([0.1] * 10 + [0.0])
+        u = np.array([1 - 2**-53])
+        assert np.cumsum(row)[-1] <= u[0]
+        assert _inverse_cdf_draws(row, u).tolist() == [9]
+
+    def test_draws_skip_zero_entries_anywhere_in_the_row(self):
+        row = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
+        u = np.array([0.0, 0.2499, 0.25, 0.9999, 1 - 2**-53])
+        assert _inverse_cdf_draws(row, u).tolist() == [1, 1, 3, 3, 3]
+
 
 class TestReplay:
     def test_snapshots_replay_bitwise_through_belief_ops(self, ex1_cfg):
@@ -103,7 +124,7 @@ class TestReplay:
         world = ex1_cfg.world
         beliefs = [initial_belief(world, i, int(tr.signals[0, i])) for i in range(tr.n)]
         assert np.array_equal(
-            np.stack([b.log_probs for b in beliefs]), tr.log_beliefs[0]
+            np.stack([b.log_probs for b in beliefs]), tr.log_belief_at(0)
         )
         for t in range(1, tr.horizon + 1):
             beliefs = [
@@ -111,7 +132,7 @@ class TestReplay:
                 for i in range(tr.n)
             ]
             assert np.array_equal(
-                np.stack([b.log_probs for b in beliefs]), tr.log_beliefs[t]
+                np.stack([b.log_probs for b in beliefs]), tr.log_belief_at(t)
             )
 
     def test_csv_round_trip(self, ex1_cfg, tmp_path):
@@ -122,8 +143,8 @@ class TestReplay:
         assert np.array_equal(back.signals, tr.signals)
         assert np.array_equal(back.selections, tr.selections)
         assert back.snapshot_times == tr.snapshot_times
-        for t in tr.snapshot_times:
-            assert np.allclose(back.log_beliefs[t], tr.log_beliefs[t], atol=1e-12, rtol=0)
+        assert back.log_beliefs.shape == tr.log_beliefs.shape == (9, 8, 3)
+        assert np.allclose(back.log_beliefs, tr.log_beliefs, atol=1e-12, rtol=0)
 
 
 class TestWalk:
@@ -215,10 +236,147 @@ class TestValidationAndFingerprints:
 
     def test_trace_accessors(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=20, stride=6)
+        assert tr.snapshot_times == (0, 6, 12, 18, 20)
+        assert tr.log_beliefs.shape == (5, 8, 3)
+        assert np.array_equal(tr.log_belief_at(18), tr.log_beliefs[3])
         assert tr.has_snapshot(18) and not tr.has_snapshot(17)
+        assert not tr.has_snapshot(-1) and not tr.has_snapshot(21)
         with pytest.raises(ValidationError, match="record_beliefs_every"):
             tr.log_belief_at(17)
         with pytest.raises(ValidationError, match="round"):
             tr.selection(0, 1)
         with pytest.raises(ValidationError, match="round"):
             tr.selection(21, 1)
+
+    def test_trace_arrays_are_read_only(self, ex1_cfg):
+        tr = small_run(ex1_cfg, horizon=10)
+        for arr in (tr.signals, tr.selections, tr.log_beliefs, tr.log_belief_at(10)):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_trace_rejects_snapshots_not_aligned_with_times(self):
+        with pytest.raises(ValidationError, match="log_beliefs has shape"):
+            SimulationTrace(
+                n=1, horizon=2, replication=0, master_seed=0,
+                signals=np.zeros((3, 1), dtype=np.int64),
+                selections=np.zeros((2, 1), dtype=np.int64),
+                snapshot_times=(0, 1, 2), log_beliefs=np.zeros((2, 1, 2)),
+                world_fingerprint="", matrix_fingerprint="",
+            )
+
+
+# ---- reference oracle: the batched round kernel against a per-agent loop ----
+
+
+def _reference_posterior(log_prior, log_col):
+    """One agent's update, written out per vector."""
+    y = log_prior + log_col
+    m = np.max(y)
+    assert m != -np.inf and not np.isnan(m)
+    if log_col[0] != -np.inf and np.all(log_col == log_col[0]):
+        return log_prior.copy()
+    d = y - m
+    return d - np.log(np.exp(d).sum())
+
+
+def _reference_draws(probs, u):
+    support = np.nonzero(probs > 0.0)[0]
+    cdf = np.cumsum(probs[support])
+    return support[np.minimum(np.searchsorted(cdf, u, side="right"), len(support) - 1)]
+
+
+def reference_run(net, P, world, cfg, replication):
+    """Signals, selections and {t: snapshot} from one agent-round at a time."""
+    T, n = cfg.horizon, net.n
+    sig_ss, sel_ss = np.random.SeedSequence(cfg.seed, spawn_key=(replication,)).spawn(2)
+    u_sig = np.random.Generator(np.random.Philox(sig_ss)).random((T + 1, n))
+    u_sel = np.random.Generator(np.random.Philox(sel_ss)).random((T, n))
+    theta = world.true_state_index
+    signals = np.stack([_reference_draws(world.likelihood(i)[theta], u_sig[:, i]) for i in range(n)], axis=1)
+    selections = np.stack([_reference_draws(P.probs[i], u_sel[:, i]) for i in range(n)], axis=1)
+
+    with np.errstate(divide="ignore"):
+        log_tabs = [np.log(world.likelihood(i)) for i in range(n)]
+    belief = [_reference_posterior(world.prior.log_nu, log_tabs[i][:, signals[0, i]]) for i in range(n)]
+    snapshots = {0: np.stack(belief)}
+    for t in range(1, T + 1):
+        belief = [
+            _reference_posterior(belief[selections[t - 1, i]], log_tabs[i][:, signals[t, i]])
+            for i in range(n)
+        ]
+        if t % cfg.record_beliefs_every == 0 or t == T:
+            snapshots[t] = np.stack(belief)
+    return signals, selections, snapshots
+
+
+@st.composite
+def small_worlds(draw):
+    """A random world and graph: 1-4 agents, 2-10 states, 1-4 signals per
+    agent, likelihood tables with zero entries, and some agents whose rows all
+    coincide (every column constant)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 10))
+
+    def row(size):
+        w = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        return [x / sum(w) for x in w]
+
+    tables = []
+    for _ in range(n):
+        size = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            tables.append([row(size)] * k)
+        else:
+            tables.append([row(size) for _ in range(k)])
+    prior = None
+    if draw(st.booleans()):
+        w = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        prior = [x / sum(w) for x in w]
+    world = tiny_world(tables, prior=prior, true_index=draw(st.integers(0, k - 1)))
+
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    net = from_edge_list(n, edges)
+    if draw(st.booleans()):
+        P = uniform_selection_matrix(net)
+    else:
+        rows = np.zeros((n, n))
+        for i in range(n):
+            allowed = sorted(set(net.in_neighbors(i)) | {i})
+            w = draw(st.lists(st.integers(0, 3), min_size=len(allowed), max_size=len(allowed)).filter(any))
+            rows[i, allowed] = np.array(w) / sum(w)
+        P = custom_selection_matrix(net, rows)
+    return net, P, world
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=small_worlds(),
+    horizon=st.integers(1, 25),
+    stride=st.integers(1, 5),
+    replications=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_run_matches_per_agent_reference(case, horizon, stride, replications, seed):
+    net, P, world = case
+    cfg = SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride, replications=replications)
+    traces = run_replications(net, P, world, cfg)
+    assert [tr.replication for tr in traces] == list(range(replications))
+    for tr in traces:
+        signals, selections, snapshots = reference_run(net, P, world, cfg, tr.replication)
+        assert np.array_equal(tr.signals, signals)
+        assert np.array_equal(tr.selections, selections)
+        assert tr.snapshot_times == tuple(snapshots)
+        for m, t in enumerate(tr.snapshot_times):
+            assert np.array_equal(tr.log_beliefs[m], snapshots[t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_worlds(), horizon=st.integers(1, 25), seed=st.integers(0, 2**32), data=st.data())
+def test_walk_identity_holds_on_random_worlds(case, horizon, seed, data):
+    net, P, world = case
+    tr = run(net, P, world, SimulationConfig(horizon=horizon, seed=seed))
+    i = data.draw(st.integers(0, net.n - 1))
+    t = data.draw(st.integers(0, horizon))
+    check = data.draw(st.integers(0, world.num_states - 1))
+    assert verify_walk_identity(tr, world, i, t, check) <= 1e-8

@@ -77,6 +77,16 @@ class TestTypes:
         w = tiny_world([[[1.0, 0.0], [0.5, 0.5]]])
         assert w.log_likelihood(0)[0, 1] == -np.inf
 
+    def test_log_columns_stack_every_table_padded_with_neg_inf(self):
+        w = tiny_world([[[1.0, 0.0], [0.5, 0.5]], [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]])
+        cols = w.log_columns
+        assert cols.shape == (2, 3, 2) and not cols.flags.writeable
+        assert cols is w.log_columns
+        for i in range(2):
+            for s in range(w.likelihoods[i].signal_space_size):
+                assert np.array_equal(cols[i, s], w.log_likelihood(i)[:, s])
+        assert np.all(cols[0, 2] == -np.inf)
+
 
 class TestKLDivergence:
     def test_benchmark_values(self, ex1_cfg):
