@@ -19,9 +19,15 @@ from .analysis import (
     rate_report,
     theoretical_rate,
 )
-from .belief import BeliefState, bayes_log_posterior, gossip_update, initial_belief, log_ratio, self_update
-from .config import AnalysisConfig, ExperimentConfig, load_config, parse_config_dict, parse_config_text
-from .errors import ImpossibleSignalError, MultipleRecurrentClassesError, ValidationError
+from .belief import bayes_log_posterior
+from .config import AnalysisConfig, ExperimentConfig, load_config, parse_config_dict
+from .errors import (
+    ImpossibleSignalError,
+    MultipleRecurrentClassesError,
+    SelectionSupportError,
+    StationarySolveError,
+    ValidationError,
+)
 from .graph import (
     DirectedNetwork,
     RecurrentClasses,
@@ -53,14 +59,12 @@ from .world import (
     check_global_identifiability,
     distinguishable,
     kl_divergence,
-    sample_signal,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "BeliefState",
     "DirectedNetwork",
     "ExperimentConfig",
     "IdentifiabilityReport",
@@ -73,10 +77,12 @@ __all__ = [
     "RateRow",
     "RecurrentClasses",
     "SelectionMatrix",
+    "SelectionSupportError",
     "SimulationConfig",
     "SimulationTrace",
     "StateSpace",
     "StationaryDistribution",
+    "StationarySolveError",
     "ValidationError",
     "WorldModel",
     "backward_walk",
@@ -87,22 +93,16 @@ __all__ = [
     "distinguishable",
     "empirical_rate",
     "from_edge_list",
-    "gossip_update",
-    "initial_belief",
     "is_strongly_connected",
     "kl_divergence",
     "load_config",
-    "log_ratio",
     "occupancy",
     "parse_config_dict",
-    "parse_config_text",
     "rate_report",
     "read_trace_csvs",
     "recurrent_classes",
     "run",
     "run_replications",
-    "sample_signal",
-    "self_update",
     "stationary_distribution",
     "theoretical_rate",
     "uniform_selection_matrix",

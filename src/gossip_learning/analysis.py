@@ -9,7 +9,6 @@ against the other.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import StationaryDistribution
-from .simulator import SimulationTrace, backward_walk
+from .simulator import SimulationTrace, backward_walk, write_csv
 from .world import WorldModel, kl_divergence
 
 
@@ -53,12 +52,13 @@ def _log_ratio_series(
     zero_truth = np.flatnonzero(snaps[:, theta] == -np.inf)
     if zero_truth.size:
         t = np.asarray(trace.snapshot_times)[inside][zero_truth[0]]
-        raise ValidationError(f"agent {agent} has zero belief on the true state at t={int(t)}")
+        raise ValidationError(f"agent {agent + 1} has zero belief on the true state at t={int(t)}")
     y = snaps[:, check_state] - snaps[:, theta]
     if np.any(np.isneginf(y)):
         raise ValidationError(
-            f"agent {agent} holds exactly zero belief on state index {check_state} "
-            "inside the window; the log-ratio regression is undefined"
+            f"agent {agent + 1} holds exactly zero belief on state "
+            f"{world.state_space.states[check_state]} inside the window; "
+            "the log-ratio regression is undefined"
         )
     return y
 
@@ -220,38 +220,23 @@ def belief_difference(
 
 def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -> Path:
     """rate_report.csv: check_state,theoretical,agent,empirical,stderr."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     labels = [str(s) for s in world.state_space.states]
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check_state", "theoretical", "agent", "empirical", "stderr"])
-        for r in report.rows:
-            w.writerow([labels[r.check_state], repr(r.theoretical), r.agent + 1,
-                        repr(r.empirical), repr(r.stderr)])
-    return path
+    rows = (
+        [labels[r.check_state], repr(r.theoretical), r.agent + 1, repr(r.empirical), repr(r.stderr)]
+        for r in report.rows
+    )
+    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], rows)
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
     """occupancy.csv: agent_m,empirical,stationary (stationary blank if not given)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["agent_m", "empirical", "stationary"])
-        for m in range(len(report.frequencies)):
-            stat = repr(float(report.stationary[m])) if report.stationary is not None else ""
-            w.writerow([m + 1, repr(float(report.frequencies[m])), stat])
-    return path
+    rows = (
+        [m + 1, repr(float(f)), repr(float(report.stationary[m])) if report.stationary is not None else ""]
+        for m, f in enumerate(report.frequencies)
+    )
+    return write_csv(path, ["agent_m", "empirical", "stationary"], rows)
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:
     """belief_diff.csv: t,value."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, v in zip(times, diffs):
-            w.writerow([int(t), repr(float(v))])
-    return path
+    return write_csv(path, ["t", "value"], ([int(t), repr(float(v))] for t, v in zip(times, diffs)))

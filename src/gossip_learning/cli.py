@@ -12,7 +12,6 @@ and the manifest carry no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .analysis import (
     write_occupancy,
     write_rate_report,
 )
-from .config import ExperimentConfig, override_raw, parse_config_dict
+from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
 from .simulator import (
@@ -37,6 +36,7 @@ from .simulator import (
     read_trace_csvs,
     run_replications,
     world_fingerprint,
+    write_csv,
     write_trace_csvs,
 )
 from .world import check_global_identifiability
@@ -68,23 +68,8 @@ def _resolve_out(args) -> Path:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None) is not None:
-        path = Path(args.config)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-        raw = override_raw(raw, seed=args.seed, horizon=args.horizon, replications=args.replications)
-        try:
-            return parse_config_dict(raw)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+    if args.config is not None:
+        return load_config(args.config, seed=args.seed, horizon=args.horizon, replications=args.replications)
     # no file given: fall back to the built-in benchmark scenario
     return example1.config(
         horizon=args.horizon if args.horizon is not None else example1.DEFAULT_HORIZON,
@@ -239,23 +224,12 @@ def cmd_rate(args) -> int:
     return _rate_verdict(cfg, traces, out, say)
 
 
-def _write_series_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def cmd_example1(args) -> int:
     if args.config is not None:
         raise ValidationError("example1 always uses the built-in config; --config does not apply")
     say = _say(args.quiet)
     out = _resolve_out(args)
-    cfg = example1.config(
-        horizon=args.horizon if args.horizon is not None else example1.DEFAULT_HORIZON,
-        seed=args.seed if args.seed is not None else example1.DEFAULT_SEED,
-        replications=args.replications if args.replications is not None else example1.DEFAULT_REPLICATIONS,
-    )
+    cfg = _resolve_config(args)
 
     say("== structure and identifiability ==")
     if not _check_report(cfg, say):
@@ -271,9 +245,9 @@ def cmd_example1(args) -> int:
 
     fig2_agent = example1.FIG2_AGENT - 1
     probs = np.exp(trace0.log_beliefs[:, fig2_agent]).tolist()
-    rows = [[t, label, repr(p)]
-            for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row)]
-    _write_series_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], rows)
+    rows = ([t, label, repr(p)]
+            for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row))
+    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], rows)
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 
     a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)

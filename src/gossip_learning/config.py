@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SelectionSupportError, ValidationError
 from .graph import (
     DirectedNetwork,
     SelectionMatrix,
@@ -170,6 +170,12 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
             parsed.append([_as_number(x, f"selection.rows[{i}][{c}]") for c, x in enumerate(row)])
         try:
             return custom_selection_matrix(net, parsed), "explicit"
+        except SelectionSupportError as exc:
+            i, j = exc.row + 1, exc.agent + 1
+            raise ValidationError(
+                f"selection.rows: agent {i} puts positive mass on agent {j}, which is "
+                f"neither an in-neighbor of {i} nor {i} itself"
+            ) from exc
         except ValidationError as exc:
             raise ValidationError(f"selection.rows: {exc}") from exc
     raise ValidationError(f"selection.kind: expected 'uniform' or 'explicit', got {kind!r}")
@@ -354,45 +360,33 @@ def parse_config_dict(raw: Any) -> ExperimentConfig:
     )
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return parse_config_dict(raw)
+def load_config(
+    path: str | Path,
+    seed: int | None = None,
+    horizon: int | None = None,
+    replications: int | None = None,
+) -> ExperimentConfig:
+    """Read, decode and validate a config file; errors carry the path.
 
-
-def load_config(path: str | Path) -> ExperimentConfig:
+    seed, horizon and replications, when given, replace the file's simulation
+    values before validation. When the horizon changes and the file never
+    pinned a window, the default window is derived from the new horizon.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
-        return parse_config_text(text)
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    overrides = {"seed": seed, "horizon": horizon, "replications": replications}
+    if isinstance(raw, dict) and isinstance(raw.get("simulation"), dict):
+        raw["simulation"].update((k, v) for k, v in overrides.items() if v is not None)
+    try:
+        return parse_config_dict(raw)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def override_raw(
-    raw: dict,
-    seed: int | None = None,
-    horizon: int | None = None,
-    replications: int | None = None,
-) -> dict:
-    """Apply CLI overrides to a decoded config before validation.
-
-    When the horizon changes and the config never pinned a window, the
-    default window is re-derived from the new horizon during parsing.
-    """
-    out = json.loads(json.dumps(raw))
-    sim = out.setdefault("simulation", {})
-    if seed is not None:
-        sim["seed"] = seed
-    if horizon is not None:
-        sim["horizon"] = horizon
-    if replications is not None:
-        sim["replications"] = replications
-    return out

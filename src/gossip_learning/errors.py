@@ -20,3 +20,20 @@ class MultipleRecurrentClassesError(ValidationError):
             f"stationary distribution is not unique: {len(self.classes)} "
             f"recurrent classes: {names}"
         )
+
+
+class SelectionSupportError(ValidationError):
+    """A selection row puts mass on an agent outside the row agent's
+    in-neighborhood plus herself. ``row`` and ``agent`` are 0-based."""
+
+    def __init__(self, row: int, agent: int):
+        self.row = row
+        self.agent = agent
+        super().__init__(
+            f"selection row {row} has support on agent {agent}, which is "
+            f"neither an in-neighbor of {row} nor {row} itself"
+        )
+
+
+class StationarySolveError(ValidationError):
+    """The solved stationary vector fails the pi P = pi residual check."""

@@ -12,7 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MultipleRecurrentClassesError, ValidationError
+from .errors import (
+    MultipleRecurrentClassesError,
+    SelectionSupportError,
+    StationarySolveError,
+    ValidationError,
+)
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -122,17 +127,19 @@ def uniform_selection_matrix(net: DirectedNetwork) -> SelectionMatrix:
     return SelectionMatrix(n=net.n, probs=p)
 
 
+def check_selection_support(net: DirectedNetwork, P: SelectionMatrix) -> None:
+    """Reject a row of P with mass outside its agent's in-neighbors plus self."""
+    for i in range(net.n):
+        allowed = set(net.in_neighbors(i)) | {i}
+        for j in P.support(i):
+            if int(j) not in allowed:
+                raise SelectionSupportError(i, int(j))
+
+
 def custom_selection_matrix(net: DirectedNetwork, rows: Sequence[Sequence[float]]) -> SelectionMatrix:
     """Validate explicit selection rows against the network's neighborhoods."""
     mat = SelectionMatrix(n=net.n, probs=np.asarray(rows, dtype=float))
-    for i in range(net.n):
-        allowed = set(net.in_neighbors(i)) | {i}
-        for j in mat.support(i):
-            if int(j) not in allowed:
-                raise ValidationError(
-                    f"row {i} puts positive mass on agent {int(j)}, which is "
-                    f"neither an in-neighbor of {i} nor {i} itself"
-                )
+    check_selection_support(net, mat)
     return mat
 
 
@@ -297,7 +304,7 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
 
     Raises MultipleRecurrentClassesError when the fixed vector is not unique.
     The result is re-checked against the defining equation independently of
-    the solver used.
+    the solver used, and StationarySolveError is raised when it fails.
     """
     structure = recurrent_classes(P)
     if len(structure.classes) != 1:
@@ -321,5 +328,5 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
 
     residual = float(np.max(np.abs(pi @ P.probs - pi)))
     if residual > STATIONARY_RESIDUAL_TOL:
-        raise RuntimeError(f"stationary solve residual {residual!r} exceeds {STATIONARY_RESIDUAL_TOL}")
+        raise StationarySolveError(f"stationary solve residual {residual!r} exceeds {STATIONARY_RESIDUAL_TOL}")
     return StationaryDistribution(pi=pi)

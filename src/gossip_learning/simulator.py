@@ -23,13 +23,13 @@ import csv
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .belief import bayes_log_posterior
 from .errors import ValidationError
-from .graph import DirectedNetwork, SelectionMatrix
+from .graph import DirectedNetwork, SelectionMatrix, check_selection_support
 from .world import WorldModel
 
 WALK_IDENTITY_TOL = 1e-8
@@ -141,10 +141,7 @@ def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldMode
             f"inconsistent sizes: network n={net.n}, selection matrix n={P.n}, "
             f"world has {world.n_agents} likelihood tables"
         )
-    for i in range(net.n):
-        allowed = set(net.in_neighbors(i)) | {i}
-        if any(int(j) not in allowed for j in P.support(i)):
-            raise ValidationError(f"selection row {i} has support outside the network's neighborhoods")
+    check_selection_support(net, P)
 
 
 def _draw(
@@ -302,38 +299,39 @@ def verify_walk_identity(
     return float(abs(lhs - rhs))
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write one header line and then every row, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def write_trace_csvs(trace: SimulationTrace, world: WorldModel, directory: str | Path) -> list[Path]:
     """Emit beliefs.csv, selections.csv, signals.csv (1-based agent ids)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     labels = [str(s) for s in world.state_space.states]
-
-    beliefs_path = directory / "beliefs.csv"
-    with beliefs_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent", "state", "prob"])
-        for t, probs in zip(trace.snapshot_times, np.exp(trace.log_beliefs).tolist()):
-            for i, row in enumerate(probs):
-                for label, p in zip(labels, row):
-                    w.writerow([t, i + 1, label, repr(p)])
-
-    selections_path = directory / "selections.csv"
-    with selections_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent", "chosen"])
-        for t in range(1, trace.horizon + 1):
-            for i in range(trace.n):
-                w.writerow([t, i + 1, int(trace.selections[t - 1, i]) + 1])
-
-    signals_path = directory / "signals.csv"
-    with signals_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent", "signal"])
-        for t in range(trace.horizon + 1):
-            for i in range(trace.n):
-                w.writerow([t, i + 1, int(trace.signals[t, i])])
-
-    return [beliefs_path, selections_path, signals_path]
+    # each generator is made at its own write, so only one file's rows are
+    # ever materialized as Python lists at a time
+    return [
+        write_csv(directory / "beliefs.csv", ["t", "agent", "state", "prob"], (
+            [t, i, label, repr(p)]
+            for t, probs in zip(trace.snapshot_times, np.exp(trace.log_beliefs).tolist())
+            for i, row in enumerate(probs, 1)
+            for label, p in zip(labels, row)
+        )),
+        write_csv(directory / "selections.csv", ["t", "agent", "chosen"], (
+            [t, i, chosen]
+            for t, row in enumerate((trace.selections + 1).tolist(), 1)
+            for i, chosen in enumerate(row, 1)
+        )),
+        write_csv(directory / "signals.csv", ["t", "agent", "signal"], (
+            [t, i, s] for t, row in enumerate(trace.signals.tolist()) for i, s in enumerate(row, 1)
+        )),
+    ]
 
 
 def read_trace_csvs(

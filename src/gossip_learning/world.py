@@ -135,40 +135,19 @@ class WorldModel:
         return self.likelihoods[agent].table
 
     @cached_property
-    def _log_tables(self) -> tuple[np.ndarray, ...]:
-        # Computed once so that simulator and belief updates share the exact
-        # same floats (log of zero entries is -inf by design).
-        out = []
-        with np.errstate(divide="ignore"):
-            for lt in self.likelihoods:
-                logt = np.log(lt.table)
-                logt.flags.writeable = False
-                out.append(logt)
-        return tuple(out)
-
-    def log_likelihood(self, agent: int) -> np.ndarray:
-        return self._log_tables[agent]
-
-    @cached_property
     def log_columns(self) -> np.ndarray:
         """Every agent's log-likelihood columns in one (n_agents, max signals,
-        num_states) array: [i, s] is log l_i(s | .), the same floats as
-        log_likelihood(i)[:, s], and signals past agent i's signal space are
-        padded with -inf."""
+        num_states) array: [i, s] is log l_i(s | .), and signals past agent
+        i's signal space are padded with -inf. Computed once, so the simulator
+        and every replay read the exact same floats (log of a zero entry is
+        -inf by design)."""
         s_max = max((lt.signal_space_size for lt in self.likelihoods), default=0)
         out = np.full((self.n_agents, s_max, self.num_states), -np.inf)
-        for i, logt in enumerate(self._log_tables):
-            out[i, : logt.shape[1]] = logt.T
+        with np.errstate(divide="ignore"):
+            for i, lt in enumerate(self.likelihoods):
+                out[i, : lt.signal_space_size] = np.log(lt.table).T
         out.flags.writeable = False
         return out
-
-
-def sample_signal(world: WorldModel, agent: int, rng: np.random.Generator) -> int:
-    """Draw one signal for the agent from her table's true-state row."""
-    row = world.likelihood(agent)[world.true_state_index]
-    cdf = np.cumsum(row)
-    u = rng.random()
-    return int(min(np.searchsorted(cdf, u, side="right"), len(row) - 1))
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:

@@ -123,17 +123,30 @@ class TestEmpiricalRate:
         with pytest.raises(ValidationError, match="snapshots"):
             empirical_rate(tr, ex1_cfg.world, 0, 1, (1, 89))
 
-    def test_zero_belief_on_check_state_rejected(self):
-        logb = np.tile([0.0, -np.inf], (4, 1, 1))
-        tr = SimulationTrace(
-            n=1, horizon=3, replication=0, master_seed=0,
-            signals=np.zeros((4, 1), dtype=np.int64),
-            selections=np.zeros((3, 1), dtype=np.int64),
+    @staticmethod
+    def _two_agent_trace(agent2_log_belief):
+        # agent 1 holds (1/2, 1/2) throughout; agent 2 the given log belief
+        logb = np.empty((4, 2, 2))
+        logb[:, 0] = np.log(0.5)
+        logb[:, 1] = agent2_log_belief
+        return SimulationTrace(
+            n=2, horizon=3, replication=0, master_seed=0,
+            signals=np.zeros((4, 2), dtype=np.int64),
+            selections=np.zeros((3, 2), dtype=np.int64),
             snapshot_times=(0, 1, 2, 3), log_beliefs=logb,
             world_fingerprint="", matrix_fingerprint="",
         )
-        with pytest.raises(ValidationError, match="zero belief"):
-            empirical_rate(tr, TWO_STATE_WORLD, 0, 1, (0, 3))
+
+    def test_zero_belief_on_check_state_rejected(self):
+        tr = self._two_agent_trace([0.0, -np.inf])
+        with pytest.raises(ValidationError, match="zero belief") as exc:
+            empirical_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
+        assert "agent 2 holds exactly zero belief on state 2 " in str(exc.value)
+
+    def test_zero_belief_on_true_state_rejected(self):
+        tr = self._two_agent_trace([-np.inf, 0.0])
+        with pytest.raises(ValidationError, match="agent 2 has zero belief on the true state at t=0"):
+            empirical_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
 
     def test_agent_and_state_bounds(self):
         tr = synthetic_trace(rate=0.1, horizon=50)

@@ -3,114 +3,70 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gossip_learning.belief import (
-    BeliefState,
-    bayes_log_posterior,
-    gossip_update,
-    initial_belief,
-    log_ratio,
-    self_update,
-)
-from gossip_learning.errors import ImpossibleSignalError, ValidationError
+from gossip_learning.belief import bayes_log_posterior
+from gossip_learning.errors import ImpossibleSignalError
 from tests.test_world import tiny_world
 
 UNINFORMATIVE = [[0.25, 0.75], [0.25, 0.75], [0.25, 0.75]]
 
 
-def _belief(log_probs, agent=0, time=0):
-    return BeliefState(agent=agent, time=time, log_probs=np.asarray(log_probs, dtype=float))
-
-
 class TestKernel:
     def test_benchmark_initial_update(self, ex1_cfg):
         # uniform prior, agent 1 sees signal 0: posterior (5/13, 5/13, 3/13)
-        b = initial_belief(ex1_cfg.world, 0, 0)
-        assert b.time == 0 and b.agent == 0
-        assert np.allclose(b.probs(), [5 / 13, 5 / 13, 3 / 13], rtol=1e-14, atol=0)
+        w = ex1_cfg.world
+        post = bayes_log_posterior(w.prior.log_nu, w.log_columns[0, 0])
+        assert np.allclose(np.exp(post), [5 / 13, 5 / 13, 3 / 13], rtol=1e-14, atol=0)
 
     def test_benchmark_self_update(self, ex1_cfg):
         # agent 2 from a uniform belief on signal 0: (3/10, 4/10, 3/10)
-        start = _belief(np.log(np.full(3, 1 / 3)), agent=1, time=4)
-        b = self_update(ex1_cfg.world, start, 0)
-        assert b.time == 5 and b.agent == 1
-        assert np.allclose(b.probs(), [0.3, 0.4, 0.3], rtol=1e-14, atol=0)
+        post = bayes_log_posterior(np.log(np.full(3, 1 / 3)), ex1_cfg.world.log_columns[1, 0])
+        assert np.allclose(np.exp(post), [0.3, 0.4, 0.3], rtol=1e-14, atol=0)
 
     def test_benchmark_gossip_update(self, ex1_cfg):
         # agent 1 refines a neighbor belief (0.2, 0.5, 0.3) with signal 0
-        neighbor = _belief(np.log([0.2, 0.5, 0.3]), agent=2, time=7)
-        b = gossip_update(ex1_cfg.world, neighbor, 0, 0)
-        assert b.time == 8 and b.agent == 0
-        assert np.allclose(b.probs(), [10 / 44, 25 / 44, 9 / 44], rtol=1e-14, atol=0)
+        post = bayes_log_posterior(np.log([0.2, 0.5, 0.3]), ex1_cfg.world.log_columns[0, 0])
+        assert np.allclose(np.exp(post), [10 / 44, 25 / 44, 9 / 44], rtol=1e-14, atol=0)
 
     def test_gossip_from_own_belief_equals_self_update(self, ex1_cfg):
-        own = _belief(np.log([0.6, 0.3, 0.1]), agent=1, time=3)
-        a = self_update(ex1_cfg.world, own, 1)
-        b = gossip_update(ex1_cfg.world, own, 1, 1)
-        assert np.array_equal(a.log_probs, b.log_probs)
+        # in a batched round, an agent that consulted herself gets exactly the
+        # row a lone self-update gives, whatever the other rows hold
+        cols = ex1_cfg.world.log_columns
+        own = np.log([0.6, 0.3, 0.1])
+        alone = bayes_log_posterior(own, cols[1, 1])
+        batch = bayes_log_posterior(np.stack([np.log([0.2, 0.5, 0.3]), own]), cols[[0, 1], [0, 1]])
+        assert np.array_equal(batch[1], alone)
 
     def test_posterior_is_normalized_in_log_space(self, ex1_cfg):
-        b = initial_belief(ex1_cfg.world, 3, 1)
-        assert abs(np.exp(b.log_probs).sum() - 1.0) <= 1e-10
+        w = ex1_cfg.world
+        post = bayes_log_posterior(w.prior.log_nu, w.log_columns[3, 1])
+        assert abs(np.exp(post).sum() - 1.0) <= 1e-10
 
     def test_impossible_signal_raises(self):
         w = tiny_world([[[1.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(ImpossibleSignalError):
-            initial_belief(w, 0, 1)
+            bayes_log_posterior(w.prior.log_nu, w.log_columns[0, 1])
 
     def test_zero_likelihood_on_one_state_collapses_it(self):
         w = tiny_world([[[1.0, 0.0], [0.5, 0.5]]])
-        b = initial_belief(w, 0, 1)
-        assert b.log_probs[0] == -np.inf
-        assert b.log_probs[1] == 0.0
-
-    def test_signal_out_of_range_rejected(self, ex1_cfg):
-        with pytest.raises(ValidationError, match="signal"):
-            initial_belief(ex1_cfg.world, 0, 2)
-        with pytest.raises(ValidationError, match="signal"):
-            initial_belief(ex1_cfg.world, 0, -1)
-
-    def test_state_space_length_mismatch_rejected(self, ex1_cfg):
-        neighbor = _belief(np.log([0.5, 0.5]), agent=0, time=0)
-        with pytest.raises(ValidationError):
-            gossip_update(ex1_cfg.world, neighbor, 0, 0)
+        post = bayes_log_posterior(w.prior.log_nu, w.log_columns[0, 1])
+        assert post[0] == -np.inf
+        assert post[1] == 0.0
 
 
 class TestFixedPoint:
     @pytest.mark.parametrize("prior", [None, [0.5, 0.2, 0.3]])
     def test_identical_rows_hold_belief_constant_exactly(self, prior):
         w = tiny_world([UNINFORMATIVE], prior=prior)
-        b = initial_belief(w, 0, 1)
-        first = b.log_probs.copy()
+        b = bayes_log_posterior(w.prior.log_nu, w.log_columns[0, 1])
+        first = b.copy()
         for t in range(500):
-            b = self_update(w, b, t % 2)
-            assert np.array_equal(b.log_probs, first)
-        assert b.time == 500
+            b = bayes_log_posterior(b, w.log_columns[0, t % 2])
+            assert np.array_equal(b, first)
 
     def test_initial_update_with_identical_rows_keeps_prior(self):
         w = tiny_world([UNINFORMATIVE], prior=[0.5, 0.2, 0.3])
-        b = initial_belief(w, 0, 0)
-        assert np.allclose(b.probs(), [0.5, 0.2, 0.3], rtol=1e-14, atol=0)
-
-
-class TestBeliefState:
-    def test_rejects_unnormalized_vector(self):
-        with pytest.raises(ValidationError, match="belief mass"):
-            _belief(np.log([0.5, 0.4]))
-
-    def test_probs_exponentiates(self):
-        b = _belief(np.log([0.25, 0.75]))
-        assert np.allclose(b.probs(), [0.25, 0.75], rtol=1e-15, atol=0)
-
-    def test_log_ratio_basic_and_neg_inf(self):
-        b = _belief([np.log(0.5), np.log(0.5), -np.inf][0:2] + [-np.inf])
-        # above: (0.5, 0.5, 0) as log probs
-        assert log_ratio(b, 1, 0) == 0.0
-        assert log_ratio(b, 2, 0) == -np.inf
-
-    def test_log_ratio_needs_mass_on_true_state(self):
-        b = _belief([0.0, -np.inf])
-        with pytest.raises(ValidationError, match="zero mass"):
-            log_ratio(b, 0, 1)
+        post = bayes_log_posterior(w.prior.log_nu, w.log_columns[0, 0])
+        assert np.allclose(np.exp(post), [0.5, 0.2, 0.3], rtol=1e-14, atol=0)
 
 
 @settings(max_examples=200, deadline=None)

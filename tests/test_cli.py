@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gossip_learning import example1
+from gossip_learning import example1, graph
 from gossip_learning.analysis import empirical_rate
 from gossip_learning.cli import main
-from gossip_learning.config import parse_config_dict, parse_config_text
+from gossip_learning.config import load_config, parse_config_dict
 from gossip_learning.simulator import read_trace_csvs, run
 
 
@@ -115,15 +115,43 @@ class TestConfigErrors:
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
         assert "duplicate entry" in capsys.readouterr().err
 
+    def test_selection_outside_neighborhood_names_1_based_agents(self, tmp_path, capsys):
+        cfg = example1.config_dict(horizon=10)
+        rows = [[0.0] * 8 for _ in range(8)]
+        for i in range(8):
+            rows[i][i] = 1.0
+        rows[0] = [0.5, 0.5] + [0.0] * 6  # agent 1 observes only agent 3
+        cfg["selection"] = {"kind": "explicit", "rows": rows}
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert ("selection.rows: agent 1 puts positive mass on agent 2, which is "
+                "neither an in-neighbor of 1 nor 1 itself") in err
+
+    @pytest.mark.parametrize("text", ["[]", '{"simulation": 5}'])
+    def test_non_object_sections_are_invalid_input_with_overrides(self, tmp_path, capsys, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "--config", str(path), "--seed", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_stationary_solver_failure_is_invalid_input(self, monkeypatch, tmp_path, capsys):
+        # an off vector from the solver must trip the pi P = pi residual check
+        monkeypatch.setattr(graph, "_direct_stationary", lambda sub: np.arange(1.0, sub.shape[0] + 1))
+        code = main(["rate", "--horizon", "20", "--replications", "1", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "stationary solve residual" in err
+
 
 class TestRoundTrip:
-    def test_builtin_config_round_trips_canonically(self):
+    def test_builtin_config_round_trips_canonically(self, tmp_path):
         cfg = example1.config()
         text = cfg.canonical_json()
-        again = parse_config_text(text)
+        (tmp_path / "canonical.json").write_text(text, encoding="utf-8")
+        again = load_config(tmp_path / "canonical.json")
         assert again.canonical_json() == text
 
-    def test_explicit_selection_and_prior_round_trip(self):
+    def test_explicit_selection_and_prior_round_trip(self, tmp_path):
         raw = {
             "network": {"n": 2, "edges": [[1, 2], [2, 1]]},
             "selection": {"kind": "explicit", "rows": [[0.25, 0.75], [0.5, 0.5]]},
@@ -140,7 +168,8 @@ class TestRoundTrip:
         }
         cfg = parse_config_dict(raw)
         text = cfg.canonical_json()
-        again = parse_config_text(text)
+        (tmp_path / "canonical.json").write_text(text, encoding="utf-8")
+        again = load_config(tmp_path / "canonical.json")
         assert again.canonical_json() == text
         assert np.array_equal(cfg.world.likelihood(1), cfg.world.likelihood(0))
         assert cfg.selection.probs[0, 1] == 0.75
