@@ -23,6 +23,7 @@ from .belief import bayes_log_posterior
 from .config import AnalysisConfig, ExperimentConfig, load_config, parse_config_dict
 from .errors import (
     ImpossibleSignalError,
+    LikelihoodRowError,
     MultipleRecurrentClassesError,
     SelectionSupportError,
     StationarySolveError,
@@ -69,6 +70,7 @@ __all__ = [
     "ExperimentConfig",
     "IdentifiabilityReport",
     "ImpossibleSignalError",
+    "LikelihoodRowError",
     "LikelihoodTable",
     "MultipleRecurrentClassesError",
     "OccupancyReport",

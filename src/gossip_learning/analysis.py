@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import StationaryDistribution
-from .simulator import SimulationTrace, backward_walk, write_csv
+from .simulator import SimulationTrace, backward_walk, float_cells, int_cells, state_cells, write_csv
 from .world import WorldModel, kl_divergence
 
 
@@ -220,23 +220,26 @@ def belief_difference(
 
 def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -> Path:
     """rate_report.csv: check_state,theoretical,agent,empirical,stderr."""
-    labels = [str(s) for s in world.state_space.states]
-    rows = (
-        [labels[r.check_state], repr(r.theoretical), r.agent + 1, repr(r.empirical), repr(r.stderr)]
-        for r in report.rows
-    )
-    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], rows)
+    labels = state_cells(world)
+    rows = report.rows
+    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], [[
+        [labels[r.check_state] for r in rows],
+        float_cells([r.theoretical for r in rows]),
+        int_cells([r.agent + 1 for r in rows]),
+        float_cells([r.empirical for r in rows]),
+        float_cells([r.stderr for r in rows]),
+    ]])
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
     """occupancy.csv: agent_m,empirical,stationary (stationary blank if not given)."""
-    rows = (
-        [m + 1, repr(float(f)), repr(float(report.stationary[m])) if report.stationary is not None else ""]
-        for m, f in enumerate(report.frequencies)
-    )
-    return write_csv(path, ["agent_m", "empirical", "stationary"], rows)
+    n = len(report.frequencies)
+    stationary = float_cells(report.stationary) if report.stationary is not None else [""] * n
+    return write_csv(path, ["agent_m", "empirical", "stationary"], [[
+        int_cells(np.arange(1, n + 1)), float_cells(report.frequencies), stationary,
+    ]])
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:
     """belief_diff.csv: t,value."""
-    return write_csv(path, ["t", "value"], ([int(t), repr(float(v))] for t, v in zip(times, diffs)))
+    return write_csv(path, ["t", "value"], [[int_cells(times), float_cells(diffs)]])

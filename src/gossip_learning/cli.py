@@ -32,9 +32,12 @@ from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
 from .simulator import (
+    float_cells,
     matrix_fingerprint,
     read_trace_csvs,
+    row_blocks,
     run_replications,
+    state_cells,
     world_fingerprint,
     write_csv,
     write_trace_csvs,
@@ -159,20 +162,31 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
         raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
     if matrix_fingerprint(cfg.selection) != manifest["matrix_fingerprint"]:
         raise ValidationError(f"{manifest_path}: selection-matrix fingerprint does not match its config")
+    sim = cfg.simulation
     traces = []
     for entry in manifest["traces"]:
         rep_dir = traces_dir / entry["dir"]
         if not rep_dir.is_dir():
             raise ValidationError(f"{manifest_path} lists {entry['dir']} but it is missing")
-        traces.append(
-            read_trace_csvs(
-                rep_dir,
-                replication=entry["replication"],
-                master_seed=manifest["master_seed"],
-                world_fp=manifest["world_fingerprint"],
-                matrix_fp=manifest["matrix_fingerprint"],
-            )
+        # the reader checks agent ids against the config's n
+        tr = read_trace_csvs(
+            rep_dir,
+            cfg.world,
+            replication=entry["replication"],
+            master_seed=manifest["master_seed"],
+            world_fp=manifest["world_fingerprint"],
+            matrix_fp=manifest["matrix_fingerprint"],
         )
+        if tr.horizon != sim.horizon:
+            raise ValidationError(
+                f"{rep_dir / 'signals.csv'}: rounds end at t={tr.horizon}, but the config's horizon is {sim.horizon}"
+            )
+        expected = sim.snapshot_times()
+        if tr.snapshot_times != expected:
+            t = min(set(expected) ^ set(tr.snapshot_times))
+            what = "has no snapshot" if t in expected else "has a snapshot the config does not record"
+            raise ValidationError(f"{rep_dir / 'beliefs.csv'} {what} at t={t}")
+        traces.append(tr)
     return cfg, traces
 
 
@@ -241,13 +255,12 @@ def cmd_example1(args) -> int:
 
     trace0 = traces[0]
     world = cfg.world
-    labels = [str(s) for s in world.state_space.states]
 
     fig2_agent = example1.FIG2_AGENT - 1
-    probs = np.exp(trace0.log_beliefs[:, fig2_agent]).tolist()
-    rows = ([t, label, repr(p)]
-            for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row))
-    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], rows)
+    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], row_blocks(
+        trace0.snapshot_times, [state_cells(world)],
+        lambda a, b: np.exp(trace0.log_beliefs[a:b, fig2_agent]), float_cells,
+    ))
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 
     a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SelectionSupportError, ValidationError
+from .errors import LikelihoodRowError, SelectionSupportError, ValidationError
 from .graph import (
     DirectedNetwork,
     SelectionMatrix,
@@ -26,7 +26,7 @@ from .graph import (
     uniform_selection_matrix,
 )
 from .simulator import SimulationConfig
-from .world import LikelihoodTable, Prior, StateSpace, WorldModel
+from .world import PROB_SUM_TOL, LikelihoodTable, Prior, StateSpace, WorldModel
 
 DEFAULT_RATE_REL_TOLERANCE = 0.15
 
@@ -257,11 +257,16 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
     for agent in range(1, n + 1):
         try:
             likelihoods.append(LikelihoodTable(agent=agent - 1, table=np.array(tables[agent], dtype=float)))
+        except LikelihoodRowError as exc:
+            raise ValidationError(
+                f"world.likelihoods: agent {agent}: likelihood row for state {labels[exc.state]} "
+                f"sums to {exc.total!r}, expected 1 within {PROB_SUM_TOL}"
+            ) from exc
         except ValidationError as exc:
-            raise ValidationError(f"world.likelihoods (agent {agent}): {exc}") from exc
+            raise ValidationError(f"world.likelihoods: {exc}") from exc
         if likelihoods[-1].table.shape[0] != len(labels):
             raise ValidationError(
-                f"world.likelihoods (agent {agent}): table has {likelihoods[-1].table.shape[0]} "
+                f"world.likelihoods: agent {agent}: table has {likelihoods[-1].table.shape[0]} "
                 f"rows but there are {len(labels)} states"
             )
     try:

@@ -35,5 +35,16 @@ class SelectionSupportError(ValidationError):
         )
 
 
+class LikelihoodRowError(ValidationError):
+    """A likelihood table row does not sum to 1. ``agent`` and ``state``
+    are 0-based; ``total`` is the row's sum."""
+
+    def __init__(self, agent: int, state: int, total: float):
+        self.agent = agent
+        self.state = state
+        self.total = total
+        super().__init__(f"agent {agent + 1}: likelihood row {state + 1} sums to {total!r}")
+
+
 class StationarySolveError(ValidationError):
     """The solved stationary vector fails the pi P = pi residual check."""

@@ -95,14 +95,18 @@ class SelectionMatrix:
             raise ValidationError("selection matrix entries must be finite")
         if np.any(p < 0.0):
             i, j = np.argwhere(p < 0.0)[0]
-            raise ValidationError(f"negative selection probability at row {i}, column {j}")
+            raise ValidationError(
+                f"agent {i + 1} has negative probability {float(p[i, j])!r} of choosing agent {j + 1}"
+            )
         sums = p.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
             i = int(bad[0])
             if sums[i] == 0.0:
-                raise ValidationError(f"row {i} has zero mass on every entry")
-            raise ValidationError(f"row {i} sums to {sums[i]!r}, expected 1 within {ROW_SUM_TOL}")
+                raise ValidationError(f"the row of agent {i + 1} has zero mass on every entry")
+            raise ValidationError(
+                f"the row of agent {i + 1} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}"
+            )
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)

@@ -14,13 +14,19 @@ chosen neighbors' previous beliefs from an (R, n, k) array, add the agents'
 log-likelihood columns for their signals, normalize. A trace stores its
 belief snapshots as one read-only (m, n, k) array aligned with its m
 snapshot times.
+
+Trace CSVs are written and read a column at a time: cells are formatted
+from whole arrays (one repr per distinct float), rows are joined in fixed
+blocks, and a file is parsed by one numpy call, then checked for
+completeness before its values are scattered into the trace arrays. The
+bytes are those of csv.writer with floats written as repr.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import hashlib
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -299,43 +305,138 @@ def verify_walk_identity(
     return float(abs(lhs - rhs))
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write one header line and then every row, creating the parent directory."""
+# rows per block that row_blocks formats and write_csv joins in one go: bounds
+# the cell text held in memory whatever the trace size
+BLOCK_ROWS = 4096
+
+BELIEFS_HEADER = ("t", "agent", "state", "prob")
+SELECTIONS_HEADER = ("t", "agent", "chosen")
+SIGNALS_HEADER = ("t", "agent", "signal")
+
+
+def csv_text(cell: str) -> str:
+    """A text cell as csv.writer's minimal quoting writes it."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def state_cells(world: WorldModel) -> np.ndarray:
+    """Each state's label as CSV cell text, in state order."""
+    return np.array([csv_text(str(s)) for s in world.state_space.states], dtype=object)
+
+
+def int_cells(values) -> list[str]:
+    """The decimal text of every integer in an array, from one repr."""
+    values = np.asarray(values).ravel()
+    return repr(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def float_cells(values) -> np.ndarray:
+    """repr of every float in an array (the text csv.writer writes for a
+    float), called once per distinct bit pattern."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).ravel().view(np.uint64), return_inverse=True)
+    return np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
+
+
+def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]) -> Path:
+    """Write one header line and then each block of rows, creating the
+    parent directory. A block is a list of equal-length columns of cell
+    text: numbers already formatted (int_cells, float_cells) and text
+    quoted with csv_text. The bytes are those csv.writer writes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(map(csv_text, header)) + "\r\n")
+        for columns in blocks:
+            if len(columns[0]):
+                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
     return path
+
+
+def row_blocks(times: Sequence[int], keys: list[np.ndarray], values, cells) -> Iterable[list]:
+    """write_csv blocks of rows (t, *keys, value) for every time in turn:
+    the key columns (cell text) repeat at each time, values(a, b) gives the
+    values of times[a:b] and cells formats them."""
+    width = len(keys[0])
+    step = max(1, BLOCK_ROWS // width)
+    time_cells = np.array(int_cells(times), dtype=object)
+    for a in range(0, len(times), step):
+        b = min(a + step, len(times))
+        yield [np.repeat(time_cells[a:b], width), *(np.tile(key, b - a) for key in keys), cells(values(a, b))]
 
 
 def write_trace_csvs(trace: SimulationTrace, world: WorldModel, directory: str | Path) -> list[Path]:
     """Emit beliefs.csv, selections.csv, signals.csv (1-based agent ids)."""
     directory = Path(directory)
-    labels = [str(s) for s in world.state_space.states]
-    # each generator is made at its own write, so only one file's rows are
-    # ever materialized as Python lists at a time
+    k = trace.log_beliefs.shape[2]
+    agents = np.array(int_cells(np.arange(1, trace.n + 1)), dtype=object)
     return [
-        write_csv(directory / "beliefs.csv", ["t", "agent", "state", "prob"], (
-            [t, i, label, repr(p)]
-            for t, probs in zip(trace.snapshot_times, np.exp(trace.log_beliefs).tolist())
-            for i, row in enumerate(probs, 1)
-            for label, p in zip(labels, row)
+        write_csv(directory / "beliefs.csv", BELIEFS_HEADER, row_blocks(
+            trace.snapshot_times, [np.repeat(agents, k), np.tile(state_cells(world), trace.n)],
+            lambda a, b: np.exp(trace.log_beliefs[a:b]), float_cells,
         )),
-        write_csv(directory / "selections.csv", ["t", "agent", "chosen"], (
-            [t, i, chosen]
-            for t, row in enumerate((trace.selections + 1).tolist(), 1)
-            for i, chosen in enumerate(row, 1)
+        write_csv(directory / "selections.csv", SELECTIONS_HEADER, row_blocks(
+            range(1, trace.horizon + 1), [agents], lambda a, b: trace.selections[a:b] + 1, int_cells,
         )),
-        write_csv(directory / "signals.csv", ["t", "agent", "signal"], (
-            [t, i, s] for t, row in enumerate(trace.signals.tolist()) for i, s in enumerate(row, 1)
+        write_csv(directory / "signals.csv", SIGNALS_HEADER, row_blocks(
+            range(trace.horizon + 1), [agents], lambda a, b: trace.signals[a:b], int_cells,
         )),
     ]
 
 
+def _read_rows(path: Path, header: Sequence[str], types: Sequence) -> np.ndarray:
+    """The rows of a CSV written by write_csv, parsed in one pass into a
+    structured array with one field per header name."""
+    # the file's own handle keeps a \r inside a quoted label as it is
+    with path.open(newline="") as fh:
+        first = fh.readline().rstrip("\r\n")
+        if first != ",".join(header):
+            raise ValidationError(f"{path}: header is {first!r}, expected {','.join(header)!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
+            try:
+                return np.loadtxt(fh, dtype=list(zip(header, types)), delimiter=",", quotechar='"',
+                                  comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+
+
+def _reject(path: Path, rows: np.ndarray, bad: np.ndarray, what) -> None:
+    """Raise for the first row flagged in bad, naming its t and agent;
+    what(r) describes what is wrong with row r."""
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValidationError(f"{path}, row {r + 1} (t={rows['t'][r]}, agent {rows['agent'][r]}): {what(r)}")
+
+
+def _place(path: Path, rows: np.ndarray, times: np.ndarray, n: int,
+           states: np.ndarray | None = None, labels: Sequence[str] = ("",)) -> np.ndarray:
+    """Each row's flat index into a (len(times), n, len(labels)) array, after
+    checking that the rows name each (t, agent[, state]) exactly once.
+    states holds each row's label index; a file without a state column
+    passes neither it nor labels."""
+    t, agent = rows["t"], rows["agent"]
+    _reject(path, rows, (agent < 1) | (agent > n), lambda r: f"agent id outside 1..{n}")
+    slot = np.minimum(np.searchsorted(times, t), len(times) - 1)
+    _reject(path, rows, times[slot] != t, lambda r: f"t outside {times[0]}..{times[-1]}")
+    k = len(labels)
+    flat = (slot * n + agent - 1) * k
+    if states is not None:
+        flat += states
+    counts = np.bincount(flat, minlength=len(times) * n * k)
+    for seen, what in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
+        if seen.any():
+            m, rest = divmod(int(np.argmax(seen)), n * k)
+            i, s = divmod(rest, k)
+            state = f", state {labels[s]}" if states is not None else ""
+            raise ValidationError(f"{path}: the row for t={times[m]}, agent {i + 1}{state} {what}")
+    return flat
+
+
 def read_trace_csvs(
     directory: str | Path,
+    world: WorldModel,
     replication: int = 0,
     master_seed: int = 0,
     world_fp: str = "",
@@ -343,38 +444,59 @@ def read_trace_csvs(
 ) -> SimulationTrace:
     """Rebuild a trace from the CSV set written by write_trace_csvs.
 
-    Belief log values are recovered from the stored probabilities; replay
-    metadata (seed, fingerprints) comes from the caller, typically a manifest.
+    The world gives n, the state labels and each agent's signal count; the
+    horizon is the last round in signals.csv and the snapshot times are the
+    times in beliefs.csv. Every (t, agent[, state]) row must be present
+    exactly once, with ids, labels, choices and signals in range; anything
+    else raises ValidationError. Belief log values are recovered from the
+    stored probabilities; replay metadata (seed, fingerprints) comes from
+    the caller, typically a manifest.
     """
     directory = Path(directory)
+    n = world.n_agents
+    labels = [str(s) for s in world.state_space.states]
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"state labels {labels} are not distinct as text, so beliefs.csv cannot tell them apart")
 
-    with (directory / "signals.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValidationError(f"{directory}/signals.csv is empty")
-    n = max(int(r["agent"]) for r in rows)
-    horizon = max(int(r["t"]) for r in rows)
-    signals = np.zeros((horizon + 1, n), dtype=np.int64)
-    for r in rows:
-        signals[int(r["t"]), int(r["agent"]) - 1] = int(r["signal"])
+    path = directory / "signals.csv"
+    rows = _read_rows(path, SIGNALS_HEADER, (np.int64, np.int64, np.int64))
+    if rows.size == 0:
+        raise ValidationError(f"{path} has no rows")
+    horizon = int(rows["t"].max())
+    if horizon < 1:
+        raise ValidationError(f"{path}: rounds end at t={horizon}, but a trace has at least one round")
+    flat = _place(path, rows, np.arange(horizon + 1), n)
+    sizes = np.array([lt.signal_space_size for lt in world.likelihoods])[rows["agent"] - 1]
+    _reject(path, rows, (rows["signal"] < 0) | (rows["signal"] >= sizes),
+            lambda r: f"signal {rows['signal'][r]} outside the agent's signals 0..{sizes[r] - 1}")
+    signals = np.empty((horizon + 1, n), dtype=np.int64)
+    signals.ravel()[flat] = rows["signal"]
 
-    with (directory / "selections.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    selections = np.zeros((horizon, n), dtype=np.int64)
-    for r in rows:
-        selections[int(r["t"]) - 1, int(r["agent"]) - 1] = int(r["chosen"]) - 1
+    path = directory / "selections.csv"
+    rows = _read_rows(path, SELECTIONS_HEADER, (np.int64, np.int64, np.int64))
+    flat = _place(path, rows, np.arange(1, horizon + 1), n)
+    _reject(path, rows, (rows["chosen"] < 1) | (rows["chosen"] > n),
+            lambda r: f"chosen agent {rows['chosen'][r]} outside 1..{n}")
+    selections = np.empty((horizon, n), dtype=np.int64)
+    selections.ravel()[flat] = rows["chosen"] - 1
 
-    with (directory / "beliefs.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    labels: list[str] = []
-    for r in rows:
-        if r["state"] not in labels:
-            labels.append(r["state"])
-    times = sorted({int(r["t"]) for r in rows})
-    slot = {t: m for m, t in enumerate(times)}
-    probs = np.zeros((len(times), n, len(labels)))
-    for r in rows:
-        probs[slot[int(r["t"])], int(r["agent"]) - 1, labels.index(r["state"])] = float(r["prob"])
+    # one character wider than any label, so a longer label in the file is
+    # not cut down to a known one
+    width = max(map(len, labels)) + 1
+    path = directory / "beliefs.csv"
+    rows = _read_rows(path, BELIEFS_HEADER, (np.int64, np.int64, f"U{width}", np.float64))
+    if rows.size == 0:
+        raise ValidationError(f"{path} has no rows")
+    _reject(path, rows, (rows["t"] < 0) | (rows["t"] > horizon), lambda r: f"t outside 0..{horizon}")
+    times = np.unique(rows["t"])
+    known = np.array(labels, dtype=f"U{width}")
+    order = np.argsort(known)
+    pos = np.minimum(np.searchsorted(known[order], rows["state"]), len(labels) - 1)
+    _reject(path, rows, known[order][pos] != rows["state"],
+            lambda r: f"unknown state label {str(rows['state'][r])!r}")
+    flat = _place(path, rows, times, n, order[pos], labels)
+    probs = np.empty((len(times), n, len(labels)))
+    probs.ravel()[flat] = rows["prob"]
     with np.errstate(divide="ignore"):
         log_beliefs = np.log(probs)
     log_beliefs.flags.writeable = False
@@ -386,7 +508,7 @@ def read_trace_csvs(
         master_seed=master_seed,
         signals=signals,
         selections=selections,
-        snapshot_times=tuple(times),
+        snapshot_times=tuple(times.tolist()),
         log_beliefs=log_beliefs,
         world_fingerprint=world_fp,
         matrix_fingerprint=matrix_fp,

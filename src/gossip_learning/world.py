@@ -13,7 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import LikelihoodRowError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 
@@ -82,15 +82,13 @@ class LikelihoodTable:
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[1] < 1:
-            raise ValidationError(f"agent {self.agent}: likelihood table must be 2-D")
+            raise ValidationError(f"agent {self.agent + 1}: likelihood table must be 2-D")
         if np.any(t < 0.0):
-            raise ValidationError(f"agent {self.agent}: negative likelihood entry")
-        bad = np.nonzero(np.abs(t.sum(axis=1) - 1.0) > PROB_SUM_TOL)[0]
+            raise ValidationError(f"agent {self.agent + 1}: negative likelihood entry")
+        sums = t.sum(axis=1)
+        bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
         if bad.size:
-            raise ValidationError(
-                f"agent {self.agent}: likelihood row for state index {int(bad[0])} "
-                f"sums to {t.sum(axis=1)[int(bad[0])]!r}"
-            )
+            raise LikelihoodRowError(self.agent, int(bad[0]), float(sums[bad[0]]))
         t = t.copy()
         t.flags.writeable = False
         object.__setattr__(self, "table", t)

@@ -127,6 +127,35 @@ class TestConfigErrors:
         assert ("selection.rows: agent 1 puts positive mass on agent 2, which is "
                 "neither an in-neighbor of 1 nor 1 itself") in err
 
+    def _explicit_selection(self, tmp_path, row2):
+        cfg = example1.config_dict(horizon=10)
+        rows = [[1.0 if j == i else 0.0 for j in range(8)] for i in range(8)]
+        rows[1] = row2
+        cfg["selection"] = {"kind": "explicit", "rows": rows}
+        return write_config(tmp_path, cfg)
+
+    def test_selection_row_sum_names_1_based_agent_and_plain_float(self, tmp_path, capsys):
+        assert main(["check", "--config", self._explicit_selection(tmp_path, [0.5, 0.4] + [0.0] * 6)]) == 2
+        assert "selection.rows: the row of agent 2 sums to 0.9, expected 1 within 1e-12" in capsys.readouterr().err
+
+    def test_negative_selection_entry_names_1_based_agents(self, tmp_path, capsys):
+        assert main(["check", "--config", self._explicit_selection(tmp_path, [-0.5, 1.5] + [0.0] * 6)]) == 2
+        assert ("selection.rows: agent 2 has negative probability -0.5 of choosing agent 1"
+                in capsys.readouterr().err)
+
+    def test_zero_selection_row_names_1_based_agent(self, tmp_path, capsys):
+        assert main(["check", "--config", self._explicit_selection(tmp_path, [0.0] * 8)]) == 2
+        assert "selection.rows: the row of agent 2 has zero mass on every entry" in capsys.readouterr().err
+
+    def test_likelihood_row_sum_names_agent_once_and_state_label(self, tmp_path, capsys):
+        cfg = example1.config_dict(horizon=10)
+        cfg["world"]["likelihoods"][1]["table"][2] = [0.5, 0.4]  # agent 2, state 3
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert ("world.likelihoods: agent 2: likelihood row for state 3 sums to 0.9, "
+                "expected 1 within 1e-12") in err
+        assert "agent 1" not in err
+
     @pytest.mark.parametrize("text", ["[]", '{"simulation": 5}'])
     def test_non_object_sections_are_invalid_input_with_overrides(self, tmp_path, capsys, text):
         path = tmp_path / "odd.json"
@@ -301,7 +330,7 @@ class TestExample1:
 
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
-        back = read_trace_csvs(out / "rep000")
+        back = read_trace_csvs(out / "rep000", ex1_cfg.world)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))

@@ -135,13 +135,14 @@ class TestReplay:
     def test_csv_round_trip(self, ex1_cfg, tmp_path):
         tr = small_run(ex1_cfg, horizon=40, stride=5)
         write_trace_csvs(tr, ex1_cfg.world, tmp_path)
-        back = read_trace_csvs(tmp_path)
+        back = read_trace_csvs(tmp_path, ex1_cfg.world)
         assert back.n == tr.n and back.horizon == tr.horizon
         assert np.array_equal(back.signals, tr.signals)
         assert np.array_equal(back.selections, tr.selections)
         assert back.snapshot_times == tr.snapshot_times
         assert back.log_beliefs.shape == tr.log_beliefs.shape == (9, 8, 3)
-        assert np.allclose(back.log_beliefs, tr.log_beliefs, atol=1e-12, rtol=0)
+        # the files hold exp(log belief), so a read gives back its log, bit for bit
+        assert back.log_beliefs.tobytes() == np.log(np.exp(tr.log_beliefs)).tobytes()
 
 
 class TestWalk:

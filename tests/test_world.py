@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import rel_entr
 
 from gossip_learning import example1
-from gossip_learning.errors import ValidationError
+from gossip_learning.errors import LikelihoodRowError, ValidationError
 from gossip_learning.world import (
     LikelihoodTable,
     Prior,
@@ -56,6 +56,13 @@ class TestTypes:
             LikelihoodTable(agent=0, table=np.array([[0.5, 0.4], [0.5, 0.5]]))
         with pytest.raises(ValidationError, match="negative"):
             LikelihoodTable(agent=0, table=np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+    def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
+        with pytest.raises(LikelihoodRowError) as info:
+            LikelihoodTable(agent=1, table=np.array([[0.5, 0.5], [0.5, 0.4]]))
+        assert (info.value.agent, info.value.state, info.value.total) == (1, 1, 0.9)
+        assert type(info.value.total) is float
+        assert str(info.value) == "agent 2: likelihood row 2 sums to 0.9"
 
     def test_world_cross_dimension_checks(self):
         with pytest.raises(ValidationError, match="prior length"):
