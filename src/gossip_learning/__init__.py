@@ -25,6 +25,7 @@ from .errors import (
     ImpossibleSignalError,
     LikelihoodRowError,
     MultipleRecurrentClassesError,
+    NegativeLikelihoodError,
     SelectionSupportError,
     StationarySolveError,
     ValidationError,
@@ -45,11 +46,11 @@ from .simulator import (
     SimulationConfig,
     SimulationTrace,
     backward_walk,
-    read_trace_csvs,
+    read_trace,
     run,
     run_replications,
     verify_walk_identity,
-    write_trace_csvs,
+    write_trace,
 )
 from .world import (
     IdentifiabilityReport,
@@ -73,6 +74,7 @@ __all__ = [
     "LikelihoodRowError",
     "LikelihoodTable",
     "MultipleRecurrentClassesError",
+    "NegativeLikelihoodError",
     "OccupancyReport",
     "Prior",
     "RateReport",
@@ -101,7 +103,7 @@ __all__ = [
     "occupancy",
     "parse_config_dict",
     "rate_report",
-    "read_trace_csvs",
+    "read_trace",
     "recurrent_classes",
     "run",
     "run_replications",
@@ -109,5 +111,5 @@ __all__ = [
     "theoretical_rate",
     "uniform_selection_matrix",
     "verify_walk_identity",
-    "write_trace_csvs",
+    "write_trace",
 ]

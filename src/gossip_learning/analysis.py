@@ -222,24 +222,24 @@ def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -
     """rate_report.csv: check_state,theoretical,agent,empirical,stderr."""
     labels = state_cells(world)
     rows = report.rows
-    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], [[
+    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], [
         [labels[r.check_state] for r in rows],
         float_cells([r.theoretical for r in rows]),
         int_cells([r.agent + 1 for r in rows]),
         float_cells([r.empirical for r in rows]),
         float_cells([r.stderr for r in rows]),
-    ]])
+    ])
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
     """occupancy.csv: agent_m,empirical,stationary (stationary blank if not given)."""
     n = len(report.frequencies)
     stationary = float_cells(report.stationary) if report.stationary is not None else [""] * n
-    return write_csv(path, ["agent_m", "empirical", "stationary"], [[
+    return write_csv(path, ["agent_m", "empirical", "stationary"], [
         int_cells(np.arange(1, n + 1)), float_cells(report.frequencies), stationary,
-    ]])
+    ])
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:
     """belief_diff.csv: t,value."""
-    return write_csv(path, ["t", "value"], [[int_cells(times), float_cells(diffs)]])
+    return write_csv(path, ["t", "value"], [int_cells(times), float_cells(diffs)])

@@ -6,7 +6,10 @@ benchmark end to end). Exit codes are a stable contract: 0 success, 1 negative
 analytic verdict, 2 invalid input or config, 3 I/O failure. Output location
 comes from --out, else the GOSSIP_LEARNING_OUT environment variable, else
 ./gossip_learning_out. All outputs are deterministic for a given config: CSVs
-and the manifest carry no timestamps, so reruns are byte-identical.
+and the manifest carry no timestamps and the .npz traces a fixed one, so
+reruns are byte-identical. run writes one repNNN.npz per replication and a
+manifest.json that records each file's SHA-256; rate --traces reads them
+back only after checking those digests.
 """
 
 from __future__ import annotations
@@ -32,15 +35,13 @@ from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
 from .simulator import (
-    float_cells,
     matrix_fingerprint,
-    read_trace_csvs,
-    row_blocks,
+    read_trace,
     run_replications,
     state_cells,
     world_fingerprint,
     write_csv,
-    write_trace_csvs,
+    write_trace,
 )
 from .world import check_global_identifiability
 
@@ -116,11 +117,9 @@ def _write_run_outputs(cfg: ExperimentConfig, out: Path, say, extra_files: dict 
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for tr in traces:
-        rep_dir = out / f"rep{tr.replication:03d}"
-        files = write_trace_csvs(tr, cfg.world, rep_dir)
-        entries.append({"replication": tr.replication, "dir": rep_dir.name,
-                        "files": sorted(p.name for p in files)})
-        say(f"wrote {rep_dir}/ ({', '.join(sorted(p.name for p in files))})")
+        path = out / f"rep{tr.replication:03d}.npz"
+        entries.append({"replication": tr.replication, "file": path.name, "sha256": write_trace(tr, path)})
+        say(f"wrote {path}")
     manifest = {
         "config": cfg.canonical_dict(),
         "master_seed": cfg.simulation.seed,
@@ -157,36 +156,23 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
     for key in ("config", "traces", "world_fingerprint", "matrix_fingerprint", "master_seed"):
         if key not in manifest:
             raise ValidationError(f"{manifest_path}: missing key {key!r}")
+    entries = manifest["traces"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and {"replication", "file", "sha256"} <= e.keys() for e in entries
+    ):
+        raise ValidationError(
+            f"{manifest_path}: its traces are not listed as .npz files with SHA-256 digests "
+            "(the CSV trace layout of earlier versions); regenerate the traces with the run command"
+        )
     cfg = parse_config_dict(manifest["config"])
     if world_fingerprint(cfg.world) != manifest["world_fingerprint"]:
         raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
     if matrix_fingerprint(cfg.selection) != manifest["matrix_fingerprint"]:
         raise ValidationError(f"{manifest_path}: selection-matrix fingerprint does not match its config")
-    sim = cfg.simulation
-    traces = []
-    for entry in manifest["traces"]:
-        rep_dir = traces_dir / entry["dir"]
-        if not rep_dir.is_dir():
-            raise ValidationError(f"{manifest_path} lists {entry['dir']} but it is missing")
-        # the reader checks agent ids against the config's n
-        tr = read_trace_csvs(
-            rep_dir,
-            cfg.world,
-            replication=entry["replication"],
-            master_seed=manifest["master_seed"],
-            world_fp=manifest["world_fingerprint"],
-            matrix_fp=manifest["matrix_fingerprint"],
-        )
-        if tr.horizon != sim.horizon:
-            raise ValidationError(
-                f"{rep_dir / 'signals.csv'}: rounds end at t={tr.horizon}, but the config's horizon is {sim.horizon}"
-            )
-        expected = sim.snapshot_times()
-        if tr.snapshot_times != expected:
-            t = min(set(expected) ^ set(tr.snapshot_times))
-            what = "has no snapshot" if t in expected else "has a snapshot the config does not record"
-            raise ValidationError(f"{rep_dir / 'beliefs.csv'} {what} at t={t}")
-        traces.append(tr)
+    traces = [
+        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation, e["replication"])
+        for e in entries
+    ]
     return cfg, traces
 
 
@@ -256,11 +242,14 @@ def cmd_example1(args) -> int:
     trace0 = traces[0]
     world = cfg.world
 
-    fig2_agent = example1.FIG2_AGENT - 1
-    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], row_blocks(
-        trace0.snapshot_times, [state_cells(world)],
-        lambda a, b: np.exp(trace0.log_beliefs[a:b, fig2_agent]), float_cells,
-    ))
+    # cells are made a row at a time as write_csv writes them, so no column
+    # of text is held beside the traces and nothing of them outlives the call
+    labels = state_cells(world)
+    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], [
+        (str(t) for t in trace0.snapshot_times for _ in labels),
+        (label for _ in trace0.snapshot_times for label in labels),
+        map(repr, np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1]).ravel().tolist()),
+    ])
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 
     a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)
@@ -296,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--traces", metavar="DIR", help="reuse traces previously written by 'run'")
 
     common(sub.add_parser("check", help="report structure, recurrent classes, identifiability"))
-    common(sub.add_parser("run", help="simulate and write trace CSVs plus a manifest"))
+    common(sub.add_parser("run", help="simulate and write one .npz trace per replication plus a manifest "
+                                      "with their SHA-256 digests"))
     common(sub.add_parser("rate", help="compare empirical decay rates to the closed form"), traces=True)
     common(sub.add_parser("example1", help="run the built-in benchmark pipeline end to end"))
     return parser

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import LikelihoodRowError, SelectionSupportError, ValidationError
+from .errors import LikelihoodRowError, NegativeLikelihoodError, SelectionSupportError, ValidationError
 from .graph import (
     DirectedNetwork,
     SelectionMatrix,
@@ -205,14 +205,15 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
     obj = _require_keys(raw, "world", ("states", "true_state", "prior", "likelihoods"))
 
     labels = [_as_label(s, f"world.states[{k}]") for k, s in enumerate(_as_list(obj["states"], "world.states"))]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("world.states: labels must be unique")
     if not labels:
         raise ValidationError("world.states: at least one state is required")
     true_label = _as_label(obj["true_state"], "world.true_state")
     if true_label not in labels:
         raise ValidationError(f"world.true_state: {true_label!r} is not one of world.states")
-    space = StateSpace(states=tuple(labels), true_state_index=labels.index(true_label))
+    try:
+        space = StateSpace(states=tuple(labels), true_state_index=labels.index(true_label))
+    except ValidationError as exc:
+        raise ValidationError(f"world.states: {exc}") from exc
 
     prior_raw = obj["prior"]
     if prior_raw == "uniform":
@@ -261,6 +262,11 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
             raise ValidationError(
                 f"world.likelihoods: agent {agent}: likelihood row for state {labels[exc.state]} "
                 f"sums to {exc.total!r}, expected 1 within {PROB_SUM_TOL}"
+            ) from exc
+        except NegativeLikelihoodError as exc:
+            raise ValidationError(
+                f"world.likelihoods: agent {agent}: negative likelihood entry {exc.value!r} "
+                f"for state {labels[exc.state]}, signal {exc.signal}"
             ) from exc
         except ValidationError as exc:
             raise ValidationError(f"world.likelihoods: {exc}") from exc

@@ -46,5 +46,19 @@ class LikelihoodRowError(ValidationError):
         super().__init__(f"agent {agent + 1}: likelihood row {state + 1} sums to {total!r}")
 
 
+class NegativeLikelihoodError(ValidationError):
+    """A likelihood table has a negative entry. ``agent`` and ``state`` are
+    0-based, as is ``signal`` everywhere; ``value`` is the entry."""
+
+    def __init__(self, agent: int, state: int, signal: int, value: float):
+        self.agent = agent
+        self.state = state
+        self.signal = signal
+        self.value = value
+        super().__init__(
+            f"agent {agent + 1}: negative likelihood entry {value!r} for state {state + 1}, signal {signal}"
+        )
+
+
 class StationarySolveError(ValidationError):
     """The solved stationary vector fails the pi P = pi residual check."""

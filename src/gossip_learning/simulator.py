@@ -15,18 +15,20 @@ log-likelihood columns for their signals, normalize. A trace stores its
 belief snapshots as one read-only (m, n, k) array aligned with its m
 snapshot times.
 
-Trace CSVs are written and read a column at a time: cells are formatted
-from whole arrays (one repr per distinct float), rows are joined in fixed
-blocks, and a file is parsed by one numpy call, then checked for
-completeness before its values are scattered into the trace arrays. The
-bytes are those of csv.writer with floats written as repr.
+A trace is stored as one .npz file holding its four arrays as np.savez
+writes them: the log beliefs themselves, so a read gives back every bit,
+-inf and subnormals included. Zip entries carry a fixed 1980 timestamp, so
+the same trace always gives the same bytes. A read checks the file's
+SHA-256 before it loads it, never unpickles, and checks every array against
+the run the caller expects.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
+import io
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -126,9 +128,15 @@ def world_fingerprint(world: WorldModel) -> str:
 
 
 def matrix_fingerprint(P: SelectionMatrix) -> str:
-    h = hashlib.sha256()
-    h.update(str(P.n).encode())
-    h.update(P.probs.astype("<f8").tobytes())
+    """SHA-256 of P in CSR form: n, indptr, indices and probs of the entries
+    > 0 in row-major order, as little-endian int64, int64, int64, float64."""
+    support = P.probs > 0.0
+    indptr = np.zeros(P.n + 1, dtype="<i8")
+    np.cumsum(support.sum(axis=1), out=indptr[1:])
+    h = hashlib.sha256(np.array([P.n], dtype="<i8").tobytes())
+    h.update(indptr.tobytes())
+    h.update(np.nonzero(support)[1].astype("<i8").tobytes())
+    h.update(P.probs[support].astype("<f8").tobytes())
     return h.hexdigest()
 
 
@@ -305,15 +313,6 @@ def verify_walk_identity(
     return float(abs(lhs - rhs))
 
 
-# rows per block that row_blocks formats and write_csv joins in one go: bounds
-# the cell text held in memory whatever the trace size
-BLOCK_ROWS = 4096
-
-BELIEFS_HEADER = ("t", "agent", "state", "prob")
-SELECTIONS_HEADER = ("t", "agent", "chosen")
-SIGNALS_HEADER = ("t", "agent", "signal")
-
-
 def csv_text(cell: str) -> str:
     """A text cell as csv.writer's minimal quoting writes it."""
     if any(c in cell for c in ',"\r\n'):
@@ -339,177 +338,141 @@ def float_cells(values) -> np.ndarray:
     return np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
 
 
-def write_csv(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[Sequence[str]]]) -> Path:
-    """Write one header line and then each block of rows, creating the
-    parent directory. A block is a list of equal-length columns of cell
-    text: numbers already formatted (int_cells, float_cells) and text
-    quoted with csv_text. The bytes are those csv.writer writes."""
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> Path:
+    """Write one header line and then the rows of equal-length columns of
+    cell text, creating the parent directory. Numbers come already
+    formatted (int_cells, float_cells, or repr of a Python number) and text
+    quoted with csv_text. Rows are joined and written one at a time, so a
+    column may be a generator. The bytes are those csv.writer writes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(",".join(map(csv_text, header)) + "\r\n")
-        for columns in blocks:
-            if len(columns[0]):
-                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        fh.writelines(row + "\r\n" for row in map(",".join, zip(*columns)))
     return path
 
 
-def row_blocks(times: Sequence[int], keys: list[np.ndarray], values, cells) -> Iterable[list]:
-    """write_csv blocks of rows (t, *keys, value) for every time in turn:
-    the key columns (cell text) repeat at each time, values(a, b) gives the
-    values of times[a:b] and cells formats them."""
-    width = len(keys[0])
-    step = max(1, BLOCK_ROWS // width)
-    time_cells = np.array(int_cells(times), dtype=object)
-    for a in range(0, len(times), step):
-        b = min(a + step, len(times))
-        yield [np.repeat(time_cells[a:b], width), *(np.tile(key, b - a) for key in keys), cells(values(a, b))]
+# the arrays of a trace file, each as a trace holds it
+TRACE_ARRAYS = ("signals", "selections", "snapshot_times", "log_beliefs")
 
 
-def write_trace_csvs(trace: SimulationTrace, world: WorldModel, directory: str | Path) -> list[Path]:
-    """Emit beliefs.csv, selections.csv, signals.csv (1-based agent ids)."""
-    directory = Path(directory)
-    k = trace.log_beliefs.shape[2]
-    agents = np.array(int_cells(np.arange(1, trace.n + 1)), dtype=object)
-    return [
-        write_csv(directory / "beliefs.csv", BELIEFS_HEADER, row_blocks(
-            trace.snapshot_times, [np.repeat(agents, k), np.tile(state_cells(world), trace.n)],
-            lambda a, b: np.exp(trace.log_beliefs[a:b]), float_cells,
-        )),
-        write_csv(directory / "selections.csv", SELECTIONS_HEADER, row_blocks(
-            range(1, trace.horizon + 1), [agents], lambda a, b: trace.selections[a:b] + 1, int_cells,
-        )),
-        write_csv(directory / "signals.csv", SIGNALS_HEADER, row_blocks(
-            range(trace.horizon + 1), [agents], lambda a, b: trace.signals[a:b], int_cells,
-        )),
-    ]
+def write_trace(trace: SimulationTrace, path: str | Path) -> str:
+    """Write the trace's arrays to one .npz file with np.savez and return
+    the SHA-256 of the bytes written."""
+    with Path(path).open("w+b") as fh:
+        np.savez(fh, signals=trace.signals, selections=trace.selections,
+                 snapshot_times=np.array(trace.snapshot_times, dtype=np.int64), log_beliefs=trace.log_beliefs)
+        fh.seek(0)
+        h = hashlib.sha256()
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
-def _read_rows(path: Path, header: Sequence[str], types: Sequence) -> np.ndarray:
-    """The rows of a CSV written by write_csv, parsed in one pass into a
-    structured array with one field per header name."""
-    # the file's own handle keeps a \r inside a quoted label as it is
-    with path.open(newline="") as fh:
-        first = fh.readline().rstrip("\r\n")
-        if first != ",".join(header):
-            raise ValidationError(f"{path}: header is {first!r}, expected {','.join(header)!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file has no rows
-            try:
-                return np.loadtxt(fh, dtype=list(zip(header, types)), delimiter=",", quotechar='"',
-                                  comments=None, ndmin=1)
-            except ValueError as exc:
-                raise ValidationError(f"{path}: {exc}") from None
-
-
-def _reject(path: Path, rows: np.ndarray, bad: np.ndarray, what) -> None:
-    """Raise for the first row flagged in bad, naming its t and agent;
-    what(r) describes what is wrong with row r."""
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ValidationError(f"{path}, row {r + 1} (t={rows['t'][r]}, agent {rows['agent'][r]}): {what(r)}")
-
-
-def _place(path: Path, rows: np.ndarray, times: np.ndarray, n: int,
-           states: np.ndarray | None = None, labels: Sequence[str] = ("",)) -> np.ndarray:
-    """Each row's flat index into a (len(times), n, len(labels)) array, after
-    checking that the rows name each (t, agent[, state]) exactly once.
-    states holds each row's label index; a file without a state column
-    passes neither it nor labels."""
-    t, agent = rows["t"], rows["agent"]
-    _reject(path, rows, (agent < 1) | (agent > n), lambda r: f"agent id outside 1..{n}")
-    slot = np.minimum(np.searchsorted(times, t), len(times) - 1)
-    _reject(path, rows, times[slot] != t, lambda r: f"t outside {times[0]}..{times[-1]}")
-    k = len(labels)
-    flat = (slot * n + agent - 1) * k
-    if states is not None:
-        flat += states
-    counts = np.bincount(flat, minlength=len(times) * n * k)
-    for seen, what in ((counts > 1, "appears more than once"), (counts == 0, "is missing")):
-        if seen.any():
-            m, rest = divmod(int(np.argmax(seen)), n * k)
-            i, s = divmod(rest, k)
-            state = f", state {labels[s]}" if states is not None else ""
-            raise ValidationError(f"{path}: the row for t={times[m]}, agent {i + 1}{state} {what}")
-    return flat
-
-
-def read_trace_csvs(
-    directory: str | Path,
+def read_trace(
+    path: str | Path,
+    sha256: str,
+    P: SelectionMatrix,
     world: WorldModel,
+    cfg: SimulationConfig,
     replication: int = 0,
-    master_seed: int = 0,
-    world_fp: str = "",
-    matrix_fp: str = "",
 ) -> SimulationTrace:
-    """Rebuild a trace from the CSV set written by write_trace_csvs.
+    """Load a trace that write_trace wrote for this selection matrix, world
+    and run config.
 
-    The world gives n, the state labels and each agent's signal count; the
-    horizon is the last round in signals.csv and the snapshot times are the
-    times in beliefs.csv. Every (t, agent[, state]) row must be present
-    exactly once, with ids, labels, choices and signals in range; anything
-    else raises ValidationError. Belief log values are recovered from the
-    stored probabilities; replay metadata (seed, fingerprints) comes from
-    the caller, typically a manifest.
+    The file's bytes must have the given SHA-256, and it must hold exactly
+    the four trace arrays, with no pickled objects. Each array must have
+    the dtype and shape the config implies, the snapshot times must be the
+    config's, every signal must lie in its agent's signal space and every
+    choice in the support of its agent's selection row. Anything else
+    raises ValidationError naming the file, and the round t and 1-based
+    agent where they apply.
     """
-    directory = Path(directory)
-    n = world.n_agents
-    labels = [str(s) for s in world.state_space.states]
-    if len(set(labels)) != len(labels):
-        raise ValidationError(f"state labels {labels} are not distinct as text, so beliefs.csv cannot tell them apart")
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such trace file") from None
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != sha256:
+        raise ValidationError(f"{path}: SHA-256 is {digest}, but {sha256} was recorded for it")
+    try:
+        npz = np.load(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a readable .npz file: {exc}") from None
+    if not isinstance(npz, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path}: not an .npz archive")
+    if sorted(npz.files) != sorted(TRACE_ARRAYS):
+        raise ValidationError(f"{path}: holds arrays {sorted(npz.files)}, expected {sorted(TRACE_ARRAYS)}")
+    arrays = {}
+    for name in TRACE_ARRAYS:
+        try:
+            arrays[name] = npz[name]
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{path}: {name}: {exc}") from None
 
-    path = directory / "signals.csv"
-    rows = _read_rows(path, SIGNALS_HEADER, (np.int64, np.int64, np.int64))
-    if rows.size == 0:
-        raise ValidationError(f"{path} has no rows")
-    horizon = int(rows["t"].max())
-    if horizon < 1:
-        raise ValidationError(f"{path}: rounds end at t={horizon}, but a trace has at least one round")
-    flat = _place(path, rows, np.arange(horizon + 1), n)
-    sizes = np.array([lt.signal_space_size for lt in world.likelihoods])[rows["agent"] - 1]
-    _reject(path, rows, (rows["signal"] < 0) | (rows["signal"] >= sizes),
-            lambda r: f"signal {rows['signal'][r]} outside the agent's signals 0..{sizes[r] - 1}")
-    signals = np.empty((horizon + 1, n), dtype=np.int64)
-    signals.ravel()[flat] = rows["signal"]
+    n, k, T = world.n_agents, world.num_states, cfg.horizon
+    times = cfg.snapshot_times()
+    m = len(times)
+    expected = {
+        "signals": ("<i8", (T + 1, n), f"rounds 0..{T} of {n} agents"),
+        "selections": ("<i8", (T, n), f"rounds 1..{T} of {n} agents"),
+        "snapshot_times": ("<i8", (m,), f"{m} snapshot times"),
+        "log_beliefs": ("<f8", (m, n, k), f"{m} snapshots of {n} agents over {k} states"),
+    }
+    for name, (dtype, _, _) in expected.items():
+        if arrays[name].dtype != dtype:
+            raise ValidationError(f"{path}: {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
 
-    path = directory / "selections.csv"
-    rows = _read_rows(path, SELECTIONS_HEADER, (np.int64, np.int64, np.int64))
-    flat = _place(path, rows, np.arange(1, horizon + 1), n)
-    _reject(path, rows, (rows["chosen"] < 1) | (rows["chosen"] > n),
-            lambda r: f"chosen agent {rows['chosen'][r]} outside 1..{n}")
-    selections = np.empty((horizon, n), dtype=np.int64)
-    selections.ravel()[flat] = rows["chosen"] - 1
+    def check_shape(name: str) -> None:
+        _, shape, what = expected[name]
+        if arrays[name].shape != shape:
+            raise ValidationError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}: {what}")
 
-    # one character wider than any label, so a longer label in the file is
-    # not cut down to a known one
-    width = max(map(len, labels)) + 1
-    path = directory / "beliefs.csv"
-    rows = _read_rows(path, BELIEFS_HEADER, (np.int64, np.int64, f"U{width}", np.float64))
-    if rows.size == 0:
-        raise ValidationError(f"{path} has no rows")
-    _reject(path, rows, (rows["t"] < 0) | (rows["t"] > horizon), lambda r: f"t outside 0..{horizon}")
-    times = np.unique(rows["t"])
-    known = np.array(labels, dtype=f"U{width}")
-    order = np.argsort(known)
-    pos = np.minimum(np.searchsorted(known[order], rows["state"]), len(labels) - 1)
-    _reject(path, rows, known[order][pos] != rows["state"],
-            lambda r: f"unknown state label {str(rows['state'][r])!r}")
-    flat = _place(path, rows, times, n, order[pos], labels)
-    probs = np.empty((len(times), n, len(labels)))
-    probs.ravel()[flat] = rows["prob"]
-    with np.errstate(divide="ignore"):
-        log_beliefs = np.log(probs)
-    log_beliefs.flags.writeable = False
+    check_shape("signals")
+    check_shape("selections")
+    stored = arrays["snapshot_times"].ravel().tolist()
+    if stored != list(times):
+        diff = set(times) ^ set(stored)
+        if not diff:
+            raise ValidationError(f"{path}: snapshot_times are not the config's times in ascending order, each once")
+        t = min(diff)
+        what = "has no snapshot" if t in times else "has a snapshot the config does not record"
+        raise ValidationError(f"{path}: snapshot_times {what} at t={t}")
+    check_shape("snapshot_times")
+    check_shape("log_beliefs")
 
+    signals = arrays["signals"]
+    sizes = np.array([lt.signal_space_size for lt in world.likelihoods])
+    bad = (signals < 0) | (signals >= sizes)
+    if bad.any():
+        t, i = divmod(int(np.argmax(bad)), n)
+        raise ValidationError(
+            f"{path}: t={t}, agent {i + 1}: signal {signals[t, i]} outside the agent's signals 0..{sizes[i] - 1}"
+        )
+    selections = arrays["selections"]
+    chosen = np.clip(selections, 0, n - 1)
+    bad = (selections != chosen) | (P.probs[np.arange(n), chosen] <= 0.0)
+    if bad.any():
+        r, i = divmod(int(np.argmax(bad)), n)
+        raise ValidationError(
+            f"{path}: t={r + 1}, agent {i + 1}: chosen agent {selections[r, i] + 1} is outside "
+            "the support of the agent's selection row"
+        )
+
+    for arr in arrays.values():
+        arr.flags.writeable = False
     return SimulationTrace(
         n=n,
-        horizon=horizon,
+        horizon=T,
         replication=replication,
-        master_seed=master_seed,
+        master_seed=cfg.seed,
         signals=signals,
         selections=selections,
-        snapshot_times=tuple(times.tolist()),
-        log_beliefs=log_beliefs,
-        world_fingerprint=world_fp,
-        matrix_fingerprint=matrix_fp,
+        snapshot_times=times,
+        log_beliefs=arrays["log_beliefs"],
+        world_fingerprint=world_fingerprint(world),
+        matrix_fingerprint=matrix_fingerprint(P),
     )
+
+

@@ -13,7 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import LikelihoodRowError, ValidationError
+from .errors import LikelihoodRowError, NegativeLikelihoodError, ValidationError
 
 PROB_SUM_TOL = 1e-12
 
@@ -23,7 +23,8 @@ DISTINGUISH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered, uniquely-labeled candidate states plus the realized one."""
+    """Ordered candidate states plus the realized one. Labels must differ
+    as text, since every file and report writes them as text."""
 
     states: tuple[Hashable, ...]
     true_state_index: int
@@ -31,8 +32,13 @@ class StateSpace:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValidationError("state space must contain at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError("state labels must be unique")
+        seen: dict[str, Hashable] = {}
+        for label in self.states:
+            if str(label) in seen:
+                raise ValidationError(
+                    f"state labels must be unique as text: {seen[str(label)]!r} and {label!r} both read {str(label)!r}"
+                )
+            seen[str(label)] = label
         if not (0 <= self.true_state_index < len(self.states)):
             raise ValidationError(f"true_state_index {self.true_state_index} out of range")
 
@@ -83,8 +89,10 @@ class LikelihoodTable:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValidationError(f"agent {self.agent + 1}: likelihood table must be 2-D")
-        if np.any(t < 0.0):
-            raise ValidationError(f"agent {self.agent + 1}: negative likelihood entry")
+        negative = np.argwhere(t < 0.0)
+        if negative.size:
+            state, signal = (int(x) for x in negative[0])
+            raise NegativeLikelihoodError(self.agent, state, signal, float(t[state, signal]))
         sums = t.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
         if bad.size:

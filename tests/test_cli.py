@@ -1,5 +1,5 @@
 import csv
-import filecmp
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +9,7 @@ from gossip_learning import example1, graph
 from gossip_learning.analysis import empirical_rate
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
-from gossip_learning.simulator import read_trace_csvs, run
+from gossip_learning.simulator import read_trace, run
 
 
 def write_config(tmp_path, cfg_dict, name="config.json"):
@@ -156,6 +156,24 @@ class TestConfigErrors:
                 "expected 1 within 1e-12") in err
         assert "agent 1" not in err
 
+    def test_negative_likelihood_entry_names_state_and_signal(self, tmp_path, capsys):
+        cfg = example1.config_dict(horizon=10)
+        cfg["world"]["likelihoods"][1]["table"][1] = [1.5, -0.5]  # agent 2, state 2
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        assert ("world.likelihoods: agent 2: negative likelihood entry -0.5 for state 2, signal 1"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["check", "run", "rate"])
+    def test_labels_equal_as_text_are_rejected(self, tmp_path, capsys, command):
+        cfg = example1.config_dict(horizon=20)
+        cfg["world"]["states"] = [1, "1", 3]
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith("config.json: world.states: state labels must be unique as text: 1 and '1' both read '1'\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", ["[]", '{"simulation": 5}'])
     def test_non_object_sections_are_invalid_input_with_overrides(self, tmp_path, capsys, text):
         path = tmp_path / "odd.json"
@@ -210,10 +228,10 @@ class TestRun:
         assert main(["run", "--out", str(out), "--horizon", "50", "--replications", "2", "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 2
-        assert [e["dir"] for e in manifest["traces"]] == ["rep000", "rep001"]
-        for d in ("rep000", "rep001"):
-            for f in ("beliefs.csv", "selections.csv", "signals.csv"):
-                assert (out / d / f).is_file()
+        assert [(e["replication"], e["file"]) for e in manifest["traces"]] == [(0, "rep000.npz"), (1, "rep001.npz")]
+        for e in manifest["traces"]:
+            assert hashlib.sha256((out / e["file"]).read_bytes()).hexdigest() == e["sha256"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rep000.npz", "rep001.npz"]
         # the benchmark's tables appear in the manifest exactly
         tables = manifest["config"]["world"]["likelihoods"]
         assert tables[0]["table"] == [[1 / 3, 2 / 3], [1 / 3, 2 / 3], [1 / 5, 4 / 5]]
@@ -225,9 +243,10 @@ class TestRun:
         args = ["--horizon", "80", "--replications", "2", "--seed", "3", "--quiet"]
         assert main(["run", "--out", str(tmp_path / "a"), *args]) == 0
         assert main(["run", "--out", str(tmp_path / "b"), *args]) == 0
-        for rel in ("manifest.json", "rep000/beliefs.csv", "rep000/selections.csv",
-                    "rep000/signals.csv", "rep001/beliefs.csv"):
-            assert filecmp.cmp(tmp_path / "a" / rel, tmp_path / "b" / rel, shallow=False)
+        # what diff -r compares: the same file names, each with the same bytes
+        a, b = ({p.relative_to(tmp_path / d): p.read_bytes() for p in (tmp_path / d).rglob("*")} for d in "ab")
+        assert sorted(map(str, a)) == ["manifest.json", "rep000.npz", "rep001.npz"]
+        assert a == b
 
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -305,7 +324,8 @@ class TestExample1:
         for name in ("manifest.json", "rate_report.csv", "fig2_agent2_beliefs.csv",
                      "fig3_diff_3_8.csv", "occupancy.csv"):
             assert (out / name).is_file()
-        assert sum(1 for d in out.iterdir() if d.is_dir()) == 20
+        assert sorted(p.name for p in out.glob("rep*.npz")) == [f"rep{r:03d}.npz" for r in range(20)]
+        assert not any(p.is_dir() for p in out.iterdir())
 
     def test_agent2_learns_the_truth(self, example1_report):
         _, out = example1_report
@@ -330,7 +350,8 @@ class TestExample1:
 
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
-        back = read_trace_csvs(out / "rep000", ex1_cfg.world)
+        entry = json.loads((out / "manifest.json").read_text())["traces"][0]
+        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))

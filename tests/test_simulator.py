@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,12 @@ from gossip_learning.simulator import (
     _inverse_cdf_draws,
     backward_walk,
     matrix_fingerprint,
-    read_trace_csvs,
+    read_trace,
     run,
     run_replications,
     verify_walk_identity,
     world_fingerprint,
-    write_trace_csvs,
+    write_trace,
 )
 from tests.test_world import tiny_world
 
@@ -132,17 +134,18 @@ class TestReplay:
             ]
             assert np.array_equal(np.stack(beliefs), tr.log_belief_at(t))
 
-    def test_csv_round_trip(self, ex1_cfg, tmp_path):
-        tr = small_run(ex1_cfg, horizon=40, stride=5)
-        write_trace_csvs(tr, ex1_cfg.world, tmp_path)
-        back = read_trace_csvs(tmp_path, ex1_cfg.world)
+    def test_trace_file_round_trip(self, ex1_cfg, tmp_path):
+        cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5)
+        tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
+        digest = write_trace(tr, tmp_path / "rep000.npz")
+        back = read_trace(tmp_path / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
         assert back.n == tr.n and back.horizon == tr.horizon
         assert np.array_equal(back.signals, tr.signals)
         assert np.array_equal(back.selections, tr.selections)
         assert back.snapshot_times == tr.snapshot_times
         assert back.log_beliefs.shape == tr.log_beliefs.shape == (9, 8, 3)
-        # the files hold exp(log belief), so a read gives back its log, bit for bit
-        assert back.log_beliefs.tobytes() == np.log(np.exp(tr.log_beliefs)).tobytes()
+        # the file holds the log beliefs themselves, so a read gives them back bit for bit
+        assert back.log_beliefs.tobytes() == tr.log_beliefs.tobytes()
 
 
 class TestWalk:
@@ -231,6 +234,38 @@ class TestValidationAndFingerprints:
         tables[3] = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])
         perturbed = tiny_world(tables, labels=(1, 2, 3))
         assert world_fingerprint(perturbed) != world_fingerprint(w)
+
+    def test_matrix_fingerprint_hashes_the_csr_form(self, ex1_cfg):
+        """Oracle: the same bytes built by scipy's CSR conversion."""
+        from scipy.sparse import csr_matrix
+
+        n = 5
+        rows = np.zeros((n, n))
+        rows[np.arange(n), np.arange(n)] = 0.5
+        rows[np.arange(n), (np.arange(n) + 2) % n] = 0.5
+        rows[3] = [0.1, 0.2, 0.0, 0.3, 0.4]
+        net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+        for P in (ex1_cfg.selection, custom_selection_matrix(net, rows)):
+            csr = csr_matrix(P.probs)
+            data = b"".join([
+                np.array([P.n], dtype="<i8").tobytes(),
+                csr.indptr.astype("<i8").tobytes(),
+                csr.indices.astype("<i8").tobytes(),
+                csr.data.astype("<f8").tobytes(),
+            ])
+            assert matrix_fingerprint(P) == hashlib.sha256(data).hexdigest()
+
+    def test_matrix_fingerprint_sees_one_changed_probability(self, ex1_cfg):
+        P = ex1_cfg.selection
+        rows = P.probs.copy()
+        i = int(np.flatnonzero((rows > 0.0).sum(axis=1) >= 2)[0])
+        j, k = np.flatnonzero(rows[i] > 0.0)[:2]
+        # one ulp moved between two entries of a row: same support, same row sum
+        step = np.spacing(rows[i, j])
+        rows[i, j] += step
+        rows[i, k] -= step
+        changed = custom_selection_matrix(ex1_cfg.network, rows)
+        assert matrix_fingerprint(changed) != matrix_fingerprint(P)
 
     def test_trace_accessors(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=20, stride=6)

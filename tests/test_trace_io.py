@@ -1,10 +1,11 @@
-"""Trace CSV I/O: the bytes written, the arrays read back, and the checks a
-read makes. The reference writer and reader below are the plain csv-module
-row loops the columnar I/O must match byte for byte and bit for bit."""
+"""Trace files: what a write stores, what a read gives back, and what a read
+rejects. A trace is one .npz per replication, recorded in manifest.json with
+its SHA-256."""
 
-import csv
 import dataclasses
 import hashlib
+import io
+import json
 import shutil
 
 import numpy as np
@@ -12,155 +13,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossip_learning import example1
 from gossip_learning.cli import main
-from gossip_learning.errors import ValidationError
-from gossip_learning.simulator import SimulationConfig, read_trace_csvs, run, write_trace_csvs
-from gossip_learning.world import StateSpace
-from tests.test_simulator import small_run, small_worlds
+from gossip_learning.simulator import SimulationConfig, read_trace, run, write_trace
+from tests.test_simulator import small_worlds
 
-TRACE_FILES = ("beliefs.csv", "selections.csv", "signals.csv")
-
-
-def reference_write(trace, world, directory):
-    """One csv.writer row per cell, floats as repr."""
-    labels = [str(s) for s in world.state_space.states]
-
-    def write(name, header, rows):
-        with (directory / name).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-
-    write("beliefs.csv", ["t", "agent", "state", "prob"], (
-        [t, i, label, repr(p)]
-        for t, probs in zip(trace.snapshot_times, np.exp(trace.log_beliefs).tolist())
-        for i, row in enumerate(probs, 1)
-        for label, p in zip(labels, row)
-    ))
-    write("selections.csv", ["t", "agent", "chosen"], (
-        [t, i, chosen] for t, row in enumerate((trace.selections + 1).tolist(), 1) for i, chosen in enumerate(row, 1)
-    ))
-    write("signals.csv", ["t", "agent", "signal"], (
-        [t, i, s] for t, row in enumerate(trace.signals.tolist()) for i, s in enumerate(row, 1)
-    ))
-
-
-def reference_read(directory):
-    """(signals, selections, times, log_beliefs) from csv.DictReader rows."""
-    with (directory / "signals.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    n = max(int(r["agent"]) for r in rows)
-    horizon = max(int(r["t"]) for r in rows)
-    signals = np.zeros((horizon + 1, n), dtype=np.int64)
-    for r in rows:
-        signals[int(r["t"]), int(r["agent"]) - 1] = int(r["signal"])
-    with (directory / "selections.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    selections = np.zeros((horizon, n), dtype=np.int64)
-    for r in rows:
-        selections[int(r["t"]) - 1, int(r["agent"]) - 1] = int(r["chosen"]) - 1
-    with (directory / "beliefs.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    labels = []
-    for r in rows:
-        if r["state"] not in labels:
-            labels.append(r["state"])
-    times = sorted({int(r["t"]) for r in rows})
-    slot = {t: m for m, t in enumerate(times)}
-    probs = np.zeros((len(times), n, len(labels)))
-    for r in rows:
-        probs[slot[int(r["t"])], int(r["agent"]) - 1, labels.index(r["state"])] = float(r["prob"])
-    with np.errstate(divide="ignore"):
-        return signals, selections, tuple(times), np.log(probs)
-
-
-# labels the csv module has to quote or that a parser could mangle: the
-# delimiter, the quote character, '#', surrounding spaces, line breaks,
-# tabs and non-ASCII letters
-LABEL_TEXT = st.text(alphabet=st.sampled_from(list('ab1,"# \t\r\né€') + ["\U0001d49c"]), max_size=6)
-
-# probabilities of every kind a belief can hold: exact 0 and 1, subnormals,
-# the smallest normal, ordinary values
-PROBS = st.one_of(
-    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-310, 0.5]),
-    st.floats(min_value=0.0, max_value=1.0),
+# log beliefs of every kind a trace can hold, and more: -inf for a collapsed
+# state, subnormals, -0.0, the extremes, and any other float
+LOG_BELIEFS = st.one_of(
+    st.sampled_from([-np.inf, 0.0, -0.0, -5e-324, -1e-310, -2.2250738585072014e-308, -745.1, -1.7976931348623157e308]),
+    st.floats(),
 )
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=small_worlds(), horizon=st.integers(1, 12), stride=st.integers(1, 5),
        seed=st.integers(0, 2**32), data=st.data())
-def test_columnar_io_matches_the_csv_module(case, horizon, stride, seed, data, tmp_path_factory):
+def test_npz_round_trip_is_bitwise(case, horizon, stride, seed, data, tmp_path_factory):
     net, P, world = case
-    k = world.num_states
-    labels = data.draw(st.lists(st.one_of(LABEL_TEXT, st.integers(-5, 50)), min_size=k, max_size=k,
-                                unique_by=str))
-    world = dataclasses.replace(world, state_space=StateSpace(tuple(labels), world.true_state_index))
-    tr = run(net, P, world, SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride))
+    cfg = SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride)
+    tr = run(net, P, world, cfg)
     if data.draw(st.booleans()):
-        probs = np.array(data.draw(st.lists(PROBS, min_size=tr.log_beliefs.size, max_size=tr.log_beliefs.size)))
-        with np.errstate(divide="ignore"):
-            tr = dataclasses.replace(tr, log_beliefs=np.log(probs).reshape(tr.log_beliefs.shape))
+        size = tr.log_beliefs.size
+        values = np.array(data.draw(st.lists(LOG_BELIEFS, min_size=size, max_size=size)))
+        tr = dataclasses.replace(tr, log_beliefs=values.reshape(tr.log_beliefs.shape))
 
-    ours, ref = tmp_path_factory.mktemp("ours"), tmp_path_factory.mktemp("ref")
-    write_trace_csvs(tr, world, ours)
-    reference_write(tr, world, ref)
-    for name in TRACE_FILES:
-        assert (ours / name).read_bytes() == (ref / name).read_bytes(), name
-
-    back = read_trace_csvs(ours, world)
-    signals, selections, times, log_beliefs = reference_read(ref)
-    assert back.n == tr.n and back.horizon == tr.horizon
-    assert np.array_equal(back.signals, signals) and np.array_equal(back.signals, tr.signals)
-    assert np.array_equal(back.selections, selections) and np.array_equal(back.selections, tr.selections)
-    assert back.snapshot_times == times == tr.snapshot_times
-    assert back.log_beliefs.tobytes() == log_beliefs.tobytes()
+    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+    digest = write_trace(tr, path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    back = read_trace(path, digest, P, world, cfg)
+    assert (back.n, back.horizon, back.snapshot_times) == (tr.n, tr.horizon, tr.snapshot_times)
+    for name in ("signals", "selections", "log_beliefs"):
+        got, want = getattr(back, name), getattr(tr, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+    assert (back.world_fingerprint, back.matrix_fingerprint) == (tr.world_fingerprint, tr.matrix_fingerprint)
 
 
 def test_trace_bytes_are_pinned(tmp_path):
-    """SHA-256 of the trace files of `run --horizon 200 --seed 42`, as
-    written by the csv-module writer."""
+    """SHA-256 of the trace file of `run --horizon 200 --seed 42`, which the
+    manifest records too."""
     assert main(["run", "--horizon", "200", "--seed", "42", "--replications", "1",
                  "--out", str(tmp_path), "--quiet"]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "rep000" / name).read_bytes()).hexdigest() for name in TRACE_FILES}
-    assert digests == {
-        "beliefs.csv": "a3def129ecd26fb8b06a9e4acddf9965d3027c23299b16ebf6bdf70a5967bcfc",
-        "selections.csv": "007892051f425a1563f15b511d2ba03214d332408aae1ad358f3a4f97ce069ea",
-        "signals.csv": "9843d955946d0d70832061c285b04bc3bf6b6d161f1abaa67a3395cce2be838f",
-    }
+    digest = hashlib.sha256((tmp_path / "rep000.npz").read_bytes()).hexdigest()
+    assert digest == "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["traces"] == [{"replication": 0, "file": "rep000.npz", "sha256": digest}]
 
 
 # ---- what a read rejects ----------------------------------------------------
 
 N, T = 8, 20  # the built-in network, run for T rounds
-
-
-def signals_line(t, agent):
-    return 1 + t * N + agent - 1
-
-
-def selections_line(t, agent):
-    return 1 + (t - 1) * N + agent - 1
-
-
-def beliefs_line(t, agent, state):
-    return 1 + (t * N + agent - 1) * 3 + state - 1
-
-
-def drop(line):
-    return lambda lines: lines[:line] + lines[line + 1:]
-
-
-def replace_cell(line, column, value):
-    def edit(lines):
-        cells = lines[line].split(",")
-        cells[column] = value
-        return lines[:line] + [",".join(cells)] + lines[line + 1:]
-    return edit
-
-
-def drop_time(t):
-    return lambda lines: [x for x in lines if not x.startswith(f"{t},")]
 
 
 @pytest.fixture(scope="module")
@@ -170,61 +74,122 @@ def trace_dir(tmp_path_factory):
     return out
 
 
-def edit_file(path, edit):
-    lines = path.read_bytes().decode().split("\r\n")[:-1]  # every line ends in \r\n
-    path.write_bytes("".join(x + "\r\n" for x in edit(lines)).encode())
+def rewrite(traces, edit):
+    """Apply edit to rep000's arrays (a dict it changes in place), write
+    them back with np.savez, pickling allowed, and record the new file's
+    SHA-256 in the manifest, so a read gets past the digest check."""
+    path = traces / "rep000.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    path.write_bytes(buf.getvalue())
+    manifest_path = traces / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["traces"][0]["sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
+def setitem(name, fn):
+    def edit(arrays):
+        arrays[name] = fn(arrays[name])
+    return edit
+
+
+def set_entry(name, index, value):
+    def fn(a):
+        a = a.copy()
+        a[index] = value
+        return a
+    return setitem(name, fn)
+
+
+def every(*edits):
+    def edit(arrays):
+        for e in edits:
+            e(arrays)
+    return edit
+
+
+def rename(old, new):
+    def edit(arrays):
+        arrays[new] = arrays.pop(old)
+    return edit
+
+
+def drop_snapshot(t):
+    def edit(arrays):
+        keep = arrays["snapshot_times"] != t
+        arrays["snapshot_times"] = arrays["snapshot_times"][keep]
+        arrays["log_beliefs"] = arrays["log_beliefs"][keep]
+    return edit
+
+
+# the first agent (0-based) that agent 1 never consults in the built-in config
+UNSUPPORTED = int(np.flatnonzero(example1.config().selection.probs[0] == 0.0)[0])
+
+
+# Case names keep those of the CSV reader's checks where the same fault has
+# an npz form: a row is a row of an array, and the header is the set of
+# array names.
 CASES = {
-    "missing signals row": ({"signals.csv": drop(signals_line(5, 3))},
-                            ["signals.csv", "t=5, agent 3", "is missing"]),
-    "missing selections row": ({"selections.csv": drop(selections_line(20, 8))},
-                               ["selections.csv", "t=20, agent 8", "is missing"]),
-    "missing beliefs row": ({"beliefs.csv": drop(beliefs_line(4, 6, 2))},
-                            ["beliefs.csv", "t=4, agent 6, state 2", "is missing"]),
-    "duplicate selections row": ({"selections.csv": lambda lines: lines + [lines[selections_line(7, 2)]]},
-                                 ["selections.csv", "t=7, agent 2", "appears more than once"]),
-    "duplicate beliefs row": ({"beliefs.csv": lambda lines: lines + [lines[beliefs_line(0, 1, 3)]]},
-                              ["beliefs.csv", "t=0, agent 1, state 3", "appears more than once"]),
-    "agent id above n": ({"signals.csv": replace_cell(signals_line(3, 8), 1, "9")},
-                         ["signals.csv", "t=3, agent 9", "agent id outside 1..8"]),
-    "agent id zero": ({"beliefs.csv": replace_cell(beliefs_line(2, 1, 1), 1, "0")},
-                      ["beliefs.csv", "t=2, agent 0", "agent id outside 1..8"]),
-    "unknown state label": ({"beliefs.csv": replace_cell(beliefs_line(6, 5, 2), 2, "7")},
-                            ["beliefs.csv", "t=6, agent 5", "unknown state label '7'"]),
-    "label longer than every configured label": (
-        {"beliefs.csv": replace_cell(beliefs_line(6, 5, 2), 2, "2 and more")},
-        ["beliefs.csv", "t=6, agent 5", "unknown state label '2 '"]),
-    "round outside the horizon": ({"selections.csv": replace_cell(selections_line(1, 4), 0, "0")},
-                                  ["selections.csv", "t=0, agent 4", "t outside 1..20"]),
-    "snapshot after the last round": ({"beliefs.csv": replace_cell(beliefs_line(20, 1, 1), 0, "21")},
-                                      ["beliefs.csv", "t=21, agent 1", "t outside 0..20"]),
-    "signal outside the agent's signals": ({"signals.csv": replace_cell(signals_line(9, 2), 2, "2")},
-                                           ["signals.csv", "t=9, agent 2", "signal 2 outside"]),
-    "chosen agent outside 1..n": ({"selections.csv": replace_cell(selections_line(3, 3), 2, "0")},
-                                  ["selections.csv", "t=3, agent 3", "chosen agent 0 outside 1..8"]),
+    "missing signals row": (setitem("signals", lambda a: a[:-1]),
+                            ["rep000.npz", "signals has shape (20, 8), expected (21, 8)"]),
+    "missing selections row": (setitem("selections", lambda a: a[:-1]),
+                               ["rep000.npz", "selections has shape (19, 8), expected (20, 8)"]),
+    "missing beliefs row": (setitem("log_beliefs", lambda a: a[:-1]),
+                            ["rep000.npz", "log_beliefs has shape (20, 8, 3), expected (21, 8, 3)"]),
+    "duplicate selections row": (setitem("selections", lambda a: np.concatenate([a, a[6:7]])),
+                                 ["rep000.npz", "selections has shape (21, 8), expected (20, 8)"]),
+    "duplicate beliefs row": (setitem("log_beliefs", lambda a: np.concatenate([a[:1], a])),
+                              ["rep000.npz", "log_beliefs has shape (22, 8, 3)"]),
+    "agent id above n": (setitem("signals", lambda a: np.concatenate([a, a[:, :1]], axis=1)),
+                         ["rep000.npz", "signals has shape (21, 9), expected (21, 8)", "of 8 agents"]),
+    "unknown state label": (setitem("log_beliefs", lambda a: np.concatenate([a, a[:, :, :1]], axis=2)),
+                            ["rep000.npz", "log_beliefs has shape (21, 8, 4), expected (21, 8, 3)", "over 3 states"]),
+    "round outside the horizon": (setitem("selections", lambda a: np.concatenate([a[:1], a])),
+                                  ["rep000.npz", "selections has shape (21, 8), expected (20, 8): rounds 1..20"]),
+    "cell that is not a number": (setitem("selections", lambda a: np.full(a.shape, "x")),
+                                  ["rep000.npz", "selections has dtype <U1, expected int64"]),
+    "log beliefs stored as float32": (setitem("log_beliefs", lambda a: a.astype(np.float32)),
+                                      ["rep000.npz", "log_beliefs has dtype float32, expected float64"]),
+    "changed header": (rename("signals", "sig"), ["rep000.npz", "holds arrays", "'sig'", "'signals'"]),
+    "missing array": (lambda arrays: arrays.pop("log_beliefs"), ["rep000.npz", "holds arrays", "'log_beliefs'"]),
+    "extra array": (lambda arrays: arrays.update(notes=np.zeros(3)), ["rep000.npz", "holds arrays", "'notes'"]),
+    "header without rows": (setitem("signals", lambda a: a[:0]),
+                            ["rep000.npz", "signals has shape (0, 8)"]),
+    "signals of round 0 only": (every(setitem("signals", lambda a: a[:1]), setitem("selections", lambda a: a[:0])),
+                                ["rep000.npz", "signals has shape (1, 8), expected (21, 8): rounds 0..20"]),
     "horizon differs from the config": (
-        {name: drop_time(T) for name in TRACE_FILES},
-        ["signals.csv", "rounds end at t=19", "horizon is 20"]),
-    "snapshot times differ from the config": ({"beliefs.csv": drop_time(10)},
-                                              ["beliefs.csv", "has no snapshot at t=10"]),
-    "changed header": ({"signals.csv": lambda lines: ["t,agent,sig"] + lines[1:]},
-                       ["signals.csv", "header is 't,agent,sig'"]),
-    "cell that is not a number": ({"selections.csv": replace_cell(selections_line(2, 2), 2, "x")},
-                                  ["selections.csv", "'x'"]),
-    "header without rows": ({"signals.csv": lambda lines: lines[:1]}, ["signals.csv", "has no rows"]),
-    "signals of round 0 only": ({"signals.csv": lambda lines: lines[:1 + N]},
-                                ["signals.csv", "rounds end at t=0"]),
+        every(setitem("signals", lambda a: a[:-1]), setitem("selections", lambda a: a[:-1]),
+              setitem("snapshot_times", lambda a: a[:-1]), setitem("log_beliefs", lambda a: a[:-1])),
+        ["rep000.npz", "signals has shape (20, 8), expected (21, 8): rounds 0..20 of 8 agents"]),
+    "snapshot after the last round": (set_entry("snapshot_times", -1, 21),
+                                      ["rep000.npz", "snapshot_times has no snapshot at t=20"]),
+    "snapshot times differ from the config": (drop_snapshot(10),
+                                              ["rep000.npz", "snapshot_times has no snapshot at t=10"]),
+    "snapshot times out of order": (setitem("snapshot_times", lambda a: a[::-1].copy()),
+                                    ["rep000.npz", "snapshot_times are not the config's times in ascending order"]),
+    "signal outside the agent's signals": (set_entry("signals", (9, 1), 2),
+                                           ["rep000.npz", "t=9, agent 2: signal 2 outside the agent's signals 0..1"]),
+    "chosen agent outside 1..n": (set_entry("selections", (2, 2), -1),
+                                  ["rep000.npz", "t=3, agent 3: chosen agent 0 is outside the support"]),
+    "chosen agent outside the row's support": (
+        set_entry("selections", (4, 0), UNSUPPORTED),
+        ["rep000.npz", f"t=5, agent 1: chosen agent {UNSUPPORTED + 1} is outside the support of the agent's "
+                       "selection row"]),
+    "object array": (setitem("signals", lambda a: a.astype(object)),
+                     ["rep000.npz", "signals: Object arrays cannot be loaded when allow_pickle=False"]),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_invalid_traces_exit_2_naming_what_is_wrong(name, trace_dir, tmp_path, capsys):
-    edits, fragments = CASES[name]
+    edit, fragments = CASES[name]
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    for file, edit in edits.items():
-        edit_file(traces / "rep000" / file, edit)
+    rewrite(traces, edit)
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -232,13 +197,74 @@ def test_invalid_traces_exit_2_naming_what_is_wrong(name, trace_dir, tmp_path, c
         assert fragment in err, (fragment, err)
 
 
+def test_hash_mismatch_is_rejected_before_the_file_is_loaded(trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    path = traces / "rep000.npz"
+    data = bytearray(path.read_bytes())
+    data[-200] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "rep000.npz: SHA-256 is" in err and "was recorded for it" in err
+
+
+def test_missing_trace_file(trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    (traces / "rep000.npz").unlink()
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "rep000.npz: no such trace file" in err
+
+
+def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, ex1_cfg):
+    """A trace directory as earlier versions wrote it: one repNNN/ of CSVs
+    per replication, listed without digests, and the dense-bytes matrix
+    fingerprint."""
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    (traces / "rep000.npz").unlink()
+    files = ["beliefs.csv", "selections.csv", "signals.csv"]
+    (traces / "rep000").mkdir()
+    for name in files:
+        (traces / "rep000" / name).write_text("t,agent\r\n")
+    manifest = json.loads((traces / "manifest.json").read_text())
+    manifest["traces"] = [{"replication": 0, "dir": "rep000", "files": files}]
+    dense = str(N).encode() + ex1_cfg.selection.probs.astype("<f8").tobytes()
+    manifest["matrix_fingerprint"] = hashlib.sha256(dense).hexdigest()
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "regenerate the traces with the run command" in err
+
+
 def test_unedited_traces_read_back(trace_dir, tmp_path):
     assert main(["rate", "--traces", str(trace_dir), "--out", str(tmp_path), "--quiet"]) in (0, 1)
 
 
-def test_labels_equal_as_text_are_rejected(ex1_cfg, tmp_path):
-    world = ex1_cfg.world
-    world = dataclasses.replace(world, state_space=StateSpace((1, "1", 3), world.true_state_index))
-    write_trace_csvs(small_run(ex1_cfg, horizon=5), world, tmp_path)
-    with pytest.raises(ValidationError, match="not distinct as text"):
-        read_trace_csvs(tmp_path, world)
+def test_labels_equal_as_text_are_rejected(trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    manifest["config"]["world"]["states"] = [1, "1", 3]
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "world.states: state labels must be unique as text: 1 and '1' both read '1'" in err
+
+
+def test_long_horizon_traces_replay_losslessly(tmp_path):
+    """At 45000 rounds a false state's belief underflows to 0.0 as a
+    probability, but not as a log: rate --traces reproduces the in-memory
+    report byte for byte."""
+    args = ["--horizon", "45000", "--replications", "2", "--quiet"]
+    assert main(["run", "--out", str(tmp_path / "traces"), *args]) == 0
+    assert main(["rate", "--traces", str(tmp_path / "traces"), "--out", str(tmp_path / "stored"), "--quiet"]) == 0
+    assert main(["rate", "--out", str(tmp_path / "fresh"), *args]) == 0
+    stored = (tmp_path / "stored" / "rate_report.csv").read_bytes()
+    assert stored == (tmp_path / "fresh" / "rate_report.csv").read_bytes()

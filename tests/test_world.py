@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import rel_entr
 
 from gossip_learning import example1
-from gossip_learning.errors import LikelihoodRowError, ValidationError
+from gossip_learning.errors import LikelihoodRowError, NegativeLikelihoodError, ValidationError
 from gossip_learning.world import (
     LikelihoodTable,
     Prior,
@@ -37,6 +37,8 @@ class TestTypes:
     def test_state_space_validation(self):
         with pytest.raises(ValidationError, match="unique"):
             StateSpace(states=(1, 1, 2), true_state_index=0)
+        with pytest.raises(ValidationError, match="unique as text: 2 and '2' both read '2'"):
+            StateSpace(states=(1, 2, "2"), true_state_index=0)
         with pytest.raises(ValidationError, match="at least one"):
             StateSpace(states=(), true_state_index=0)
         with pytest.raises(ValidationError, match="out of range"):
@@ -54,8 +56,10 @@ class TestTypes:
     def test_likelihood_rows_must_be_distributions(self):
         with pytest.raises(ValidationError, match="sums to"):
             LikelihoodTable(agent=0, table=np.array([[0.5, 0.4], [0.5, 0.5]]))
-        with pytest.raises(ValidationError, match="negative"):
-            LikelihoodTable(agent=0, table=np.array([[1.5, -0.5], [0.5, 0.5]]))
+        with pytest.raises(NegativeLikelihoodError) as info:
+            LikelihoodTable(agent=1, table=np.array([[0.5, 0.5], [1.5, -0.5]]))
+        assert (info.value.agent, info.value.state, info.value.signal, info.value.value) == (1, 1, 1, -0.5)
+        assert str(info.value) == "agent 2: negative likelihood entry -0.5 for state 2, signal 1"
 
     def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
         with pytest.raises(LikelihoodRowError) as info:
