@@ -54,7 +54,6 @@ from .simulator import (
 )
 from .world import (
     IdentifiabilityReport,
-    LikelihoodTable,
     Prior,
     StateSpace,
     WorldModel,
@@ -72,7 +71,6 @@ __all__ = [
     "IdentifiabilityReport",
     "ImpossibleSignalError",
     "LikelihoodRowError",
-    "LikelihoodTable",
     "MultipleRecurrentClassesError",
     "NegativeLikelihoodError",
     "OccupancyReport",

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk, float_cells, int_cells, state_cells, write_csv
-from .world import WorldModel, kl_divergence
+from .world import WorldModel
 
 
 def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state: int) -> float:
@@ -27,15 +27,15 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
         raise ValidationError(
             f"stationary vector has {pi.pi.shape[0]} entries, world has {world.n_agents} agents"
         )
-    theta = world.true_state_index
     if not (0 <= check_state < world.num_states):
         raise ValidationError(f"check_state {check_state} outside 0..{world.num_states - 1}")
-    total = 0.0
-    for m in range(world.n_agents):
-        if pi.pi[m] == 0.0:
-            continue  # transient agents cannot contribute an infinite divergence
-        total += pi.pi[m] * kl_divergence(world.likelihood(m)[theta], world.likelihood(m)[check_state])
-    return float(total)
+    weights = pi.pi
+    recurrent = weights > 0.0
+    terms = np.zeros(len(weights) + 1)
+    # transient agents add nothing, not even an infinite divergence
+    terms[1:][recurrent] = weights[recurrent] * world.divergences[recurrent, check_state]
+    # a running sum from 0.0, added in agent order
+    return float(np.cumsum(terms)[-1])
 
 
 def _log_ratio_series(

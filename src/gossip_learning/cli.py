@@ -165,19 +165,39 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
             "(the CSV trace layout of earlier versions); regenerate the traces with the run command"
         )
     cfg = parse_config_dict(manifest["config"])
-    if world_fingerprint(cfg.world) != manifest["world_fingerprint"]:
+    fingerprints = (world_fingerprint(cfg.world), matrix_fingerprint(cfg.selection))
+    if fingerprints[0] != manifest["world_fingerprint"]:
         raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
-    if matrix_fingerprint(cfg.selection) != manifest["matrix_fingerprint"]:
+    if fingerprints[1] != manifest["matrix_fingerprint"]:
         raise ValidationError(f"{manifest_path}: selection-matrix fingerprint does not match its config")
+    # one entry per replication of the config, in order, each file once
+    count = cfg.simulation.replications
+    files: set = set()
+    for k, e in enumerate(entries):
+        rep = e["replication"]
+        if type(rep) is not int or rep != k or k >= count:
+            expected = f"replication {k}" if k < count else f"no entry past replication {count - 1}"
+            raise ValidationError(
+                f"{manifest_path}: traces[{k}] lists replication {rep!r}, expected {expected}: "
+                f"the entries must be replications 0..{count - 1} in order, each once"
+            )
+        if e["file"] in files:
+            raise ValidationError(f"{manifest_path}: traces[{k}] lists file {e['file']!r} a second time")
+        files.add(e["file"])
+    if len(entries) < count:
+        raise ValidationError(
+            f"{manifest_path}: traces lists {len(entries)} replication(s), but its config has {count}; "
+            f"replication {len(entries)} has no entry"
+        )
     traces = [
-        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation, e["replication"])
+        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation,
+                   e["replication"], fingerprints=fingerprints)
         for e in entries
     ]
     return cfg, traces
 
 
-def _rate_verdict(cfg: ExperimentConfig, traces: list, out: Path, say) -> int:
-    pi = stationary_distribution(cfg.selection)
+def _rate_verdict(cfg: ExperimentConfig, traces: list, pi, out: Path, say) -> int:
     a = cfg.analysis
     report = rate_report(
         traces, pi, cfg.world,
@@ -221,7 +241,7 @@ def cmd_rate(args) -> int:
     else:
         cfg = _resolve_config(args)
         traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
-    return _rate_verdict(cfg, traces, out, say)
+    return _rate_verdict(cfg, traces, stationary_distribution(cfg.selection), out, say)
 
 
 def cmd_example1(args) -> int:
@@ -263,7 +283,7 @@ def cmd_example1(args) -> int:
     say(f"wrote {out / 'occupancy.csv'}")
 
     say("== rate comparison ==")
-    return _rate_verdict(cfg, traces, out, say)
+    return _rate_verdict(cfg, traces, pi, out, say)
 
 
 def build_parser() -> argparse.ArgumentParser:

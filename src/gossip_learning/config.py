@@ -23,10 +23,11 @@ from .graph import (
     SelectionMatrix,
     custom_selection_matrix,
     from_edge_list,
+    repeated_edges,
     uniform_selection_matrix,
 )
 from .simulator import SimulationConfig
-from .world import PROB_SUM_TOL, LikelihoodTable, Prior, StateSpace, WorldModel
+from .world import PROB_SUM_TOL, Prior, StateSpace, WorldModel
 
 DEFAULT_RATE_REL_TOLERANCE = 0.15
 
@@ -55,6 +56,19 @@ def _as_number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {v!r}")
     return float(v)
+
+
+def _plain_numbers(v: Any) -> bool:
+    """Whether v is a JSON array of numbers (no bools), checked without
+    building a path for each entry."""
+    return type(v) is list and all(type(x) is float or type(x) is int for x in v)
+
+
+def _as_numbers(v: Any, path: str) -> list[float]:
+    """A JSON array of numbers as floats; a bad entry is named by its path."""
+    if _plain_numbers(v):
+        return [float(x) for x in v]
+    return [_as_number(x, f"{path}[{c}]") for c, x in enumerate(_as_list(v, path))]
 
 
 def _as_label(v: Any, path: str):
@@ -93,7 +107,7 @@ class ExperimentConfig:
         """Fully resolved 1-based form: aliases expanded, defaults filled."""
         sel: dict[str, Any] = {"kind": self.selection_kind}
         if self.selection_kind == "explicit":
-            sel["rows"] = [[float(x) for x in row] for row in self.selection.probs]
+            sel["rows"] = self.selection.to_dense().tolist()
         return {
             "network": {
                 "n": self.network.n,
@@ -105,8 +119,8 @@ class ExperimentConfig:
                 "true_state": self.world.state_space.states[self.world.true_state_index],
                 "prior": [float(x) for x in self.world.prior.nu],
                 "likelihoods": [
-                    {"agent": i + 1, "table": [[float(x) for x in row] for row in lt.table]}
-                    for i, lt in enumerate(self.world.likelihoods)
+                    {"agent": i + 1, "table": self.world.likelihood(i).tolist()}
+                    for i in range(self.world.n_agents)
                 ],
             },
             "simulation": {
@@ -130,23 +144,42 @@ class ExperimentConfig:
 def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
     n = _as_int(obj["n"], "network.n", minimum=1)
-    edges = []
-    seen = set()
-    for k, e in enumerate(_as_list(obj["edges"], "network.edges")):
+    raw_edges = _as_list(obj["edges"], "network.edges")
+    # the first edge that is not a pair of integers; the value checks below
+    # run on the edges before it, so the first faulty edge is the one named
+    typed = len(raw_edges)
+    for k, e in enumerate(raw_edges):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            path = f"network.edges[{k}]"
+            if not isinstance(e, list) or len(e) != 2:
+                typed, fault = k, ValidationError(f"{path}: expected a [source, target] pair")
+                break
+            try:
+                _as_int(e[0], f"{path}[0]")
+                _as_int(e[1], f"{path}[1]")
+            except ValidationError as exc:
+                typed, fault = k, exc
+                break
+    try:
+        e = np.array(raw_edges[:typed], dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # beyond int64 is outside 1..n too
+        e = np.array([[min(max(x, 0), n + 1) for x in pair] for pair in raw_edges[:typed]], dtype=np.int64)
+    outside = np.any((e < 1) | (e > n), axis=1)
+    loop = e[:, 0] == e[:, 1]
+    repeated = repeated_edges(e)
+    bad = outside | loop | repeated
+    if bad.any():
+        k = int(np.argmax(bad))
+        j, i = raw_edges[k]
         path = f"network.edges[{k}]"
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValidationError(f"{path}: expected a [source, target] pair")
-        j = _as_int(e[0], f"{path}[0]")
-        i = _as_int(e[1], f"{path}[1]")
-        if not (1 <= j <= n and 1 <= i <= n):
+        if outside[k]:
             raise ValidationError(f"{path}: endpoints must lie in 1..{n}, got [{j}, {i}]")
-        if j == i:
+        if loop[k]:
             raise ValidationError(f"{path}: self-loop [{j}, {i}] not allowed")
-        if (j, i) in seen:
-            raise ValidationError(f"{path}: duplicate edge [{j}, {i}]")
-        seen.add((j, i))
-        edges.append((j - 1, i - 1))
-    return from_edge_list(n, edges)
+        raise ValidationError(f"{path}: duplicate edge [{j}, {i}]")
+    if typed < len(raw_edges):
+        raise fault
+    return from_edge_list(n, e - 1)
 
 
 def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, str]:
@@ -167,7 +200,7 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
             row = _as_list(row, f"selection.rows[{i}]")
             if len(row) != net.n:
                 raise ValidationError(f"selection.rows[{i}]: expected {net.n} entries, got {len(row)}")
-            parsed.append([_as_number(x, f"selection.rows[{i}][{c}]") for c, x in enumerate(row)])
+            parsed.append(_as_numbers(row, f"selection.rows[{i}]"))
         try:
             return custom_selection_matrix(net, parsed), "explicit"
         except SelectionSupportError as exc:
@@ -194,11 +227,9 @@ def _parse_likelihood_entry(raw: Any, path: str, n: int) -> tuple[int, list | st
             raise ValidationError(f"{path}.like: expected an 'l_<agent>' reference, got {ref!r}")
         return agent, ref
     table = _as_list(obj["table"], f"{path}.table")
-    rows = []
-    for r, row in enumerate(table):
-        row = _as_list(row, f"{path}.table[{r}]")
-        rows.append([_as_number(x, f"{path}.table[{r}][{c}]") for c, x in enumerate(row)])
-    return agent, rows
+    if all(map(_plain_numbers, table)):
+        return agent, [[float(x) for x in row] for row in table]
+    return agent, [_as_numbers(row, f"{path}.table[{r}]") for r, row in enumerate(table)]
 
 
 def _parse_world(raw: Any, n: int) -> WorldModel:
@@ -254,31 +285,20 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
             )
         tables[agent] = tables[target]
 
-    likelihoods = []
-    for agent in range(1, n + 1):
-        try:
-            likelihoods.append(LikelihoodTable(agent=agent - 1, table=np.array(tables[agent], dtype=float)))
-        except LikelihoodRowError as exc:
-            raise ValidationError(
-                f"world.likelihoods: agent {agent}: likelihood row for state {labels[exc.state]} "
-                f"sums to {exc.total!r}, expected 1 within {PROB_SUM_TOL}"
-            ) from exc
-        except NegativeLikelihoodError as exc:
-            raise ValidationError(
-                f"world.likelihoods: agent {agent}: negative likelihood entry {exc.value!r} "
-                f"for state {labels[exc.state]}, signal {exc.signal}"
-            ) from exc
-        except ValidationError as exc:
-            raise ValidationError(f"world.likelihoods: {exc}") from exc
-        if likelihoods[-1].table.shape[0] != len(labels):
-            raise ValidationError(
-                f"world.likelihoods: agent {agent}: table has {likelihoods[-1].table.shape[0]} "
-                f"rows but there are {len(labels)} states"
-            )
     try:
-        return WorldModel(state_space=space, prior=prior, likelihoods=tuple(likelihoods))
+        return WorldModel.from_tables(space, prior, [tables[agent] for agent in range(1, n + 1)])
+    except LikelihoodRowError as exc:
+        raise ValidationError(
+            f"world.likelihoods: agent {exc.agent + 1}: likelihood row for state {labels[exc.state]} "
+            f"sums to {exc.total!r}, expected 1 within {PROB_SUM_TOL}"
+        ) from exc
+    except NegativeLikelihoodError as exc:
+        raise ValidationError(
+            f"world.likelihoods: agent {exc.agent + 1}: negative likelihood entry {exc.value!r} "
+            f"for state {labels[exc.state]}, signal {exc.signal}"
+        ) from exc
     except ValidationError as exc:
-        raise ValidationError(f"world: {exc}") from exc
+        raise ValidationError(f"world.likelihoods: {exc}") from exc
 
 
 def _parse_simulation(raw: Any) -> SimulationConfig:

@@ -3,12 +3,21 @@
 Nodes are indexed 0..n-1 internally; the CLI converts to the 1-based ids used
 in configs and reports. An edge (j, i) means "agent i observes agent j", so
 the in-neighborhood of i is the set of agents whose beliefs i can read.
+
+Both the network and the selection chain are held in compressed sparse row
+(CSR) form: row i's entries are ``indices[indptr[i]:indptr[i + 1]]``,
+ascending. For the network a row lists an agent's in-neighbors; for a
+selection matrix it lists the agents the row's agent consults with positive
+probability, next to those probabilities in ``probs``. Storage and every
+pass over a chain are O(n + nnz), never O(n^2): a dense matrix is built only
+for a recurrent class small enough for the direct solve, or on request
+(``SelectionMatrix.to_dense``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,131 +35,228 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 DIRECT_SOLVE_LIMIT = 2000
 
 
+def _edge_array(edges) -> np.ndarray:
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def repeated_edges(e: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (m, 2) edge array that equal an earlier row."""
+    order = np.lexsort((e[:, 1], e[:, 0]))  # stable: equal edges keep their order
+    ordered = e[order]
+    out = np.zeros(len(e), dtype=bool)
+    out[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+    return out
+
+
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR structure."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def rows_by_length(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of a CSR structure, grouped by length d, as (rows, slots):
+    slots[j] holds the d entry positions of row rows[j]."""
+    lengths = np.diff(indptr)
+    for d in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == d)
+        yield rows, indptr[rows, None] + np.arange(d)
+
+
+def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndarray:
+    """Whether each (rows, cols) pair, broadcast together, is a stored entry
+    of a square CSR structure whose rows' indices ascend; cols must lie in
+    0..n-1. Each entry is searched as the key row * n + column, and the
+    structure's keys ascend."""
+    n = len(indptr) - 1
+    # a last key past every entry closes the structure's keys
+    stored = np.append(_csr_rows(indptr) * n + indices, n * n)
+    keys = np.asarray(rows) * n + np.asarray(cols)
+    return stored[np.searchsorted(stored, keys)] == keys
+
+
 @dataclass(frozen=True)
 class DirectedNetwork:
-    """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j"."""
+    """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
+
+    ``in_indptr`` and ``in_indices`` are the in-neighbor lists in CSR form,
+    each list ascending.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _inbound: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    in_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    in_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"agent count must be >= 1, got {self.n}")
-        inbound = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            if not (0 <= j < self.n and 0 <= i < self.n):
+        e = _edge_array(self.edges)
+        outside = np.any((e < 0) | (e >= self.n), axis=1)
+        bad = outside | (e[:, 0] == e[:, 1])
+        if bad.any():
+            k = int(np.argmax(bad))
+            j, i = (int(x) for x in e[k])
+            if outside[k]:
                 raise ValidationError(f"edge ({j}, {i}) has an endpoint outside 0..{self.n - 1}")
-            if j == i:
-                raise ValidationError(
-                    f"self-loop ({j}, {i}) not allowed; use a selection matrix "
-                    "with self-weight instead"
-                )
-            inbound[i].append(j)
-        object.__setattr__(self, "_inbound", tuple(tuple(sorted(js)) for js in inbound))
+            raise ValidationError(
+                f"self-loop ({j}, {i}) not allowed; use a selection matrix "
+                "with self-weight instead"
+            )
+        order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(e[:, 1], minlength=self.n), out=indptr[1:])
+        for name, arr in (("in_indptr", indptr), ("in_indices", e[order, 0])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Agents whose beliefs agent i observes, ascending."""
-        return self._inbound[i]
+        return tuple(self.in_indices[self.in_indptr[i]:self.in_indptr[i + 1]].tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._inbound[i])
-
-    def successors(self) -> list[list[int]]:
-        """Adjacency in the edge direction: adj[j] lists i with (j, i) an edge."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            adj[j].append(i)
-        return [sorted(out) for out in adj]
+        return int(self.in_indptr[i + 1] - self.in_indptr[i])
 
 
 def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> DirectedNetwork:
     """Build a network from (source, target) pairs, rejecting duplicates."""
-    seen = set()
-    for e in edges:
-        pair = (int(e[0]), int(e[1]))
-        if pair in seen:
-            raise ValidationError(f"duplicate edge {pair}")
-        seen.add(pair)
-    return DirectedNetwork(n=n, edges=tuple((int(a), int(b)) for a, b in edges))
+    e = _edge_array(edges)
+    repeated = repeated_edges(e)
+    if repeated.any():
+        j, i = (int(x) for x in e[np.argmax(repeated)])
+        raise ValidationError(f"duplicate edge {(j, i)}")
+    return DirectedNetwork(n=n, edges=tuple(map(tuple, e.tolist())))
 
 
 @dataclass(frozen=True)
 class SelectionMatrix:
-    """Row-stochastic matrix of neighbor-choice probabilities.
+    """Row-stochastic matrix of neighbor-choice probabilities, in CSR form.
 
-    Row i gives the probability of agent i consulting agent j in a round;
-    support is restricted to in-neighbors plus self (enforced by the
-    factories, which know the network).
+    Row i gives the probability of agent i consulting agent j in a round.
+    Only positive entries are stored: ``indices[indptr[i]:indptr[i + 1]]``
+    are the agents row i can choose, ascending, and ``probs`` holds their
+    probabilities at the same positions. Support is restricted to
+    in-neighbors plus self (enforced by the factories, which know the
+    network).
     """
 
     n: int
+    indptr: np.ndarray
+    indices: np.ndarray
     probs: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)  # the row of every entry
 
     def __post_init__(self):
+        n = self.n
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
         p = np.asarray(self.probs, dtype=float)
-        if p.shape != (self.n, self.n):
-            raise ValidationError(f"selection matrix must be {self.n}x{self.n}, got {p.shape}")
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValidationError(f"selection matrix indptr must rise from 0 in {n + 1} entries")
+        if indices.shape != (indptr[-1],) or p.shape != indices.shape:
+            raise ValidationError(
+                f"selection matrix stores {indptr[-1]} entries, got {indices.size} indices and {p.size} probabilities"
+            )
+        rows = _csr_rows(indptr)
+        if np.any((indices < 0) | (indices >= n)):
+            raise ValidationError(f"selection matrix column index outside 0..{n - 1}")
+        if np.any((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])):
+            raise ValidationError("selection matrix columns must ascend within each row")
         if not np.all(np.isfinite(p)):
             raise ValidationError("selection matrix entries must be finite")
-        if np.any(p < 0.0):
-            i, j = np.argwhere(p < 0.0)[0]
-            raise ValidationError(
-                f"agent {i + 1} has negative probability {float(p[i, j])!r} of choosing agent {j + 1}"
-            )
-        sums = p.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            if sums[i] == 0.0:
+        # every check below reports the first offender in row-major order
+        if np.any(p <= 0.0):
+            k = int(np.argmax(p <= 0.0))
+            i, j = int(rows[k]), int(indices[k])
+            if p[k] == 0.0:
+                raise ValidationError(f"agent {i + 1} stores a zero probability of choosing agent {j + 1}")
+            raise ValidationError(f"agent {i + 1} has negative probability {float(p[k])!r} of choosing agent {j + 1}")
+        sums = np.bincount(rows, weights=p, minlength=n)
+        # The message reports a row's sum as numpy sums the dense row; that
+        # sum and the one above group the same terms differently, so any row
+        # whose sum could fail either way is summed again, densely.
+        slack = 4 * np.finfo(float).eps * np.diff(indptr) * sums
+        for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL - slack).tolist():
+            dense = np.zeros(n)
+            dense[indices[indptr[i]:indptr[i + 1]]] = p[indptr[i]:indptr[i + 1]]
+            total = dense.sum()
+            if total == 0.0:
                 raise ValidationError(f"the row of agent {i + 1} has zero mass on every entry")
-            raise ValidationError(
-                f"the row of agent {i + 1} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}"
-            )
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+            if abs(total - 1.0) > ROW_SUM_TOL:
+                raise ValidationError(
+                    f"the row of agent {i + 1} sums to {float(total)!r}, expected 1 within {ROW_SUM_TOL}"
+                )
+        for name, arr in (("indptr", indptr), ("indices", indices), ("probs", p), ("rows", rows)):
+            arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.probs[i]
+    @classmethod
+    def from_dense(cls, probs) -> SelectionMatrix:
+        """The CSR form of a square matrix of row probabilities. Every nonzero
+        entry is stored, so a negative or non-finite one is reported."""
+        p = np.asarray(probs, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise ValidationError(f"selection matrix must be square, got shape {p.shape}")
+        n = len(p)
+        rows, cols = np.nonzero(p)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n=n, indptr=indptr, indices=cols, probs=p[rows, cols])
+
+    def to_dense(self) -> np.ndarray:
+        """The n x n matrix; O(n^2) memory."""
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.indices] = self.probs
+        return out
 
     def support(self, i: int) -> np.ndarray:
         """Indices j with positive probability in row i, ascending."""
-        return np.nonzero(self.probs[i] > 0.0)[0]
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def vecmat(self, x: np.ndarray) -> np.ndarray:
+        """The row vector x P, in O(nnz): each entry adds its share of x to
+        its column, in storage order."""
+        return np.bincount(self.indices, weights=x[self.rows] * self.probs, minlength=self.n)
 
 
 def uniform_selection_matrix(net: DirectedNetwork) -> SelectionMatrix:
     """Equal weight on each in-neighbor; agents with no neighbors self-select."""
-    p = np.zeros((net.n, net.n))
-    for i in range(net.n):
-        nbrs = net.in_neighbors(i)
-        if nbrs:
-            p[i, list(nbrs)] = 1.0 / len(nbrs)
-        else:
-            p[i, i] = 1.0
-    return SelectionMatrix(n=net.n, probs=p)
+    degree = np.diff(net.in_indptr)
+    length = np.maximum(degree, 1)
+    indptr = np.zeros(net.n + 1, dtype=np.int64)
+    np.cumsum(length, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    has = np.repeat(degree > 0, length)
+    indices[has] = net.in_indices
+    indices[~has] = np.flatnonzero(degree == 0)
+    return SelectionMatrix(n=net.n, indptr=indptr, indices=indices, probs=np.repeat(1.0 / length, length))
 
 
 def check_selection_support(net: DirectedNetwork, P: SelectionMatrix) -> None:
     """Reject a row of P with mass outside its agent's in-neighbors plus self."""
-    for i in range(net.n):
-        allowed = set(net.in_neighbors(i)) | {i}
-        for j in P.support(i):
-            if int(j) not in allowed:
-                raise SelectionSupportError(i, int(j))
+    outside = (P.rows != P.indices) & ~csr_contains(net.in_indptr, net.in_indices, P.rows, P.indices)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise SelectionSupportError(int(P.rows[k]), int(P.indices[k]))
 
 
 def custom_selection_matrix(net: DirectedNetwork, rows: Sequence[Sequence[float]]) -> SelectionMatrix:
     """Validate explicit selection rows against the network's neighborhoods."""
-    mat = SelectionMatrix(n=net.n, probs=np.asarray(rows, dtype=float))
+    p = np.asarray(rows, dtype=float)
+    if p.shape != (net.n, net.n):
+        raise ValidationError(f"selection matrix must be {net.n}x{net.n}, got {p.shape}")
+    mat = SelectionMatrix.from_dense(p)
     check_selection_support(net, mat)
     return mat
 
 
-def _tarjan_sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan. Returns SCCs in reverse topological order
-    (every SCC is emitted after all SCCs it can reach)."""
-    n = len(adj)
+def _tarjan_sccs(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Iterative Tarjan over the CSR adjacency (row v lists v's successors).
+    Returns SCCs in reverse topological order (every SCC is emitted after all
+    SCCs it can reach)."""
+    ptr = indptr.tolist()
+    adj = indices.tolist()
+    n = len(ptr) - 1
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -161,21 +267,22 @@ def _tarjan_sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, ptr[root])]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
+            v, pos = work[-1]
+            if pos == ptr[v]:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
+            end = ptr[v + 1]
+            while pos < end:
+                w = adj[pos]
+                pos += 1
                 if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
+                    work[-1] = (v, pos)
+                    work.append((w, ptr[w]))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -199,8 +306,9 @@ def _tarjan_sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def is_strongly_connected(net: DirectedNetwork) -> bool:
-    """True iff every node reaches every other along directed edges."""
-    return len(_tarjan_sccs(net.successors())) == 1
+    """True iff every node reaches every other along directed edges (checked
+    on the in-neighbor lists: reversing every edge keeps the components)."""
+    return len(_tarjan_sccs(net.in_indptr, net.in_indices)) == 1
 
 
 @dataclass(frozen=True)
@@ -227,36 +335,29 @@ def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
     Works on the support graph of P (edge i -> j iff p_ij > 0). A class is
     recurrent iff it is closed: no positive-probability transition leaves it.
     """
-    n = P.n
-    adj = [[int(j) for j in P.support(i)] for i in range(n)]
-    sccs = _tarjan_sccs(adj)
-    scc_id = [0] * n
-    for k, comp in enumerate(sccs):
-        for v in comp:
-            scc_id[v] = k
-
-    closed = []
-    for k, comp in enumerate(sccs):
-        members = set(comp)
-        closed.append(all(w in members for v in comp for w in adj[v]))
+    sccs = _tarjan_sccs(P.indptr, P.indices)
+    scc_id = np.empty(P.n, dtype=np.int64)
+    scc_id[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(c) for c in sccs])
+    src, dst = scc_id[P.rows], scc_id[P.indices]
+    cross = src != dst
+    closed = np.ones(len(sccs), dtype=bool)
+    closed[src[cross]] = False
 
     # Reverse topological emission order lets reachability fold left to right.
-    reach: list[set[int]] = [set() for _ in sccs]
-    for k, comp in enumerate(sccs):
-        if closed[k]:
-            reach[k].add(k)
-        for v in comp:
-            for w in adj[v]:
-                if scc_id[w] != k:
-                    reach[k] |= reach[scc_id[w]]
+    targets: list[set[int]] = [set() for _ in sccs]
+    for a, b in zip(src[cross].tolist(), dst[cross].tolist()):
+        targets[a].add(b)
+    reach: list[set[int]] = []
+    for k in range(len(sccs)):
+        reach.append({k} if closed[k] else set())
+        for b in targets[k]:
+            reach[k] |= reach[b]
 
-    order = sorted((k for k in range(len(sccs)) if closed[k]), key=lambda k: sccs[k][0])
+    order = sorted(np.flatnonzero(closed).tolist(), key=lambda k: sccs[k][0])
     renumber = {k: pos for pos, k in enumerate(order)}
     classes = tuple(tuple(sccs[k]) for k in order)
-    reachable = tuple(
-        tuple(sorted(renumber[k] for k in reach[scc_id[v]])) for v in range(n)
-    )
-    return RecurrentClasses(classes=classes, reachable_from=reachable)
+    per_scc = [tuple(sorted(renumber[c] for c in r)) for r in reach]
+    return RecurrentClasses(classes=classes, reachable_from=tuple(per_scc[k] for k in scc_id.tolist()))
 
 
 @dataclass(frozen=True)
@@ -289,18 +390,20 @@ def _direct_stationary(sub: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _power_stationary(sub: np.ndarray, tol: float = 1e-13, max_iter: int = 1_000_000) -> np.ndarray:
+def _power_stationary(P: SelectionMatrix, members: np.ndarray, tol: float = 1e-13,
+                      max_iter: int = 1_000_000) -> np.ndarray:
     # Iterate the lazy chain (I + P)/2: same fixed point, and aperiodic, so
     # plain power iteration converges geometrically even for periodic P.
-    m = sub.shape[0]
-    x = np.full(m, 1.0 / m)
+    # Mass starts on the closed class and never leaves it.
+    x = np.zeros(P.n)
+    x[members] = 1.0 / len(members)
     for _ in range(max_iter):
-        nxt = 0.5 * (x + x @ sub)
+        nxt = 0.5 * (x + P.vecmat(x))
         if np.max(np.abs(nxt - x)) <= tol:
             x = nxt
             break
         x = nxt
-    return x
+    return x[members]
 
 
 def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> StationaryDistribution:
@@ -313,15 +416,21 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
     structure = recurrent_classes(P)
     if len(structure.classes) != 1:
         raise MultipleRecurrentClassesError(structure.classes)
-    members = list(structure.classes[0])
-    sub = P.probs[np.ix_(members, members)]
+    members = np.array(structure.classes[0], dtype=np.int64)
+    m = len(members)
 
     if method == "auto":
-        method = "direct" if len(members) <= DIRECT_SOLVE_LIMIT else "power"
+        method = "direct" if m <= DIRECT_SOLVE_LIMIT else "power"
     if method == "direct":
+        # the class is closed, so its rows' entries all fall inside it
+        local = np.full(P.n, -1)
+        local[members] = np.arange(m)
+        inside = local[P.rows] >= 0
+        sub = np.zeros((m, m))
+        sub[local[P.rows[inside]], local[P.indices[inside]]] = P.probs[inside]
         x = _direct_stationary(sub)
     elif method == "power":
-        x = _power_stationary(sub)
+        x = _power_stationary(P, members)
     else:
         raise ValidationError(f"unknown stationary solver {method!r}")
 
@@ -330,7 +439,7 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
     pi = np.zeros(P.n)
     pi[members] = x
 
-    residual = float(np.max(np.abs(pi @ P.probs - pi)))
+    residual = float(np.max(np.abs(P.vecmat(pi) - pi)))
     if residual > STATIONARY_RESIDUAL_TOL:
         raise StationarySolveError(f"stationary solve residual {residual!r} exceeds {STATIONARY_RESIDUAL_TOL}")
     return StationaryDistribution(pi=pi)

@@ -8,7 +8,11 @@ streams are derived from the master seed with SeedSequence spawn keys, one
 stream for signals and one for selections, so traces are reproducible
 bit-for-bit across runs and platforms.
 
-All draws are made before the first round. The rounds then run as one array
+All draws are made before the first round, for every agent at once: each
+agent's signal distribution (the positive entries of its true-state
+likelihood row) and its selection row are CSR rows, and a draw inverts the
+running sum of the row's entries at a uniform, by one binary search that
+halves every row's range at each step. The rounds then run as one array
 update per round over every agent of every replication at once: gather the
 chosen neighbors' previous beliefs from an (R, n, k) array, add the agents'
 log-likelihood columns for their signals, normalize. A trace stores its
@@ -37,7 +41,7 @@ import numpy as np
 
 from .belief import bayes_log_posterior
 from .errors import ValidationError
-from .graph import DirectedNetwork, SelectionMatrix, check_selection_support
+from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, rows_by_length
 from .world import WorldModel
 
 WALK_IDENTITY_TOL = 1e-8
@@ -117,36 +121,64 @@ class SimulationTrace:
 
 
 def world_fingerprint(world: WorldModel) -> str:
+    """SHA-256 of the state labels, the true state, the prior, and then per
+    agent the repr of its table's shape followed by the table, little-endian
+    float64, row-major."""
     h = hashlib.sha256()
     h.update(repr([str(s) for s in world.state_space.states]).encode())
     h.update(str(world.true_state_index).encode())
     h.update(world.prior.nu.astype("<f8").tobytes())
-    for lt in world.likelihoods:
-        h.update(repr(lt.table.shape).encode())
-        h.update(lt.table.astype("<f8").tobytes())
+    for i in range(world.n_agents):
+        table = world.likelihood(i)
+        h.update(repr(table.shape).encode())
+        h.update(table.astype("<f8").tobytes())
     return h.hexdigest()
 
 
 def matrix_fingerprint(P: SelectionMatrix) -> str:
-    """SHA-256 of P in CSR form: n, indptr, indices and probs of the entries
-    > 0 in row-major order, as little-endian int64, int64, int64, float64."""
-    support = P.probs > 0.0
-    indptr = np.zeros(P.n + 1, dtype="<i8")
-    np.cumsum(support.sum(axis=1), out=indptr[1:])
+    """SHA-256 of P in CSR form: n, indptr, indices and probs, as
+    little-endian int64, int64, int64, float64."""
     h = hashlib.sha256(np.array([P.n], dtype="<i8").tobytes())
-    h.update(indptr.tobytes())
-    h.update(np.nonzero(support)[1].astype("<i8").tobytes())
-    h.update(P.probs[support].astype("<f8").tobytes())
+    h.update(P.indptr.astype("<i8").tobytes())
+    h.update(P.indices.astype("<i8").tobytes())
+    h.update(P.probs.astype("<f8").tobytes())
     return h.hexdigest()
 
 
-def _inverse_cdf_draws(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Indices drawn from probs by inverting its CDF at u, over the support
-    only: rounding can leave the CDF's last value below 1, and a u above it
-    must not land on a zero-probability entry."""
-    support = np.flatnonzero(probs > 0.0)
-    cdf = np.cumsum(probs[support])
-    return support[np.minimum(np.searchsorted(cdf, u, side="right"), len(support) - 1)]
+def _inverse_cdf_draws(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column i of the result holds draws from row i of a CSR distribution,
+    one per uniform in u[:, i], made by inverting the CDF of the row's stored
+    entries, which must all be positive. Every row is searched at once."""
+    cdf = np.empty(len(probs))
+    for _, slots in rows_by_length(indptr):
+        # a running sum along a row is sequential, so each CDF has the bits
+        # of the row's own 1-D cumsum
+        cdf[slots] = np.cumsum(probs[slots], axis=1)
+    last = indptr[1:] - 1
+    # binary search, one halving step for every row at a time: at stands
+    # after the row's CDF entries known to be <= u. A probe past the row
+    # reads its last entry, so at can pass the row's end only when every
+    # entry is <= u.
+    at = np.repeat(indptr[None, :-1], len(u), axis=0)
+    step = 1 << (int(np.diff(indptr).max()).bit_length() - 1)
+    while step:
+        probe = at + (step - 1)
+        np.minimum(probe, last, out=probe)
+        at += step * (cdf[probe] <= u)
+        step >>= 1
+    # the draw is the entry at that position, or the last entry where every
+    # entry is <= u: rounding can leave a CDF's last value below 1, and a u
+    # above it draws the last entry, never one that is not stored
+    return indices[np.minimum(at, last)]
+
+
+def _support_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The positive entries of each row of an (m, S) array, as CSR arrays
+    (indptr, indices, probs)."""
+    r, c = np.nonzero(rows > 0.0)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=len(rows)), out=indptr[1:])
+    return indptr, c, rows[r, c]
 
 
 def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldModel) -> None:
@@ -173,13 +205,8 @@ def _draw(
     rng_sel = np.random.Generator(np.random.Philox(sel_ss))
 
     theta = world.true_state_index
-    u_sig = rng_sig.random(signals.shape)
-    for i in range(signals.shape[1]):
-        signals[:, i] = _inverse_cdf_draws(world.likelihood(i)[theta], u_sig[:, i])
-
-    u_sel = rng_sel.random(selections.shape)
-    for i in range(selections.shape[1]):
-        selections[:, i] = _inverse_cdf_draws(P.probs[i], u_sel[:, i])
+    signals[:] = _inverse_cdf_draws(*_support_csr(world.tables[:, theta]), rng_sig.random(signals.shape))
+    selections[:] = _inverse_cdf_draws(P.indptr, P.indices, P.probs, rng_sel.random(selections.shape))
 
 
 def _simulate(
@@ -376,9 +403,13 @@ def read_trace(
     world: WorldModel,
     cfg: SimulationConfig,
     replication: int = 0,
+    *,
+    fingerprints: tuple[str, str],
 ) -> SimulationTrace:
     """Load a trace that write_trace wrote for this selection matrix, world
-    and run config.
+    and run config. fingerprints are world_fingerprint(world) and
+    matrix_fingerprint(P), which the trace carries; the caller computes them
+    once for all of a run's traces.
 
     The file's bytes must have the given SHA-256, and it must hold exactly
     the four trace arrays, with no pickled objects. Each array must have
@@ -443,7 +474,7 @@ def read_trace(
     check_shape("log_beliefs")
 
     signals = arrays["signals"]
-    sizes = np.array([lt.signal_space_size for lt in world.likelihoods])
+    sizes = world.signal_counts
     bad = (signals < 0) | (signals >= sizes)
     if bad.any():
         t, i = divmod(int(np.argmax(bad)), n)
@@ -452,7 +483,7 @@ def read_trace(
         )
     selections = arrays["selections"]
     chosen = np.clip(selections, 0, n - 1)
-    bad = (selections != chosen) | (P.probs[np.arange(n), chosen] <= 0.0)
+    bad = (selections != chosen) | ~csr_contains(P.indptr, P.indices, np.arange(n), chosen)
     if bad.any():
         r, i = divmod(int(np.argmax(bad)), n)
         raise ValidationError(
@@ -462,6 +493,7 @@ def read_trace(
 
     for arr in arrays.values():
         arr.flags.writeable = False
+    wfp, mfp = fingerprints
     return SimulationTrace(
         n=n,
         horizon=T,
@@ -471,8 +503,8 @@ def read_trace(
         selections=selections,
         snapshot_times=times,
         log_beliefs=arrays["log_beliefs"],
-        world_fingerprint=world_fingerprint(world),
-        matrix_fingerprint=matrix_fingerprint(P),
+        world_fingerprint=wfp,
+        matrix_fingerprint=mfp,
     )
 
 

@@ -2,11 +2,16 @@
 
 All divergences are natural-log (nats). Agent and state indices are 0-based;
 state labels carry the user-facing names.
+
+Every agent's likelihood table lives in one zero-padded tensor of shape
+(n_agents, num_states, max signals): ``tables[i, s, x]`` is l_i(x | s), and
+entries past agent i's ``signal_counts[i]`` signals are 0. Validation,
+log-likelihood columns and the per-agent divergence table are each one array
+pass over that tensor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Sequence
@@ -78,56 +83,97 @@ class Prior:
         return out
 
 
-@dataclass(frozen=True)
-class LikelihoodTable:
-    """Signal distribution per candidate state: rows are states, columns signals."""
-
-    agent: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 2 or t.shape[1] < 1:
-            raise ValidationError(f"agent {self.agent + 1}: likelihood table must be 2-D")
-        negative = np.argwhere(t < 0.0)
-        if negative.size:
-            state, signal = (int(x) for x in negative[0])
-            raise NegativeLikelihoodError(self.agent, state, signal, float(t[state, signal]))
-        sums = t.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > PROB_SUM_TOL)[0]
-        if bad.size:
-            raise LikelihoodRowError(self.agent, int(bad[0]), float(sums[bad[0]]))
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-    @property
-    def signal_space_size(self) -> int:
-        return self.table.shape[1]
+def _check_tables(tables: np.ndarray, counts: np.ndarray, first_agent: int = 0) -> None:
+    """Raise for the first agent (numbered from first_agent) whose table has a
+    negative entry or a row that does not sum to 1; within one agent a
+    negative entry is reported before a row sum. Each row is summed over its
+    agent's own signals as one contiguous row, so the sum has the bits numpy
+    gives that agent's table alone."""
+    negative = tables < 0.0
+    n = len(tables)
+    neg_agent = int(np.argmax(negative.any(axis=(1, 2)))) if negative.any() else n
+    sums = np.empty(tables.shape[:2])
+    for c in np.flatnonzero(np.bincount(counts)):
+        group = np.flatnonzero(counts == c)
+        sums[group] = tables[group, :, :c].sum(axis=-1)
+    bad = np.abs(sums - 1.0) > PROB_SUM_TOL
+    sum_agent = int(np.argmax(bad.any(axis=1))) if bad.any() else n
+    if neg_agent < n and neg_agent <= sum_agent:
+        state, signal = (int(x) for x in np.argwhere(negative[neg_agent])[0])
+        raise NegativeLikelihoodError(first_agent + neg_agent, state, signal, float(tables[neg_agent, state, signal]))
+    if sum_agent < n:
+        state = int(np.argmax(bad[sum_agent]))
+        raise LikelihoodRowError(first_agent + sum_agent, state, float(sums[sum_agent, state]))
 
 
 @dataclass(frozen=True)
 class WorldModel:
-    """The tuple (state space, common prior, one likelihood table per agent)."""
+    """The state space, the common prior, and every agent's likelihood table.
+
+    ``tables`` is the (n_agents, num_states, max signals) tensor, zero past
+    each agent's ``signal_counts`` signals; each row of an agent's table is
+    a distribution over its signals.
+    """
 
     state_space: StateSpace
     prior: Prior
-    likelihoods: tuple[LikelihoodTable, ...]
+    tables: np.ndarray
+    signal_counts: np.ndarray
 
     def __post_init__(self):
+        t = np.array(self.tables, dtype=float)
+        counts = np.array(self.signal_counts, dtype=np.int64)
+        if t.ndim != 3 or counts.shape != t.shape[:1]:
+            raise ValidationError(
+                f"likelihood tables must be one (agents, states, signals) array with a signal "
+                f"count per agent, got shapes {t.shape} and {counts.shape}"
+            )
+        flat = counts < 1
+        if flat.any():
+            raise ValidationError(f"agent {int(np.argmax(flat)) + 1}: likelihood table must be 2-D")
+        past = np.arange(t.shape[2]) >= counts[:, None, None]
+        spill = (counts > t.shape[2]) | np.any(past & (t != 0.0), axis=(1, 2))
+        if spill.any():
+            i = int(np.argmax(spill))
+            raise ValidationError(
+                f"agent {i + 1}: the tensor must hold {counts[i]} signals, zero-padded beyond them"
+            )
+        _check_tables(t, counts)
         k = self.state_space.size
         if len(self.prior.nu) != k:
             raise ValidationError(f"prior length {len(self.prior.nu)} != {k} states")
-        for lt in self.likelihoods:
-            if lt.table.shape[0] != k:
-                raise ValidationError(
-                    f"agent {lt.agent}: likelihood table has {lt.table.shape[0]} rows, "
-                    f"expected one per state ({k})"
-                )
+        if t.shape[1] != k:
+            raise ValidationError(f"likelihood tables have {t.shape[1]} rows, expected one per state ({k})")
+        for name, arr in (("tables", t), ("signal_counts", counts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_tables(cls, state_space: StateSpace, prior: Prior, tables: Sequence) -> WorldModel:
+        """A world from one (num_states, signals) table per agent, padded into
+        the tensor. The first faulty agent is reported, and within it a table
+        that is not 2-D first, then a negative entry, then a row sum, then a
+        row count other than one per state."""
+        k = state_space.size
+        arrays = [np.asarray(t, dtype=float) for t in tables]
+        fits = [a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
+        first = fits.index(False) if False in fits else len(arrays)
+        counts = np.array([a.shape[1] for a in arrays[:first]], dtype=np.int64)
+        padded = np.zeros((first, k, counts.max(initial=1)))
+        for i, a in enumerate(arrays[:first]):
+            padded[i, :, : a.shape[1]] = a
+        if first == len(arrays):
+            return cls(state_space, prior, padded, counts)
+        _check_tables(padded, counts)
+        a = arrays[first]
+        if a.ndim != 2 or a.shape[1] < 1:
+            raise ValidationError(f"agent {first + 1}: likelihood table must be 2-D")
+        _check_tables(a[None], np.array([a.shape[1]]), first_agent=first)
+        raise ValidationError(f"agent {first + 1}: table has {a.shape[0]} rows but there are {k} states")
 
     @property
     def n_agents(self) -> int:
-        return len(self.likelihoods)
+        return len(self.tables)
 
     @property
     def num_states(self) -> int:
@@ -138,36 +184,64 @@ class WorldModel:
         return self.state_space.true_state_index
 
     def likelihood(self, agent: int) -> np.ndarray:
-        return self.likelihoods[agent].table
+        """Agent's (num_states, signals) table, a read-only view."""
+        return self.tables[agent, :, : self.signal_counts[agent]]
 
     @cached_property
     def log_columns(self) -> np.ndarray:
         """Every agent's log-likelihood columns in one (n_agents, max signals,
         num_states) array: [i, s] is log l_i(s | .), and signals past agent
-        i's signal space are padded with -inf. Computed once, so the simulator
-        and every replay read the exact same floats (log of a zero entry is
-        -inf by design)."""
-        s_max = max((lt.signal_space_size for lt in self.likelihoods), default=0)
-        out = np.full((self.n_agents, s_max, self.num_states), -np.inf)
+        i's signal space are -inf. Computed once, so the simulator and every
+        replay read the exact same floats (log of a zero entry is -inf by
+        design)."""
         with np.errstate(divide="ignore"):
-            for i, lt in enumerate(self.likelihoods):
-                out[i, : lt.signal_space_size] = np.log(lt.table).T
+            out = np.ascontiguousarray(np.log(self.tables).transpose(0, 2, 1))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def divergences(self) -> np.ndarray:
+        """(n_agents, num_states) array: [i, c] is D(l_i(.|theta) || l_i(.|c)),
+        what agent i's signals tell the truth theta from state c (0 at c =
+        theta, +inf where the truth has a signal c cannot produce)."""
+        theta = self.true_state_index
+        out = kl_divergence(self.tables[:, theta : theta + 1], self.tables)
         out.flags.writeable = False
         return out
 
 
-def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
-    """D(p || q) in nats, with 0 log 0 = 0 and +inf on support mismatch."""
+def kl_divergence(p, q):
+    """D(p || q) in nats along the last axis, with 0 log 0 = 0 and +inf on
+    support mismatch; leading axes broadcast. Two 1-D inputs give a float.
+
+    Each pair's terms over the entries with p > 0 are summed as one
+    contiguous row of just those terms, so a stacked call gives every pair
+    the bits it gets alone."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"length mismatch: {p.shape} vs {q.shape}")
+    try:
+        if p.shape[-1:] != q.shape[-1:]:
+            raise ValueError
+        p, q = np.broadcast_arrays(p, q)
+    except ValueError:
+        raise ValidationError(f"length mismatch: {p.shape} vs {q.shape}") from None
     mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        return math.inf
-    val = float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    # move each row's p > 0 entries to its front, keeping their order
+    order = np.argsort(~mask, axis=-1, kind="stable")
+    pc = np.take_along_axis(p, order, axis=-1)
+    qc = np.take_along_axis(q, order, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (pc * (np.log(pc) - np.log(qc))).reshape(-1, p.shape[-1])
+    count = mask.sum(axis=-1).ravel()
+    val = np.empty(len(count))
+    for c in np.flatnonzero(np.bincount(count)):
+        rows = np.flatnonzero(count == c)
+        val[rows] = terms[rows, :c].sum(axis=-1)
+    val = val.reshape(mask.shape[:-1])
+    infinite = np.any(mask & (q == 0.0), axis=-1)
     # Rounding can push near-equal inputs a hair below zero.
-    return max(val, 0.0)
+    out = np.where(infinite, np.inf, np.maximum(val, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def distinguishable(world: WorldModel, agent: int, a: int, b: int) -> bool:
@@ -199,18 +273,16 @@ def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> Id
     if not agents:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index
-    witnesses = []
-    ok = True
-    for check in range(world.num_states):
-        if check == theta:
-            continue
-        found = tuple(a for a in agents if distinguishable(world, a, theta, check))
-        witnesses.append((check, found))
-        if not found:
-            ok = False
+    members = np.array(agents)
+    separated = world.divergences[members] > DISTINGUISH_TOL
+    witnesses = tuple(
+        (check, tuple(members[separated[:, check]].tolist()))
+        for check in range(world.num_states)
+        if check != theta
+    )
     return IdentifiabilityReport(
         true_state_index=theta,
         agents_checked=agents,
-        witnesses=tuple(witnesses),
-        identifiable=ok,
+        witnesses=witnesses,
+        identifiable=all(found for _, found in witnesses),
     )

@@ -41,7 +41,7 @@ def test_walk_identity_on_random_triples(trace_t2000, ex1_cfg):
 def test_stationary_distribution_matches_oracle(ex1_pi, ex1_cfg):
     dev = float(np.max(np.abs(ex1_pi.pi - ORACLE_PI)))
     assert dev <= 1e-10
-    residual = float(np.max(np.abs(ex1_pi.pi @ ex1_cfg.selection.probs - ex1_pi.pi)))
+    residual = float(np.max(np.abs(ex1_pi.pi @ ex1_cfg.selection.to_dense() - ex1_pi.pi)))
     assert residual <= 1e-10
     print(f"\nPASS: stationary vector matches the linear-solve oracle "
           f"(max dev {dev:.2e}) and fixes the chain (residual {residual:.2e})")

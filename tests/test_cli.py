@@ -9,7 +9,7 @@ from gossip_learning import example1, graph
 from gossip_learning.analysis import empirical_rate
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
-from gossip_learning.simulator import read_trace, run
+from gossip_learning.simulator import matrix_fingerprint, read_trace, run, world_fingerprint
 
 
 def write_config(tmp_path, cfg_dict, name="config.json"):
@@ -219,7 +219,7 @@ class TestRoundTrip:
         again = load_config(tmp_path / "canonical.json")
         assert again.canonical_json() == text
         assert np.array_equal(cfg.world.likelihood(1), cfg.world.likelihood(0))
-        assert cfg.selection.probs[0, 1] == 0.75
+        assert cfg.selection.to_dense()[0, 1] == 0.75
 
 
 class TestRun:
@@ -351,7 +351,8 @@ class TestExample1:
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
         entry = json.loads((out / "manifest.json").read_text())["traces"][0]
-        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
+        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation,
+                          fingerprints=(world_fingerprint(ex1_cfg.world), matrix_fingerprint(ex1_cfg.selection)))
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))

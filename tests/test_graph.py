@@ -67,17 +67,16 @@ class TestDirectedNetwork:
         with pytest.raises(ValidationError):
             from_edge_list(0, [])
 
-    def test_successors_inverts_in_neighbors(self):
+    def test_networks_with_equal_edges_compare_and_hash_alike(self):
         net = ex1_net()
-        succ = net.successors()
-        for i in range(net.n):
-            for j in net.in_neighbors(i):
-                assert i in succ[j]
+        twin = from_edge_list(net.n, list(net.edges))
+        assert net == twin and hash(net) == hash(twin)
+        assert net != from_edge_list(net.n, list(net.edges[:-1]))
 
 
 class TestSelectionMatrix:
     def test_uniform_rows_on_example(self):
-        p = uniform_selection_matrix(ex1_net()).probs
+        p = uniform_selection_matrix(ex1_net()).to_dense()
         assert np.array_equal(p[0], np.eye(8)[2])
         assert p[1, 0] == p[1, 3] == 0.5
         assert p[3, 2] == p[3, 4] == 0.5
@@ -87,22 +86,22 @@ class TestSelectionMatrix:
 
     def test_uniform_isolated_agent_self_selects(self):
         net = from_edge_list(3, [(0, 1)])
-        p = uniform_selection_matrix(net).probs
+        p = uniform_selection_matrix(net).to_dense()
         assert p[0, 0] == 1.0 and p[2, 2] == 1.0 and p[1, 0] == 1.0
 
     def test_rows_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="sum"):
-            SelectionMatrix(n=2, probs=np.array([[0.5, 0.4], [0.0, 1.0]]))
+            SelectionMatrix.from_dense(np.array([[0.5, 0.4], [0.0, 1.0]]))
 
     def test_all_zero_row_has_specific_message(self):
         with pytest.raises(ValidationError, match="zero mass on every entry"):
-            SelectionMatrix(n=2, probs=np.array([[0.0, 0.0], [0.0, 1.0]]))
+            SelectionMatrix.from_dense(np.array([[0.0, 0.0], [0.0, 1.0]]))
 
     def test_rejects_negative_and_nonfinite(self):
         with pytest.raises(ValidationError):
-            SelectionMatrix(n=2, probs=np.array([[1.5, -0.5], [0.0, 1.0]]))
+            SelectionMatrix.from_dense(np.array([[1.5, -0.5], [0.0, 1.0]]))
         with pytest.raises(ValidationError):
-            SelectionMatrix(n=2, probs=np.array([[np.nan, 1.0], [0.0, 1.0]]))
+            SelectionMatrix.from_dense(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
     def test_custom_rejects_mass_outside_neighborhood(self):
         net = from_edge_list(3, [(0, 1)])
@@ -113,7 +112,7 @@ class TestSelectionMatrix:
     def test_custom_allows_self_weight(self):
         net = from_edge_list(2, [(0, 1)])
         p = custom_selection_matrix(net, [[1.0, 0.0], [0.3, 0.7]])
-        assert p.probs[1, 1] == 0.7
+        assert p.to_dense()[1, 1] == 0.7
 
     def test_support_indices(self):
         p = uniform_selection_matrix(ex1_net())
@@ -185,7 +184,7 @@ class TestStationary:
         assert np.max(np.abs(ex1_pi.pi - np.array(EX1_PI))) <= 1e-10
 
     def test_example_fixed_point_residual(self, ex1_cfg, ex1_pi):
-        P = ex1_cfg.selection.probs
+        P = ex1_cfg.selection.to_dense()
         assert np.max(np.abs(ex1_pi.pi @ P - ex1_pi.pi)) <= 1e-10
 
     def test_zero_mass_on_transient_agents(self, ex1_pi):
@@ -200,7 +199,7 @@ class TestStationary:
             rows /= rows.sum(axis=1, keepdims=True)
             P = custom_selection_matrix(net, rows)
 
-            ns = null_space(P.probs.T - np.eye(n))
+            ns = null_space(P.to_dense().T - np.eye(n))
             assert ns.shape[1] == 1
             oracle = ns[:, 0] / ns[:, 0].sum()
 
@@ -218,7 +217,7 @@ class TestStationary:
     def test_relabeling_permutes_stationary_vector(self, ex1_cfg, ex1_pi):
         rng = np.random.default_rng(3)
         perm = rng.permutation(8)
-        P = ex1_cfg.selection.probs
+        P = ex1_cfg.selection.to_dense()
         permuted_edges = [(perm[j], perm[i]) for j, i in ex1_cfg.network.edges]
         net2 = from_edge_list(8, permuted_edges)
         rows2 = np.zeros((8, 8))
@@ -259,4 +258,4 @@ def test_stationary_contract_on_random_dense_chains(data, n):
     pi = stationary_distribution(P).pi
     assert np.all(pi >= 0.0)
     assert abs(pi.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(pi @ P.probs - pi)) <= 1e-10
+    assert np.max(np.abs(pi @ P.to_dense() - pi)) <= 1e-10

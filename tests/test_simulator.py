@@ -12,6 +12,7 @@ from gossip_learning.simulator import (
     SimulationConfig,
     SimulationTrace,
     _inverse_cdf_draws,
+    _support_csr,
     backward_walk,
     matrix_fingerprint,
     read_trace,
@@ -112,12 +113,12 @@ class TestDraws:
         row = np.array([0.1] * 10 + [0.0])
         u = np.array([1 - 2**-53])
         assert np.cumsum(row)[-1] <= u[0]
-        assert _inverse_cdf_draws(row, u).tolist() == [9]
+        assert _inverse_cdf_draws(*_support_csr(row[None]), u[:, None])[:, 0].tolist() == [9]
 
     def test_draws_skip_zero_entries_anywhere_in_the_row(self):
         row = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
         u = np.array([0.0, 0.2499, 0.25, 0.9999, 1 - 2**-53])
-        assert _inverse_cdf_draws(row, u).tolist() == [1, 1, 3, 3, 3]
+        assert _inverse_cdf_draws(*_support_csr(row[None]), u[:, None])[:, 0].tolist() == [1, 1, 3, 3, 3]
 
 
 class TestReplay:
@@ -138,7 +139,8 @@ class TestReplay:
         cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5)
         tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
         digest = write_trace(tr, tmp_path / "rep000.npz")
-        back = read_trace(tmp_path / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
+        back = read_trace(tmp_path / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg,
+                          fingerprints=(world_fingerprint(ex1_cfg.world), matrix_fingerprint(ex1_cfg.selection)))
         assert back.n == tr.n and back.horizon == tr.horizon
         assert np.array_equal(back.signals, tr.signals)
         assert np.array_equal(back.selections, tr.selections)
@@ -246,7 +248,7 @@ class TestValidationAndFingerprints:
         rows[3] = [0.1, 0.2, 0.0, 0.3, 0.4]
         net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
         for P in (ex1_cfg.selection, custom_selection_matrix(net, rows)):
-            csr = csr_matrix(P.probs)
+            csr = csr_matrix(P.to_dense())
             data = b"".join([
                 np.array([P.n], dtype="<i8").tobytes(),
                 csr.indptr.astype("<i8").tobytes(),
@@ -257,7 +259,7 @@ class TestValidationAndFingerprints:
 
     def test_matrix_fingerprint_sees_one_changed_probability(self, ex1_cfg):
         P = ex1_cfg.selection
-        rows = P.probs.copy()
+        rows = P.to_dense()
         i = int(np.flatnonzero((rows > 0.0).sum(axis=1) >= 2)[0])
         j, k = np.flatnonzero(rows[i] > 0.0)[:2]
         # one ulp moved between two entries of a row: same support, same row sum
@@ -326,7 +328,8 @@ def reference_run(net, P, world, cfg, replication):
     u_sel = np.random.Generator(np.random.Philox(sel_ss)).random((T, n))
     theta = world.true_state_index
     signals = np.stack([_reference_draws(world.likelihood(i)[theta], u_sig[:, i]) for i in range(n)], axis=1)
-    selections = np.stack([_reference_draws(P.probs[i], u_sel[:, i]) for i in range(n)], axis=1)
+    dense = P.to_dense()
+    selections = np.stack([_reference_draws(dense[i], u_sel[:, i]) for i in range(n)], axis=1)
 
     with np.errstate(divide="ignore"):
         log_tabs = [np.log(world.likelihood(i)) for i in range(n)]

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from gossip_learning import example1
 from gossip_learning.cli import main
-from gossip_learning.simulator import SimulationConfig, read_trace, run, write_trace
+from gossip_learning.simulator import (
+    SimulationConfig,
+    matrix_fingerprint,
+    read_trace,
+    run,
+    world_fingerprint,
+    write_trace,
+)
 from tests.test_simulator import small_worlds
 
 # log beliefs of every kind a trace can hold, and more: -inf for a collapsed
@@ -41,7 +48,7 @@ def test_npz_round_trip_is_bitwise(case, horizon, stride, seed, data, tmp_path_f
     path = tmp_path_factory.mktemp("trace") / "rep000.npz"
     digest = write_trace(tr, path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    back = read_trace(path, digest, P, world, cfg)
+    back = read_trace(path, digest, P, world, cfg, fingerprints=(world_fingerprint(world), matrix_fingerprint(P)))
     assert (back.n, back.horizon, back.snapshot_times) == (tr.n, tr.horizon, tr.snapshot_times)
     for name in ("signals", "selections", "log_beliefs"):
         got, want = getattr(back, name), getattr(tr, name)
@@ -127,7 +134,7 @@ def drop_snapshot(t):
 
 
 # the first agent (0-based) that agent 1 never consults in the built-in config
-UNSUPPORTED = int(np.flatnonzero(example1.config().selection.probs[0] == 0.0)[0])
+UNSUPPORTED = int(np.flatnonzero(example1.config().selection.to_dense()[0] == 0.0)[0])
 
 
 # Case names keep those of the CSV reader's checks where the same fault has
@@ -197,6 +204,48 @@ def test_invalid_traces_exit_2_naming_what_is_wrong(name, trace_dir, tmp_path, c
         assert fragment in err, (fragment, err)
 
 
+@pytest.fixture(scope="module")
+def two_traces(tmp_path_factory):
+    out = tmp_path_factory.mktemp("two")
+    assert main(["run", "--horizon", str(T), "--replications", "2", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+# edits of the manifest's trace list, which holds one entry per replication
+MANIFEST_CASES = {
+    "entry listed twice": (lambda e: [e[0], dict(e[0])],
+                           ["traces[1] lists replication 0, expected replication 1"]),
+    "entry missing": (lambda e: e[:1],
+                      ["traces lists 1 replication(s), but its config has 2", "replication 1 has no entry"]),
+    "entries out of order": (lambda e: e[::-1], ["traces[0] lists replication 1, expected replication 0"]),
+    "one file for two replications": (lambda e: [e[0], {**e[0], "replication": 1}],
+                                      ["traces[1] lists file 'rep000.npz' a second time"]),
+    "entry past the config's replications": (lambda e: e + [{**e[1], "replication": 2}],
+                                             ["traces[2] lists replication 2, expected no entry past replication 1"]),
+}
+
+
+@pytest.mark.parametrize("name", list(MANIFEST_CASES))
+def test_inconsistent_trace_lists_exit_2_naming_the_entry(name, two_traces, tmp_path, capsys):
+    edit, fragments = MANIFEST_CASES[name]
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    manifest["traces"] = edit(manifest["traces"])
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "manifest.json" in err
+    for fragment in fragments:
+        assert fragment in err, (fragment, err)
+
+
+def test_consistent_trace_list_reads_back(two_traces, tmp_path, capsys):
+    assert main(["rate", "--traces", str(two_traces), "--out", str(tmp_path), "--quiet"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_hash_mismatch_is_rejected_before_the_file_is_loaded(trace_dir, tmp_path, capsys):
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
@@ -233,7 +282,7 @@ def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, 
         (traces / "rep000" / name).write_text("t,agent\r\n")
     manifest = json.loads((traces / "manifest.json").read_text())
     manifest["traces"] = [{"replication": 0, "dir": "rep000", "files": files}]
-    dense = str(N).encode() + ex1_cfg.selection.probs.astype("<f8").tobytes()
+    dense = str(N).encode() + ex1_cfg.selection.to_dense().astype("<f8").tobytes()
     manifest["matrix_fingerprint"] = hashlib.sha256(dense).hexdigest()
     (traces / "manifest.json").write_text(json.dumps(manifest))
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2

@@ -7,7 +7,6 @@ from scipy.special import rel_entr
 from gossip_learning import example1
 from gossip_learning.errors import LikelihoodRowError, NegativeLikelihoodError, ValidationError
 from gossip_learning.world import (
-    LikelihoodTable,
     Prior,
     StateSpace,
     WorldModel,
@@ -26,10 +25,15 @@ def tiny_world(tables, prior=None, true_index=0, labels=None):
     k = len(tables[0])
     labels = tuple(labels) if labels else tuple(range(1, k + 1))
     nu = np.full(k, 1.0 / k) if prior is None else np.asarray(prior, dtype=float)
+    counts = [len(t[0]) for t in tables]
+    padded = np.zeros((len(tables), k, max(counts)))
+    for i, t in enumerate(tables):
+        padded[i, :, : counts[i]] = t
     return WorldModel(
         state_space=StateSpace(states=labels, true_state_index=true_index),
         prior=Prior(nu=nu),
-        likelihoods=tuple(LikelihoodTable(agent=i, table=np.array(t)) for i, t in enumerate(tables)),
+        tables=padded,
+        signal_counts=counts,
     )
 
 
@@ -55,15 +59,15 @@ class TestTypes:
 
     def test_likelihood_rows_must_be_distributions(self):
         with pytest.raises(ValidationError, match="sums to"):
-            LikelihoodTable(agent=0, table=np.array([[0.5, 0.4], [0.5, 0.5]]))
+            tiny_world([[[0.5, 0.4], [0.5, 0.5]]])
         with pytest.raises(NegativeLikelihoodError) as info:
-            LikelihoodTable(agent=1, table=np.array([[0.5, 0.5], [1.5, -0.5]]))
+            tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.5, -0.5]]])
         assert (info.value.agent, info.value.state, info.value.signal, info.value.value) == (1, 1, 1, -0.5)
         assert str(info.value) == "agent 2: negative likelihood entry -0.5 for state 2, signal 1"
 
     def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
         with pytest.raises(LikelihoodRowError) as info:
-            LikelihoodTable(agent=1, table=np.array([[0.5, 0.5], [0.5, 0.4]]))
+            tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.4]]])
         assert (info.value.agent, info.value.state, info.value.total) == (1, 1, 0.9)
         assert type(info.value.total) is float
         assert str(info.value) == "agent 2: likelihood row 2 sums to 0.9"
@@ -75,7 +79,8 @@ class TestTypes:
             WorldModel(
                 state_space=StateSpace(states=(1, 2, 3), true_state_index=0),
                 prior=Prior(nu=np.full(3, 1 / 3)),
-                likelihoods=(LikelihoodTable(agent=0, table=np.array([[0.5, 0.5], [0.5, 0.5]])),),
+                tables=np.array([[[0.5, 0.5], [0.5, 0.5]]]),
+                signal_counts=[2],
             )
 
     def test_log_tables_cached_and_shared(self, ex1_cfg):
@@ -94,7 +99,7 @@ class TestTypes:
         assert cols is w.log_columns
         with np.errstate(divide="ignore"):
             for i in range(2):
-                for s in range(w.likelihoods[i].signal_space_size):
+                for s in range(w.signal_counts[i]):
                     assert np.array_equal(cols[i, s], np.log(w.likelihood(i)[:, s]))
         assert np.all(cols[0, 2] == -np.inf)
 
