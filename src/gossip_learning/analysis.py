@@ -9,14 +9,16 @@ against the other.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph import StationaryDistribution
-from .simulator import SimulationTrace, backward_walk, float_cells, int_cells, state_cells, write_csv
+from .simulator import SimulationTrace, backward_walk
 from .world import WorldModel
 
 
@@ -218,28 +220,35 @@ def belief_difference(
     return times, np.abs(mass[:, 0] - mass[:, 1])
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a header line and then the rows with csv.writer, creating the
+    parent directory. Cells are Python values (numpy arrays go in through
+    .tolist()): a float is written as its repr, anything else as its str."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -> Path:
     """rate_report.csv: check_state,theoretical,agent,empirical,stderr."""
-    labels = state_cells(world)
-    rows = report.rows
-    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], [
-        [labels[r.check_state] for r in rows],
-        float_cells([r.theoretical for r in rows]),
-        int_cells([r.agent + 1 for r in rows]),
-        float_cells([r.empirical for r in rows]),
-        float_cells([r.stderr for r in rows]),
-    ])
+    labels = world.state_space.states
+    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], (
+        (labels[r.check_state], r.theoretical, r.agent + 1, r.empirical, r.stderr) for r in report.rows
+    ))
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
     """occupancy.csv: agent_m,empirical,stationary (stationary blank if not given)."""
     n = len(report.frequencies)
-    stationary = float_cells(report.stationary) if report.stationary is not None else [""] * n
-    return write_csv(path, ["agent_m", "empirical", "stationary"], [
-        int_cells(np.arange(1, n + 1)), float_cells(report.frequencies), stationary,
-    ])
+    stationary = report.stationary.tolist() if report.stationary is not None else [""] * n
+    return write_csv(path, ["agent_m", "empirical", "stationary"],
+                     zip(range(1, n + 1), report.frequencies.tolist(), stationary))
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:
     """belief_diff.csv: t,value."""
-    return write_csv(path, ["t", "value"], [int_cells(times), float_cells(diffs)])
+    return write_csv(path, ["t", "value"], zip(times.tolist(), diffs.tolist()))

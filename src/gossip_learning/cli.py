@@ -28,21 +28,14 @@ from .analysis import (
     occupancy,
     rate_report,
     write_belief_difference,
+    write_csv,
     write_occupancy,
     write_rate_report,
 )
 from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
-from .simulator import (
-    matrix_fingerprint,
-    read_trace,
-    run_replications,
-    state_cells,
-    world_fingerprint,
-    write_csv,
-    write_trace,
-)
+from .simulator import matrix_fingerprint, read_trace, run_replications, world_fingerprint, write_trace
 from .world import check_global_identifiability
 
 OUT_ENV_VAR = "GOSSIP_LEARNING_OUT"
@@ -262,14 +255,13 @@ def cmd_example1(args) -> int:
     trace0 = traces[0]
     world = cfg.world
 
-    # cells are made a row at a time as write_csv writes them, so no column
-    # of text is held beside the traces and nothing of them outlives the call
-    labels = state_cells(world)
-    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], [
-        (str(t) for t in trace0.snapshot_times for _ in labels),
-        (label for _ in trace0.snapshot_times for label in labels),
-        map(repr, np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1]).ravel().tolist()),
-    ])
+    # rows are made one at a time as csv.writer writes them, so no table of
+    # cells is held beside the traces
+    labels = world.state_space.states
+    probs = np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1]).tolist()
+    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], (
+        (t, label, p) for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row)
+    ))
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 
     a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)

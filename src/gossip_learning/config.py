@@ -22,8 +22,6 @@ from .graph import (
     DirectedNetwork,
     SelectionMatrix,
     custom_selection_matrix,
-    from_edge_list,
-    repeated_edges,
     uniform_selection_matrix,
 )
 from .simulator import SimulationConfig
@@ -145,8 +143,8 @@ def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
     n = _as_int(obj["n"], "network.n", minimum=1)
     raw_edges = _as_list(obj["edges"], "network.edges")
-    # the first edge that is not a pair of integers; the value checks below
-    # run on the edges before it, so the first faulty edge is the one named
+    # the first edge that is not a pair of integers; the network checks the
+    # edges before it, so the first faulty edge is the one named
     typed = len(raw_edges)
     for k, e in enumerate(raw_edges):
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
@@ -161,25 +159,12 @@ def _parse_network(raw: Any) -> DirectedNetwork:
                 typed, fault = k, exc
                 break
     try:
-        e = np.array(raw_edges[:typed], dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # beyond int64 is outside 1..n too
-        e = np.array([[min(max(x, 0), n + 1) for x in pair] for pair in raw_edges[:typed]], dtype=np.int64)
-    outside = np.any((e < 1) | (e > n), axis=1)
-    loop = e[:, 0] == e[:, 1]
-    repeated = repeated_edges(e)
-    bad = outside | loop | repeated
-    if bad.any():
-        k = int(np.argmax(bad))
-        j, i = raw_edges[k]
-        path = f"network.edges[{k}]"
-        if outside[k]:
-            raise ValidationError(f"{path}: endpoints must lie in 1..{n}, got [{j}, {i}]")
-        if loop[k]:
-            raise ValidationError(f"{path}: self-loop [{j}, {i}] not allowed")
-        raise ValidationError(f"{path}: duplicate edge [{j}, {i}]")
+        net = DirectedNetwork(n=n, edges=tuple((j - 1, i - 1) for j, i in raw_edges[:typed]))
+    except ValidationError as exc:
+        raise ValidationError(f"network.{exc}") from exc
     if typed < len(raw_edges):
         raise fault
-    return from_edge_list(n, e - 1)
+    return net
 
 
 def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, str]:

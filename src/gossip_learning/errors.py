@@ -24,14 +24,16 @@ class MultipleRecurrentClassesError(ValidationError):
 
 class SelectionSupportError(ValidationError):
     """A selection row puts mass on an agent outside the row agent's
-    in-neighborhood plus herself. ``row`` and ``agent`` are 0-based."""
+    in-neighborhood plus herself. ``row`` and ``agent`` are 0-based; the
+    message names both agents 1-based."""
 
     def __init__(self, row: int, agent: int):
         self.row = row
         self.agent = agent
+        i, j = row + 1, agent + 1
         super().__init__(
-            f"selection row {row} has support on agent {agent}, which is "
-            f"neither an in-neighbor of {row} nor {row} itself"
+            f"the selection row of agent {i} has support on agent {j}, which is "
+            f"neither an in-neighbor of {i} nor {i} itself"
         )
 
 

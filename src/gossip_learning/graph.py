@@ -35,19 +35,6 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 DIRECT_SOLVE_LIMIT = 2000
 
 
-def _edge_array(edges) -> np.ndarray:
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
-
-
-def repeated_edges(e: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (m, 2) edge array that equal an earlier row."""
-    order = np.lexsort((e[:, 1], e[:, 0]))  # stable: equal edges keep their order
-    ordered = e[order]
-    out = np.zeros(len(e), dtype=bool)
-    out[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
-    return out
-
-
 def _csr_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every stored entry of a CSR structure."""
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
@@ -78,8 +65,11 @@ def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndar
 class DirectedNetwork:
     """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
 
-    ``in_indptr`` and ``in_indices`` are the in-neighbor lists in CSR form,
-    each list ascending.
+    The edge rules are checked here, and only here: no endpoint outside
+    0..n-1, no self-loop, no edge twice. The first faulty edge is named by
+    its position and its 1-based endpoints. ``in_indptr`` and
+    ``in_indices`` are the in-neighbor lists in CSR form, each list
+    ascending.
     """
 
     n: int
@@ -88,23 +78,30 @@ class DirectedNetwork:
     in_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"agent count must be >= 1, got {self.n}")
-        e = _edge_array(self.edges)
-        outside = np.any((e < 0) | (e >= self.n), axis=1)
-        bad = outside | (e[:, 0] == e[:, 1])
+        n = self.n
+        if n < 1:
+            raise ValidationError(f"agent count must be >= 1, got {n}")
+        try:
+            e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # beyond int64 is outside 0..n-1 too
+            e = np.array([[min(max(x, -1), n) for x in pair] for pair in self.edges], dtype=np.int64)
+        outside = np.any((e < 0) | (e >= n), axis=1)
+        loop = e[:, 0] == e[:, 1]
+        order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source; stable
+        ordered = e[order]
+        repeated = np.zeros(len(e), dtype=bool)  # equal to an earlier edge
+        repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+        bad = outside | loop | repeated
         if bad.any():
             k = int(np.argmax(bad))
-            j, i = (int(x) for x in e[k])
+            j, i = (int(x) + 1 for x in self.edges[k])
             if outside[k]:
-                raise ValidationError(f"edge ({j}, {i}) has an endpoint outside 0..{self.n - 1}")
-            raise ValidationError(
-                f"self-loop ({j}, {i}) not allowed; use a selection matrix "
-                "with self-weight instead"
-            )
-        order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(e[:, 1], minlength=self.n), out=indptr[1:])
+                raise ValidationError(f"edges[{k}]: [{j}, {i}] has an endpoint outside 1..{n}")
+            if loop[k]:
+                raise ValidationError(f"edges[{k}]: self-loop [{j}, {i}] not allowed")
+            raise ValidationError(f"edges[{k}]: duplicate edge [{j}, {i}]")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(e[:, 1], minlength=n), out=indptr[1:])
         for name, arr in (("in_indptr", indptr), ("in_indices", e[order, 0])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -118,13 +115,9 @@ class DirectedNetwork:
 
 
 def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> DirectedNetwork:
-    """Build a network from (source, target) pairs, rejecting duplicates."""
-    e = _edge_array(edges)
-    repeated = repeated_edges(e)
-    if repeated.any():
-        j, i = (int(x) for x in e[np.argmax(repeated)])
-        raise ValidationError(f"duplicate edge {(j, i)}")
-    return DirectedNetwork(n=n, edges=tuple(map(tuple, e.tolist())))
+    """Build a network from (source, target) pairs, stored as a tuple of
+    pairs of Python ints."""
+    return DirectedNetwork(n=n, edges=tuple(map(tuple, np.asarray(edges).tolist())))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import io
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -338,45 +338,6 @@ def verify_walk_identity(
             f"one side is -inf and the other is not: stored {lhs!r}, telescoped {rhs!r}"
         )
     return float(abs(lhs - rhs))
-
-
-def csv_text(cell: str) -> str:
-    """A text cell as csv.writer's minimal quoting writes it."""
-    if any(c in cell for c in ',"\r\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def state_cells(world: WorldModel) -> np.ndarray:
-    """Each state's label as CSV cell text, in state order."""
-    return np.array([csv_text(str(s)) for s in world.state_space.states], dtype=object)
-
-
-def int_cells(values) -> list[str]:
-    """The decimal text of every integer in an array, from one repr."""
-    values = np.asarray(values).ravel()
-    return repr(values.tolist())[1:-1].split(", ") if values.size else []
-
-
-def float_cells(values) -> np.ndarray:
-    """repr of every float in an array (the text csv.writer writes for a
-    float), called once per distinct bit pattern."""
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).ravel().view(np.uint64), return_inverse=True)
-    return np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
-
-
-def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Iterable[str]]) -> Path:
-    """Write one header line and then the rows of equal-length columns of
-    cell text, creating the parent directory. Numbers come already
-    formatted (int_cells, float_cells, or repr of a Python number) and text
-    quoted with csv_text. Rows are joined and written one at a time, so a
-    column may be a generator. The bytes are those csv.writer writes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(map(csv_text, header)) + "\r\n")
-        fh.writelines(row + "\r\n" for row in map(",".join, zip(*columns)))
-    return path
 
 
 # the arrays of a trace file, each as a trace holds it

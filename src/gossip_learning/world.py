@@ -68,8 +68,12 @@ class Prior:
         nu = np.asarray(self.nu, dtype=float)
         if nu.ndim != 1:
             raise ValidationError("prior must be a vector")
-        if np.any(nu <= 0.0):
-            raise ValidationError("prior must be strictly positive on every state")
+        bad = ~(nu > 0.0)  # NaN is not positive either
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(
+                f"prior must be strictly positive on every state; entry {k + 1} is {float(nu[k])!r}"
+            )
         if abs(nu.sum() - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"prior sums to {nu.sum()!r}, expected 1 within {PROB_SUM_TOL}")
         nu = nu.copy()
@@ -96,7 +100,7 @@ def _check_tables(tables: np.ndarray, counts: np.ndarray, first_agent: int = 0) 
     for c in np.flatnonzero(np.bincount(counts)):
         group = np.flatnonzero(counts == c)
         sums[group] = tables[group, :, :c].sum(axis=-1)
-    bad = np.abs(sums - 1.0) > PROB_SUM_TOL
+    bad = ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)  # a row holding NaN sums to NaN
     sum_agent = int(np.argmax(bad.any(axis=1))) if bad.any() else n
     if neg_agent < n and neg_agent <= sum_agent:
         state, signal = (int(x) for x in np.argwhere(negative[neg_agent])[0])
@@ -104,6 +108,15 @@ def _check_tables(tables: np.ndarray, counts: np.ndarray, first_agent: int = 0) 
     if sum_agent < n:
         state = int(np.argmax(bad[sum_agent]))
         raise LikelihoodRowError(first_agent + sum_agent, state, float(sums[sum_agent, state]))
+
+
+def _as_table(table) -> np.ndarray | None:
+    """The table as a float array, or None where numpy cannot make one:
+    rows of different lengths, or entries that are not numbers."""
+    try:
+        return np.asarray(table, dtype=float)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -152,11 +165,11 @@ class WorldModel:
     def from_tables(cls, state_space: StateSpace, prior: Prior, tables: Sequence) -> WorldModel:
         """A world from one (num_states, signals) table per agent, padded into
         the tensor. The first faulty agent is reported, and within it a table
-        that is not 2-D first, then a negative entry, then a row sum, then a
-        row count other than one per state."""
+        that is not a 2-D array of numbers first, then a negative entry, then
+        a row sum, then a row count other than one per state."""
         k = state_space.size
-        arrays = [np.asarray(t, dtype=float) for t in tables]
-        fits = [a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
+        arrays = [_as_table(t) for t in tables]
+        fits = [a is not None and a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
         first = fits.index(False) if False in fits else len(arrays)
         counts = np.array([a.shape[1] for a in arrays[:first]], dtype=np.int64)
         padded = np.zeros((first, k, counts.max(initial=1)))
@@ -166,6 +179,8 @@ class WorldModel:
             return cls(state_space, prior, padded, counts)
         _check_tables(padded, counts)
         a = arrays[first]
+        if a is None:
+            raise ValidationError(f"agent {first + 1}: likelihood table rows must be numbers, all rows of one length")
         if a.ndim != 2 or a.shape[1] < 1:
             raise ValidationError(f"agent {first + 1}: likelihood table must be 2-D")
         _check_tables(a[None], np.array([a.shape[1]]), first_agent=first)

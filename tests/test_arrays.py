@@ -325,8 +325,15 @@ def test_a_negative_selection_entry_comes_before_an_earlier_row_sum():
     ({2: [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.3]], 3: []},
      "world.likelihoods: agent 2: likelihood row for state 3 sums to 0.8999999999999999, expected 1 within 1e-12"),
     ({3: [[]]}, "world.likelihoods: agent 3: likelihood table must be 2-D"),
+    ({2: [[0.5, 0.5], [1.0], [0.5, 0.5]]},
+     "world.likelihoods: agent 2: likelihood table rows must be numbers, all rows of one length"),
+    ({2: [[math.nan, 0.5], [0.5, 0.5], [0.5, 0.5]]},
+     "world.likelihoods: agent 2: likelihood row for state 1 sums to nan, expected 1 within 1e-12"),
+    ({2: [[0.5, 0.5], [0.5, 0.5], [0.5, math.nan]], 3: [[0.5, 0.5], [1.0], [-0.5, 1.5]]},
+     "world.likelihoods: agent 2: likelihood row for state 3 sums to nan, expected 1 within 1e-12"),
 ], ids=["negative on 2, row sum on 3", "row sum then negative in one agent", "row count and sum on 2",
-        "row count on 2, negative on 3", "three signals on 2, none on 3", "empty rows"])
+        "row count on 2, negative on 3", "three signals on 2, none on 3", "empty rows", "ragged rows on 2",
+        "NaN on 2", "NaN on 2, ragged rows on 3"])
 def test_first_likelihood_fault_is_named(tables, message):
     assert parse_error(with_tables(tables)) == message
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ class TestConfigErrors:
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
         assert ("world.likelihoods: agent 2: negative likelihood entry -0.5 for state 2, signal 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["world"].update(prior=[math.nan, 0.5, 0.5]),
+         "world.prior: prior must be strictly positive on every state; entry 1 is nan"),
+        (lambda c: c["world"]["likelihoods"][1]["table"][1].__setitem__(0, math.nan),
+         "world.likelihoods: agent 2: likelihood row for state 2 sums to nan, expected 1 within 1e-12"),
+        (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5], [1.0], [0.5, 0.5]]),
+         "world.likelihoods: agent 2: likelihood table rows must be numbers, all rows of one length"),
+        (lambda c: c["network"]["edges"].__setitem__(3, [2**70, 1]),
+         f"network.edges[3]: [{2**70}, 1] has an endpoint outside 1..8"),
+    ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64"])
+    @pytest.mark.parametrize("command", ["check", "rate"])
+    def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
+        cfg = example1.config_dict(horizon=20)
+        edit(cfg)
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f"config.json: {message}\n")
 
     @pytest.mark.parametrize("command", ["check", "run", "rate"])
     def test_labels_equal_as_text_are_rejected(self, tmp_path, capsys, command):

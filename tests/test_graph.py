@@ -1,3 +1,5 @@
+import copy
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from gossip_learning import example1
+from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
     DirectedNetwork,
     SelectionMatrix,
+    check_selection_support,
     custom_selection_matrix,
     from_edge_list,
     is_strongly_connected,
@@ -74,6 +78,60 @@ class TestDirectedNetwork:
         assert net != from_edge_list(net.n, list(net.edges[:-1]))
 
 
+# (n, 0-based edges, the message DirectedNetwork gives for them); a config
+# holding the same edges 1-based gives the message after "network."
+FAULTY_EDGES = {
+    "duplicate at 4 before a self-loop at 7": (
+        5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 1), (4, 0), (1, 3), (2, 2)],
+        "edges[4]: duplicate edge [1, 2]"),
+    "self-loop at 2 before an endpoint outside at 5 and a duplicate at 6": (
+        8, [(0, 1), (1, 0), (3, 3), (1, 2), (2, 0), (0, 8), (0, 1)],
+        "edges[2]: self-loop [4, 4] not allowed"),
+    "endpoint outside at 1 before a duplicate at 3": (
+        8, [(0, 1), (7, 8), (1, 2), (0, 1)],
+        "edges[1]: [8, 9] has an endpoint outside 1..8"),
+    "endpoint beyond int64 before a self-loop": (
+        3, [(0, 1), (2**70, 1), (2, 2)],
+        f"edges[1]: [{2**70 + 1}, 2] has an endpoint outside 1..3"),
+    "negative endpoint beyond int64": (
+        3, [(1, -(2**70))],
+        f"edges[0]: [2, {1 - 2**70}] has an endpoint outside 1..3"),
+    "duplicate with another edge between its copies": (
+        3, [(0, 1), (2, 0), (0, 1)],
+        "edges[2]: duplicate edge [1, 2]"),
+}
+
+
+class TestEdgeRules:
+    @pytest.mark.parametrize("case", FAULTY_EDGES.values(), ids=FAULTY_EDGES.keys())
+    def test_first_faulty_edge_is_named_by_the_network(self, case):
+        n, edges, message = case
+        for build in (lambda: DirectedNetwork(n, tuple(edges)), lambda: from_edge_list(n, edges)):
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", FAULTY_EDGES.values(), ids=FAULTY_EDGES.keys())
+    def test_first_faulty_edge_is_named_by_the_config(self, case):
+        n, edges, message = case
+        raw = copy.deepcopy(example1.config_dict(horizon=20))
+        raw["network"] = {"n": n, "edges": [[j + 1, i + 1] for j, i in edges]}
+        with pytest.raises(ValidationError) as info:
+            parse_config_dict(raw)
+        assert str(info.value) == "network." + message
+
+    def test_a_value_fault_before_a_type_fault_is_named_first(self):
+        raw = copy.deepcopy(example1.config_dict(horizon=20))
+        raw["network"]["edges"][2:2] = [[1, 1], [1, "2"]]
+        with pytest.raises(ValidationError) as info:
+            parse_config_dict(raw)
+        assert str(info.value) == "network.edges[2]: self-loop [1, 1] not allowed"
+
+    def test_duplicate_edge_is_rejected_by_the_constructor(self):
+        with pytest.raises(ValidationError, match=r"^edges\[1\]: duplicate edge \[1, 2\]$"):
+            DirectedNetwork(3, ((0, 1), (0, 1), (1, 2), (2, 0)))
+
+
 class TestSelectionMatrix:
     def test_uniform_rows_on_example(self):
         p = uniform_selection_matrix(ex1_net()).to_dense()
@@ -108,6 +166,15 @@ class TestSelectionMatrix:
         rows = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         with pytest.raises(ValidationError, match="neither an in-neighbor"):
             custom_selection_matrix(net, rows)
+
+    def test_support_error_names_1_based_agents(self):
+        net = from_edge_list(3, [(0, 1)])
+        P = uniform_selection_matrix(from_edge_list(3, [(2, 1)]))
+        with pytest.raises(ValidationError) as info:
+            check_selection_support(net, P)
+        assert str(info.value) == (
+            "the selection row of agent 2 has support on agent 3, which is neither an in-neighbor of 2 nor 2 itself"
+        )
 
     def test_custom_allows_self_weight(self):
         net = from_edge_list(2, [(0, 1)])
