@@ -23,10 +23,7 @@ from .belief import bayes_log_posterior
 from .config import AnalysisConfig, ExperimentConfig, load_config, parse_config_dict
 from .errors import (
     ImpossibleSignalError,
-    LikelihoodRowError,
     MultipleRecurrentClassesError,
-    NegativeLikelihoodError,
-    SelectionSupportError,
     StationarySolveError,
     ValidationError,
 )
@@ -70,16 +67,13 @@ __all__ = [
     "ExperimentConfig",
     "IdentifiabilityReport",
     "ImpossibleSignalError",
-    "LikelihoodRowError",
     "MultipleRecurrentClassesError",
-    "NegativeLikelihoodError",
     "OccupancyReport",
     "Prior",
     "RateReport",
     "RateRow",
     "RecurrentClasses",
     "SelectionMatrix",
-    "SelectionSupportError",
     "SimulationConfig",
     "SimulationTrace",
     "StateSpace",

@@ -146,6 +146,8 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: not valid JSON: {exc.msg}") from exc
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"{manifest_path}: expected an object, got {type(manifest).__name__}")
     for key in ("config", "traces", "world_fingerprint", "matrix_fingerprint", "master_seed"):
         if key not in manifest:
             raise ValidationError(f"{manifest_path}: missing key {key!r}")
@@ -157,7 +159,10 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
             f"{manifest_path}: its traces are not listed as .npz files with SHA-256 digests "
             "(the CSV trace layout of earlier versions); regenerate the traces with the run command"
         )
-    cfg = parse_config_dict(manifest["config"])
+    try:
+        cfg = parse_config_dict(manifest["config"])
+    except ValidationError as exc:
+        raise ValidationError(f"{manifest_path}: {exc}") from exc
     fingerprints = (world_fingerprint(cfg.world), matrix_fingerprint(cfg.selection))
     if fingerprints[0] != manifest["world_fingerprint"]:
         raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
@@ -174,9 +179,14 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
                 f"{manifest_path}: traces[{k}] lists replication {rep!r}, expected {expected}: "
                 f"the entries must be replications 0..{count - 1} in order, each once"
             )
-        if e["file"] in files:
-            raise ValidationError(f"{manifest_path}: traces[{k}] lists file {e['file']!r} a second time")
-        files.add(e["file"])
+        name = e["file"]
+        if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
+            raise ValidationError(
+                f"{manifest_path}: traces[{k}] lists file {name!r}, expected a bare file name in {traces_dir}"
+            )
+        if name in files:
+            raise ValidationError(f"{manifest_path}: traces[{k}] lists file {name!r} a second time")
+        files.add(name)
     if len(entries) < count:
         raise ValidationError(
             f"{manifest_path}: traces lists {len(entries)} replication(s), but its config has {count}; "

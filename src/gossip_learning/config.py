@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import LikelihoodRowError, NegativeLikelihoodError, SelectionSupportError, ValidationError
+from .errors import ValidationError
 from .graph import (
     DirectedNetwork,
     SelectionMatrix,
@@ -25,7 +25,7 @@ from .graph import (
     uniform_selection_matrix,
 )
 from .simulator import SimulationConfig
-from .world import PROB_SUM_TOL, Prior, StateSpace, WorldModel
+from .world import Prior, StateSpace, WorldModel
 
 DEFAULT_RATE_REL_TOLERANCE = 0.15
 
@@ -177,23 +177,10 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
     if kind == "explicit":
         if "rows" not in obj:
             raise ValidationError("selection: kind 'explicit' requires 'rows'")
-        rows = _as_list(obj["rows"], "selection.rows")
-        if len(rows) != net.n:
-            raise ValidationError(f"selection.rows: expected {net.n} rows, got {len(rows)}")
-        parsed = []
-        for i, row in enumerate(rows):
-            row = _as_list(row, f"selection.rows[{i}]")
-            if len(row) != net.n:
-                raise ValidationError(f"selection.rows[{i}]: expected {net.n} entries, got {len(row)}")
-            parsed.append(_as_numbers(row, f"selection.rows[{i}]"))
+        raw_rows = _as_list(obj["rows"], "selection.rows")
+        rows = [_as_numbers(row, f"selection.rows[{i}]") for i, row in enumerate(raw_rows)]
         try:
-            return custom_selection_matrix(net, parsed), "explicit"
-        except SelectionSupportError as exc:
-            i, j = exc.row + 1, exc.agent + 1
-            raise ValidationError(
-                f"selection.rows: agent {i} puts positive mass on agent {j}, which is "
-                f"neither an in-neighbor of {i} nor {i} itself"
-            ) from exc
+            return custom_selection_matrix(net, rows), "explicit"
         except ValidationError as exc:
             raise ValidationError(f"selection.rows: {exc}") from exc
     raise ValidationError(f"selection.kind: expected 'uniform' or 'explicit', got {kind!r}")
@@ -272,16 +259,6 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
 
     try:
         return WorldModel.from_tables(space, prior, [tables[agent] for agent in range(1, n + 1)])
-    except LikelihoodRowError as exc:
-        raise ValidationError(
-            f"world.likelihoods: agent {exc.agent + 1}: likelihood row for state {labels[exc.state]} "
-            f"sums to {exc.total!r}, expected 1 within {PROB_SUM_TOL}"
-        ) from exc
-    except NegativeLikelihoodError as exc:
-        raise ValidationError(
-            f"world.likelihoods: agent {exc.agent + 1}: negative likelihood entry {exc.value!r} "
-            f"for state {labels[exc.state]}, signal {exc.signal}"
-        ) from exc
     except ValidationError as exc:
         raise ValidationError(f"world.likelihoods: {exc}") from exc
 
@@ -291,7 +268,7 @@ def _parse_simulation(raw: Any) -> SimulationConfig:
     try:
         return SimulationConfig(
             horizon=_as_int(obj["horizon"], "simulation.horizon"),
-            seed=_as_int(obj["seed"], "simulation.seed", minimum=0),
+            seed=_as_int(obj["seed"], "simulation.seed"),
             replications=_as_int(obj.get("replications", 1), "simulation.replications"),
             record_beliefs_every=_as_int(obj.get("record_beliefs_every", 1), "simulation.record_beliefs_every"),
         )

@@ -21,12 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    MultipleRecurrentClassesError,
-    SelectionSupportError,
-    StationarySolveError,
-    ValidationError,
-)
+from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -61,15 +56,35 @@ def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndar
     return stored[np.searchsorted(stored, keys)] == keys
 
 
+def _is_integer_pair(pair) -> bool:
+    return (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+            and all(isinstance(x, (int, np.integer)) for x in pair))
+
+
+def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
+    """The leading edges that are pairs of integers, as an (m, 2) int64
+    array, and m. An endpoint beyond int64 is clipped to -1 or n: outside
+    0..n-1 either way."""
+    try:
+        e = np.asarray(edges)
+    except ValueError:  # pairs of different lengths
+        e = None
+    if e is not None and e.dtype.kind in "iu" and e.shape == (len(edges), 2):
+        return e.astype(np.int64, copy=False), len(edges)
+    typed = next((k for k, pair in enumerate(edges) if not _is_integer_pair(pair)), len(edges))
+    clipped = [[min(max(x, -1), n) for x in pair] for pair in edges[:typed]]
+    return np.array(clipped, dtype=np.int64).reshape(-1, 2), typed
+
+
 @dataclass(frozen=True)
 class DirectedNetwork:
     """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
 
-    The edge rules are checked here, and only here: no endpoint outside
-    0..n-1, no self-loop, no edge twice. The first faulty edge is named by
-    its position and its 1-based endpoints. ``in_indptr`` and
-    ``in_indices`` are the in-neighbor lists in CSR form, each list
-    ascending.
+    The edge rules are checked here, and only here: each edge a pair of
+    integers, no endpoint outside 0..n-1, no self-loop, no edge twice. The
+    first faulty edge is named by its position and its 1-based endpoints.
+    ``in_indptr`` and ``in_indices`` are the in-neighbor lists in CSR form,
+    each list ascending.
     """
 
     n: int
@@ -81,10 +96,7 @@ class DirectedNetwork:
         n = self.n
         if n < 1:
             raise ValidationError(f"agent count must be >= 1, got {n}")
-        try:
-            e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # beyond int64 is outside 0..n-1 too
-            e = np.array([[min(max(x, -1), n) for x in pair] for pair in self.edges], dtype=np.int64)
+        e, typed = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
         order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source; stable
@@ -100,6 +112,8 @@ class DirectedNetwork:
             if loop[k]:
                 raise ValidationError(f"edges[{k}]: self-loop [{j}, {i}] not allowed")
             raise ValidationError(f"edges[{k}]: duplicate edge [{j}, {i}]")
+        if typed < len(self.edges):
+            raise ValidationError(f"edges[{typed}]: expected a pair of integers, got {self.edges[typed]!r}")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e[:, 1], minlength=n), out=indptr[1:])
         for name, arr in (("in_indptr", indptr), ("in_indices", e[order, 0])):
@@ -185,11 +199,11 @@ class SelectionMatrix:
 
     @classmethod
     def from_dense(cls, probs) -> SelectionMatrix:
-        """The CSR form of a square matrix of row probabilities. Every nonzero
-        entry is stored, so a negative or non-finite one is reported."""
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValidationError(f"selection matrix must be square, got shape {p.shape}")
+        """The CSR form of a square matrix of row probabilities: n rows, each
+        n numbers. The first row of another length is named by its 1-based
+        agent. Every nonzero entry is stored, so a negative or non-finite
+        one is reported."""
+        p = _square_rows(probs)
         n = len(p)
         rows, cols = np.nonzero(p)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -212,6 +226,29 @@ class SelectionMatrix:
         return np.bincount(self.indices, weights=x[self.rows] * self.probs, minlength=self.n)
 
 
+def _float_array(x) -> np.ndarray | None:
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # rows of different lengths, or entries that are not numbers
+        return None
+
+
+def _square_rows(rows) -> np.ndarray:
+    """rows as an n x n float array, n the number of rows."""
+    p = _float_array(rows)
+    if p is not None and p.ndim == 2 and p.shape[0] == p.shape[1]:
+        return p
+    if p is None or p.ndim >= 2:
+        n = len(rows)
+        for i, row in enumerate(rows):
+            r = _float_array(row)
+            if r is None or r.ndim != 1:
+                raise ValidationError(f"the row of agent {i + 1} is not a list of numbers")
+            if len(r) != n:
+                raise ValidationError(f"the row of agent {i + 1} must hold {n} numbers, one per agent, got {len(r)}")
+    raise ValidationError("selection matrix must be a list of rows, each a list of numbers")
+
+
 def uniform_selection_matrix(net: DirectedNetwork) -> SelectionMatrix:
     """Equal weight on each in-neighbor; agents with no neighbors self-select."""
     degree = np.diff(net.in_indptr)
@@ -230,15 +267,18 @@ def check_selection_support(net: DirectedNetwork, P: SelectionMatrix) -> None:
     outside = (P.rows != P.indices) & ~csr_contains(net.in_indptr, net.in_indices, P.rows, P.indices)
     if outside.any():
         k = int(np.argmax(outside))
-        raise SelectionSupportError(int(P.rows[k]), int(P.indices[k]))
+        i, j = int(P.rows[k]) + 1, int(P.indices[k]) + 1
+        raise ValidationError(
+            f"agent {i} puts positive mass on agent {j}, which is neither an in-neighbor of {i} nor {i} itself"
+        )
 
 
 def custom_selection_matrix(net: DirectedNetwork, rows: Sequence[Sequence[float]]) -> SelectionMatrix:
-    """Validate explicit selection rows against the network's neighborhoods."""
-    p = np.asarray(rows, dtype=float)
-    if p.shape != (net.n, net.n):
-        raise ValidationError(f"selection matrix must be {net.n}x{net.n}, got {p.shape}")
-    mat = SelectionMatrix.from_dense(p)
+    """Validate explicit selection rows, one per agent, against the network's
+    neighborhoods."""
+    if len(rows) != net.n:
+        raise ValidationError(f"expected {net.n} rows, one per agent, got {len(rows)}")
+    mat = SelectionMatrix.from_dense(rows)
     check_selection_support(net, mat)
     return mat
 

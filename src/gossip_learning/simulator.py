@@ -60,7 +60,7 @@ class SimulationConfig:
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError("seed must fit in 64 unsigned bits")
+            raise ValidationError(f"seed must fit in 64 unsigned bits (0 <= seed < 2**64), got {self.seed}")
         if self.record_beliefs_every < 1:
             raise ValidationError("record_beliefs_every must be >= 1")
         if self.replications < 1:

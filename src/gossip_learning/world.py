@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .errors import LikelihoodRowError, NegativeLikelihoodError, ValidationError
+from .errors import ValidationError
 
 PROB_SUM_TOL = 1e-12
 
@@ -87,12 +87,15 @@ class Prior:
         return out
 
 
-def _check_tables(tables: np.ndarray, counts: np.ndarray, first_agent: int = 0) -> None:
+def _check_tables(tables: np.ndarray, counts: np.ndarray, labels: Sequence, first_agent: int = 0) -> None:
     """Raise for the first agent (numbered from first_agent) whose table has a
     negative entry or a row that does not sum to 1; within one agent a
-    negative entry is reported before a row sum. Each row is summed over its
-    agent's own signals as one contiguous row, so the sum has the bits numpy
-    gives that agent's table alone."""
+    negative entry is reported before a row sum. Only the rows that stand
+    for the states ``labels`` names are read, and a state is named by its
+    label. Each row is summed over its agent's own signals as one
+    contiguous row, so the sum has the bits numpy gives that agent's table
+    alone."""
+    tables = tables[:, : len(labels)]
     negative = tables < 0.0
     n = len(tables)
     neg_agent = int(np.argmax(negative.any(axis=(1, 2)))) if negative.any() else n
@@ -104,10 +107,16 @@ def _check_tables(tables: np.ndarray, counts: np.ndarray, first_agent: int = 0) 
     sum_agent = int(np.argmax(bad.any(axis=1))) if bad.any() else n
     if neg_agent < n and neg_agent <= sum_agent:
         state, signal = (int(x) for x in np.argwhere(negative[neg_agent])[0])
-        raise NegativeLikelihoodError(first_agent + neg_agent, state, signal, float(tables[neg_agent, state, signal]))
+        raise ValidationError(
+            f"agent {first_agent + neg_agent + 1}: negative likelihood entry "
+            f"{float(tables[neg_agent, state, signal])!r} for state {labels[state]}, signal {signal}"
+        )
     if sum_agent < n:
         state = int(np.argmax(bad[sum_agent]))
-        raise LikelihoodRowError(first_agent + sum_agent, state, float(sums[sum_agent, state]))
+        raise ValidationError(
+            f"agent {first_agent + sum_agent + 1}: likelihood row for state {labels[state]} sums to "
+            f"{float(sums[sum_agent, state])!r}, expected 1 within {PROB_SUM_TOL}"
+        )
 
 
 def _as_table(table) -> np.ndarray | None:
@@ -151,7 +160,7 @@ class WorldModel:
             raise ValidationError(
                 f"agent {i + 1}: the tensor must hold {counts[i]} signals, zero-padded beyond them"
             )
-        _check_tables(t, counts)
+        _check_tables(t, counts, self.state_space.states)
         k = self.state_space.size
         if len(self.prior.nu) != k:
             raise ValidationError(f"prior length {len(self.prior.nu)} != {k} states")
@@ -166,7 +175,8 @@ class WorldModel:
         """A world from one (num_states, signals) table per agent, padded into
         the tensor. The first faulty agent is reported, and within it a table
         that is not a 2-D array of numbers first, then a negative entry, then
-        a row sum, then a row count other than one per state."""
+        a row sum, then a row count other than one per state. Entries are
+        read only in the rows that stand for states."""
         k = state_space.size
         arrays = [_as_table(t) for t in tables]
         fits = [a is not None and a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
@@ -177,13 +187,13 @@ class WorldModel:
             padded[i, :, : a.shape[1]] = a
         if first == len(arrays):
             return cls(state_space, prior, padded, counts)
-        _check_tables(padded, counts)
+        _check_tables(padded, counts, state_space.states)
         a = arrays[first]
         if a is None:
             raise ValidationError(f"agent {first + 1}: likelihood table rows must be numbers, all rows of one length")
         if a.ndim != 2 or a.shape[1] < 1:
             raise ValidationError(f"agent {first + 1}: likelihood table must be 2-D")
-        _check_tables(a[None], np.array([a.shape[1]]), first_agent=first)
+        _check_tables(a[None], np.array([a.shape[1]]), state_space.states, first_agent=first)
         raise ValidationError(f"agent {first + 1}: table has {a.shape[0]} rows but there are {k} states")
 
     @property

@@ -1,8 +1,9 @@
 """The array model against dense, per-agent references: a selection chain in
 CSR form, one likelihood tensor, and draws, divergences and rates computed
 for every agent at once must give the bits a per-agent loop over dense rows
-gives. Also the first error a config with several faults reports, and a
-bound on the memory a 10 000-agent run takes."""
+gives. Also the first error a config with several faults reports, that a
+config error is the field path followed by the model type's own message,
+and a bound on the memory a 10 000-agent run takes."""
 
 import copy
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gossip_learning
 from gossip_learning import example1
 from gossip_learning.analysis import theoretical_rate
 from gossip_learning.config import parse_config_dict
@@ -336,6 +338,57 @@ def test_a_negative_selection_entry_comes_before_an_earlier_row_sum():
         "NaN on 2", "NaN on 2, ragged rows on 3"])
 def test_first_likelihood_fault_is_named(tables, message):
     assert parse_error(with_tables(tables)) == message
+
+
+# ---- one wording per rule ----------------------------------------------------
+# (field path, faulty explicit selection rows or {agent: likelihood table});
+# the model type words each fault, and the config loader only puts the path
+# in front of its message.
+
+EX1_ROWS = example1.config().selection.to_dense().tolist()
+
+
+def rows_with(agent, row):
+    rows = copy.deepcopy(EX1_ROWS)
+    rows[agent - 1] = row
+    return rows
+
+
+SAME_FAULT = {
+    "selection support": ("selection.rows", rows_with(2, [0.25, 0.0, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0])),
+    "negative selection entry": ("selection.rows", rows_with(2, [-0.5, 1.5] + [0.0] * 6)),
+    "selection row sum": ("selection.rows", rows_with(2, [0.5, 0.4] + [0.0] * 6)),
+    "short selection row": ("selection.rows", rows_with(3, [0.5, 0.5])),
+    "ragged selection rows": ("selection.rows", rows_with(2, [1.0] + [0.0] * 8)),
+    "every selection row short": ("selection.rows", [row[:7] for row in EX1_ROWS]),
+    "missing selection row": ("selection.rows", EX1_ROWS[:7]),
+    "negative likelihood entry": ("world.likelihoods", {2: [[0.5, 0.5], [1.5, -0.5], [0.5, 0.5]]}),
+    "likelihood row sum": ("world.likelihoods", {2: [[0.5, 0.5], [0.5, 0.5], [0.5, 0.4]]}),
+    "extra likelihood row summing to 0.9": ("world.likelihoods", {2: [[0.5, 0.5]] * 3 + [[0.5, 0.4]]}),
+    "extra likelihood row with a negative entry": ("world.likelihoods", {2: [[0.5, 0.5]] * 3 + [[1.5, -0.5]]}),
+}
+
+
+@pytest.mark.parametrize("path, values", SAME_FAULT.values(), ids=SAME_FAULT.keys())
+def test_config_message_is_the_field_path_then_the_model_message(path, values):
+    cfg = example1.config()
+    with pytest.raises(ValidationError) as info:
+        if path == "selection.rows":
+            custom_selection_matrix(cfg.network, values)
+        else:
+            tables = [values.get(i + 1, cfg.world.likelihood(i).tolist()) for i in range(cfg.world.n_agents)]
+            WorldModel.from_tables(cfg.world.state_space, cfg.world.prior, tables)
+    if path == "selection.rows":
+        raw = copy.deepcopy(BASE)
+        raw["selection"] = {"kind": "explicit", "rows": values}
+    else:
+        raw = with_tables(values)
+    assert parse_error(raw) == f"{path}: {info.value}"
+
+
+def test_every_exported_name_resolves():
+    for name in gossip_learning.__all__:
+        assert hasattr(gossip_learning, name), name
 
 
 # ---- memory ---------------------------------------------------------------------

@@ -173,7 +173,12 @@ class TestConfigErrors:
          "world.likelihoods: agent 2: likelihood table rows must be numbers, all rows of one length"),
         (lambda c: c["network"]["edges"].__setitem__(3, [2**70, 1]),
          f"network.edges[3]: [{2**70}, 1] has an endpoint outside 1..8"),
-    ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64"])
+        (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5]] * 3 + [[0.5, 0.4]]),
+         "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
+        (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5]] * 3 + [[1.5, -0.5]]),
+         "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
+    ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64",
+            "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
         cfg = example1.config_dict(horizon=20)
@@ -183,6 +188,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert err.endswith(f"config.json: {message}\n")
+
+    def test_several_recurrent_classes_are_named_1_based(self, tmp_path, capsys):
+        cfg = example1.config_dict(horizon=20)
+        cfg["network"] = {"n": 4, "edges": [[1, 2], [2, 1], [3, 4], [4, 3]]}
+        cfg["world"]["likelihoods"] = cfg["world"]["likelihoods"][:4]
+        del cfg["analysis"]
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", path]) == 1
+        out = capsys.readouterr().out
+        assert "recurrent class: [1, 2]" in out and "recurrent class: [3, 4]" in out
+        assert main(["rate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: stationary distribution is not unique: 2 recurrent classes: {1, 2}, {3, 4}\n"
+        )
 
     @pytest.mark.parametrize("command", ["check", "run", "rate"])
     def test_labels_equal_as_text_are_rejected(self, tmp_path, capsys, command):

@@ -127,6 +127,17 @@ class TestEdgeRules:
             parse_config_dict(raw)
         assert str(info.value) == "network.edges[2]: self-loop [1, 1] not allowed"
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1, 2), (1, 2, 0)), "edges[0]: expected a pair of integers, got (0, 1, 2)"),
+        (((0.7, 1.9),), "edges[0]: expected a pair of integers, got (0.7, 1.9)"),
+        (((0, 1), (1,)), "edges[1]: expected a pair of integers, got (1,)"),
+        (((0, 0), (0, 1, 2)), "edges[0]: self-loop [1, 1] not allowed"),
+    ], ids=["triples", "floats", "a single", "a self-loop before a triple"])
+    def test_an_edge_that_is_not_an_integer_pair_is_named(self, edges, message):
+        with pytest.raises(ValidationError) as info:
+            DirectedNetwork(3, edges)
+        assert str(info.value) == message
+
     def test_duplicate_edge_is_rejected_by_the_constructor(self):
         with pytest.raises(ValidationError, match=r"^edges\[1\]: duplicate edge \[1, 2\]$"):
             DirectedNetwork(3, ((0, 1), (0, 1), (1, 2), (2, 0)))
@@ -173,7 +184,7 @@ class TestSelectionMatrix:
         with pytest.raises(ValidationError) as info:
             check_selection_support(net, P)
         assert str(info.value) == (
-            "the selection row of agent 2 has support on agent 3, which is neither an in-neighbor of 2 nor 2 itself"
+            "agent 2 puts positive mass on agent 3, which is neither an in-neighbor of 2 nor 2 itself"
         )
 
     def test_custom_allows_self_weight(self):

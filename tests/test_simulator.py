@@ -213,7 +213,7 @@ class TestValidationAndFingerprints:
     def test_selection_support_cross_checked_against_network(self, ex1_cfg):
         other_net = from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)])
         P = uniform_selection_matrix(other_net)
-        with pytest.raises(ValidationError, match="support"):
+        with pytest.raises(ValidationError, match="neither an in-neighbor"):
             run(ex1_cfg.network, P, ex1_cfg.world, SimulationConfig(horizon=5, seed=0))
 
     def test_single_agent_network_runs(self):

@@ -222,6 +222,12 @@ MANIFEST_CASES = {
                                       ["traces[1] lists file 'rep000.npz' a second time"]),
     "entry past the config's replications": (lambda e: e + [{**e[1], "replication": 2}],
                                              ["traces[2] lists replication 2, expected no entry past replication 1"]),
+    "file not a string": (lambda e: [e[0], {**e[1], "file": 5}],
+                          ["traces[1] lists file 5, expected a bare file name in "]),
+    "file in the parent directory": (lambda e: [{**e[0], "file": "../rep000.npz"}, e[1]],
+                                     ["traces[0] lists file '../rep000.npz', expected a bare file name in "]),
+    "absolute file path": (lambda e: [{**e[0], "file": "/rep000.npz"}, e[1]],
+                           ["traces[0] lists file '/rep000.npz', expected a bare file name in "]),
 }
 
 
@@ -289,6 +295,23 @@ def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "regenerate the traces with the run command" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"config": 3}', "manifest.json: config: expected an object, got int"),
+    ("5", "manifest.json: expected an object, got int"),
+], ids=["config not an object", "manifest not an object"])
+def test_manifest_faults_are_named_after_the_manifest(text, message, trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    manifest = json.loads(text)
+    if isinstance(manifest, dict):
+        manifest = {**json.loads((traces / "manifest.json").read_text()), **manifest}
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(f"{traces / message}\n")
 
 
 def test_unedited_traces_read_back(trace_dir, tmp_path):
