@@ -33,7 +33,6 @@ from .graph import (
     SelectionMatrix,
     StationaryDistribution,
     custom_selection_matrix,
-    from_edge_list,
     is_strongly_connected,
     recurrent_classes,
     stationary_distribution,
@@ -55,7 +54,6 @@ from .world import (
     StateSpace,
     WorldModel,
     check_global_identifiability,
-    distinguishable,
     kl_divergence,
 )
 
@@ -86,9 +84,7 @@ __all__ = [
     "belief_difference",
     "check_global_identifiability",
     "custom_selection_matrix",
-    "distinguishable",
     "empirical_rate",
-    "from_edge_list",
     "is_strongly_connected",
     "kl_divergence",
     "load_config",

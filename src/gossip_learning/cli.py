@@ -109,17 +109,17 @@ def _write_run_outputs(cfg: ExperimentConfig, out: Path, say, extra_files: dict 
     traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for tr in traces:
-        path = out / f"rep{tr.replication:03d}.npz"
-        entries.append({"replication": tr.replication, "file": path.name, "sha256": write_trace(tr, path)})
+    for r, tr in enumerate(traces):
+        path = out / f"rep{r:03d}.npz"
+        entries.append({"replication": r, "file": path.name, "sha256": write_trace(tr, path)})
         say(f"wrote {path}")
     manifest = {
         "config": cfg.canonical_dict(),
         "master_seed": cfg.simulation.seed,
         "replications": cfg.simulation.replications,
         "seed_derivation": "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)",
-        "world_fingerprint": traces[0].world_fingerprint,
-        "matrix_fingerprint": traces[0].matrix_fingerprint,
+        "world_fingerprint": world_fingerprint(cfg.world),
+        "matrix_fingerprint": matrix_fingerprint(cfg.selection),
         "traces": entries,
     }
     if extra_files:
@@ -163,10 +163,9 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
         cfg = parse_config_dict(manifest["config"])
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    fingerprints = (world_fingerprint(cfg.world), matrix_fingerprint(cfg.selection))
-    if fingerprints[0] != manifest["world_fingerprint"]:
+    if world_fingerprint(cfg.world) != manifest["world_fingerprint"]:
         raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
-    if fingerprints[1] != manifest["matrix_fingerprint"]:
+    if matrix_fingerprint(cfg.selection) != manifest["matrix_fingerprint"]:
         raise ValidationError(f"{manifest_path}: selection-matrix fingerprint does not match its config")
     # one entry per replication of the config, in order, each file once
     count = cfg.simulation.replications
@@ -193,8 +192,7 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
             f"replication {len(entries)} has no entry"
         )
     traces = [
-        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation,
-                   e["replication"], fingerprints=fingerprints)
+        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation)
         for e in entries
     ]
     return cfg, traces

@@ -141,7 +141,7 @@ class ExperimentConfig:
 
 def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
-    n = _as_int(obj["n"], "network.n", minimum=1)
+    n = _as_int(obj["n"], "network.n")
     raw_edges = _as_list(obj["edges"], "network.edges")
     # the first edge that is not a pair of integers; the network checks the
     # edges before it, so the first faulty edge is the one named

@@ -17,6 +17,7 @@ for a recurrent class small enough for the direct solve, or on request
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndar
 
 def _is_integer_pair(pair) -> bool:
     return (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-            and all(isinstance(x, (int, np.integer)) for x in pair))
+            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair))
 
 
 def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
@@ -69,7 +70,10 @@ def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
         e = np.asarray(edges)
     except ValueError:  # pairs of different lengths
         e = None
-    if e is not None and e.dtype.kind in "iu" and e.shape == (len(edges), 2):
+    # numpy reads a bool among integers as an integer, so a sequence's
+    # endpoints are looked at for bools before its array is taken
+    if (e is not None and e.dtype.kind in "iu" and e.shape == (len(edges), 2)
+            and (isinstance(edges, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(edges))))):
         return e.astype(np.int64, copy=False), len(edges)
     typed = next((k for k, pair in enumerate(edges) if not _is_integer_pair(pair)), len(edges))
     clipped = [[min(max(x, -1), n) for x in pair] for pair in edges[:typed]]
@@ -81,10 +85,12 @@ class DirectedNetwork:
     """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
 
     The edge rules are checked here, and only here: each edge a pair of
-    integers, no endpoint outside 0..n-1, no self-loop, no edge twice. The
-    first faulty edge is named by its position and its 1-based endpoints.
-    ``in_indptr`` and ``in_indices`` are the in-neighbor lists in CSR form,
-    each list ascending.
+    integers (not bools), no endpoint outside 0..n-1, no self-loop, no edge
+    twice. The first faulty edge is named by its position and its 1-based
+    endpoints. ``edges`` is stored as a tuple of pairs of Python ints, in the
+    order given, whatever sequence or array it was passed as. ``in_indptr``
+    and ``in_indices`` are the in-neighbor lists in CSR form, each list
+    ascending.
     """
 
     n: int
@@ -95,7 +101,7 @@ class DirectedNetwork:
     def __post_init__(self):
         n = self.n
         if n < 1:
-            raise ValidationError(f"agent count must be >= 1, got {n}")
+            raise ValidationError(f"n: agent count must be >= 1, got {n}")
         e, typed = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
@@ -116,6 +122,7 @@ class DirectedNetwork:
             raise ValidationError(f"edges[{typed}]: expected a pair of integers, got {self.edges[typed]!r}")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e[:, 1], minlength=n), out=indptr[1:])
+        object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
         for name, arr in (("in_indptr", indptr), ("in_indices", e[order, 0])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -126,12 +133,6 @@ class DirectedNetwork:
 
     def degree(self, i: int) -> int:
         return int(self.in_indptr[i + 1] - self.in_indptr[i])
-
-
-def from_edge_list(n: int, edges: Sequence[tuple[int, int]]) -> DirectedNetwork:
-    """Build a network from (source, target) pairs, stored as a tuple of
-    pairs of Python ints."""
-    return DirectedNetwork(n=n, edges=tuple(map(tuple, np.asarray(edges).tolist())))
 
 
 @dataclass(frozen=True)
@@ -349,21 +350,16 @@ class RecurrentClasses:
     """Closed communicating classes of a selection chain.
 
     ``classes`` are the recurrent classes, each ascending, ordered by their
-    smallest member. ``reachable_from[i]`` lists the indices (into
-    ``classes``) of the recurrent classes the chain can reach from node i.
+    smallest member. ``transient`` lists, ascending, the nodes in no
+    recurrent class.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    reachable_from: tuple[tuple[int, ...], ...]
-
-    @property
-    def transient(self) -> tuple[int, ...]:
-        rec = {m for c in self.classes for m in c}
-        return tuple(i for i in range(len(self.reachable_from)) if i not in rec)
+    transient: tuple[int, ...]
 
 
 def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
-    """Partition the chain's states into recurrent classes and map reachability.
+    """Partition the chain's states into recurrent classes and transient states.
 
     Works on the support graph of P (edge i -> j iff p_ij > 0). A class is
     recurrent iff it is closed: no positive-probability transition leaves it.
@@ -375,22 +371,11 @@ def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
     cross = src != dst
     closed = np.ones(len(sccs), dtype=bool)
     closed[src[cross]] = False
-
-    # Reverse topological emission order lets reachability fold left to right.
-    targets: list[set[int]] = [set() for _ in sccs]
-    for a, b in zip(src[cross].tolist(), dst[cross].tolist()):
-        targets[a].add(b)
-    reach: list[set[int]] = []
-    for k in range(len(sccs)):
-        reach.append({k} if closed[k] else set())
-        for b in targets[k]:
-            reach[k] |= reach[b]
-
     order = sorted(np.flatnonzero(closed).tolist(), key=lambda k: sccs[k][0])
-    renumber = {k: pos for pos, k in enumerate(order)}
-    classes = tuple(tuple(sccs[k]) for k in order)
-    per_scc = [tuple(sorted(renumber[c] for c in r)) for r in reach]
-    return RecurrentClasses(classes=classes, reachable_from=tuple(per_scc[k] for k in scc_id.tolist()))
+    return RecurrentClasses(
+        classes=tuple(tuple(sccs[k]) for k in order),
+        transient=tuple(np.flatnonzero(~closed[scc_id]).tolist()),
+    )
 
 
 @dataclass(frozen=True)
@@ -439,8 +424,10 @@ def _power_stationary(P: SelectionMatrix, members: np.ndarray, tol: float = 1e-1
     return x[members]
 
 
-def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> StationaryDistribution:
-    """Solve pi P = pi for a chain with a single recurrent class.
+def stationary_distribution(P: SelectionMatrix) -> StationaryDistribution:
+    """Solve pi P = pi for a chain with a single recurrent class: a dense
+    linear solve for a class of at most DIRECT_SOLVE_LIMIT nodes, power
+    iteration over the CSR chain for a larger one.
 
     Raises MultipleRecurrentClassesError when the fixed vector is not unique.
     The result is re-checked against the defining equation independently of
@@ -452,9 +439,7 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
     members = np.array(structure.classes[0], dtype=np.int64)
     m = len(members)
 
-    if method == "auto":
-        method = "direct" if m <= DIRECT_SOLVE_LIMIT else "power"
-    if method == "direct":
+    if m <= DIRECT_SOLVE_LIMIT:
         # the class is closed, so its rows' entries all fall inside it
         local = np.full(P.n, -1)
         local[members] = np.arange(m)
@@ -462,10 +447,8 @@ def stationary_distribution(P: SelectionMatrix, method: str = "auto") -> Station
         sub = np.zeros((m, m))
         sub[local[P.rows[inside]], local[P.indices[inside]]] = P.probs[inside]
         x = _direct_stationary(sub)
-    elif method == "power":
-        x = _power_stationary(P, members)
     else:
-        raise ValidationError(f"unknown stationary solver {method!r}")
+        x = _power_stationary(P, members)
 
     x = np.clip(x, 0.0, None)
     x /= x.sum()

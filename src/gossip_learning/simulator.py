@@ -15,12 +15,15 @@ running sum of the row's entries at a uniform, by one binary search that
 halves every row's range at each step. The rounds then run as one array
 update per round over every agent of every replication at once: gather the
 chosen neighbors' previous beliefs from an (R, n, k) array, add the agents'
-log-likelihood columns for their signals, normalize. A trace stores its
-belief snapshots as one read-only (m, n, k) array aligned with its m
-snapshot times.
+log-likelihood columns for their signals, normalize.
 
-A trace is stored as one .npz file holding its four arrays as np.savez
-writes them: the log beliefs themselves, so a read gives back every bit,
+A trace holds what its file stores and nothing else: the signals, the
+selections, the snapshot times, and the belief snapshots as one read-only
+(m, n, k) array aligned with the m snapshot times. What belongs to the run
+rather than to one replication (its seed, the fingerprints of its world and
+selection matrix) lives in the run's manifest. A trace is stored as one
+.npz file holding those four arrays as np.savez writes them: the log
+beliefs themselves, so a read gives back every bit,
 -inf and subnormals included. Zip entries carry a fixed 1980 timestamp, so
 the same trace always gives the same bytes. A read checks the file's
 SHA-256 before it loads it, never unpickles, and checks every array against
@@ -74,45 +77,39 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Everything needed to replay a run: draws, choices, belief snapshots."""
+    """One replication's backward random walk and the beliefs built along
+    it: exactly the four arrays a trace file stores. The agent count and the
+    horizon are read from the arrays' shapes."""
 
-    n: int
-    horizon: int
-    replication: int
-    master_seed: int
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
     snapshot_times: tuple[int, ...]  # ascending
     log_beliefs: np.ndarray  # (len(snapshot_times), n, num_states); row m is time snapshot_times[m]
-    world_fingerprint: str
-    matrix_fingerprint: str
 
     def __post_init__(self):
+        if self.signals.ndim != 2 or self.selections.shape != (self.horizon, self.n):
+            raise ValidationError(
+                f"selections has shape {self.selections.shape} and signals {self.signals.shape}, "
+                "expected (horizon, n) and (horizon + 1, n)"
+            )
         if self.log_beliefs.shape[:2] != (len(self.snapshot_times), self.n):
             raise ValidationError(
                 f"log_beliefs has shape {self.log_beliefs.shape}, expected "
                 f"({len(self.snapshot_times)}, {self.n}, num_states)"
             )
 
-    def selection(self, t: int, i: int) -> int:
-        """The neighbor agent i consulted in round t (1 <= t <= horizon)."""
-        if not (1 <= t <= self.horizon):
-            raise ValidationError(f"round {t} outside 1..{self.horizon}")
-        return int(self.selections[t - 1, i])
+    @property
+    def n(self) -> int:
+        return self.signals.shape[1]
 
-    def _slot(self, t: int) -> int | None:
-        m = bisect.bisect_left(self.snapshot_times, t)
-        if m < len(self.snapshot_times) and self.snapshot_times[m] == t:
-            return m
-        return None
-
-    def has_snapshot(self, t: int) -> bool:
-        return self._slot(t) is not None
+    @property
+    def horizon(self) -> int:
+        return self.signals.shape[0] - 1
 
     def log_belief_at(self, t: int) -> np.ndarray:
         """The (n, num_states) log beliefs at snapshot time t."""
-        m = self._slot(t)
-        if m is None:
+        m = bisect.bisect_left(self.snapshot_times, t)
+        if m == len(self.snapshot_times) or self.snapshot_times[m] != t:
             raise ValidationError(
                 f"no belief snapshot at t={t}; recorded times follow the "
                 "record_beliefs_every stride (plus the final round)"
@@ -243,22 +240,7 @@ def _simulate(
 
     for arr in (signals, selections, snapshots):
         arr.flags.writeable = False
-    wfp, mfp = world_fingerprint(world), matrix_fingerprint(P)
-    return [
-        SimulationTrace(
-            n=n,
-            horizon=T,
-            replication=r,
-            master_seed=cfg.seed,
-            signals=signals[b],
-            selections=selections[b],
-            snapshot_times=times,
-            log_beliefs=snapshots[b],
-            world_fingerprint=wfp,
-            matrix_fingerprint=mfp,
-        )
-        for b, r in enumerate(replications)
-    ]
+    return [SimulationTrace(signals[b], selections[b], times, snapshots[b]) for b in range(R)]
 
 
 def run(
@@ -363,14 +345,9 @@ def read_trace(
     P: SelectionMatrix,
     world: WorldModel,
     cfg: SimulationConfig,
-    replication: int = 0,
-    *,
-    fingerprints: tuple[str, str],
 ) -> SimulationTrace:
     """Load a trace that write_trace wrote for this selection matrix, world
-    and run config. fingerprints are world_fingerprint(world) and
-    matrix_fingerprint(P), which the trace carries; the caller computes them
-    once for all of a run's traces.
+    and run config.
 
     The file's bytes must have the given SHA-256, and it must hold exactly
     the four trace arrays, with no pickled objects. Each array must have
@@ -454,18 +431,6 @@ def read_trace(
 
     for arr in arrays.values():
         arr.flags.writeable = False
-    wfp, mfp = fingerprints
-    return SimulationTrace(
-        n=n,
-        horizon=T,
-        replication=replication,
-        master_seed=cfg.seed,
-        signals=signals,
-        selections=selections,
-        snapshot_times=times,
-        log_beliefs=arrays["log_beliefs"],
-        world_fingerprint=wfp,
-        matrix_fingerprint=mfp,
-    )
+    return SimulationTrace(signals, selections, times, arrays["log_beliefs"])
 
 

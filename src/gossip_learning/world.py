@@ -51,12 +51,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.states)
 
-    def index_of(self, label: Hashable) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise ValidationError(f"unknown state label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class Prior:
@@ -269,12 +263,6 @@ def kl_divergence(p, q):
     return float(out) if out.ndim == 0 else out
 
 
-def distinguishable(world: WorldModel, agent: int, a: int, b: int) -> bool:
-    """Whether the agent's signal distributions under states a and b differ."""
-    table = world.likelihood(agent)
-    return kl_divergence(table[a], table[b]) > DISTINGUISH_TOL
-
-
 @dataclass(frozen=True)
 class IdentifiabilityReport:
     """Which agents in a node set separate each false state from the truth."""
@@ -283,12 +271,6 @@ class IdentifiabilityReport:
     agents_checked: tuple[int, ...]
     witnesses: tuple[tuple[int, tuple[int, ...]], ...]  # (false state, witnesses)
     identifiable: bool
-
-    def witnesses_for(self, check_state: int) -> tuple[int, ...]:
-        for state, agents in self.witnesses:
-            if state == check_state:
-                return agents
-        raise ValidationError(f"state index {check_state} is not a false state in this report")
 
 
 def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> IdentifiabilityReport:

@@ -9,7 +9,7 @@ import pytest
 
 from gossip_learning import example1
 from gossip_learning.cli import main
-from gossip_learning.graph import from_edge_list, uniform_selection_matrix
+from gossip_learning.graph import DirectedNetwork, uniform_selection_matrix
 from gossip_learning.simulator import (
     SimulationConfig,
     backward_walk,
@@ -103,7 +103,7 @@ def test_identifiability_verdict_and_flip(tmp_path, capsys):
 
 def test_uninformative_agent_is_an_exact_fixed_point():
     w = tiny_world([[[0.25, 0.75]] * 3], prior=[0.5, 0.2, 0.3])
-    net = from_edge_list(1, [])
+    net = DirectedNetwork(1, [])
     tr = run(net, uniform_selection_matrix(net), w, SimulationConfig(horizon=500, seed=8))
     first = tr.log_beliefs[0]
     for t in tr.snapshot_times:

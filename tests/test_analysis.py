@@ -16,8 +16,8 @@ from gossip_learning.analysis import (
 )
 from gossip_learning.errors import ValidationError
 from gossip_learning.graph import (
+    DirectedNetwork,
     StationaryDistribution,
-    from_edge_list,
     stationary_distribution,
     uniform_selection_matrix,
 )
@@ -39,16 +39,10 @@ def synthetic_trace(rate: float, horizon: int = 100) -> SimulationTrace:
         norm = np.log1p(np.exp(-rate * t))
         logb[t, 0] = (-norm, -rate * t - norm)
     return SimulationTrace(
-        n=1,
-        horizon=horizon,
-        replication=0,
-        master_seed=0,
         signals=np.zeros((horizon + 1, 1), dtype=np.int64),
         selections=np.zeros((horizon, 1), dtype=np.int64),
         snapshot_times=times,
         log_beliefs=logb,
-        world_fingerprint="",
-        matrix_fingerprint="",
     )
 
 
@@ -130,11 +124,9 @@ class TestEmpiricalRate:
         logb[:, 0] = np.log(0.5)
         logb[:, 1] = agent2_log_belief
         return SimulationTrace(
-            n=2, horizon=3, replication=0, master_seed=0,
             signals=np.zeros((4, 2), dtype=np.int64),
             selections=np.zeros((3, 2), dtype=np.int64),
             snapshot_times=(0, 1, 2, 3), log_beliefs=logb,
-            world_fingerprint="", matrix_fingerprint="",
         )
 
     def test_zero_belief_on_check_state_rejected(self):
@@ -195,7 +187,7 @@ class TestRateReport:
 
     def test_lone_informative_agent_end_to_end(self):
         w = tiny_world([[[0.3, 0.7], [0.7, 0.3]]])
-        net = from_edge_list(1, [])
+        net = DirectedNetwork(1, [])
         P = uniform_selection_matrix(net)
         pi = stationary_distribution(P)
         cfg = SimulationConfig(horizon=3000, seed=2, replications=3)
@@ -232,7 +224,7 @@ class TestOccupancy:
 
     def test_single_agent_occupancy_is_degenerate(self):
         w = tiny_world([[[0.3, 0.7], [0.7, 0.3]]])
-        net = from_edge_list(1, [])
+        net = DirectedNetwork(1, [])
         tr = run(net, uniform_selection_matrix(net), w, SimulationConfig(horizon=30, seed=1))
         rep = occupancy(tr, 0, 30)
         assert rep.frequencies.tolist() == [1.0]

@@ -20,10 +20,10 @@ from gossip_learning.analysis import theoretical_rate
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
+    DirectedNetwork,
     SelectionMatrix,
     csr_contains,
     custom_selection_matrix,
-    from_edge_list,
     stationary_distribution,
     uniform_selection_matrix,
 )
@@ -137,8 +137,8 @@ def test_array_model_matches_dense_per_agent_reference(raw):
     assert np.array_equal(csr_contains(P.indptr, P.indices, np.arange(n), chosen), P.to_dense()[np.arange(n), chosen] > 0.0)
 
     # draws and snapshots, against the per-agent loop over dense rows
-    for tr in run_replications(cfg.network, P, world, cfg.simulation):
-        signals, selections, snapshots = reference_run(cfg.network, P, world, cfg.simulation, tr.replication)
+    for r, tr in enumerate(run_replications(cfg.network, P, world, cfg.simulation)):
+        signals, selections, snapshots = reference_run(cfg.network, P, world, cfg.simulation, r)
         assert np.array_equal(tr.signals, signals)
         assert np.array_equal(tr.selections, selections)
         for m, t in enumerate(tr.snapshot_times):
@@ -166,7 +166,7 @@ def test_long_rows_draw_like_the_reference(explicit):
     that have zero entries."""
     n, k, size = 20, 3, 20
     rng = np.random.default_rng(7)
-    net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+    net = DirectedNetwork(n, [(j, i) for i in range(n) for j in range(n) if i != j])
     if explicit:
         rows = rng.random((n, n)) * (rng.random((n, n)) < 0.95)
         rows[:, 0] += 0.01
@@ -183,8 +183,8 @@ def test_long_rows_draw_like_the_reference(explicit):
     world = WorldModel(StateSpace(states=(1, 2, 3), true_state_index=0), Prior(nu=np.full(k, 1 / k)),
                        raw / raw.sum(axis=2, keepdims=True), np.full(n, size))
     cfg = SimulationConfig(horizon=30, seed=11, replications=2)
-    for tr in run_replications(net, P, world, cfg):
-        signals, selections, snapshots = reference_run(net, P, world, cfg, tr.replication)
+    for r, tr in enumerate(run_replications(net, P, world, cfg)):
+        signals, selections, snapshots = reference_run(net, P, world, cfg, r)
         assert np.array_equal(tr.signals, signals)
         assert np.array_equal(tr.selections, selections)
         assert bits(tr.log_beliefs[-1]) == bits(snapshots[30])
@@ -409,7 +409,7 @@ def test_ten_thousand_agents_fit_in_64_mb():
 
     tracemalloc.start()
     try:
-        net = from_edge_list(n, edges)
+        net = DirectedNetwork(n, edges)
         P = uniform_selection_matrix(net)
         world = WorldModel(StateSpace(states=(1, 2, 3), true_state_index=0), Prior(nu=np.full(k, 1 / k)),
                            tables, np.full(n, signals))

@@ -10,7 +10,7 @@ from gossip_learning import example1, graph
 from gossip_learning.analysis import empirical_rate
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
-from gossip_learning.simulator import matrix_fingerprint, read_trace, run, world_fingerprint
+from gossip_learning.simulator import read_trace, run
 
 
 def write_config(tmp_path, cfg_dict, name="config.json"):
@@ -173,11 +173,12 @@ class TestConfigErrors:
          "world.likelihoods: agent 2: likelihood table rows must be numbers, all rows of one length"),
         (lambda c: c["network"]["edges"].__setitem__(3, [2**70, 1]),
          f"network.edges[3]: [{2**70}, 1] has an endpoint outside 1..8"),
+        (lambda c: c["network"].update(n=0), "network.n: agent count must be >= 1, got 0"),
         (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5]] * 3 + [[0.5, 0.4]]),
          "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
         (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5]] * 3 + [[1.5, -0.5]]),
          "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
-    ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64",
+    ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64", "zero agents",
             "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
@@ -391,8 +392,7 @@ class TestExample1:
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
         entry = json.loads((out / "manifest.json").read_text())["traces"][0]
-        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation,
-                          fingerprints=(world_fingerprint(ex1_cfg.world), matrix_fingerprint(ex1_cfg.selection)))
+        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from gossip_learning import example1
+from gossip_learning import example1, graph
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
@@ -15,7 +15,6 @@ from gossip_learning.graph import (
     SelectionMatrix,
     check_selection_support,
     custom_selection_matrix,
-    from_edge_list,
     is_strongly_connected,
     recurrent_classes,
     stationary_distribution,
@@ -29,7 +28,7 @@ EX1_PI = (1 / 6, 1 / 3, 1 / 4, 1 / 6, 1 / 12, 0.0, 0.0, 0.0)
 
 
 def ex1_net() -> DirectedNetwork:
-    return from_edge_list(8, EX1_EDGES)
+    return DirectedNetwork(8, EX1_EDGES)
 
 
 def _random_net_and_rows(rng, n):
@@ -38,7 +37,7 @@ def _random_net_and_rows(rng, n):
         mask = rng.random((n, n)) < 0.5
         np.fill_diagonal(mask, False)
         edges = [(j, i) for i in range(n) for j in range(n) if mask[j, i]]
-        net = from_edge_list(n, edges)
+        net = DirectedNetwork(n, edges)
         rows = np.zeros((n, n))
         for i in range(n):
             allowed = list(net.in_neighbors(i)) + [i]
@@ -57,25 +56,50 @@ class TestDirectedNetwork:
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):
-            from_edge_list(3, [(0, 0)])
+            DirectedNetwork(3, [(0, 0)])
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValidationError, match="outside"):
-            from_edge_list(3, [(0, 3)])
+            DirectedNetwork(3, [(0, 3)])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            from_edge_list(3, [(0, 1), (0, 1)])
+            DirectedNetwork(3, [(0, 1), (0, 1)])
 
     def test_rejects_empty_network(self):
-        with pytest.raises(ValidationError):
-            from_edge_list(0, [])
+        with pytest.raises(ValidationError, match=r"^n: agent count must be >= 1, got 0$"):
+            DirectedNetwork(0, [])
 
     def test_networks_with_equal_edges_compare_and_hash_alike(self):
         net = ex1_net()
-        twin = from_edge_list(net.n, list(net.edges))
+        twin = DirectedNetwork(net.n, list(net.edges))
         assert net == twin and hash(net) == hash(twin)
-        assert net != from_edge_list(net.n, list(net.edges[:-1]))
+        assert net != DirectedNetwork(net.n, list(net.edges[:-1]))
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (1, 2), (2, 0)),
+        [[0, 1], [1, 2], [2, 0]],
+        np.array([[0, 1], [1, 2], [2, 0]]),
+        np.array([[0, 1], [1, 2], [2, 0]], dtype=np.uint8),
+        [np.array([0, 1]), (np.int32(1), 2), [2, 0]],
+    ], ids=["tuples", "lists", "int64 array", "uint8 array", "mixed"])
+    def test_edges_are_stored_as_pairs_of_python_ints(self, edges):
+        net = DirectedNetwork(3, edges)
+        assert net.edges == ((0, 1), (1, 2), (2, 0))
+        assert all(type(x) is int for pair in net.edges for x in pair)
+        cycle = DirectedNetwork(3, ((0, 1), (1, 2), (2, 0)))
+        assert net == cycle and hash(net) == hash(cycle)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((True, 2),), "edges[0]: expected a pair of integers, got (True, 2)"),
+        ([[0, 1], [1, False]], "edges[1]: expected a pair of integers, got [1, False]"),
+        ([(0, 1), (np.True_, 2)], "edges[1]: expected a pair of integers, got (np.True_, 2)"),
+        (np.array([[True, False]]), "edges[0]: expected a pair of integers, got array([ True, False])"),
+    ], ids=["bool in a tuple", "bool in a list", "numpy bool", "bool array"])
+    def test_bool_endpoint_is_rejected(self, edges, message):
+        with pytest.raises(ValidationError) as info:
+            DirectedNetwork(3, edges)
+        assert str(info.value) == message
 
 
 # (n, 0-based edges, the message DirectedNetwork gives for them); a config
@@ -106,7 +130,7 @@ class TestEdgeRules:
     @pytest.mark.parametrize("case", FAULTY_EDGES.values(), ids=FAULTY_EDGES.keys())
     def test_first_faulty_edge_is_named_by_the_network(self, case):
         n, edges, message = case
-        for build in (lambda: DirectedNetwork(n, tuple(edges)), lambda: from_edge_list(n, edges)):
+        for build in (lambda: DirectedNetwork(n, tuple(edges)), lambda: DirectedNetwork(n, edges)):
             with pytest.raises(ValidationError) as info:
                 build()
             assert str(info.value) == message
@@ -154,7 +178,7 @@ class TestSelectionMatrix:
         assert np.all(np.diag(p) == 0.0)  # every agent here has a neighbor
 
     def test_uniform_isolated_agent_self_selects(self):
-        net = from_edge_list(3, [(0, 1)])
+        net = DirectedNetwork(3, [(0, 1)])
         p = uniform_selection_matrix(net).to_dense()
         assert p[0, 0] == 1.0 and p[2, 2] == 1.0 and p[1, 0] == 1.0
 
@@ -173,14 +197,14 @@ class TestSelectionMatrix:
             SelectionMatrix.from_dense(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
     def test_custom_rejects_mass_outside_neighborhood(self):
-        net = from_edge_list(3, [(0, 1)])
+        net = DirectedNetwork(3, [(0, 1)])
         rows = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
         with pytest.raises(ValidationError, match="neither an in-neighbor"):
             custom_selection_matrix(net, rows)
 
     def test_support_error_names_1_based_agents(self):
-        net = from_edge_list(3, [(0, 1)])
-        P = uniform_selection_matrix(from_edge_list(3, [(2, 1)]))
+        net = DirectedNetwork(3, [(0, 1)])
+        P = uniform_selection_matrix(DirectedNetwork(3, [(2, 1)]))
         with pytest.raises(ValidationError) as info:
             check_selection_support(net, P)
         assert str(info.value) == (
@@ -188,7 +212,7 @@ class TestSelectionMatrix:
         )
 
     def test_custom_allows_self_weight(self):
-        net = from_edge_list(2, [(0, 1)])
+        net = DirectedNetwork(2, [(0, 1)])
         p = custom_selection_matrix(net, [[1.0, 0.0], [0.3, 0.7]])
         assert p.to_dense()[1, 1] == 0.7
 
@@ -203,18 +227,16 @@ class TestStructure:
         assert not is_strongly_connected(ex1_net())
 
     def test_cycle_is_strongly_connected(self):
-        net = from_edge_list(3, [(0, 1), (1, 2), (2, 0)])
+        net = DirectedNetwork(3, [(0, 1), (1, 2), (2, 0)])
         assert is_strongly_connected(net)
 
     def test_example_recurrent_class_and_transients(self):
         rc = recurrent_classes(uniform_selection_matrix(ex1_net()))
         assert rc.classes == ((0, 1, 2, 3, 4),)
         assert rc.transient == (5, 6, 7)
-        for i in range(8):
-            assert rc.reachable_from[i] == (0,)
 
     def test_identity_chain_has_singleton_classes(self):
-        net = from_edge_list(3, [(0, 1), (1, 2)])
+        net = DirectedNetwork(3, [(0, 1), (1, 2)])
         p = custom_selection_matrix(net, np.eye(3))
         rc = recurrent_classes(p)
         assert rc.classes == ((0,), (1,), (2,))
@@ -249,12 +271,7 @@ class TestStructure:
             )
             rc = recurrent_classes(P)
             assert sorted(rc.classes) == expected
-            for i in range(n):
-                reachable = nx.descendants(g, i) | {i}
-                expected_idx = tuple(
-                    k for k, cls in enumerate(rc.classes) if set(cls) <= reachable
-                )
-                assert rc.reachable_from[i] == expected_idx
+            assert rc.transient == tuple(i for i in range(n) if not any(i in cls for cls in expected))
 
 
 class TestStationary:
@@ -268,11 +285,11 @@ class TestStationary:
     def test_zero_mass_on_transient_agents(self, ex1_pi):
         assert np.all(ex1_pi.pi[5:] == 0.0)
 
-    def test_direct_and_power_agree_with_scipy_oracle(self):
+    def test_direct_and_power_agree_with_scipy_oracle(self, monkeypatch):
         rng = np.random.default_rng(1905)
         for _ in range(20):
             n = int(rng.integers(2, 10))
-            net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+            net = DirectedNetwork(n, [(j, i) for i in range(n) for j in range(n) if i != j])
             rows = rng.random((n, n)) + 0.02
             rows /= rows.sum(axis=1, keepdims=True)
             P = custom_selection_matrix(net, rows)
@@ -281,41 +298,40 @@ class TestStationary:
             assert ns.shape[1] == 1
             oracle = ns[:, 0] / ns[:, 0].sum()
 
-            for method in ("direct", "power"):
-                pi = stationary_distribution(P, method=method).pi
+            direct = stationary_distribution(P).pi
+            with monkeypatch.context() as m:
+                m.setattr(graph, "DIRECT_SOLVE_LIMIT", 0)  # every class takes power iteration
+                power = stationary_distribution(P).pi
+            for pi in (direct, power):
                 assert np.max(np.abs(pi - oracle)) <= 1e-9
 
-    def test_periodic_two_cycle(self):
-        net = from_edge_list(2, [(0, 1), (1, 0)])
+    def test_periodic_two_cycle(self, monkeypatch):
+        net = DirectedNetwork(2, [(0, 1), (1, 0)])
         P = uniform_selection_matrix(net)
-        for method in ("direct", "power"):
-            pi = stationary_distribution(P, method=method).pi
-            assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(stationary_distribution(P).pi, [0.5, 0.5], atol=1e-12)
+        monkeypatch.setattr(graph, "DIRECT_SOLVE_LIMIT", 0)  # power iteration on the periodic chain
+        assert np.allclose(stationary_distribution(P).pi, [0.5, 0.5], atol=1e-12)
 
     def test_relabeling_permutes_stationary_vector(self, ex1_cfg, ex1_pi):
         rng = np.random.default_rng(3)
         perm = rng.permutation(8)
         P = ex1_cfg.selection.to_dense()
         permuted_edges = [(perm[j], perm[i]) for j, i in ex1_cfg.network.edges]
-        net2 = from_edge_list(8, permuted_edges)
+        net2 = DirectedNetwork(8, permuted_edges)
         rows2 = np.zeros((8, 8))
         rows2[np.ix_(perm, perm)] = P
         pi2 = stationary_distribution(custom_selection_matrix(net2, rows2)).pi
         assert np.max(np.abs(pi2[perm] - ex1_pi.pi)) <= 1e-12
 
     def test_two_disjoint_cycles_is_ambiguous(self):
-        net = from_edge_list(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        net = DirectedNetwork(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         P = uniform_selection_matrix(net)
         with pytest.raises(MultipleRecurrentClassesError) as exc:
             stationary_distribution(P)
         assert exc.value.classes == ((0, 1), (2, 3))
 
-    def test_unknown_method_rejected(self, ex1_cfg):
-        with pytest.raises(ValidationError, match="solver"):
-            stationary_distribution(ex1_cfg.selection, method="qr")
-
     def test_single_agent_chain(self):
-        net = from_edge_list(1, [])
+        net = DirectedNetwork(1, [])
         pi = stationary_distribution(uniform_selection_matrix(net)).pi
         assert pi.tolist() == [1.0]
 
@@ -331,7 +347,7 @@ def test_stationary_contract_on_random_dense_chains(data, n):
         )
         w = np.array(w)
         rows.append(w / w.sum())
-    net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+    net = DirectedNetwork(n, [(j, i) for i in range(n) for j in range(n) if i != j])
     P = custom_selection_matrix(net, rows)
     pi = stationary_distribution(P).pi
     assert np.all(pi >= 0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossip_learning import simulator
 from gossip_learning.belief import bayes_log_posterior
 from gossip_learning.errors import ValidationError
-from gossip_learning.graph import custom_selection_matrix, from_edge_list, uniform_selection_matrix
+from gossip_learning.graph import DirectedNetwork, custom_selection_matrix, uniform_selection_matrix
 from gossip_learning.simulator import (
+    TRACE_ARRAYS,
     SimulationConfig,
     SimulationTrace,
     _inverse_cdf_draws,
@@ -75,7 +78,7 @@ class TestDeterminism:
     def test_run_replications_matches_single_runs(self, ex1_cfg):
         cfg = SimulationConfig(horizon=60, seed=3, replications=3)
         batch = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
-        assert [tr.replication for tr in batch] == [0, 1, 2]
+        assert len(batch) == 3
         for r in range(3):
             solo = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=r)
             assert np.array_equal(batch[r].signals, solo.signals)
@@ -130,24 +133,27 @@ class TestReplay:
         assert np.array_equal(np.stack(beliefs), tr.log_belief_at(0))
         for t in range(1, tr.horizon + 1):
             beliefs = [
-                bayes_log_posterior(beliefs[tr.selection(t, i)], cols[i, tr.signals[t, i]])
+                bayes_log_posterior(beliefs[tr.selections[t - 1, i]], cols[i, tr.signals[t, i]])
                 for i in range(tr.n)
             ]
             assert np.array_equal(np.stack(beliefs), tr.log_belief_at(t))
 
     def test_trace_file_round_trip(self, ex1_cfg, tmp_path):
-        cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5)
-        tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
-        digest = write_trace(tr, tmp_path / "rep000.npz")
-        back = read_trace(tmp_path / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg,
-                          fingerprints=(world_fingerprint(ex1_cfg.world), matrix_fingerprint(ex1_cfg.selection)))
-        assert back.n == tr.n and back.horizon == tr.horizon
-        assert np.array_equal(back.signals, tr.signals)
-        assert np.array_equal(back.selections, tr.selections)
-        assert back.snapshot_times == tr.snapshot_times
-        assert back.log_beliefs.shape == tr.log_beliefs.shape == (9, 8, 3)
-        # the file holds the log beliefs themselves, so a read gives them back bit for bit
-        assert back.log_beliefs.tobytes() == tr.log_beliefs.tobytes()
+        cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5, replications=2)
+        tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=1)
+        digest = write_trace(tr, tmp_path / "rep001.npz")
+        back = read_trace(tmp_path / "rep001.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
+        # a trace is exactly the arrays its file stores, and a read gives back every one
+        fields = [f.name for f in dataclasses.fields(SimulationTrace)]
+        assert set(fields) == set(TRACE_ARRAYS)
+        for name in fields:
+            got, want = getattr(back, name), getattr(tr, name)
+            if isinstance(want, tuple):
+                assert got == want, name
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert (back.n, back.horizon) == (tr.n, tr.horizon) == (8, 40)
+        assert back.log_beliefs.shape == (9, 8, 3)
 
 
 class TestWalk:
@@ -157,7 +163,7 @@ class TestWalk:
         assert len(walk) == 51 and walk[0] == 7
         cur = 7
         for k in range(1, 51):
-            cur = tr.selection(50 - k + 1, cur)
+            cur = tr.selections[50 - k, cur]  # the round 50-k+1 choice
             assert walk[k] == cur
 
     def test_zero_time_walk_is_the_agent_itself(self, ex1_cfg):
@@ -185,7 +191,7 @@ class TestWalk:
         # signal 0 is impossible under state 2, so one draw of it zeroes that
         # state in the belief and in the telescoped sum alike
         w = tiny_world([[[0.5, 0.5], [0.0, 1.0]]])
-        net = from_edge_list(1, [])
+        net = DirectedNetwork(1, [])
         P = uniform_selection_matrix(net)
         seed = next(
             s for s in range(50)
@@ -211,14 +217,14 @@ class TestValidationAndFingerprints:
             run(ex1_cfg.network, ex1_cfg.selection, w, SimulationConfig(horizon=5, seed=0))
 
     def test_selection_support_cross_checked_against_network(self, ex1_cfg):
-        other_net = from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)])
+        other_net = DirectedNetwork(8, [(i, (i + 1) % 8) for i in range(8)])
         P = uniform_selection_matrix(other_net)
         with pytest.raises(ValidationError, match="neither an in-neighbor"):
             run(ex1_cfg.network, P, ex1_cfg.world, SimulationConfig(horizon=5, seed=0))
 
     def test_single_agent_network_runs(self):
         w = tiny_world([[[0.3, 0.7], [0.8, 0.2]]])
-        net = from_edge_list(1, [])
+        net = DirectedNetwork(1, [])
         tr = run(net, uniform_selection_matrix(net), w, SimulationConfig(horizon=100, seed=5))
         assert np.all(tr.selections == 0)
         assert backward_walk(tr, 0, 100).tolist() == [0] * 101
@@ -246,7 +252,7 @@ class TestValidationAndFingerprints:
         rows[np.arange(n), np.arange(n)] = 0.5
         rows[np.arange(n), (np.arange(n) + 2) % n] = 0.5
         rows[3] = [0.1, 0.2, 0.0, 0.3, 0.4]
-        net = from_edge_list(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+        net = DirectedNetwork(n, [(j, i) for i in range(n) for j in range(n) if i != j])
         for P in (ex1_cfg.selection, custom_selection_matrix(net, rows)):
             csr = csr_matrix(P.to_dense())
             data = b"".join([
@@ -271,17 +277,21 @@ class TestValidationAndFingerprints:
 
     def test_trace_accessors(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=20, stride=6)
+        assert (tr.n, tr.horizon) == (8, 20)
         assert tr.snapshot_times == (0, 6, 12, 18, 20)
         assert tr.log_beliefs.shape == (5, 8, 3)
         assert np.array_equal(tr.log_belief_at(18), tr.log_beliefs[3])
-        assert tr.has_snapshot(18) and not tr.has_snapshot(17)
-        assert not tr.has_snapshot(-1) and not tr.has_snapshot(21)
-        with pytest.raises(ValidationError, match="record_beliefs_every"):
-            tr.log_belief_at(17)
-        with pytest.raises(ValidationError, match="round"):
-            tr.selection(0, 1)
-        with pytest.raises(ValidationError, match="round"):
-            tr.selection(21, 1)
+        for t in (17, -1, 21):
+            with pytest.raises(ValidationError, match="record_beliefs_every"):
+                tr.log_belief_at(t)
+
+    def test_run_hashes_nothing(self, ex1_cfg, monkeypatch):
+        def fail(_):
+            raise AssertionError("a run computed a fingerprint")
+
+        monkeypatch.setattr(simulator, "world_fingerprint", fail)
+        monkeypatch.setattr(simulator, "matrix_fingerprint", fail)
+        small_run(ex1_cfg, horizon=5)
 
     def test_trace_arrays_are_read_only(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=10)
@@ -292,11 +302,22 @@ class TestValidationAndFingerprints:
     def test_trace_rejects_snapshots_not_aligned_with_times(self):
         with pytest.raises(ValidationError, match="log_beliefs has shape"):
             SimulationTrace(
-                n=1, horizon=2, replication=0, master_seed=0,
                 signals=np.zeros((3, 1), dtype=np.int64),
                 selections=np.zeros((2, 1), dtype=np.int64),
                 snapshot_times=(0, 1, 2), log_beliefs=np.zeros((2, 1, 2)),
-                world_fingerprint="", matrix_fingerprint="",
+            )
+
+    @pytest.mark.parametrize("signals, selections", [
+        ((3, 7), (1, 7)),  # one round of choices for two rounds of signals
+        ((3, 7), (2, 6)),  # choices of 6 agents beside signals of 7
+        ((7,), (6,)),  # no agent axis
+    ])
+    def test_trace_rejects_selections_not_aligned_with_signals(self, signals, selections):
+        with pytest.raises(ValidationError, match="selections has shape"):
+            SimulationTrace(
+                signals=np.zeros(signals, dtype=np.int64),
+                selections=np.zeros(selections, dtype=np.int64),
+                snapshot_times=(0,), log_beliefs=np.zeros((1, 7, 2)),
             )
 
 
@@ -372,7 +393,7 @@ def small_worlds(draw):
 
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    net = from_edge_list(n, edges)
+    net = DirectedNetwork(n, edges)
     if draw(st.booleans()):
         P = uniform_selection_matrix(net)
     else:
@@ -397,9 +418,9 @@ def test_batched_run_matches_per_agent_reference(case, horizon, stride, replicat
     net, P, world = case
     cfg = SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride, replications=replications)
     traces = run_replications(net, P, world, cfg)
-    assert [tr.replication for tr in traces] == list(range(replications))
-    for tr in traces:
-        signals, selections, snapshots = reference_run(net, P, world, cfg, tr.replication)
+    assert len(traces) == replications
+    for r, tr in enumerate(traces):
+        signals, selections, snapshots = reference_run(net, P, world, cfg, r)
         assert np.array_equal(tr.signals, signals)
         assert np.array_equal(tr.selections, selections)
         assert tr.snapshot_times == tuple(snapshots)

@@ -17,10 +17,9 @@ from gossip_learning import example1
 from gossip_learning.cli import main
 from gossip_learning.simulator import (
     SimulationConfig,
-    matrix_fingerprint,
+    SimulationTrace,
     read_trace,
     run,
-    world_fingerprint,
     write_trace,
 )
 from tests.test_simulator import small_worlds
@@ -48,14 +47,17 @@ def test_npz_round_trip_is_bitwise(case, horizon, stride, seed, data, tmp_path_f
     path = tmp_path_factory.mktemp("trace") / "rep000.npz"
     digest = write_trace(tr, path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    back = read_trace(path, digest, P, world, cfg, fingerprints=(world_fingerprint(world), matrix_fingerprint(P)))
-    assert (back.n, back.horizon, back.snapshot_times) == (tr.n, tr.horizon, tr.snapshot_times)
-    for name in ("signals", "selections", "log_beliefs"):
-        got, want = getattr(back, name), getattr(tr, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert got.tobytes() == want.tobytes(), name
-        assert not got.flags.writeable, name
-    assert (back.world_fingerprint, back.matrix_fingerprint) == (tr.world_fingerprint, tr.matrix_fingerprint)
+    back = read_trace(path, digest, P, world, cfg)
+    assert (back.n, back.horizon) == (tr.n, tr.horizon)
+    # every field of a trace is one of the file's arrays, given back bit for bit
+    for field in dataclasses.fields(SimulationTrace):
+        got, want = getattr(back, field.name), getattr(tr, field.name)
+        if isinstance(want, tuple):
+            assert got == want, field.name
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape, field.name
+        assert got.tobytes() == want.tobytes(), field.name
+        assert not got.flags.writeable, field.name
 
 
 def test_trace_bytes_are_pinned(tmp_path):

@@ -7,11 +7,11 @@ from scipy.special import rel_entr
 from gossip_learning import example1
 from gossip_learning.errors import ValidationError
 from gossip_learning.world import (
+    DISTINGUISH_TOL,
     Prior,
     StateSpace,
     WorldModel,
     check_global_identifiability,
-    distinguishable,
     kl_divergence,
 )
 
@@ -47,7 +47,6 @@ class TestTypes:
             StateSpace(states=(), true_state_index=0)
         with pytest.raises(ValidationError, match="out of range"):
             StateSpace(states=(1, 2), true_state_index=2)
-        assert StateSpace(states=("a", "b"), true_state_index=1).index_of("b") == 1
 
     def test_prior_validation(self):
         with pytest.raises(ValidationError, match="positive"):
@@ -154,24 +153,19 @@ def test_kl_nonnegative_and_zero_only_at_equality(data, k):
 
 class TestIdentifiability:
     def test_pairwise_distinguishability_pattern(self, ex1_cfg):
-        w = ex1_cfg.world
-        assert not distinguishable(w, 0, 0, 1) and distinguishable(w, 0, 0, 2)
-        assert distinguishable(w, 1, 0, 1) and not distinguishable(w, 1, 0, 2)
-        for agent in range(2, 8):
-            assert not distinguishable(w, agent, 0, 1)
-            assert not distinguishable(w, agent, 0, 2)
+        # the truth is state index 0; column c says whether an agent tells it from c
+        separated = ex1_cfg.world.divergences > DISTINGUISH_TOL
+        assert separated[:, 1:].tolist() == [[False, True], [True, False]] + [[False, False]] * 6
 
     def test_benchmark_witnesses(self, ex1_cfg):
         report = check_global_identifiability(ex1_cfg.world, [0, 1, 2, 3, 4])
         assert report.identifiable
-        assert report.witnesses_for(1) == (1,)
-        assert report.witnesses_for(2) == (0,)
+        assert report.witnesses == ((1, (1,)), (2, (0,)))
 
     def test_uninformative_subset_fails(self, ex1_cfg):
         report = check_global_identifiability(ex1_cfg.world, [2, 3, 4])
         assert not report.identifiable
-        assert report.witnesses_for(1) == ()
-        assert report.witnesses_for(2) == ()
+        assert report.witnesses == ((1, ()), (2, ()))
 
     def test_verdict_monotone_in_agent_set(self, ex1_cfg):
         base = check_global_identifiability(ex1_cfg.world, [0, 1])
@@ -186,14 +180,8 @@ class TestIdentifiability:
         flipped = tiny_world(tables, labels=(1, 2, 3))
         report = check_global_identifiability(flipped, [0, 1, 2, 3, 4])
         assert not report.identifiable
-        assert report.witnesses_for(1) == (1,)
-        assert report.witnesses_for(2) == ()
+        assert report.witnesses == ((1, (1,)), (2, ()))
 
     def test_empty_agent_set_rejected(self, ex1_cfg):
         with pytest.raises(ValidationError, match="nonempty"):
             check_global_identifiability(ex1_cfg.world, [])
-
-    def test_unknown_false_state_lookup_rejected(self, ex1_cfg):
-        report = check_global_identifiability(ex1_cfg.world, [0, 1])
-        with pytest.raises(ValidationError, match="not a false state"):
-            report.witnesses_for(0)
