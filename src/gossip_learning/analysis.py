@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arrays import ArrayValue
 from .errors import ValidationError
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
@@ -165,8 +166,8 @@ def rate_report(
     return RateReport(window=window, replications=len(traces), rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class OccupancyReport:
+@dataclass(frozen=True, eq=False)
+class OccupancyReport(ArrayValue):
     """Backward-walk visit frequencies for one (agent, t), next to the
     stationary weights they should approach."""
 

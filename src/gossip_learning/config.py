@@ -109,7 +109,7 @@ class ExperimentConfig:
         return {
             "network": {
                 "n": self.network.n,
-                "edges": sorted([j + 1, i + 1] for j, i in self.network.edges),
+                "edges": sorted((self.network.edges + 1).tolist()),
             },
             "selection": sel,
             "world": {

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .arrays import PROB_SUM_TOL, ArrayValue, float_array
 from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError
 
-ROW_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 
 # Above this size the dense linear solve is replaced by power iteration.
@@ -36,13 +36,13 @@ def _csr_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
-def rows_by_length(indptr: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows of a CSR structure, grouped by length d, as (rows, slots):
-    slots[j] holds the d entry positions of row rows[j]."""
-    lengths = np.diff(indptr)
-    for d in np.flatnonzero(np.bincount(lengths)).tolist():
-        rows = np.flatnonzero(lengths == d)
-        yield rows, indptr[rows, None] + np.arange(d)
+def nonzero_csr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of each row of a 2-D array, as CSR arrays
+    (indptr, indices, values)."""
+    rows, cols = np.nonzero(a)
+    indptr = np.zeros(len(a) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(a)), out=indptr[1:])
+    return indptr, cols, a[rows, cols]
 
 
 def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndarray:
@@ -80,21 +80,22 @@ def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
     return np.array(clipped, dtype=np.int64).reshape(-1, 2), typed
 
 
-@dataclass(frozen=True)
-class DirectedNetwork:
+@dataclass(frozen=True, eq=False)
+class DirectedNetwork(ArrayValue):
     """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
 
     The edge rules are checked here, and only here: each edge a pair of
     integers (not bools), no endpoint outside 0..n-1, no self-loop, no edge
     twice. The first faulty edge is named by its position and its 1-based
-    endpoints. ``edges`` is stored as a tuple of pairs of Python ints, in the
-    order given, whatever sequence or array it was passed as. ``in_indptr``
-    and ``in_indices`` are the in-neighbor lists in CSR form, each list
+    endpoints. ``edges`` is stored as one read-only (m, 2) int64 array, in
+    the order given, whatever sequence or array it was passed as, so
+    networks compare and hash by n and their edges. ``in_indptr`` and
+    ``in_indices`` are the in-neighbor lists in CSR form, each list
     ascending.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     in_indptr: np.ndarray = field(init=False, repr=False, compare=False)
     in_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -122,21 +123,14 @@ class DirectedNetwork:
             raise ValidationError(f"edges[{typed}]: expected a pair of integers, got {self.edges[typed]!r}")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e[:, 1], minlength=n), out=indptr[1:])
-        object.__setattr__(self, "edges", tuple(map(tuple, e.tolist())))
-        for name, arr in (("in_indptr", indptr), ("in_indices", e[order, 0])):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Agents whose beliefs agent i observes, ascending."""
-        return tuple(self.in_indices[self.in_indptr[i]:self.in_indptr[i + 1]].tolist())
+        self._store(edges=e, in_indptr=indptr, in_indices=e[order, 0])
 
     def degree(self, i: int) -> int:
         return int(self.in_indptr[i + 1] - self.in_indptr[i])
 
 
-@dataclass(frozen=True)
-class SelectionMatrix:
+@dataclass(frozen=True, eq=False)
+class SelectionMatrix(ArrayValue):
     """Row-stochastic matrix of neighbor-choice probabilities, in CSR form.
 
     Row i gives the probability of agent i consulting agent j in a round.
@@ -183,20 +177,17 @@ class SelectionMatrix:
         # sum and the one above group the same terms differently, so any row
         # whose sum could fail either way is summed again, densely.
         slack = 4 * np.finfo(float).eps * np.diff(indptr) * sums
-        for i in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL - slack).tolist():
+        for i in np.flatnonzero(np.abs(sums - 1.0) > PROB_SUM_TOL - slack).tolist():
             dense = np.zeros(n)
             dense[indices[indptr[i]:indptr[i + 1]]] = p[indptr[i]:indptr[i + 1]]
             total = dense.sum()
             if total == 0.0:
                 raise ValidationError(f"the row of agent {i + 1} has zero mass on every entry")
-            if abs(total - 1.0) > ROW_SUM_TOL:
+            if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ValidationError(
-                    f"the row of agent {i + 1} sums to {float(total)!r}, expected 1 within {ROW_SUM_TOL}"
+                    f"the row of agent {i + 1} sums to {float(total)!r}, expected 1 within {PROB_SUM_TOL}"
                 )
-        for name, arr in (("indptr", indptr), ("indices", indices), ("probs", p), ("rows", rows)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self._store(indptr=indptr, indices=indices, probs=p, rows=rows)
 
     @classmethod
     def from_dense(cls, probs) -> SelectionMatrix:
@@ -205,11 +196,7 @@ class SelectionMatrix:
         agent. Every nonzero entry is stored, so a negative or non-finite
         one is reported."""
         p = _square_rows(probs)
-        n = len(p)
-        rows, cols = np.nonzero(p)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(n=n, indptr=indptr, indices=cols, probs=p[rows, cols])
+        return cls(len(p), *nonzero_csr(p))
 
     def to_dense(self) -> np.ndarray:
         """The n x n matrix; O(n^2) memory."""
@@ -217,32 +204,21 @@ class SelectionMatrix:
         out[self.rows, self.indices] = self.probs
         return out
 
-    def support(self, i: int) -> np.ndarray:
-        """Indices j with positive probability in row i, ascending."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def vecmat(self, x: np.ndarray) -> np.ndarray:
         """The row vector x P, in O(nnz): each entry adds its share of x to
         its column, in storage order."""
         return np.bincount(self.indices, weights=x[self.rows] * self.probs, minlength=self.n)
 
 
-def _float_array(x) -> np.ndarray | None:
-    try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):  # rows of different lengths, or entries that are not numbers
-        return None
-
-
 def _square_rows(rows) -> np.ndarray:
     """rows as an n x n float array, n the number of rows."""
-    p = _float_array(rows)
+    p = float_array(rows)
     if p is not None and p.ndim == 2 and p.shape[0] == p.shape[1]:
         return p
     if p is None or p.ndim >= 2:
         n = len(rows)
         for i, row in enumerate(rows):
-            r = _float_array(row)
+            r = float_array(row)
             if r is None or r.ndim != 1:
                 raise ValidationError(f"the row of agent {i + 1} is not a list of numbers")
             if len(r) != n:
@@ -378,8 +354,8 @@ def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
     )
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
+@dataclass(frozen=True, eq=False)
+class StationaryDistribution(ArrayValue):
     """Probability vector fixed by the selection chain, zero on transient states."""
 
     pi: np.ndarray
@@ -388,13 +364,11 @@ class StationaryDistribution:
         pi = np.asarray(self.pi, dtype=float)
         if pi.ndim != 1:
             raise ValidationError("stationary distribution must be a vector")
-        if np.any(pi < 0.0):
-            raise ValidationError("stationary distribution has a negative entry")
-        if abs(pi.sum() - 1.0) > ROW_SUM_TOL:
+        if np.any(~(pi >= 0.0)):
+            raise ValidationError("stationary distribution has a negative or NaN entry")
+        if not (abs(pi.sum() - 1.0) <= PROB_SUM_TOL):
             raise ValidationError(f"stationary distribution sums to {pi.sum()!r}")
-        pi = pi.copy()
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
+        self._store(pi=pi)
 
 
 def _direct_stationary(sub: np.ndarray) -> np.ndarray:
@@ -456,6 +430,6 @@ def stationary_distribution(P: SelectionMatrix) -> StationaryDistribution:
     pi[members] = x
 
     residual = float(np.max(np.abs(P.vecmat(pi) - pi)))
-    if residual > STATIONARY_RESIDUAL_TOL:
+    if not (residual <= STATIONARY_RESIDUAL_TOL):  # NaN is not <= tol either
         raise StationarySolveError(f"stationary solve residual {residual!r} exceeds {STATIONARY_RESIDUAL_TOL}")
     return StationaryDistribution(pi=pi)

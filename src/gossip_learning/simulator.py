@@ -42,9 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .arrays import ArrayValue, read_only, rows_by_length
 from .belief import bayes_log_posterior
 from .errors import ValidationError
-from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, rows_by_length
+from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
 WALK_IDENTITY_TOL = 1e-8
@@ -75,8 +76,8 @@ class SimulationConfig:
         return tuple(sorted(times))
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+@dataclass(frozen=True, eq=False)
+class SimulationTrace(ArrayValue):
     """One replication's backward random walk and the beliefs built along
     it: exactly the four arrays a trace file stores. The agent count and the
     horizon are read from the arrays' shapes."""
@@ -147,7 +148,8 @@ def _inverse_cdf_draws(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarra
     one per uniform in u[:, i], made by inverting the CDF of the row's stored
     entries, which must all be positive. Every row is searched at once."""
     cdf = np.empty(len(probs))
-    for _, slots in rows_by_length(indptr):
+    for d, rows in rows_by_length(np.diff(indptr)):
+        slots = indptr[rows, None] + np.arange(d)
         # a running sum along a row is sequential, so each CDF has the bits
         # of the row's own 1-D cumsum
         cdf[slots] = np.cumsum(probs[slots], axis=1)
@@ -167,15 +169,6 @@ def _inverse_cdf_draws(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarra
     # entry is <= u: rounding can leave a CDF's last value below 1, and a u
     # above it draws the last entry, never one that is not stored
     return indices[np.minimum(at, last)]
-
-
-def _support_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The positive entries of each row of an (m, S) array, as CSR arrays
-    (indptr, indices, probs)."""
-    r, c = np.nonzero(rows > 0.0)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=len(rows)), out=indptr[1:])
-    return indptr, c, rows[r, c]
 
 
 def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldModel) -> None:
@@ -201,8 +194,9 @@ def _draw(
     rng_sig = np.random.Generator(np.random.Philox(sig_ss))
     rng_sel = np.random.Generator(np.random.Philox(sel_ss))
 
+    # a world's tables are non-negative, so the nonzero entries are the positive ones
     theta = world.true_state_index
-    signals[:] = _inverse_cdf_draws(*_support_csr(world.tables[:, theta]), rng_sig.random(signals.shape))
+    signals[:] = _inverse_cdf_draws(*nonzero_csr(world.tables[:, theta]), rng_sig.random(signals.shape))
     selections[:] = _inverse_cdf_draws(P.indptr, P.indices, P.probs, rng_sel.random(selections.shape))
 
 
@@ -239,7 +233,7 @@ def _simulate(
             slot += 1
 
     for arr in (signals, selections, snapshots):
-        arr.flags.writeable = False
+        read_only(arr)
     return [SimulationTrace(signals[b], selections[b], times, snapshots[b]) for b in range(R)]
 
 
@@ -429,8 +423,6 @@ def read_trace(
             "the support of the agent's selection row"
         )
 
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return SimulationTrace(signals, selections, times, arrays["log_beliefs"])
+    return SimulationTrace(read_only(signals), read_only(selections), times, read_only(arrays["log_beliefs"]))
 
 

@@ -18,9 +18,8 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .arrays import PROB_SUM_TOL, ArrayValue, float_array, read_only, rows_by_length
 from .errors import ValidationError
-
-PROB_SUM_TOL = 1e-12
 
 # KL divergence below this is treated as "states look identical to the agent".
 DISTINGUISH_TOL = 1e-12
@@ -52,8 +51,8 @@ class StateSpace:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class Prior:
+@dataclass(frozen=True, eq=False)
+class Prior(ArrayValue):
     """Strictly positive common prior over the state space."""
 
     nu: np.ndarray
@@ -70,15 +69,11 @@ class Prior:
             )
         if abs(nu.sum() - 1.0) > PROB_SUM_TOL:
             raise ValidationError(f"prior sums to {nu.sum()!r}, expected 1 within {PROB_SUM_TOL}")
-        nu = nu.copy()
-        nu.flags.writeable = False
-        object.__setattr__(self, "nu", nu)
+        self._store(nu=nu)
 
     @cached_property
     def log_nu(self) -> np.ndarray:
-        out = np.log(self.nu)
-        out.flags.writeable = False
-        return out
+        return read_only(np.log(self.nu))
 
 
 def _check_tables(tables: np.ndarray, counts: np.ndarray, labels: Sequence, first_agent: int = 0) -> None:
@@ -94,8 +89,7 @@ def _check_tables(tables: np.ndarray, counts: np.ndarray, labels: Sequence, firs
     n = len(tables)
     neg_agent = int(np.argmax(negative.any(axis=(1, 2)))) if negative.any() else n
     sums = np.empty(tables.shape[:2])
-    for c in np.flatnonzero(np.bincount(counts)):
-        group = np.flatnonzero(counts == c)
+    for c, group in rows_by_length(counts):
         sums[group] = tables[group, :, :c].sum(axis=-1)
     bad = ~(np.abs(sums - 1.0) <= PROB_SUM_TOL)  # a row holding NaN sums to NaN
     sum_agent = int(np.argmax(bad.any(axis=1))) if bad.any() else n
@@ -113,22 +107,13 @@ def _check_tables(tables: np.ndarray, counts: np.ndarray, labels: Sequence, firs
         )
 
 
-def _as_table(table) -> np.ndarray | None:
-    """The table as a float array, or None where numpy cannot make one:
-    rows of different lengths, or entries that are not numbers."""
-    try:
-        return np.asarray(table, dtype=float)
-    except ValueError:
-        return None
-
-
-@dataclass(frozen=True)
-class WorldModel:
+@dataclass(frozen=True, eq=False)
+class WorldModel(ArrayValue):
     """The state space, the common prior, and every agent's likelihood table.
 
-    ``tables`` is the (n_agents, num_states, max signals) tensor, zero past
-    each agent's ``signal_counts`` signals; each row of an agent's table is
-    a distribution over its signals.
+    ``tables`` is the read-only (n_agents, num_states, max signals) tensor,
+    zero past each agent's ``signal_counts`` signals; each row of an agent's
+    table is a distribution over its signals. Worlds compare by value.
     """
 
     state_space: StateSpace
@@ -137,8 +122,8 @@ class WorldModel:
     signal_counts: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.tables, dtype=float)
-        counts = np.array(self.signal_counts, dtype=np.int64)
+        t = np.asarray(self.tables, dtype=float)
+        counts = np.asarray(self.signal_counts, dtype=np.int64)
         if t.ndim != 3 or counts.shape != t.shape[:1]:
             raise ValidationError(
                 f"likelihood tables must be one (agents, states, signals) array with a signal "
@@ -160,9 +145,7 @@ class WorldModel:
             raise ValidationError(f"prior length {len(self.prior.nu)} != {k} states")
         if t.shape[1] != k:
             raise ValidationError(f"likelihood tables have {t.shape[1]} rows, expected one per state ({k})")
-        for name, arr in (("tables", t), ("signal_counts", counts)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        self._store(tables=t, signal_counts=counts)
 
     @classmethod
     def from_tables(cls, state_space: StateSpace, prior: Prior, tables: Sequence) -> WorldModel:
@@ -172,7 +155,7 @@ class WorldModel:
         a row sum, then a row count other than one per state. Entries are
         read only in the rows that stand for states."""
         k = state_space.size
-        arrays = [_as_table(t) for t in tables]
+        arrays = [float_array(t) for t in tables]
         fits = [a is not None and a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
         first = fits.index(False) if False in fits else len(arrays)
         counts = np.array([a.shape[1] for a in arrays[:first]], dtype=np.int64)
@@ -214,9 +197,7 @@ class WorldModel:
         replay read the exact same floats (log of a zero entry is -inf by
         design)."""
         with np.errstate(divide="ignore"):
-            out = np.ascontiguousarray(np.log(self.tables).transpose(0, 2, 1))
-        out.flags.writeable = False
-        return out
+            return read_only(np.ascontiguousarray(np.log(self.tables).transpose(0, 2, 1)))
 
     @cached_property
     def divergences(self) -> np.ndarray:
@@ -224,9 +205,7 @@ class WorldModel:
         what agent i's signals tell the truth theta from state c (0 at c =
         theta, +inf where the truth has a signal c cannot produce)."""
         theta = self.true_state_index
-        out = kl_divergence(self.tables[:, theta : theta + 1], self.tables)
-        out.flags.writeable = False
-        return out
+        return read_only(kl_divergence(self.tables[:, theta : theta + 1], self.tables))
 
 
 def kl_divergence(p, q):
@@ -253,8 +232,7 @@ def kl_divergence(p, q):
         terms = (pc * (np.log(pc) - np.log(qc))).reshape(-1, p.shape[-1])
     count = mask.sum(axis=-1).ravel()
     val = np.empty(len(count))
-    for c in np.flatnonzero(np.bincount(count)):
-        rows = np.flatnonzero(count == c)
+    for c, rows in rows_by_length(count):
         val[rows] = terms[rows, :c].sum(axis=-1)
     val = val.reshape(mask.shape[:-1])
     infinite = np.any(mask & (q == 0.0), axis=-1)

@@ -3,11 +3,16 @@ CSR form, one likelihood tensor, and draws, divergences and rates computed
 for every agent at once must give the bits a per-agent loop over dense rows
 gives. Also the first error a config with several faults reports, that a
 config error is the field path followed by the model type's own message,
-and a bound on the memory a 10 000-agent run takes."""
+that every model type holding arrays compares and hashes by value, and a
+bound on the memory a 10 000-agent run takes."""
 
 import copy
+import dataclasses
+import importlib
 import math
+import pkgutil
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -16,18 +21,20 @@ from hypothesis import strategies as st
 
 import gossip_learning
 from gossip_learning import example1
-from gossip_learning.analysis import theoretical_rate
+from gossip_learning.analysis import OccupancyReport, theoretical_rate
+from gossip_learning.arrays import ArrayValue
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
     DirectedNetwork,
     SelectionMatrix,
+    StationaryDistribution,
     csr_contains,
     custom_selection_matrix,
     stationary_distribution,
     uniform_selection_matrix,
 )
-from gossip_learning.simulator import SimulationConfig, run_replications
+from gossip_learning.simulator import SimulationConfig, SimulationTrace, run, run_replications
 from gossip_learning.world import (
     Prior,
     StateSpace,
@@ -389,6 +396,83 @@ def test_config_message_is_the_field_path_then_the_model_message(path, values):
 def test_every_exported_name_resolves():
     for name in gossip_learning.__all__:
         assert hasattr(gossip_learning, name), name
+
+
+# ---- the value rule -----------------------------------------------------------
+# Each array-holding model type, built from fresh inputs; with changed=True one
+# entry of one array differs.
+
+def _two_by_two(changed):
+    return [[0.5, 0.5], [0.75, 0.25] if changed else [0.25, 0.75]]
+
+
+def _trace(changed):
+    signals = np.zeros((3, 2), dtype=np.int64)
+    signals[2, 1] = int(changed)
+    return SimulationTrace(signals, np.zeros((2, 2), dtype=np.int64), (0, 2), np.zeros((2, 2, 2)))
+
+
+SPACE = StateSpace(states=(1, 2), true_state_index=0)
+VALUE_BUILDS = {
+    "DirectedNetwork": lambda changed: DirectedNetwork(3, [(0, 1), (1, 2), (2, 0) if changed else (2, 1)]),
+    "SelectionMatrix": lambda changed: SelectionMatrix.from_dense(_two_by_two(changed)),
+    "StationaryDistribution": lambda changed: StationaryDistribution(np.array(_two_by_two(changed)[1])),
+    "Prior": lambda changed: Prior(np.array(_two_by_two(changed)[1])),
+    "WorldModel": lambda changed: WorldModel.from_tables(SPACE, Prior(np.array([0.5, 0.5])), [_two_by_two(changed)]),
+    "SimulationTrace": _trace,
+    "OccupancyReport": lambda changed: OccupancyReport(
+        agent=0, t=4, counts=np.array([1, 3]), frequencies=np.array([0.25, 0.75]),
+        stationary=np.array(_two_by_two(changed)[1]), max_abs_dev=0.0),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_BUILDS.values(), ids=VALUE_BUILDS.keys())
+def test_equal_builds_compare_and_hash_alike(build):
+    a, b, other = build(False), build(False), build(True)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+
+
+def test_signed_zeros_give_equal_worlds():
+    prior = Prior(np.array([0.5, 0.5]))
+    plus = WorldModel.from_tables(SPACE, prior, [[[1.0, 0.0], [0.5, 0.5]]])
+    minus = WorldModel.from_tables(SPACE, prior, [[[1.0, -0.0], [0.5, 0.5]]])
+    assert plus == minus and hash(plus) == hash(minus)
+
+
+def test_configs_built_alike_are_one_dict_key():
+    a, b = example1.config(), example1.config()
+    assert a == b and hash(a) == hash(b)
+    assert {a: "example1"}[b] == "example1"
+    assert a != example1.config(seed=43)
+
+
+def test_runs_with_one_seed_give_equal_traces():
+    cfg = example1.config(horizon=5)
+    runs = [run(cfg.network, cfg.selection, cfg.world, cfg.simulation) for _ in range(2)]
+    assert runs[0] == runs[1] and hash(runs[0]) == hash(runs[1])
+    assert runs[0] != run(cfg.network, cfg.selection, cfg.world, cfg.simulation, replication=1)
+
+
+def test_every_dataclass_holding_arrays_is_an_array_value():
+    """A model type with an array field must take its == and hash from
+    ArrayValue: the generated ones compare arrays with == and cannot hash
+    them."""
+    holders = set()
+    for info in pkgutil.iter_modules(gossip_learning.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gossip_learning.{info.name}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            hints = typing.get_type_hints(cls)
+            if any(np.ndarray in (hints[f.name], *typing.get_args(hints[f.name])) for f in dataclasses.fields(cls)):
+                holders.add(cls.__name__)
+                assert issubclass(cls, ArrayValue), cls.__name__
+                # declared eq=False: the dataclass added neither == nor hash of its own
+                assert (cls.__eq__, cls.__hash__) == (ArrayValue.__eq__, ArrayValue.__hash__), cls.__name__
+    assert holders >= set(VALUE_BUILDS)
 
 
 # ---- memory ---------------------------------------------------------------------

@@ -9,10 +9,11 @@ from scipy.linalg import null_space
 
 from gossip_learning import example1, graph
 from gossip_learning.config import parse_config_dict
-from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
+from gossip_learning.errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError
 from gossip_learning.graph import (
     DirectedNetwork,
     SelectionMatrix,
+    StationaryDistribution,
     check_selection_support,
     custom_selection_matrix,
     is_strongly_connected,
@@ -40,7 +41,7 @@ def _random_net_and_rows(rng, n):
         net = DirectedNetwork(n, edges)
         rows = np.zeros((n, n))
         for i in range(n):
-            allowed = list(net.in_neighbors(i)) + [i]
+            allowed = net.in_indices[net.in_indptr[i]:net.in_indptr[i + 1]].tolist() + [i]
             w = rng.random(len(allowed)) + 0.05
             rows[i, allowed] = w / w.sum()
         return net, rows
@@ -51,7 +52,7 @@ class TestDirectedNetwork:
         net = ex1_net()
         expected = {0: (2,), 1: (0, 3), 2: (1,), 3: (2, 4), 4: (1,), 5: (2,), 6: (0,), 7: (6,)}
         for i, nbrs in expected.items():
-            assert net.in_neighbors(i) == nbrs
+            assert tuple(net.in_indices[net.in_indptr[i]:net.in_indptr[i + 1]].tolist()) == nbrs
             assert net.degree(i) == len(nbrs)
 
     def test_rejects_self_loop(self):
@@ -85,8 +86,8 @@ class TestDirectedNetwork:
     ], ids=["tuples", "lists", "int64 array", "uint8 array", "mixed"])
     def test_edges_are_stored_as_pairs_of_python_ints(self, edges):
         net = DirectedNetwork(3, edges)
-        assert net.edges == ((0, 1), (1, 2), (2, 0))
-        assert all(type(x) is int for pair in net.edges for x in pair)
+        assert net.edges.dtype == np.int64 and not net.edges.flags.writeable
+        assert net.edges.tolist() == [[0, 1], [1, 2], [2, 0]]
         cycle = DirectedNetwork(3, ((0, 1), (1, 2), (2, 0)))
         assert net == cycle and hash(net) == hash(cycle)
 
@@ -218,8 +219,8 @@ class TestSelectionMatrix:
 
     def test_support_indices(self):
         p = uniform_selection_matrix(ex1_net())
-        assert list(p.support(1)) == [0, 3]
-        assert list(p.support(7)) == [6]
+        assert p.indices[p.indptr[1]:p.indptr[2]].tolist() == [0, 3]
+        assert p.indices[p.indptr[7]:p.indptr[8]].tolist() == [6]
 
 
 class TestStructure:
@@ -261,7 +262,7 @@ class TestStructure:
             g = nx.DiGraph()
             g.add_nodes_from(range(n))
             for i in range(n):
-                for j in P.support(i):
+                for j in P.indices[P.indptr[i]:P.indptr[i + 1]]:
                     g.add_edge(i, int(j))  # i can step to j
             cond = nx.condensation(g)
             expected = sorted(
@@ -334,6 +335,16 @@ class TestStationary:
         net = DirectedNetwork(1, [])
         pi = stationary_distribution(uniform_selection_matrix(net)).pi
         assert pi.tolist() == [1.0]
+
+    @pytest.mark.parametrize("pi", [[np.nan, 1.0], [0.5, np.nan]])
+    def test_nan_entry_is_rejected(self, pi):
+        with pytest.raises(ValidationError, match="^stationary distribution has a negative or NaN entry$"):
+            StationaryDistribution(np.array(pi))
+
+    def test_nan_solve_fails_the_residual_check(self, monkeypatch):
+        monkeypatch.setattr(graph, "_direct_stationary", lambda sub: np.full(len(sub), np.nan))
+        with pytest.raises(StationarySolveError, match="residual nan exceeds"):
+            stationary_distribution(uniform_selection_matrix(DirectedNetwork(2, [(0, 1), (1, 0)])))
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,7 @@ def test_npz_round_trip_is_bitwise(case, horizon, stride, seed, data, tmp_path_f
     digest = write_trace(tr, path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = read_trace(path, digest, P, world, cfg)
+    assert back == tr
     assert (back.n, back.horizon) == (tr.n, tr.horizon)
     # every field of a trace is one of the file's arrays, given back bit for bit
     for field in dataclasses.fields(SimulationTrace):

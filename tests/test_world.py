@@ -63,6 +63,13 @@ class TestTypes:
             tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.5, -0.5]]])
         assert str(info.value) == "agent 2: negative likelihood entry -0.5 for state 2, signal 1"
 
+    @pytest.mark.parametrize("entry", [{}, object()], ids=["dict", "object"])
+    def test_table_entry_that_is_not_a_number_is_named(self, entry):
+        space = StateSpace(states=(1, 2), true_state_index=0)
+        with pytest.raises(ValidationError) as info:
+            WorldModel.from_tables(space, Prior(nu=np.array([0.5, 0.5])), [[[entry, 1.0], [0.5, 0.5]]])
+        assert str(info.value) == "agent 1: likelihood table rows must be numbers, all rows of one length"
+
     def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
         with pytest.raises(ValidationError) as info:
             tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.4]]])
