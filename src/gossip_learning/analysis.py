@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arrays import ArrayValue
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
 from .world import WorldModel
@@ -30,8 +30,7 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
         raise ValidationError(
             f"stationary vector has {pi.pi.shape[0]} entries, world has {world.n_agents} agents"
         )
-    if not (0 <= check_state < world.num_states):
-        raise ValidationError(f"check_state {check_state} outside 0..{world.num_states - 1}")
+    check_index("check_state", check_state, world.num_states)
     weights = pi.pi
     recurrent = weights > 0.0
     terms = np.zeros(len(weights) + 1)
@@ -82,10 +81,8 @@ def empirical_rate(
     t0, t1 = window
     if t0 < 0 or t1 > trace.horizon or t0 >= t1:
         raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={trace.horizon}")
-    if not (0 <= agent < trace.n):
-        raise ValidationError(f"agent {agent} outside 0..{trace.n - 1}")
-    if not (0 <= check_state < world.num_states):
-        raise ValidationError(f"check_state {check_state} outside 0..{world.num_states - 1}")
+    check_index("agent", agent, trace.n)
+    check_index("check_state", check_state, world.num_states)
     all_times = np.asarray(trace.snapshot_times)
     inside = (all_times >= t0) & (all_times <= t1)
     times = all_times[inside].astype(float)
@@ -214,8 +211,8 @@ def belief_difference(
 ) -> tuple[np.ndarray, np.ndarray]:
     """|belief_a(state) - belief_b(state)| at every snapshot time."""
     for a in (agent_a, agent_b):
-        if not (0 <= a < trace.n):
-            raise ValidationError(f"agent {a} outside 0..{trace.n - 1}")
+        check_index("agent", a, trace.n)
+    check_index("state", state, trace.log_beliefs.shape[2])
     times = np.array(trace.snapshot_times, dtype=np.int64)
     mass = np.exp(trace.log_beliefs[:, [agent_a, agent_b], state])
     return times, np.abs(mass[:, 0] - mass[:, 1])

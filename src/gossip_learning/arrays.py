@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -39,12 +40,23 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def float_array(x) -> np.ndarray | None:
-    """x as a float array, or None where numpy cannot make one: rows of
-    different lengths, or entries that are not numbers."""
+    """x as a float array, or None unless x is numbers: a numpy array of
+    integer or float dtype, or (nested) sequences of one length per level
+    whose entries are each an int, a float, a numpy integer or a numpy
+    float. A bool, None or a string is not a number, nor is an int too
+    large for a float."""
+    if isinstance(x, np.ndarray):
+        return np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else None
     try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         return None
+    entries = [x] if arr.ndim == 0 else x
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if all(t is int or t is float or issubclass(t, (np.integer, np.floating)) for t in set(map(type, entries))):
+        return arr
+    return None
 
 
 def rows_by_length(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -65,14 +65,11 @@ def _resolve_out(args) -> Path:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    overrides = {k: getattr(args, k) for k in ("seed", "horizon", "replications") if getattr(args, k) is not None}
     if args.config is not None:
-        return load_config(args.config, seed=args.seed, horizon=args.horizon, replications=args.replications)
+        return load_config(args.config, overrides)
     # no file given: fall back to the built-in benchmark scenario
-    return example1.config(
-        horizon=args.horizon if args.horizon is not None else example1.DEFAULT_HORIZON,
-        seed=args.seed if args.seed is not None else example1.DEFAULT_SEED,
-        replications=args.replications if args.replications is not None else example1.DEFAULT_REPLICATIONS,
-    )
+    return parse_config_dict(example1.config_dict(**overrides))
 
 
 def _format_agents(indices) -> str:

@@ -2,10 +2,14 @@
 
 A config file has five sections: network, selection, world, simulation, and
 an optional analysis block. Parsing is strict: unknown keys are rejected and
-every diagnostic carries the field path it refers to. Agent ids, state labels,
-and edge endpoints are 1-based in files, converted to 0-based indices at the
-boundary. The canonical form (aliases expanded, defaults filled, edges sorted)
-round-trips: parsing it again yields the same canonical form.
+every diagnostic carries the field path it refers to. The loader checks the
+JSON structure (objects, keys, arrays), the shape of an edge pair and its own
+integer fields; the model types check numbers and the simulation integers,
+and the loader puts the field path in front of their messages. Agent ids,
+state labels, and edge endpoints are 1-based in files, converted to 0-based
+indices at the boundary. The canonical form (aliases expanded, defaults
+filled, edges sorted) round-trips: parsing it again yields the same canonical
+form.
 """
 
 from __future__ import annotations
@@ -56,19 +60,6 @@ def _as_number(v: Any, path: str) -> float:
     return float(v)
 
 
-def _plain_numbers(v: Any) -> bool:
-    """Whether v is a JSON array of numbers (no bools), checked without
-    building a path for each entry."""
-    return type(v) is list and all(type(x) is float or type(x) is int for x in v)
-
-
-def _as_numbers(v: Any, path: str) -> list[float]:
-    """A JSON array of numbers as floats; a bad entry is named by its path."""
-    if _plain_numbers(v):
-        return [float(x) for x in v]
-    return [_as_number(x, f"{path}[{c}]") for c, x in enumerate(_as_list(v, path))]
-
-
 def _as_label(v: Any, path: str):
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValidationError(f"{path}: state labels must be integers or strings, got {v!r}")
@@ -115,7 +106,7 @@ class ExperimentConfig:
             "world": {
                 "states": list(self.world.state_space.states),
                 "true_state": self.world.state_space.states[self.world.true_state_index],
-                "prior": [float(x) for x in self.world.prior.nu],
+                "prior": self.world.prior.nu.tolist(),
                 "likelihoods": [
                     {"agent": i + 1, "table": self.world.likelihood(i).tolist()}
                     for i in range(self.world.n_agents)
@@ -177,8 +168,7 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
     if kind == "explicit":
         if "rows" not in obj:
             raise ValidationError("selection: kind 'explicit' requires 'rows'")
-        raw_rows = _as_list(obj["rows"], "selection.rows")
-        rows = [_as_numbers(row, f"selection.rows[{i}]") for i, row in enumerate(raw_rows)]
+        rows = _as_list(obj["rows"], "selection.rows")
         try:
             return custom_selection_matrix(net, rows), "explicit"
         except ValidationError as exc:
@@ -198,10 +188,7 @@ def _parse_likelihood_entry(raw: Any, path: str, n: int) -> tuple[int, list | st
         if not (isinstance(ref, str) and ref.startswith("l_") and ref[2:].isdigit()):
             raise ValidationError(f"{path}.like: expected an 'l_<agent>' reference, got {ref!r}")
         return agent, ref
-    table = _as_list(obj["table"], f"{path}.table")
-    if all(map(_plain_numbers, table)):
-        return agent, [[float(x) for x in row] for row in table]
-    return agent, [_as_numbers(row, f"{path}.table[{r}]") for r, row in enumerate(table)]
+    return agent, _as_list(obj["table"], f"{path}.table")
 
 
 def _parse_world(raw: Any, n: int) -> WorldModel:
@@ -218,14 +205,11 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
     except ValidationError as exc:
         raise ValidationError(f"world.states: {exc}") from exc
 
-    prior_raw = obj["prior"]
-    if prior_raw == "uniform":
+    nu = obj["prior"]
+    if nu == "uniform":
         nu = np.full(len(labels), 1.0 / len(labels))
-    else:
-        vals = [_as_number(x, f"world.prior[{k}]") for k, x in enumerate(_as_list(prior_raw, "world.prior"))]
-        if len(vals) != len(labels):
-            raise ValidationError(f"world.prior: expected {len(labels)} entries, got {len(vals)}")
-        nu = np.array(vals)
+    elif len(_as_list(nu, "world.prior")) != len(labels):
+        raise ValidationError(f"world.prior: expected {len(labels)} entries, got {len(nu)}")
     try:
         prior = Prior(nu=nu)
     except ValidationError as exc:
@@ -266,12 +250,7 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
 def _parse_simulation(raw: Any) -> SimulationConfig:
     obj = _require_keys(raw, "simulation", ("horizon", "seed"), ("replications", "record_beliefs_every"))
     try:
-        return SimulationConfig(
-            horizon=_as_int(obj["horizon"], "simulation.horizon"),
-            seed=_as_int(obj["seed"], "simulation.seed"),
-            replications=_as_int(obj.get("replications", 1), "simulation.replications"),
-            record_beliefs_every=_as_int(obj.get("record_beliefs_every", 1), "simulation.record_beliefs_every"),
-        )
+        return SimulationConfig(**obj)
     except ValidationError as exc:
         raise ValidationError(f"simulation: {exc}") from exc
 
@@ -353,17 +332,12 @@ def parse_config_dict(raw: Any) -> ExperimentConfig:
     )
 
 
-def load_config(
-    path: str | Path,
-    seed: int | None = None,
-    horizon: int | None = None,
-    replications: int | None = None,
-) -> ExperimentConfig:
+def load_config(path: str | Path, overrides: dict[str, int] | None = None) -> ExperimentConfig:
     """Read, decode and validate a config file; errors carry the path.
 
-    seed, horizon and replications, when given, replace the file's simulation
-    values before validation. When the horizon changes and the file never
-    pinned a window, the default window is derived from the new horizon.
+    overrides (say {"seed": 7}) replace the file's simulation values before
+    validation. When the horizon changes and the file never pinned a window,
+    the default window is derived from the new horizon.
     """
     path = Path(path)
     try:
@@ -376,9 +350,8 @@ def load_config(
         raise ValidationError(
             f"{path}: config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    overrides = {"seed": seed, "horizon": horizon, "replications": replications}
-    if isinstance(raw, dict) and isinstance(raw.get("simulation"), dict):
-        raw["simulation"].update((k, v) for k, v in overrides.items() if v is not None)
+    if overrides and isinstance(raw, dict) and isinstance(raw.get("simulation"), dict):
+        raw["simulation"].update(overrides)
     try:
         return parse_config_dict(raw)
     except ValidationError as exc:

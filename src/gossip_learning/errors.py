@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one index check."""
 
 
 class ValidationError(ValueError):
     """An input violates a documented contract (bad graph, matrix, config, ...)."""
+
+
+def check_index(name: str, value: int, count: int) -> None:
+    """Raise unless value is a 0-based index below count."""
+    if not (0 <= value < count):
+        raise ValidationError(f"{name} {value} outside 0..{count - 1}")
 
 
 class ImpossibleSignalError(ValidationError):

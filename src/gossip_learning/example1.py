@@ -74,6 +74,5 @@ def config(
     horizon: int = DEFAULT_HORIZON,
     seed: int = DEFAULT_SEED,
     replications: int = DEFAULT_REPLICATIONS,
-    record_beliefs_every: int = 1,
 ) -> ExperimentConfig:
-    return parse_config_dict(config_dict(horizon, seed, replications, record_beliefs_every))
+    return parse_config_dict(config_dict(horizon, seed, replications))

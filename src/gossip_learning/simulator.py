@@ -44,7 +44,7 @@ import numpy as np
 
 from .arrays import ArrayValue, read_only, rows_by_length
 from .belief import bayes_log_posterior
-from .errors import ValidationError
+from .errors import ValidationError, check_index
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
@@ -53,7 +53,9 @@ WALK_IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Run shape: rounds, master seed, belief-snapshot stride, replication count."""
+    """Run shape: rounds, master seed, belief-snapshot stride, replication
+    count. Each is an integer (a numpy integer is stored as an int; a bool is
+    not an integer)."""
 
     horizon: int
     seed: int
@@ -61,9 +63,14 @@ class SimulationConfig:
     replications: int = 1
 
     def __post_init__(self):
+        for name in ("horizon", "seed", "record_beliefs_every", "replications"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits (0 <= seed < 2**64), got {self.seed}")
         if self.record_beliefs_every < 1:
             raise ValidationError("record_beliefs_every must be >= 1")
@@ -262,10 +269,8 @@ def run_replications(
 def backward_walk(trace: SimulationTrace, i: int, t: int) -> np.ndarray:
     """Unroll neighbor choices from (i, t) back to round 1: the node sequence
     whose signals the agent's belief is built from."""
-    if not (0 <= i < trace.n):
-        raise ValidationError(f"agent {i} outside 0..{trace.n - 1}")
-    if not (0 <= t <= trace.horizon):
-        raise ValidationError(f"time {t} outside 0..{trace.horizon}")
+    check_index("agent", i, trace.n)
+    check_index("time", t, trace.horizon + 1)
     walk = np.empty(t + 1, dtype=np.int64)
     walk[0] = i
     cur = i
@@ -290,6 +295,7 @@ def verify_walk_identity(
     signal term per backward-walk step. Returns the absolute residual;
     exact -inf on both sides counts as a match (residual 0).
     """
+    check_index("check_state", check_state, world.num_states)
     theta = world.true_state_index
     snap = trace.log_belief_at(t)
     if snap[i, theta] == -np.inf:

@@ -58,9 +58,9 @@ class Prior(ArrayValue):
     nu: np.ndarray
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        if nu.ndim != 1:
-            raise ValidationError("prior must be a vector")
+        nu = float_array(self.nu)
+        if nu is None or nu.ndim != 1:
+            raise ValidationError("prior must be a vector of numbers")
         bad = ~(nu > 0.0)  # NaN is not positive either
         if bad.any():
             k = int(np.argmax(bad))

@@ -244,6 +244,13 @@ class TestBeliefDifference:
         with pytest.raises(ValidationError, match="agent"):
             belief_difference(tr, 0, 8, 0)
 
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_state_bounds(self, ex1_cfg, state):
+        tr = small_run(ex1_cfg, horizon=10)
+        with pytest.raises(ValidationError) as info:
+            belief_difference(tr, 2, 7, state)
+        assert str(info.value) == f"state {state} outside 0..2"
+
 
 class TestCsvWriters:
     def test_rate_report_csv(self, tmp_path, ex1_cfg, ex1_pi):

@@ -3,8 +3,8 @@ CSR form, one likelihood tensor, and draws, divergences and rates computed
 for every agent at once must give the bits a per-agent loop over dense rows
 gives. Also the first error a config with several faults reports, that a
 config error is the field path followed by the model type's own message,
-that every model type holding arrays compares and hashes by value, and a
-bound on the memory a 10 000-agent run takes."""
+which inputs count as numbers, that every model type holding arrays compares
+and hashes by value, and a bound on the memory a 10 000-agent run takes."""
 
 import copy
 import dataclasses
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import gossip_learning
 from gossip_learning import example1
 from gossip_learning.analysis import OccupancyReport, theoretical_rate
-from gossip_learning.arrays import ArrayValue
+from gossip_learning.arrays import ArrayValue, float_array
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
@@ -396,6 +396,36 @@ def test_config_message_is_the_field_path_then_the_model_message(path, values):
 def test_every_exported_name_resolves():
     for name in gossip_learning.__all__:
         assert hasattr(gossip_learning, name), name
+
+
+# ---- the number rule ----------------------------------------------------------
+
+@pytest.mark.parametrize("x", [
+    np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5], dtype=np.float32), np.array([3], dtype=np.uint8),
+    [np.int64(1), np.float32(0.5), 2, 2.5], [[1, 0.5], np.array([2.0, 3.0])], np.float64(0.5), [],
+], ids=["int array", "float32 array", "uint8 array", "numpy and Python scalars", "array row", "scalar", "empty"])
+def test_numbers_become_a_float_array(x):
+    arr = float_array(x)
+    assert arr.dtype == np.float64 and arr.tolist() == np.asarray(x, dtype=float).tolist()
+
+
+@pytest.mark.parametrize("x", [
+    np.array([True, False]), [True, 1e-300], [np.bool_(True)], [[0.5, None]], ["0.5"], "0.5",
+    [[1.0], [np.bool_(False)]], np.array([0.5], dtype=object), [10**400],
+], ids=["bool array", "bool", "numpy bool", "None", "string", "bare string", "numpy bool row", "object array",
+        "int beyond float"])
+def test_what_is_not_numbers(x):
+    assert float_array(x) is None
+
+
+def test_selection_entries_must_be_numbers():
+    with pytest.raises(ValidationError) as info:
+        SelectionMatrix.from_dense([[True]])
+    assert str(info.value) == "the row of agent 1 is not a list of numbers"
+    with pytest.raises(ValidationError) as info:
+        SelectionMatrix.from_dense(np.eye(2, dtype=bool))
+    assert str(info.value) == "the row of agent 1 is not a list of numbers"
+    assert SelectionMatrix.from_dense(np.eye(2, dtype=int)) == SelectionMatrix.from_dense(np.eye(2))
 
 
 # ---- the value rule -----------------------------------------------------------

@@ -13,6 +13,16 @@ from gossip_learning.config import load_config, parse_config_dict
 from gossip_learning.simulator import read_trace, run
 
 
+def set_selection_entry(value):
+    """An edit making the selection explicit (every agent picks itself) with
+    value in agent 2's row."""
+    def edit(c):
+        rows = [[1.0 if j == i else 0.0 for j in range(8)] for i in range(8)]
+        rows[1][0] = value
+        c["selection"] = {"kind": "explicit", "rows": rows}
+    return edit
+
+
 def write_config(tmp_path, cfg_dict, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg_dict), encoding="utf-8")
@@ -178,8 +188,19 @@ class TestConfigErrors:
          "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
         (lambda c: c["world"]["likelihoods"][1].update(table=[[0.5, 0.5]] * 3 + [[1.5, -0.5]]),
          "world.likelihoods: agent 2: table has 4 rows but there are 3 states"),
+        *((lambda c, v=v: c["world"]["likelihoods"][1]["table"][0].__setitem__(0, v),
+           "world.likelihoods: agent 2: likelihood table rows must be numbers, all rows of one length")
+          for v in (True, None, "0.5", 10**400)),
+        *((lambda c, v=v: c["world"].update(prior=[v, 0.5, 0.5]), "world.prior: prior must be a vector of numbers")
+          for v in (True, None, "0.5")),
+        *((set_selection_entry(v), "selection.rows: the row of agent 2 is not a list of numbers")
+          for v in (True, None, "0.5")),
+        (lambda c: c["simulation"].update(horizon=20.5), "simulation: horizon must be an integer, got 20.5"),
     ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64", "zero agents",
-            "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry"])
+            "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry",
+            "bool likelihood", "null likelihood", "string likelihood", "likelihood beyond float",
+            "bool prior", "null prior", "string prior",
+            "bool selection entry", "null selection entry", "string selection entry", "float horizon"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
         cfg = example1.config_dict(horizon=20)

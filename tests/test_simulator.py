@@ -45,6 +45,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match="replications"):
             SimulationConfig(horizon=1, seed=1, replications=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 2.5), ("seed", 1.5), ("record_beliefs_every", True), ("replications", "2"),
+    ])
+    def test_run_shape_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError) as info:
+            SimulationConfig(**{"horizon": 5, "seed": 1, field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = SimulationConfig(horizon=np.int64(5), seed=np.uint64(2**63), record_beliefs_every=np.int32(2),
+                               replications=np.int8(3))
+        assert cfg == SimulationConfig(horizon=5, seed=2**63, record_beliefs_every=2, replications=3)
+        assert [type(v) for v in dataclasses.astuple(cfg)] == [int] * 4
+
     def test_snapshot_times_include_stride_multiples_and_final_round(self):
         cfg = SimulationConfig(horizon=50, seed=0, record_beliefs_every=7)
         assert cfg.snapshot_times() == (0, 7, 14, 21, 28, 35, 42, 49, 50)
@@ -187,6 +201,13 @@ class TestWalk:
         tr = small_run(ex1_cfg, horizon=40, stride=30)
         with pytest.raises(ValidationError, match="snapshot"):
             verify_walk_identity(tr, ex1_cfg.world, 0, 7, 1)
+
+    @pytest.mark.parametrize("check", [-1, 3])
+    def test_identity_check_state_is_a_state(self, ex1_cfg, check):
+        tr = small_run(ex1_cfg, horizon=10)
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(tr, ex1_cfg.world, 0, 10, check)
+        assert str(info.value) == f"check_state {check} outside 0..2"
 
     def test_identity_with_collapsed_state_on_both_sides(self):
         # signal 0 is impossible under state 2, so one draw of it zeroes that

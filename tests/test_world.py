@@ -63,7 +63,15 @@ class TestTypes:
             tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.5, -0.5]]])
         assert str(info.value) == "agent 2: negative likelihood entry -0.5 for state 2, signal 1"
 
-    @pytest.mark.parametrize("entry", [{}, object()], ids=["dict", "object"])
+    @pytest.mark.parametrize("nu", [["0.5", "0.5"], [True, 1e-300], np.array([True, False])],
+                             ids=["strings", "bool", "bool array"])
+    def test_prior_entries_must_be_numbers(self, nu):
+        with pytest.raises(ValidationError) as info:
+            Prior(nu=nu)
+        assert str(info.value) == "prior must be a vector of numbers"
+
+    @pytest.mark.parametrize("entry", [{}, object(), True, None, "0.0"],
+                             ids=["dict", "object", "bool", "None", "str"])
     def test_table_entry_that_is_not_a_number_is_named(self, entry):
         space = StateSpace(states=(1, 2), true_state_index=0)
         with pytest.raises(ValidationError) as info:
