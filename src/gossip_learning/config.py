@@ -4,12 +4,12 @@ A config file has five sections: network, selection, world, simulation, and
 an optional analysis block. Parsing is strict: unknown keys are rejected and
 every diagnostic carries the field path it refers to. The loader checks the
 JSON structure (objects, keys, arrays), the shape of an edge pair and its own
-integer fields; the model types check numbers and the simulation integers,
-and the loader puts the field path in front of their messages. Agent ids,
-state labels, and edge endpoints are 1-based in files, converted to 0-based
-indices at the boundary. The canonical form (aliases expanded, defaults
-filled, edges sorted) round-trips: parsing it again yields the same canonical
-form.
+integer fields; the model types check numbers, the agent count and the
+simulation integers, and the loader puts the field path in front of their
+messages. Agent ids, state labels, and edge endpoints are 1-based in files,
+converted to 0-based indices at the boundary. The canonical form (aliases
+expanded, defaults filled, edges sorted) round-trips: parsing it again yields
+the same canonical form.
 """
 
 from __future__ import annotations
@@ -132,7 +132,6 @@ class ExperimentConfig:
 
 def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
-    n = _as_int(obj["n"], "network.n")
     raw_edges = _as_list(obj["edges"], "network.edges")
     # the first edge that is not a pair of integers; the network checks the
     # edges before it, so the first faulty edge is the one named
@@ -150,7 +149,7 @@ def _parse_network(raw: Any) -> DirectedNetwork:
                 typed, fault = k, exc
                 break
     try:
-        net = DirectedNetwork(n=n, edges=tuple((j - 1, i - 1) for j, i in raw_edges[:typed]))
+        net = DirectedNetwork(n=obj["n"], edges=tuple((j - 1, i - 1) for j, i in raw_edges[:typed]))
     except ValidationError as exc:
         raise ValidationError(f"network.{exc}") from exc
     if typed < len(raw_edges):

@@ -84,10 +84,11 @@ def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
 class DirectedNetwork(ArrayValue):
     """Directed graph on agents 0..n-1 with edge (j, i) = "i observes j".
 
-    The edge rules are checked here, and only here: each edge a pair of
-    integers (not bools), no endpoint outside 0..n-1, no self-loop, no edge
-    twice. The first faulty edge is named by its position and its 1-based
-    endpoints. ``edges`` is stored as one read-only (m, 2) int64 array, in
+    ``n`` is an integer >= 1 (a numpy integer is stored as an int; a bool
+    is not an integer). The edge rules are checked here, and only here: each
+    edge a pair of integers (not bools), no endpoint outside 0..n-1, no
+    self-loop, no edge twice. The first faulty edge is named by its position
+    and its 1-based endpoints. ``edges`` is stored as one read-only (m, 2) int64 array, in
     the order given, whatever sequence or array it was passed as, so
     networks compare and hash by n and their edges. ``in_indptr`` and
     ``in_indices`` are the in-neighbor lists in CSR form, each list
@@ -101,8 +102,12 @@ class DirectedNetwork(ArrayValue):
 
     def __post_init__(self):
         n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n: agent count must be an integer, got {n!r}")
+        n = int(n)
         if n < 1:
             raise ValidationError(f"n: agent count must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
         e, typed = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
@@ -151,7 +156,9 @@ class SelectionMatrix(ArrayValue):
         n = self.n
         indptr = np.asarray(self.indptr, dtype=np.int64)
         indices = np.asarray(self.indices, dtype=np.int64)
-        p = np.asarray(self.probs, dtype=float)
+        p = float_array(self.probs)
+        if p is None:
+            raise ValidationError("selection matrix probabilities must be numbers")
         if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
             raise ValidationError(f"selection matrix indptr must rise from 0 in {n + 1} entries")
         if indices.shape != (indptr[-1],) or p.shape != indices.shape:

@@ -8,14 +8,21 @@ streams are derived from the master seed with SeedSequence spawn keys, one
 stream for signals and one for selections, so traces are reproducible
 bit-for-bit across runs and platforms.
 
-All draws are made before the first round, for every agent at once: each
-agent's signal distribution (the positive entries of its true-state
-likelihood row) and its selection row are CSR rows, and a draw inverts the
-running sum of the row's entries at a uniform, by one binary search that
-halves every row's range at each step. The rounds then run as one array
-update per round over every agent of every replication at once: gather the
-chosen neighbors' previous beliefs from an (R, n, k) array, add the agents'
-log-likelihood columns for their signals, normalize.
+Draws and rounds run together, one block of rounds at a time (a block holds
+BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
+A block's uniforms are drawn from each replication's streams; consecutive
+Philox blocks give the same numbers as one call. Each agent's signal
+distribution (the positive entries of its true-state likelihood row) and its
+selection row are CSR rows whose CDFs are built once per run, and a draw
+inverts a row's CDF at a uniform, by one binary search that halves every
+row's range at each step. Each round is one update over every agent of every
+replication at once, on flat (R * n, k) arrays in preallocated buffers: gather
+the chosen neighbors' previous beliefs, add the agents' log-likelihood
+columns for their signals, normalize, and keep the neighbor's belief where
+the column is constant. These are belief.bayes_log_posterior's operations in
+its order, so a replay one vector at a time gives the same bits. The
+impossible-signal check runs once a block, on the maxima its rounds
+recorded, and names the first (replication, t, agent, signal).
 
 A trace holds what its file stores and nothing else: the signals, the
 selections, the snapshot times, and the belief snapshots as one read-only
@@ -43,12 +50,19 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import ArrayValue, read_only, rows_by_length
-from .belief import bayes_log_posterior
-from .errors import ValidationError, check_index
+from .belief import constant_columns
+from .errors import ImpossibleSignalError, ValidationError, check_index
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
 WALK_IDENTITY_TOL = 1e-8
+
+# the round loop draws and indexes this many agent-rows (replications x
+# agents x rounds) at a time, or one round where a round holds more. A
+# block's arrays then stay at 64 KB, below glibc's 128 KB mmap threshold: at
+# 2**16 rows, example1's peak RSS rose by 2.4 MB after one run and 4.4 MB
+# after two, and 2**13 rows run it within 5% of that speed
+BLOCK_AGENT_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -150,22 +164,28 @@ def matrix_fingerprint(P: SelectionMatrix) -> str:
     return h.hexdigest()
 
 
-def _inverse_cdf_draws(indptr: np.ndarray, indices: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Column i of the result holds draws from row i of a CSR distribution,
-    one per uniform in u[:, i], made by inverting the CDF of the row's stored
-    entries, which must all be positive. Every row is searched at once."""
+def _row_cdfs(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The running sum of each row of a CSR distribution, at its entries'
+    positions."""
     cdf = np.empty(len(probs))
     for d, rows in rows_by_length(np.diff(indptr)):
         slots = indptr[rows, None] + np.arange(d)
         # a running sum along a row is sequential, so each CDF has the bits
         # of the row's own 1-D cumsum
         cdf[slots] = np.cumsum(probs[slots], axis=1)
+    return cdf
+
+
+def _inverse_cdf(indptr: np.ndarray, indices: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Draws from the rows of a CSR distribution whose stored entries are all
+    positive, given the rows' CDFs: entry [..., i] of the result is drawn
+    from row i at the uniform u[..., i]. Every row is searched at once."""
     last = indptr[1:] - 1
     # binary search, one halving step for every row at a time: at stands
     # after the row's CDF entries known to be <= u. A probe past the row
     # reads its last entry, so at can pass the row's end only when every
     # entry is <= u.
-    at = np.repeat(indptr[None, :-1], len(u), axis=0)
+    at = np.broadcast_to(indptr[:-1], u.shape).copy()
     step = 1 << (int(np.diff(indptr).max()).bit_length() - 1)
     while step:
         probe = at + (step - 1)
@@ -187,26 +207,6 @@ def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldMode
     check_selection_support(net, P)
 
 
-def _draw(
-    P: SelectionMatrix,
-    world: WorldModel,
-    cfg: SimulationConfig,
-    replication: int,
-    signals: np.ndarray,
-    selections: np.ndarray,
-) -> None:
-    """Fill one replication's (T+1, n) signals and (T, n) selections."""
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(replication,))
-    sig_ss, sel_ss = root.spawn(2)
-    rng_sig = np.random.Generator(np.random.Philox(sig_ss))
-    rng_sel = np.random.Generator(np.random.Philox(sel_ss))
-
-    # a world's tables are non-negative, so the nonzero entries are the positive ones
-    theta = world.true_state_index
-    signals[:] = _inverse_cdf_draws(*nonzero_csr(world.tables[:, theta]), rng_sig.random(signals.shape))
-    selections[:] = _inverse_cdf_draws(P.indptr, P.indices, P.probs, rng_sel.random(selections.shape))
-
-
 def _simulate(
     net: DirectedNetwork,
     P: SelectionMatrix,
@@ -214,30 +214,87 @@ def _simulate(
     cfg: SimulationConfig,
     replications: Sequence[int],
 ) -> list[SimulationTrace]:
-    """Execute the given replications together and record their traces."""
+    """Execute the given replications together and record their traces.
+
+    A signal with zero likelihood under every state the neighbor's belief
+    holds raises ImpossibleSignalError naming the first such (replication,
+    round t, agent, signal), the replication and agent 1-based."""
     _check_consistent(net, P, world)
     T, n, R = cfg.horizon, net.n, len(replications)
-
+    N, k, S = R * n, world.num_states, world.log_columns.shape[1]
+    times = cfg.snapshot_times()  # starts at 0, ends at T
     signals = np.empty((R, T + 1, n), dtype=np.int64)
     selections = np.empty((R, T, n), dtype=np.int64)
-    for b, r in enumerate(replications):
-        _draw(P, world, cfg, r, signals[b], selections[b])
+    snapshots = np.empty((R, len(times), n, k))
 
-    cols = world.log_columns  # (n, S_max, k)
-    agents = np.arange(n)
-    reps = np.arange(R)[:, None]
-    times = cfg.snapshot_times()  # starts at 0, ends at T
-    snapshots = np.empty((R, len(times), n, world.num_states))
+    streams = []
+    for r in replications:
+        sig_ss, sel_ss = np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2)
+        streams.append((np.random.Generator(np.random.Philox(sig_ss)), np.random.Generator(np.random.Philox(sel_ss))))
+    # a world's tables are non-negative, so the nonzero entries are the positive ones
+    sig_ptr, sig_values, sig_probs = nonzero_csr(world.tables[:, world.true_state_index])
+    sig_cdf = _row_cdfs(sig_ptr, sig_probs)
+    sel_cdf = _row_cdfs(P.indptr, P.probs)
 
-    current = bayes_log_posterior(world.prior.log_nu, cols[agents, signals[:, 0]])
-    snapshots[:, 0] = current
-    slot = 1
-    for t in range(1, T + 1):
-        neighbor = current[reps, selections[:, t - 1]]
-        current = bayes_log_posterior(neighbor, cols[agents, signals[:, t]])
-        if t == times[slot]:
-            snapshots[:, slot] = current
-            slot += 1
+    # row b * n + i of a flat (N, k) array is agent i of replication b; row
+    # i * S + x of cols is agent i's log-likelihood column for signal x
+    cols = world.log_columns.reshape(n * S, k)
+    constant = constant_columns(cols)
+    col_base = np.arange(n) * S
+    row_base = np.arange(R)[:, None, None] * n
+    # round 0 updates the prior, which every row of the first belief holds
+    cur = np.tile(world.prior.log_nu, (N, 1))
+    nxt, gathered, col, y = (np.empty((N, k)) for _ in range(4))
+    total = np.empty((N, 1))
+    rounds = max(1, BLOCK_AGENT_ROWS // N)
+    slot = 0
+    # a -inf or NaN maximum is reported when its block ends, so its round's
+    # invalid -inf - -inf runs first
+    with np.errstate(invalid="ignore"):
+        for t0 in range(0, T + 1, rounds):
+            t1 = min(t0 + rounds, T + 1)
+            s0 = max(t0, 1)  # the block's first round with a selection
+            u_sig = np.empty((R, t1 - t0, n))
+            u_sel = np.empty((R, t1 - s0, n))
+            for b, (rng_sig, rng_sel) in enumerate(streams):
+                rng_sig.random(out=u_sig[b])
+                rng_sel.random(out=u_sel[b])
+            sig = signals[:, t0:t1]
+            sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_sig)
+            sel = selections[:, s0 - 1 : t1 - 1]
+            sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_sel)
+
+            sig_rows = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
+            nbr_rows = (sel + row_base).transpose(1, 0, 2).reshape(t1 - s0, N)
+            if t0 == 0:
+                nbr_rows = np.vstack([np.arange(N), nbr_rows])
+            const = constant[sig_rows]
+            maxima = np.empty((t1 - t0, N, 1))
+            # every index is in range; mode="clip" spares take a buffered copy for out=
+            for t, nbr_t, sig_t, const_t, max_t in zip(range(t0, t1), nbr_rows, sig_rows, const, maxima):
+                cur.take(nbr_t, axis=0, out=gathered, mode="clip")
+                cols.take(sig_t, axis=0, out=col, mode="clip")
+                np.add(gathered, col, out=y)
+                np.maximum.reduce(y, axis=1, keepdims=True, out=max_t)
+                np.subtract(y, max_t, out=y)
+                np.exp(y, out=col)
+                np.add.reduce(col, axis=1, keepdims=True, out=total)
+                np.log(total, out=total)
+                np.subtract(y, total, out=nxt)
+                np.copyto(nxt, gathered, where=const_t)
+                cur, nxt = nxt, cur
+                if t == times[slot]:
+                    snapshots[:, slot] = cur.reshape(R, n, k)
+                    slot += 1
+
+            impossible = ~(maxima > -np.inf)  # -inf or NaN
+            if impossible.any():
+                j, row = divmod(int(np.argmax(impossible)), N)
+                b, i = divmod(row, n)
+                raise ImpossibleSignalError(
+                    f"replication {replications[b] + 1}, t={t0 + j}, agent {i + 1}, signal {sig[b, j, i]}: "
+                    "signal has zero likelihood under every state with mass"
+                )
 
     for arr in (signals, selections, snapshots):
         read_only(arr)

@@ -122,7 +122,9 @@ class WorldModel(ArrayValue):
     signal_counts: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tables, dtype=float)
+        t = float_array(self.tables)
+        if t is None:
+            raise ValidationError("likelihood tables must be numbers")
         counts = np.asarray(self.signal_counts, dtype=np.int64)
         if t.ndim != 3 or counts.shape != t.shape[:1]:
             raise ValidationError(

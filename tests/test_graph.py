@@ -71,6 +71,17 @@ class TestDirectedNetwork:
         with pytest.raises(ValidationError, match=r"^n: agent count must be >= 1, got 0$"):
             DirectedNetwork(0, [])
 
+    @pytest.mark.parametrize("n", [2.5, True, None, "2", np.float64(2.0)])
+    def test_agent_count_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError) as info:
+            DirectedNetwork(n=n, edges=[])
+        assert str(info.value) == f"n: agent count must be an integer, got {n!r}"
+
+    def test_numpy_integer_agent_count_is_stored_as_an_int(self):
+        net = DirectedNetwork(n=np.int32(3), edges=[(0, 1)])
+        assert type(net.n) is int
+        assert net == DirectedNetwork(3, [(0, 1)])
+
     def test_networks_with_equal_edges_compare_and_hash_alike(self):
         net = ex1_net()
         twin = DirectedNetwork(net.n, list(net.edges))
@@ -196,6 +207,13 @@ class TestSelectionMatrix:
             SelectionMatrix.from_dense(np.array([[1.5, -0.5], [0.0, 1.0]]))
         with pytest.raises(ValidationError):
             SelectionMatrix.from_dense(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("probs", [np.array([True]), [True], ["1.0"], [None]],
+                             ids=["bool array", "bool", "str", "None"])
+    def test_probabilities_must_be_numbers(self, probs):
+        with pytest.raises(ValidationError) as info:
+            SelectionMatrix(n=1, indptr=[0, 1], indices=[0], probs=probs)
+        assert str(info.value) == "selection matrix probabilities must be numbers"
 
     def test_custom_rejects_mass_outside_neighborhood(self):
         net = DirectedNetwork(3, [(0, 1)])

@@ -1,20 +1,23 @@
 import dataclasses
 import hashlib
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossip_learning import simulator
+from gossip_learning import example1, simulator
 from gossip_learning.belief import bayes_log_posterior
-from gossip_learning.errors import ValidationError
+from gossip_learning.errors import ImpossibleSignalError, ValidationError
 from gossip_learning.graph import DirectedNetwork, custom_selection_matrix, nonzero_csr, uniform_selection_matrix
 from gossip_learning.simulator import (
     TRACE_ARRAYS,
     SimulationConfig,
     SimulationTrace,
-    _inverse_cdf_draws,
+    _inverse_cdf,
+    _row_cdfs,
     backward_walk,
     matrix_fingerprint,
     read_trace,
@@ -30,6 +33,12 @@ from tests.test_world import tiny_world
 def small_run(ex1_cfg, horizon=200, seed=7, stride=1, replication=0):
     cfg = SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride)
     return run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=replication)
+
+
+def row_draws(row, u):
+    """Draws from one dense probability row, one per uniform in u."""
+    indptr, indices, probs = nonzero_csr(row[None])
+    return _inverse_cdf(indptr, indices, _row_cdfs(indptr, probs), u[:, None])[:, 0].tolist()
 
 
 class TestConfig:
@@ -130,12 +139,66 @@ class TestDraws:
         row = np.array([0.1] * 10 + [0.0])
         u = np.array([1 - 2**-53])
         assert np.cumsum(row)[-1] <= u[0]
-        assert _inverse_cdf_draws(*nonzero_csr(row[None]), u[:, None])[:, 0].tolist() == [9]
+        assert row_draws(row, u) == [9]
 
     def test_draws_skip_zero_entries_anywhere_in_the_row(self):
         row = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
         u = np.array([0.0, 0.2499, 0.25, 0.9999, 1 - 2**-53])
-        assert _inverse_cdf_draws(*nonzero_csr(row[None]), u[:, None])[:, 0].tolist() == [1, 1, 3, 3, 3]
+        assert row_draws(row, u) == [1, 1, 3, 3, 3]
+
+
+# SHA-256 of write_trace's bytes for example1's world at seed 42, one per
+# replication, taken from the per-round kernel the blocked loop replaced
+GOLDEN_TRACES = {
+    (20_000, 1, 1): ["e517b7bde626bd789d77624d8e1dbcdec0bbe46a452727b81d0496708e91d028"],
+    (3000, 3, 7): [
+        "cc5d14fcba9c30eb7f51925dc0028f1c7aff8d812684aa226030e19af83b352a",
+        "a6c49ba5d1a69fce37efe06fbcdc2ca68bd1aad38201230a5d607558ffb552b8",
+        "fe432e88c6831489d61c6f7da4967e73b9749199cc19d308c4e868a6c913d4b5",
+    ],
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("block_rows", [simulator.BLOCK_AGENT_ROWS, 100])
+    @pytest.mark.parametrize("horizon, replications, stride", list(GOLDEN_TRACES))
+    def test_traces_keep_their_recorded_bytes(self, ex1_cfg, tmp_path, monkeypatch, horizon, replications,
+                                              stride, block_rows):
+        monkeypatch.setattr(simulator, "BLOCK_AGENT_ROWS", block_rows)
+        cfg = SimulationConfig(horizon=horizon, seed=42, record_beliefs_every=stride, replications=replications)
+        traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
+        digests = [write_trace(tr, tmp_path / f"rep{r:03d}.npz") for r, tr in enumerate(traces)]
+        assert digests == GOLDEN_TRACES[horizon, replications, stride]
+
+
+class TestImpossibleSignal:
+    def test_error_names_the_first_impossible_update_in_a_later_block(self, ex1_cfg, monkeypatch):
+        # agent 3's signal 0 planted as impossible under every state; three
+        # rounds of two replications a block
+        monkeypatch.setattr(simulator, "BLOCK_AGENT_ROWS", 3 * 16)
+        agent, signal, R = 2, 0, 2
+
+        def first_hit(seed):
+            cfg = SimulationConfig(horizon=40, seed=seed, replications=R)
+            traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
+            hits = np.stack([tr.signals[:, agent] == signal for tr in traces], axis=1)  # (T + 1, R)
+            t, b = divmod(int(np.argmax(hits)), R)
+            return cfg, t, b
+
+        cfg, t, b = next(hit for hit in map(first_hit, range(100)) if hit[1] >= 3)
+        world = example1.config().world
+        cols = world.log_columns.copy()
+        cols[agent, signal] = -np.inf
+        world.__dict__["log_columns"] = cols
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ImpossibleSignalError) as info:
+                run_replications(ex1_cfg.network, ex1_cfg.selection, world, cfg)
+        assert str(info.value) == (
+            f"replication {b + 1}, t={t}, agent {agent + 1}, signal {signal}: "
+            "signal has zero likelihood under every state with mass"
+        )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestReplay:
@@ -252,8 +315,6 @@ class TestValidationAndFingerprints:
         assert backward_walk(tr, 0, 100).tolist() == [0] * 101
 
     def test_fingerprints_stable_and_sensitive(self, ex1_cfg):
-        from gossip_learning import example1
-
         assert world_fingerprint(ex1_cfg.world) == world_fingerprint(example1.config().world)
         assert matrix_fingerprint(ex1_cfg.selection) == matrix_fingerprint(example1.config().selection)
         other = example1.config(seed=43)  # seed is not part of the world
@@ -388,6 +449,18 @@ def reference_run(net, P, world, cfg, replication):
     return signals, selections, snapshots
 
 
+def assert_matches_reference(net, P, world, cfg):
+    traces = run_replications(net, P, world, cfg)
+    assert len(traces) == cfg.replications
+    for r, tr in enumerate(traces):
+        signals, selections, snapshots = reference_run(net, P, world, cfg, r)
+        assert np.array_equal(tr.signals, signals)
+        assert np.array_equal(tr.selections, selections)
+        assert tr.snapshot_times == tuple(snapshots)
+        for m, t in enumerate(tr.snapshot_times):
+            assert np.array_equal(tr.log_beliefs[m], snapshots[t])
+
+
 @st.composite
 def small_worlds(draw):
     """A random world and graph: 1-4 agents, 2-10 states, 1-4 signals per
@@ -437,17 +510,24 @@ def small_worlds(draw):
     seed=st.integers(0, 2**32),
 )
 def test_batched_run_matches_per_agent_reference(case, horizon, stride, replications, seed):
-    net, P, world = case
-    cfg = SimulationConfig(horizon=horizon, seed=seed, record_beliefs_every=stride, replications=replications)
-    traces = run_replications(net, P, world, cfg)
-    assert len(traces) == replications
-    for r, tr in enumerate(traces):
-        signals, selections, snapshots = reference_run(net, P, world, cfg, r)
-        assert np.array_equal(tr.signals, signals)
-        assert np.array_equal(tr.selections, selections)
-        assert tr.snapshot_times == tuple(snapshots)
-        for m, t in enumerate(tr.snapshot_times):
-            assert np.array_equal(tr.log_beliefs[m], snapshots[t])
+    assert_matches_reference(*case, SimulationConfig(horizon, seed, stride, replications))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=small_worlds(),
+    horizon=st.integers(1, 25),
+    stride=st.integers(1, 5),
+    replications=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    block_rows=st.integers(1, 12),
+)
+def test_batched_run_matches_per_agent_reference_across_blocks(case, horizon, stride, replications, seed,
+                                                               block_rows):
+    # blocks of a few agent-rows split runs mid-way, put round 0 in a block
+    # with later rounds and put strided snapshots on block edges
+    with mock.patch.object(simulator, "BLOCK_AGENT_ROWS", block_rows):
+        assert_matches_reference(*case, SimulationConfig(horizon, seed, stride, replications))
 
 
 @settings(max_examples=60, deadline=None)

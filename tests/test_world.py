@@ -78,6 +78,19 @@ class TestTypes:
             WorldModel.from_tables(space, Prior(nu=np.array([0.5, 0.5])), [[[entry, 1.0], [0.5, 0.5]]])
         assert str(info.value) == "agent 1: likelihood table rows must be numbers, all rows of one length"
 
+    @pytest.mark.parametrize("tables", [
+        np.array([[[True, False], [False, True]]]), [[[True, 0.0], [0.5, 0.5]]], [[["0.5", "0.5"], [0.5, 0.5]]],
+    ], ids=["bool array", "bool", "str"])
+    def test_tensor_entries_must_be_numbers(self, tables):
+        with pytest.raises(ValidationError) as info:
+            WorldModel(
+                state_space=StateSpace(states=(1, 2), true_state_index=0),
+                prior=Prior(nu=np.array([0.5, 0.5])),
+                tables=tables,
+                signal_counts=[2],
+            )
+        assert str(info.value) == "likelihood tables must be numbers"
+
     def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
         with pytest.raises(ValidationError) as info:
             tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.4]]])
