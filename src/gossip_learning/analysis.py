@@ -9,6 +9,7 @@ against the other.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,29 +41,57 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
     return float(np.cumsum(terms)[-1])
 
 
-def _log_ratio_series(
-    trace: SimulationTrace,
+def _window_fit_inputs(trace: SimulationTrace, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The snapshot times in [t0, t1], as floats, and the (m, n, k) log
+    beliefs at those times, a view. The times ascend, so the window is one
+    slice."""
+    t0, t1 = window
+    if t0 < 0 or t1 > trace.horizon or t0 >= t1:
+        raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={trace.horizon}")
+    inside = slice(bisect.bisect_left(trace.snapshot_times, t0), bisect.bisect_right(trace.snapshot_times, t1))
+    times = np.array(trace.snapshot_times[inside], dtype=float)
+    if len(times) < 2:
+        raise ValidationError(
+            f"need at least 2 belief snapshots inside {window}; horizon={trace.horizon}, "
+            f"{len(trace.snapshot_times)} snapshots recorded"
+        )
+    return times, trace.log_beliefs[inside]
+
+
+def _fit_slope(
+    times: np.ndarray,
+    snaps: np.ndarray,
     world: WorldModel,
     agent: int,
     check_state: int,
-    inside: np.ndarray,
-) -> np.ndarray:
-    """log mu_t(check_state) - log mu_t(true) at the snapshots selected by the
-    boolean mask `inside`."""
+) -> tuple[float, float]:
+    """Least-squares slope and standard error of log mu_t(check_state) -
+    log mu_t(true) against the given times, from the window's log beliefs."""
+    check_index("agent", agent, snaps.shape[1])
+    check_index("check_state", check_state, world.num_states)
     theta = world.true_state_index
-    snaps = trace.log_beliefs[inside, agent]
-    zero_truth = np.flatnonzero(snaps[:, theta] == -np.inf)
+    truth = snaps[:, agent, theta]
+    zero_truth = np.flatnonzero(truth == -np.inf)
     if zero_truth.size:
-        t = np.asarray(trace.snapshot_times)[inside][zero_truth[0]]
+        t = times[zero_truth[0]]
         raise ValidationError(f"agent {agent + 1} has zero belief on the true state at t={int(t)}")
-    y = snaps[:, check_state] - snaps[:, theta]
+    y = snaps[:, agent, check_state] - truth
     if np.any(np.isneginf(y)):
         raise ValidationError(
             f"agent {agent + 1} holds exactly zero belief on state "
             f"{world.state_space.states[check_state]} inside the window; "
             "the log-ratio regression is undefined"
         )
-    return y
+
+    tc = times - times.mean()
+    sxx = float(tc @ tc)
+    slope = float(tc @ (y - y.mean())) / sxx
+    if len(times) > 2:
+        resid = (y - y.mean()) - slope * tc
+        stderr = float(np.sqrt((resid @ resid) / (len(times) - 2) / sxx))
+    else:
+        stderr = 0.0
+    return slope, stderr
 
 
 def empirical_rate(
@@ -78,30 +107,8 @@ def empirical_rate(
     The decay rate estimate is the negated slope. Requires at least two
     snapshots inside the window.
     """
-    t0, t1 = window
-    if t0 < 0 or t1 > trace.horizon or t0 >= t1:
-        raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={trace.horizon}")
-    check_index("agent", agent, trace.n)
-    check_index("check_state", check_state, world.num_states)
-    all_times = np.asarray(trace.snapshot_times)
-    inside = (all_times >= t0) & (all_times <= t1)
-    times = all_times[inside].astype(float)
-    if len(times) < 2:
-        raise ValidationError(
-            f"need at least 2 belief snapshots inside {window}; horizon={trace.horizon}, "
-            f"{len(trace.snapshot_times)} snapshots recorded"
-        )
-    y = _log_ratio_series(trace, world, agent, check_state, inside)
-
-    tc = times - times.mean()
-    sxx = float(tc @ tc)
-    slope = float(tc @ (y - y.mean())) / sxx
-    if len(times) > 2:
-        resid = (y - y.mean()) - slope * tc
-        stderr = float(np.sqrt((resid @ resid) / (len(times) - 2) / sxx))
-    else:
-        stderr = 0.0
-    return slope, stderr
+    times, snaps = _window_fit_inputs(trace, window)
+    return _fit_slope(times, snaps, world, agent, check_state)
 
 
 @dataclass(frozen=True)
@@ -152,11 +159,13 @@ def rate_report(
     """
     if not traces:
         raise ValidationError("rate_report needs at least one trace")
+    # each trace's window is cut and its times converted once, for every pair
+    fits = [_window_fit_inputs(tr, window) for tr in traces]
     rows = []
     for cs in check_states:
         theo = theoretical_rate(pi, world, cs)
         for a in agents:
-            slopes = np.array([-empirical_rate(tr, world, a, cs, window)[0] for tr in traces])
+            slopes = np.array([-_fit_slope(times, snaps, world, a, cs)[0] for times, snaps in fits])
             emp = float(slopes.mean())
             stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
             rows.append(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=stderr))

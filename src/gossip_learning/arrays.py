@@ -39,24 +39,46 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def is_integer(x) -> bool:
+    """Whether x is an int or a numpy integer; a bool is not an integer."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _typed_array(x, dtype, kinds: str, types: tuple) -> np.ndarray | None:
+    """x as an array of dtype, or None unless x is a numpy array whose dtype
+    kind is one of kinds, or (nested) sequences of one length per level whose
+    entries are each of a type in types, or a numpy subclass of one."""
+    if isinstance(x, np.ndarray):
+        return np.asarray(x, dtype=dtype) if x.dtype.kind in kinds else None
+    try:
+        arr = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    entries = [x] if arr.ndim == 0 else x
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    # a bool is an int to issubclass, so Python types must match exactly
+    if all(t in types or (issubclass(t, np.generic) and issubclass(t, types)) for t in set(map(type, entries))):
+        return arr
+    return None
+
+
 def float_array(x) -> np.ndarray | None:
     """x as a float array, or None unless x is numbers: a numpy array of
     integer or float dtype, or (nested) sequences of one length per level
     whose entries are each an int, a float, a numpy integer or a numpy
     float. A bool, None or a string is not a number, nor is an int too
     large for a float."""
-    if isinstance(x, np.ndarray):
-        return np.asarray(x, dtype=float) if x.dtype.kind in "iuf" else None
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    entries = [x] if arr.ndim == 0 else x
-    for _ in range(arr.ndim - 1):
-        entries = chain.from_iterable(entries)
-    if all(t is int or t is float or issubclass(t, (np.integer, np.floating)) for t in set(map(type, entries))):
-        return arr
-    return None
+    return _typed_array(x, float, "iuf", (int, float, np.integer, np.floating))
+
+
+def int_array(x) -> np.ndarray | None:
+    """x as an int64 array, or None unless x is integers: a numpy array of
+    integer dtype, or (nested) sequences of one length per level whose
+    entries are each an int or a numpy integer. A bool, a float (2.0
+    included), None or a string is not an integer, nor is an int beyond
+    int64."""
+    return _typed_array(x, np.int64, "iu", (int, np.integer))
 
 
 def rows_by_length(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -31,9 +31,9 @@ def bayes_log_posterior(log_prior: np.ndarray, log_lik_col: np.ndarray) -> np.nd
 
     Each row of a stacked call comes out exactly as it would alone. The
     simulator's round loop makes the same operations in the same order on
-    flat buffers, and reads the same constant-column rule, so replaying a
-    trace one vector at a time reproduces the simulated beliefs bit for
-    bit. -inf entries (zero prior or zero likelihood) stay -inf in the
+    state-major buffers, and reads the same constant-column rule, so
+    replaying a trace one vector at a time reproduces the simulated beliefs
+    bit for bit. -inf entries (zero prior or zero likelihood) stay -inf in the
     posterior.
     """
     y = log_prior + log_lik_col

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .errors import ValidationError
 from .graph import (
     DirectedNetwork,
@@ -205,12 +203,10 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
         raise ValidationError(f"world.states: {exc}") from exc
 
     nu = obj["prior"]
-    if nu == "uniform":
-        nu = np.full(len(labels), 1.0 / len(labels))
-    elif len(_as_list(nu, "world.prior")) != len(labels):
-        raise ValidationError(f"world.prior: expected {len(labels)} entries, got {len(nu)}")
+    nu = [1.0 / len(labels)] * len(labels) if nu == "uniform" else _as_list(nu, "world.prior")
     try:
         prior = Prior(nu=nu)
+        prior.check_states(space)
     except ValidationError as exc:
         raise ValidationError(f"world.prior: {exc}") from exc
 

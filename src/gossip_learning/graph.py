@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import PROB_SUM_TOL, ArrayValue, float_array
+from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, is_integer
 from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError
 
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -59,7 +59,7 @@ def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndar
 
 def _is_integer_pair(pair) -> bool:
     return (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-            and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in pair))
+            and all(is_integer(x) for x in pair))
 
 
 def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
@@ -102,7 +102,7 @@ class DirectedNetwork(ArrayValue):
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not is_integer(n):
             raise ValidationError(f"n: agent count must be an integer, got {n!r}")
         n = int(n)
         if n < 1:
@@ -143,7 +143,8 @@ class SelectionMatrix(ArrayValue):
     are the agents row i can choose, ascending, and ``probs`` holds their
     probabilities at the same positions. Support is restricted to
     in-neighbors plus self (enforced by the factories, which know the
-    network).
+    network). ``n``, ``indptr`` and ``indices`` are integers by the rule of
+    ``arrays.int_array``: a bool or a float is not one.
     """
 
     n: int
@@ -154,8 +155,14 @@ class SelectionMatrix(ArrayValue):
 
     def __post_init__(self):
         n = self.n
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
+        if not is_integer(n):
+            raise ValidationError(f"n: agent count must be an integer, got {n!r}")
+        n = int(n)
+        object.__setattr__(self, "n", n)
+        indptr = int_array(self.indptr)
+        indices = int_array(self.indices)
+        if indptr is None or indices is None:
+            raise ValidationError("selection matrix indptr and indices must be integers")
         p = float_array(self.probs)
         if p is None:
             raise ValidationError("selection matrix probabilities must be numbers")

@@ -16,11 +16,17 @@ distribution (the positive entries of its true-state likelihood row) and its
 selection row are CSR rows whose CDFs are built once per run, and a draw
 inverts a row's CDF at a uniform, by one binary search that halves every
 row's range at each step. Each round is one update over every agent of every
-replication at once, on flat (R * n, k) arrays in preallocated buffers: gather
-the chosen neighbors' previous beliefs, add the agents' log-likelihood
-columns for their signals, normalize, and keep the neighbor's belief where
-the column is constant. These are belief.bayes_log_posterior's operations in
-its order, so a replay one vector at a time gives the same bits. The
+replication at once, in preallocated state-major (k, R * n) buffers: row s
+holds state s of every agent-row, so each step over the states is k - 1
+elementwise operations on rows of R * n values. A round gathers the chosen
+neighbors' previous beliefs, adds the agents' log-likelihood columns for
+their signals, normalizes, and keeps the neighbor's belief where the column
+is constant, through a keep mask made once a block. These are
+belief.bayes_log_posterior's operations in its order, so a replay one vector
+at a time gives the same bits: a maximum is exact in any order, and numpy
+sums a row of fewer than 8 entries left to right, as adding the state rows
+in order does, so from 8 states on the sum over states runs on an
+agent-major copy instead, pairwise as numpy sums a row. The
 impossible-signal check runs once a block, on the maxima its rounds
 recorded, and names the first (replication, t, agent, signal).
 
@@ -49,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, read_only, rows_by_length
+from .arrays import ArrayValue, is_integer, read_only, rows_by_length
 from .belief import constant_columns
 from .errors import ImpossibleSignalError, ValidationError, check_index
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
@@ -59,9 +65,10 @@ WALK_IDENTITY_TOL = 1e-8
 
 # the round loop draws and indexes this many agent-rows (replications x
 # agents x rounds) at a time, or one round where a round holds more. A
-# block's arrays then stay at 64 KB, below glibc's 128 KB mmap threshold: at
-# 2**16 rows, example1's peak RSS rose by 2.4 MB after one run and 4.4 MB
-# after two, and 2**13 rows run it within 5% of that speed
+# block's index arrays then stay at 64 KB, below glibc's 128 KB mmap
+# threshold, and its keep mask at k bytes an agent-row: at 2**16 rows,
+# example1's peak RSS rose by 2.4 MB after one run and 4.4 MB after two, and
+# 2**13 rows run it within 5% of that speed
 BLOCK_AGENT_ROWS = 1 << 13
 
 
@@ -79,7 +86,7 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("horizon", "seed", "record_beliefs_every", "replications"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not is_integer(v):
                 raise ValidationError(f"{name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.horizon < 1:
@@ -236,16 +243,22 @@ def _simulate(
     sig_cdf = _row_cdfs(sig_ptr, sig_probs)
     sel_cdf = _row_cdfs(P.indptr, P.probs)
 
-    # row b * n + i of a flat (N, k) array is agent i of replication b; row
-    # i * S + x of cols is agent i's log-likelihood column for signal x
-    cols = world.log_columns.reshape(n * S, k)
-    constant = constant_columns(cols)
+    # column b * n + i of a state-major (k, N) buffer is agent i of
+    # replication b, and row s holds state s; column i * S + x of cols is
+    # agent i's log-likelihood column for signal x
+    flat = world.log_columns.reshape(n * S, k)
+    cols = np.ascontiguousarray(flat.T)
+    constant = constant_columns(flat)[:, 0]
     col_base = np.arange(n) * S
-    row_base = np.arange(R)[:, None, None] * n
-    # round 0 updates the prior, which every row of the first belief holds
-    cur = np.tile(world.prior.log_nu, (N, 1))
-    nxt, gathered, col, y = (np.empty((N, k)) for _ in range(4))
-    total = np.empty((N, 1))
+    rep_base = np.arange(R)[:, None, None] * n
+    # round 0 updates the prior, which every column of the first belief holds
+    cur = np.repeat(world.prior.log_nu[:, None], N, axis=1)
+    nxt, gathered, col, y = (np.empty((k, N)) for _ in range(4))
+    total = np.empty(N)
+    # numpy sums a row of 8 or more entries pairwise, not left to right as
+    # adding the state rows does, so from 8 states on the sum over states
+    # runs on an agent-major copy
+    agent_major = np.empty((N, k)) if k >= 8 else None
     rounds = max(1, BLOCK_AGENT_ROWS // N)
     slot = 0
     # a -inf or NaN maximum is reported when its block ends, so its round's
@@ -264,27 +277,32 @@ def _simulate(
             sel = selections[:, s0 - 1 : t1 - 1]
             sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_sel)
 
-            sig_rows = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
-            nbr_rows = (sel + row_base).transpose(1, 0, 2).reshape(t1 - s0, N)
+            sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
+            nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
             if t0 == 0:
-                nbr_rows = np.vstack([np.arange(N), nbr_rows])
-            const = constant[sig_rows]
-            maxima = np.empty((t1 - t0, N, 1))
+                nbr_idx = np.vstack([np.arange(N), nbr_idx])
+            # where the column is constant, every state keeps the neighbor's belief
+            keep = np.repeat(constant[sig_idx][:, None], k, axis=1)
+            maxima = np.empty((t1 - t0, N))
             # every index is in range; mode="clip" spares take a buffered copy for out=
-            for t, nbr_t, sig_t, const_t, max_t in zip(range(t0, t1), nbr_rows, sig_rows, const, maxima):
-                cur.take(nbr_t, axis=0, out=gathered, mode="clip")
-                cols.take(sig_t, axis=0, out=col, mode="clip")
+            for t, nbr_t, sig_t, keep_t, max_t in zip(range(t0, t1), nbr_idx, sig_idx, keep, maxima):
+                cur.take(nbr_t, axis=1, out=gathered, mode="clip")
+                cols.take(sig_t, axis=1, out=col, mode="clip")
                 np.add(gathered, col, out=y)
-                np.maximum.reduce(y, axis=1, keepdims=True, out=max_t)
+                np.maximum.reduce(y, axis=0, out=max_t)
                 np.subtract(y, max_t, out=y)
                 np.exp(y, out=col)
-                np.add.reduce(col, axis=1, keepdims=True, out=total)
+                if agent_major is None:
+                    np.add.reduce(col, axis=0, out=total)
+                else:
+                    np.copyto(agent_major, col.T)
+                    np.add.reduce(agent_major, axis=1, out=total)
                 np.log(total, out=total)
                 np.subtract(y, total, out=nxt)
-                np.copyto(nxt, gathered, where=const_t)
+                np.putmask(nxt, keep_t, gathered)
                 cur, nxt = nxt, cur
                 if t == times[slot]:
-                    snapshots[:, slot] = cur.reshape(R, n, k)
+                    snapshots[:, slot] = cur.T.reshape(R, n, k)
                     slot += 1
 
             impossible = ~(maxima > -np.inf)  # -inf or NaN

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .arrays import PROB_SUM_TOL, ArrayValue, float_array, read_only, rows_by_length
+from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, read_only, rows_by_length
 from .errors import ValidationError
 
 # KL divergence below this is treated as "states look identical to the agent".
@@ -71,6 +71,11 @@ class Prior(ArrayValue):
             raise ValidationError(f"prior sums to {nu.sum()!r}, expected 1 within {PROB_SUM_TOL}")
         self._store(nu=nu)
 
+    def check_states(self, space: StateSpace) -> None:
+        """Raise unless the prior holds one entry per state of space."""
+        if len(self.nu) != space.size:
+            raise ValidationError(f"prior length {len(self.nu)} != {space.size} states")
+
     @cached_property
     def log_nu(self) -> np.ndarray:
         return read_only(np.log(self.nu))
@@ -112,8 +117,9 @@ class WorldModel(ArrayValue):
     """The state space, the common prior, and every agent's likelihood table.
 
     ``tables`` is the read-only (n_agents, num_states, max signals) tensor,
-    zero past each agent's ``signal_counts`` signals; each row of an agent's
-    table is a distribution over its signals. Worlds compare by value.
+    zero past each agent's ``signal_counts`` signals (integers by the rule
+    of ``arrays.int_array``); each row of an agent's table is a distribution
+    over its signals. Worlds compare by value.
     """
 
     state_space: StateSpace
@@ -125,7 +131,9 @@ class WorldModel(ArrayValue):
         t = float_array(self.tables)
         if t is None:
             raise ValidationError("likelihood tables must be numbers")
-        counts = np.asarray(self.signal_counts, dtype=np.int64)
+        counts = int_array(self.signal_counts)
+        if counts is None:
+            raise ValidationError("signal counts must be integers")
         if t.ndim != 3 or counts.shape != t.shape[:1]:
             raise ValidationError(
                 f"likelihood tables must be one (agents, states, signals) array with a signal "
@@ -143,8 +151,7 @@ class WorldModel(ArrayValue):
             )
         _check_tables(t, counts, self.state_space.states)
         k = self.state_space.size
-        if len(self.prior.nu) != k:
-            raise ValidationError(f"prior length {len(self.prior.nu)} != {k} states")
+        self.prior.check_states(self.state_space)
         if t.shape[1] != k:
             raise ValidationError(f"likelihood tables have {t.shape[1]} rows, expected one per state ({k})")
         self._store(tables=t, signal_counts=counts)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import gossip_learning
 from gossip_learning import example1
 from gossip_learning.analysis import OccupancyReport, theoretical_rate
-from gossip_learning.arrays import ArrayValue, float_array
+from gossip_learning.arrays import ArrayValue, float_array, int_array
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
@@ -426,6 +426,47 @@ def test_selection_entries_must_be_numbers():
         SelectionMatrix.from_dense(np.eye(2, dtype=bool))
     assert str(info.value) == "the row of agent 1 is not a list of numbers"
     assert SelectionMatrix.from_dense(np.eye(2, dtype=int)) == SelectionMatrix.from_dense(np.eye(2))
+
+
+# ---- the integer rule ---------------------------------------------------------
+
+@pytest.mark.parametrize("x", [
+    np.array([[1, 0], [0, 1]]), np.array([3], dtype=np.uint8), [np.int32(1), 2, np.uint64(3)],
+    [[1, 2], np.array([3, 4])], np.int64(5), 5, [],
+], ids=["int array", "uint8 array", "numpy and Python ints", "array row", "numpy scalar", "scalar", "empty"])
+def test_integers_become_an_int64_array(x):
+    arr = int_array(x)
+    assert arr.dtype == np.int64 and arr.tolist() == np.asarray(x).tolist()
+
+
+@pytest.mark.parametrize("x", [
+    [0, 1, 2.9], [2.0], np.array([1.0]), [np.float64(1.0)], [True, 1], np.array([True]), [np.bool_(False)],
+    [None], ["1"], [2**63],
+], ids=["float", "integral float", "float array", "numpy float", "bool", "bool array", "numpy bool", "None",
+        "string", "int beyond int64"])
+def test_what_is_not_integers(x):
+    assert int_array(x) is None
+
+
+def test_selection_indices_must_be_integers():
+    for n in (True, 1.0):
+        with pytest.raises(ValidationError) as info:
+            SelectionMatrix(n=n, indptr=[0, 1], indices=[0], probs=[1.0])
+        assert str(info.value) == f"n: agent count must be an integer, got {n!r}"
+    with pytest.raises(ValidationError) as info:
+        SelectionMatrix(n=2, indptr=[0, 1, 2.9], indices=[1.5, 0.2], probs=[1.0, 1.0])
+    assert str(info.value) == "selection matrix indptr and indices must be integers"
+    with pytest.raises(ValidationError) as info:
+        SelectionMatrix(n=2, indptr=[0, 1, 2], indices=np.array([1.0, 0.0]), probs=[1.0, 1.0])
+    assert str(info.value) == "selection matrix indptr and indices must be integers"
+
+
+def test_signal_counts_must_be_integers():
+    world = example1.config().world
+    with pytest.raises(ValidationError) as info:
+        WorldModel(world.state_space, world.prior, world.tables, world.signal_counts + 0.7)
+    assert str(info.value) == "signal counts must be integers"
+    assert WorldModel(world.state_space, world.prior, world.tables, world.signal_counts.tolist()) == world
 
 
 # ---- the value rule -----------------------------------------------------------

@@ -198,12 +198,13 @@ class TestConfigErrors:
         (lambda c: c["simulation"].update(horizon=20.5), "simulation: horizon must be an integer, got 20.5"),
         (lambda c: c["network"].update(n=8.0), "network.n: agent count must be an integer, got 8.0"),
         (lambda c: c["network"].update(n=True), "network.n: agent count must be an integer, got True"),
+        (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
     ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64", "zero agents",
             "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry",
             "bool likelihood", "null likelihood", "string likelihood", "likelihood beyond float",
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
-            "float agent count", "bool agent count"])
+            "float agent count", "bool agent count", "short prior"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
         cfg = example1.config_dict(horizon=20)

@@ -215,6 +215,34 @@ class TestReplay:
             ]
             assert np.array_equal(np.stack(beliefs), tr.log_belief_at(t))
 
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 16])
+    def test_snapshots_replay_bitwise_on_both_sides_of_the_pairwise_sum(self, k):
+        # numpy sums a row of 8 or more entries pairwise and a shorter one
+        # left to right, so the kernel's sum over states takes two paths.
+        # Agent 1 is uninformative (every column constant), agent 2 has one
+        # constant column, and agents 3-5 have zero entries off the true state.
+        rng = np.random.default_rng(k)
+        flat = np.full((k, 3), 1 / 3)
+        one_constant = np.column_stack([np.full(k, 0.25), 0.75 * rng.dirichlet(np.ones(3), size=k)])
+        tables = [flat, one_constant]
+        for _ in range(3):
+            t = rng.random((k, 3)) * (rng.random((k, 3)) > 0.3)
+            t[0] += 0.1
+            t[np.arange(k), rng.integers(0, 3, k)] += 0.1
+            tables.append(t / t.sum(axis=1, keepdims=True))
+        world = tiny_world([t.tolist() for t in tables])
+        net = DirectedNetwork(5, [(j, (j + 1) % 5) for j in range(5)] + [(0, 2), (3, 1), (2, 0)])
+        P = uniform_selection_matrix(net)
+        traces = run_replications(net, P, world, SimulationConfig(horizon=300, seed=k, replications=2))
+        cols = world.log_columns
+        for tr in traces:
+            beliefs = [world.prior.log_nu] * tr.n
+            for t in range(tr.horizon + 1):
+                nbrs = range(tr.n) if t == 0 else tr.selections[t - 1]
+                beliefs = [bayes_log_posterior(beliefs[j], cols[i, tr.signals[t, i]]) for i, j in enumerate(nbrs)]
+                assert np.array_equal(np.stack(beliefs), tr.log_belief_at(t)), t
+            assert np.isneginf(tr.log_beliefs).any()
+
     def test_trace_file_round_trip(self, ex1_cfg, tmp_path):
         cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5, replications=2)
         tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=1)
