@@ -3,13 +3,17 @@
 A config file has five sections: network, selection, world, simulation, and
 an optional analysis block. Parsing is strict: unknown keys are rejected and
 every diagnostic carries the field path it refers to. The loader checks the
-JSON structure (objects, keys, arrays), the shape of an edge pair and its own
-integer fields; the model types check numbers, the agent count and the
-simulation integers, and the loader puts the field path in front of their
-messages. Agent ids, state labels, and edge endpoints are 1-based in files,
-converted to 0-based indices at the boundary. The canonical form (aliases
-expanded, defaults filled, edges sorted) round-trips: parsing it again yields
-the same canonical form.
+JSON structure (objects, keys, arrays) and its own integer fields; the model
+types check numbers, the agent count, the edges and the simulation integers,
+and the loader puts the field path in front of their messages. A world is
+read as whole arrays: the edge list as one (m, 2) integer array, and the
+likelihood tables as one (agents, states, signals) array where every agent
+has the same number of signals. Only where such a read fails are the edges
+(for their shape as pairs of integers) or the tables walked one at a time,
+so the first faulty edge or agent is named. Agent ids, state labels, and
+edge endpoints are 1-based in files, converted to 0-based indices at the
+boundary. The canonical form (aliases expanded, defaults filled, edges
+sorted) round-trips: parsing it again yields the same canonical form.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from .arrays import int_array, is_integer
 from .errors import ValidationError
 from .graph import (
     DirectedNetwork,
@@ -128,29 +135,36 @@ class ExperimentConfig:
         return json.dumps(self.canonical_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _untyped_edge(raw_edges: list) -> tuple[int, ValidationError | None]:
+    """The position of the first edge that is not a list of two integers,
+    and its error; (len(raw_edges), None) when there is none."""
+    for k, e in enumerate(raw_edges):
+        if not isinstance(e, list) or len(e) != 2:
+            return k, ValidationError(f"network.edges[{k}]: expected a [source, target] pair")
+        for p in (0, 1):
+            if not is_integer(e[p]):
+                return k, ValidationError(f"network.edges[{k}][{p}]: expected an integer, got {e[p]!r}")
+    return len(raw_edges), None
+
+
 def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
     raw_edges = _as_list(obj["edges"], "network.edges")
-    # the first edge that is not a pair of integers; the network checks the
-    # edges before it, so the first faulty edge is the one named
-    typed = len(raw_edges)
-    for k, e in enumerate(raw_edges):
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
-            path = f"network.edges[{k}]"
-            if not isinstance(e, list) or len(e) != 2:
-                typed, fault = k, ValidationError(f"{path}: expected a [source, target] pair")
-                break
-            try:
-                _as_int(e[0], f"{path}[0]")
-                _as_int(e[1], f"{path}[1]")
-            except ValidationError as exc:
-                typed, fault = k, exc
-                break
+    pairs = int_array(raw_edges)
+    # lists of two integers, none of them -2**63, which has no 0-based int64
+    if (pairs is not None and pairs.shape == (len(raw_edges), 2) and set(map(type, raw_edges)) == {list}
+            and pairs.min() > np.iinfo(np.int64).min):
+        edges, fault = pairs - 1, None
+    else:
+        # the network checks the edges before the first untyped one, so the
+        # first faulty edge is the one named
+        typed, fault = _untyped_edge(raw_edges)
+        edges = tuple((j - 1, i - 1) for j, i in raw_edges[:typed])
     try:
-        net = DirectedNetwork(n=obj["n"], edges=tuple((j - 1, i - 1) for j, i in raw_edges[:typed]))
+        net = DirectedNetwork(n=obj["n"], edges=edges)
     except ValidationError as exc:
         raise ValidationError(f"network.{exc}") from exc
-    if typed < len(raw_edges):
+    if fault is not None:
         raise fault
     return net
 

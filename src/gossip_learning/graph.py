@@ -17,6 +17,7 @@ for a recurrent class small enough for the direct solve, or on request
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -218,6 +219,21 @@ class SelectionMatrix(ArrayValue):
         out[self.rows, self.indices] = self.probs
         return out
 
+    @cached_property
+    def _recurrent_classes(self) -> RecurrentClasses:
+        sccs = _tarjan_sccs(self.indptr, self.indices)
+        scc_id = np.empty(self.n, dtype=np.int64)
+        scc_id[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(c) for c in sccs])
+        src, dst = scc_id[self.rows], scc_id[self.indices]
+        cross = src != dst
+        closed = np.ones(len(sccs), dtype=bool)
+        closed[src[cross]] = False
+        order = sorted(np.flatnonzero(closed).tolist(), key=lambda k: sccs[k][0])
+        return RecurrentClasses(
+            classes=tuple(tuple(sccs[k]) for k in order),
+            transient=tuple(np.flatnonzero(~closed[scc_id]).tolist()),
+        )
+
     def vecmat(self, x: np.ndarray) -> np.ndarray:
         """The row vector x P, in O(nnz): each entry adds its share of x to
         its column, in storage order."""
@@ -353,19 +369,10 @@ def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
 
     Works on the support graph of P (edge i -> j iff p_ij > 0). A class is
     recurrent iff it is closed: no positive-probability transition leaves it.
+    The partition is found once per matrix and kept on it (its arrays are
+    read-only), so a check and a stationary solve share one Tarjan pass.
     """
-    sccs = _tarjan_sccs(P.indptr, P.indices)
-    scc_id = np.empty(P.n, dtype=np.int64)
-    scc_id[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(c) for c in sccs])
-    src, dst = scc_id[P.rows], scc_id[P.indices]
-    cross = src != dst
-    closed = np.ones(len(sccs), dtype=bool)
-    closed[src[cross]] = False
-    order = sorted(np.flatnonzero(closed).tolist(), key=lambda k: sccs[k][0])
-    return RecurrentClasses(
-        classes=tuple(tuple(sccs[k]) for k in order),
-        transient=tuple(np.flatnonzero(~closed[scc_id]).tolist()),
-    )
+    return P._recurrent_classes
 
 
 @dataclass(frozen=True, eq=False)

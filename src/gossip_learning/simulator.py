@@ -10,12 +10,15 @@ bit-for-bit across runs and platforms.
 
 Draws and rounds run together, one block of rounds at a time (a block holds
 BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
-A block's uniforms are drawn from each replication's streams; consecutive
-Philox blocks give the same numbers as one call. Each agent's signal
-distribution (the positive entries of its true-state likelihood row) and its
-selection row are CSR rows whose CDFs are built once per run, and a draw
-inverts a row's CDF at a uniform, by one binary search that halves every
-row's range at each step. Each round is one update over every agent of every
+Each stream's uniforms are drawn in one call, straight into a float64 view
+of the signals or selections they become (one call gives the same numbers
+as consecutive Philox blocks), and a block turns its uniforms into draws in
+place. Each agent's signal distribution (the positive entries of its
+true-state likelihood row) and its selection row are CSR rows whose CDFs
+are built once per run, and a draw inverts a row's CDF at a uniform, by one
+binary search over the row's first d - 1 entries (the last is drawn when
+every other is at or below the uniform) that halves every row's range at
+each step. Each round is one update over every agent of every
 replication at once, in preallocated state-major (k, R * n) buffers: row s
 holds state s of every agent-row, so each step over the states is k - 1
 elementwise operations on rows of R * n values. A round gathers the chosen
@@ -187,13 +190,17 @@ def _inverse_cdf(indptr: np.ndarray, indices: np.ndarray, cdf: np.ndarray, u: np
     """Draws from the rows of a CSR distribution whose stored entries are all
     positive, given the rows' CDFs: entry [..., i] of the result is drawn
     from row i at the uniform u[..., i]. Every row is searched at once."""
-    last = indptr[1:] - 1
-    # binary search, one halving step for every row at a time: at stands
-    # after the row's CDF entries known to be <= u. A probe past the row
-    # reads its last entry, so at can pass the row's end only when every
-    # entry is <= u.
-    at = np.broadcast_to(indptr[:-1], u.shape).copy()
-    step = 1 << (int(np.diff(indptr).max()).bit_length() - 1)
+    start, last = indptr[:-1], indptr[1:] - 1
+    # binary search over a row's first d - 1 CDF entries, one halving step
+    # for every row at a time: at stands after the entries known to be <= u.
+    # A probe past them reads the row's last entry, so at can pass them only
+    # when every entry is <= u.
+    step = (1 << (int(np.diff(indptr).max()) - 1).bit_length()) >> 1
+    if not step:  # every row has one entry
+        return indices[np.broadcast_to(start, u.shape)]
+    # every draw from a row probes the same entry first
+    at = start + step * (cdf[np.minimum(start + (step - 1), last)] <= u)
+    step >>= 1
     while step:
         probe = at + (step - 1)
         np.minimum(probe, last, out=probe)
@@ -260,6 +267,13 @@ def _simulate(
     # runs on an agent-major copy
     agent_major = np.empty((N, k)) if k >= 8 else None
     rounds = max(1, BLOCK_AGENT_ROWS // N)
+    # the uniforms fill the draws' own storage (int64 and float64 share an
+    # itemsize); a block's draws overwrite its uniforms once the search has
+    # read them all
+    u_signals, u_selections = signals.view(np.float64), selections.view(np.float64)
+    for b, (rng_sig, rng_sel) in enumerate(streams):
+        rng_sig.random(out=u_signals[b])
+        rng_sel.random(out=u_selections[b])
     slot = 0
     # a -inf or NaN maximum is reported when its block ends, so its round's
     # invalid -inf - -inf runs first
@@ -267,15 +281,10 @@ def _simulate(
         for t0 in range(0, T + 1, rounds):
             t1 = min(t0 + rounds, T + 1)
             s0 = max(t0, 1)  # the block's first round with a selection
-            u_sig = np.empty((R, t1 - t0, n))
-            u_sel = np.empty((R, t1 - s0, n))
-            for b, (rng_sig, rng_sel) in enumerate(streams):
-                rng_sig.random(out=u_sig[b])
-                rng_sel.random(out=u_sel[b])
             sig = signals[:, t0:t1]
-            sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_sig)
+            sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_signals[:, t0:t1])
             sel = selections[:, s0 - 1 : t1 - 1]
-            sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_sel)
+            sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_selections[:, s0 - 1 : t1 - 1])
 
             sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
             nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)

@@ -159,11 +159,16 @@ class WorldModel(ArrayValue):
     @classmethod
     def from_tables(cls, state_space: StateSpace, prior: Prior, tables: Sequence) -> WorldModel:
         """A world from one (num_states, signals) table per agent, padded into
-        the tensor. The first faulty agent is reported, and within it a table
+        the tensor. Tables that form one (agents, states, signals) array of
+        numbers are read as that array; otherwise they are read one agent at
+        a time. The first faulty agent is reported, and within it a table
         that is not a 2-D array of numbers first, then a negative entry, then
         a row sum, then a row count other than one per state. Entries are
         read only in the rows that stand for states."""
         k = state_space.size
+        whole = float_array(tables)
+        if whole is not None and whole.ndim == 3 and whole.shape[1] == k and whole.shape[2] >= 1:
+            return cls(state_space, prior, whole, np.full(len(whole), whole.shape[2]))
         arrays = [float_array(t) for t in tables]
         fits = [a is not None and a.ndim == 2 and a.shape[1] >= 1 and a.shape[0] == k for a in arrays]
         first = fits.index(False) if False in fits else len(arrays)

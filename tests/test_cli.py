@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gossip_learning import example1, graph
+from gossip_learning import cli, example1, graph
 from gossip_learning.analysis import empirical_rate
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
@@ -423,6 +423,17 @@ class TestExample1:
             s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))
             s_fresh, _ = empirical_rate(fresh, ex1_cfg.world, agent, check, (1000, 5000))
             assert s_back == pytest.approx(s_fresh, rel=1e-9)
+
+    def test_selection_chain_is_partitioned_once(self, tmp_path, monkeypatch):
+        # the structure report and the stationary solve share one Tarjan pass
+        # over the selection matrix
+        configs, searched = [], []
+        parse, tarjan = cli.parse_config_dict, graph._tarjan_sccs
+        monkeypatch.setattr(cli, "parse_config_dict", lambda raw: configs.append(parse(raw)) or configs[-1])
+        monkeypatch.setattr(graph, "_tarjan_sccs", lambda ptr, indices: searched.append(ptr) or tarjan(ptr, indices))
+        assert main(["example1", "--out", str(tmp_path), "--quiet"]) == 0
+        [cfg] = configs
+        assert sum(ptr is cfg.selection.indptr for ptr in searched) == 1
 
     def test_config_flag_rejected(self, capsys):
         assert main(["example1", "--config", "x.json"]) == 2

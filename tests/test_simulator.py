@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossip_learning import example1, simulator
@@ -145,6 +145,32 @@ class TestDraws:
         row = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
         u = np.array([0.0, 0.2499, 0.25, 0.9999, 1 - 2**-53])
         assert row_draws(row, u) == [1, 1, 3, 3, 3]
+
+    # rows of 1, 2**j and 2**j + 1 entries, each a list of positive weights
+    CDF_ROWS = st.lists(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17]).flatmap(
+        lambda d: st.lists(st.integers(1, 7), min_size=d, max_size=d)), min_size=1, max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=CDF_ROWS, seed=st.integers(0, 2**32))
+    # rows whose CDFs end at 1 - 2**-53
+    @example(weights=[[1, 4, 1], [1, 1, 3, 1], [1, 1, 2, 1, 1], [1, 1, 3, 1, 1, 1, 1, 1], [1]], seed=0)
+    def test_inverse_cdf_matches_a_per_row_search(self, weights, seed):
+        lengths = np.array([len(w) for w in weights])
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        probs = np.concatenate([np.array(w) / sum(w) for w in weights])
+        indices = np.arange(len(probs)) * 10 + 3
+        cdf = _row_cdfs(indptr, probs)
+        rows = [cdf[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+        # per row: every CDF value, the float below each, the float above
+        # the last, 0, the largest uniform, and then random uniforms
+        special = [np.concatenate([c, np.nextafter(c, 0), [np.nextafter(c[-1], 2), 0.0, 1 - 2**-53]]) for c in rows]
+        u = np.random.default_rng(seed).random((max(map(len, special)) + 8, len(rows)))
+        for i, s in enumerate(special):
+            u[:len(s), i] = s
+        expected = np.array([[indices[a + min(int(np.searchsorted(c, x, side="right")), len(c) - 1)]
+                              for x, a, c in zip(u_t, indptr, rows)] for u_t in u])
+        assert np.array_equal(_inverse_cdf(indptr, indices, cdf, u), expected)
+        assert np.array_equal(_inverse_cdf(indptr, indices, cdf, u[None]), expected[None])
 
 
 # SHA-256 of write_trace's bytes for example1's world at seed 42, one per
