@@ -14,7 +14,6 @@ from .analysis import (
     RateReport,
     RateRow,
     belief_difference,
-    empirical_rate,
     occupancy,
     rate_report,
     theoretical_rate,
@@ -84,7 +83,6 @@ __all__ = [
     "belief_difference",
     "check_global_identifiability",
     "custom_selection_matrix",
-    "empirical_rate",
     "is_strongly_connected",
     "kl_divergence",
     "load_config",

@@ -64,9 +64,9 @@ def _fit_slope(
     world: WorldModel,
     agent: int,
     check_state: int,
-) -> tuple[float, float]:
-    """Least-squares slope and standard error of log mu_t(check_state) -
-    log mu_t(true) against the given times, from the window's log beliefs."""
+) -> float:
+    """Least-squares slope of log mu_t(check_state) - log mu_t(true) against
+    the given times, from the window's log beliefs."""
     check_index("agent", agent, snaps.shape[1])
     check_index("check_state", check_state, world.num_states)
     theta = world.true_state_index
@@ -84,31 +84,7 @@ def _fit_slope(
         )
 
     tc = times - times.mean()
-    sxx = float(tc @ tc)
-    slope = float(tc @ (y - y.mean())) / sxx
-    if len(times) > 2:
-        resid = (y - y.mean()) - slope * tc
-        stderr = float(np.sqrt((resid @ resid) / (len(times) - 2) / sxx))
-    else:
-        stderr = 0.0
-    return slope, stderr
-
-
-def empirical_rate(
-    trace: SimulationTrace,
-    world: WorldModel,
-    agent: int,
-    check_state: int,
-    window: tuple[int, int],
-) -> tuple[float, float]:
-    """Least-squares slope (and its standard error) of the log belief ratio
-    log mu_t(check_state) - log mu_t(true) over snapshot times in [t0, t1].
-
-    The decay rate estimate is the negated slope. Requires at least two
-    snapshots inside the window.
-    """
-    times, snaps = _window_fit_inputs(trace, window)
-    return _fit_slope(times, snaps, world, agent, check_state)
+    return float(tc @ (y - y.mean())) / float(tc @ tc)
 
 
 @dataclass(frozen=True)
@@ -127,6 +103,15 @@ class RateRow:
             return np.inf if self.empirical != 0.0 else 0.0
         return abs(self.empirical - self.theoretical) / self.theoretical
 
+    def _verdict(self, rel_tolerance: float) -> bool | None:
+        """The rate check: None for a row whose theoretical rate is 0, which
+        is not checked (the truth is not identifiable from the weighted
+        signals, so no decay is predicted), else whether rel_error is at
+        most rel_tolerance."""
+        if self.theoretical == 0.0:
+            return None
+        return self.rel_error <= rel_tolerance
+
 
 @dataclass(frozen=True)
 class RateReport:
@@ -135,7 +120,9 @@ class RateReport:
     rows: tuple[RateRow, ...]
 
     def within(self, rel_tolerance: float) -> bool:
-        return all(r.rel_error <= rel_tolerance for r in self.rows)
+        """Whether every checked row is within rel_tolerance; a row whose
+        theoretical rate is 0 is not checked."""
+        return all(r._verdict(rel_tolerance) is not False for r in self.rows)
 
     def row(self, check_state: int, agent: int) -> RateRow:
         for r in self.rows:
@@ -165,7 +152,7 @@ def rate_report(
     for cs in check_states:
         theo = theoretical_rate(pi, world, cs)
         for a in agents:
-            slopes = np.array([-_fit_slope(times, snaps, world, a, cs)[0] for times, snaps in fits])
+            slopes = np.array([-_fit_slope(times, snaps, world, a, cs) for times, snaps in fits])
             emp = float(slopes.mean())
             stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
             rows.append(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=stderr))
@@ -181,35 +168,22 @@ class OccupancyReport(ArrayValue):
     t: int
     counts: np.ndarray  # per-agent visit counts over walk steps 1..t
     frequencies: np.ndarray
-    stationary: np.ndarray | None
-    max_abs_dev: float | None
+    stationary: np.ndarray
+    max_abs_dev: float
 
 
-def occupancy(
-    trace: SimulationTrace,
-    agent: int,
-    t: int,
-    pi: StationaryDistribution | None = None,
-) -> OccupancyReport:
+def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribution) -> OccupancyReport:
     """Frequency of each agent along the backward walk from (agent, t),
-    excluding the starting node itself (steps 1..t)."""
+    excluding the starting node itself (steps 1..t), against pi."""
     if t < 1:
         raise ValidationError(f"occupancy needs t >= 1, got {t}")
+    if pi.pi.shape[0] != trace.n:
+        raise ValidationError(f"stationary vector has {pi.pi.shape[0]} entries, trace has {trace.n} agents")
     walk = backward_walk(trace, agent, t)
     counts = np.bincount(walk[1:], minlength=trace.n).astype(np.int64)
     freqs = counts / float(t)
-    stationary = None
-    max_dev = None
-    if pi is not None:
-        if pi.pi.shape[0] != trace.n:
-            raise ValidationError(
-                f"stationary vector has {pi.pi.shape[0]} entries, trace has {trace.n} agents"
-            )
-        stationary = pi.pi
-        max_dev = float(np.max(np.abs(freqs - pi.pi)))
-    return OccupancyReport(
-        agent=agent, t=t, counts=counts, frequencies=freqs, stationary=stationary, max_abs_dev=max_dev
-    )
+    return OccupancyReport(agent=agent, t=t, counts=counts, frequencies=freqs, stationary=pi.pi,
+                           max_abs_dev=float(np.max(np.abs(freqs - pi.pi))))
 
 
 def belief_difference(
@@ -249,11 +223,10 @@ def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
-    """occupancy.csv: agent_m,empirical,stationary (stationary blank if not given)."""
+    """occupancy.csv: agent_m,empirical,stationary."""
     n = len(report.frequencies)
-    stationary = report.stationary.tolist() if report.stationary is not None else [""] * n
     return write_csv(path, ["agent_m", "empirical", "stationary"],
-                     zip(range(1, n + 1), report.frequencies.tolist(), stationary))
+                     zip(range(1, n + 1), report.frequencies.tolist(), report.stationary.tolist()))
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:

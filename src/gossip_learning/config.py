@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .arrays import int_array, is_integer
+from .arrays import float_array, int_array, is_integer
 from .errors import ValidationError
 from .graph import (
     DirectedNetwork,
@@ -52,17 +52,18 @@ def _require_keys(obj: Any, path: str, required: tuple[str, ...], optional: tupl
 
 
 def _as_int(v: Any, path: str, minimum: int | None = None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_integer(v):
         raise ValidationError(f"{path}: expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ValidationError(f"{path}: must be >= {minimum}, got {v}")
-    return v
+    return int(v)
 
 
 def _as_number(v: Any, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    x = float_array(v)
+    if x is None or x.ndim != 0:
         raise ValidationError(f"{path}: expected a number, got {v!r}")
-    return float(v)
+    return float(x)
 
 
 def _as_label(v: Any, path: str):
@@ -130,9 +131,6 @@ class ExperimentConfig:
                 "agents": [a + 1 for a in self.analysis.agent_indices],
             },
         }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.canonical_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _untyped_edge(raw_edges: list) -> tuple[int, ValidationError | None]:
@@ -351,7 +349,7 @@ def load_config(path: str | Path, overrides: dict[str, int] | None = None) -> Ex
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -359,6 +357,8 @@ def load_config(path: str | Path, overrides: dict[str, int] | None = None) -> Ex
         raise ValidationError(
             f"{path}: config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or deep nesting
+        raise ValidationError(f"{path}: config cannot be decoded: {exc}") from exc
     if overrides and isinstance(raw, dict) and isinstance(raw.get("simulation"), dict):
         raw["simulation"].update(overrides)
     try:

@@ -28,8 +28,12 @@ from .errors import MultipleRecurrentClassesError, StationarySolveError, Validat
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 
-# Above this size the dense linear solve is replaced by power iteration.
+# Above this size the dense linear solve is replaced by power iteration,
+# which stops once no entry moves by more than POWER_STEP_TOL in a step, or
+# after POWER_MAX_ITER steps.
 DIRECT_SOLVE_LIMIT = 2000
+POWER_STEP_TOL = 1e-13
+POWER_MAX_ITER = 1_000_000
 
 
 def _csr_rows(indptr: np.ndarray) -> np.ndarray:
@@ -133,6 +137,18 @@ class DirectedNetwork(ArrayValue):
 
     def degree(self, i: int) -> int:
         return int(self.in_indptr[i + 1] - self.in_indptr[i])
+
+    @cached_property
+    def _uniform_selection(self) -> SelectionMatrix:
+        degree = np.diff(self.in_indptr)
+        length = np.maximum(degree, 1)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(length, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        has = np.repeat(degree > 0, length)
+        indices[has] = self.in_indices
+        indices[~has] = np.flatnonzero(degree == 0)
+        return SelectionMatrix(n=self.n, indptr=indptr, indices=indices, probs=np.repeat(1.0 / length, length))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,16 +273,11 @@ def _square_rows(rows) -> np.ndarray:
 
 
 def uniform_selection_matrix(net: DirectedNetwork) -> SelectionMatrix:
-    """Equal weight on each in-neighbor; agents with no neighbors self-select."""
-    degree = np.diff(net.in_indptr)
-    length = np.maximum(degree, 1)
-    indptr = np.zeros(net.n + 1, dtype=np.int64)
-    np.cumsum(length, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    has = np.repeat(degree > 0, length)
-    indices[has] = net.in_indices
-    indices[~has] = np.flatnonzero(degree == 0)
-    return SelectionMatrix(n=net.n, indptr=indptr, indices=indices, probs=np.repeat(1.0 / length, length))
+    """Equal weight on each in-neighbor; agents with no neighbors self-select.
+    Built once per network and kept on it, so every caller, the config
+    loader and is_strongly_connected included, holds the same matrix and
+    its recurrent classes are found once."""
+    return net._uniform_selection
 
 
 def check_selection_support(net: DirectedNetwork, P: SelectionMatrix) -> None:
@@ -346,9 +357,13 @@ def _tarjan_sccs(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
 
 
 def is_strongly_connected(net: DirectedNetwork) -> bool:
-    """True iff every node reaches every other along directed edges (checked
-    on the in-neighbor lists: reversing every edge keeps the components)."""
-    return len(_tarjan_sccs(net.in_indptr, net.in_indices)) == 1
+    """True iff every node reaches every other along directed edges: iff the
+    uniform selection chain, which steps from each agent to its in-neighbors
+    (reversing every edge keeps the components), is one recurrent class with
+    no transient agent. An agent with no in-neighbor selects only itself, so
+    it is a class of its own, and a lone agent is one class."""
+    rc = recurrent_classes(uniform_selection_matrix(net))
+    return len(rc.classes) == 1 and not rc.transient
 
 
 @dataclass(frozen=True)
@@ -403,16 +418,15 @@ def _direct_stationary(sub: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _power_stationary(P: SelectionMatrix, members: np.ndarray, tol: float = 1e-13,
-                      max_iter: int = 1_000_000) -> np.ndarray:
+def _power_stationary(P: SelectionMatrix, members: np.ndarray) -> np.ndarray:
     # Iterate the lazy chain (I + P)/2: same fixed point, and aperiodic, so
     # plain power iteration converges geometrically even for periodic P.
     # Mass starts on the closed class and never leaves it.
     x = np.zeros(P.n)
     x[members] = 1.0 / len(members)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = 0.5 * (x + P.vecmat(x))
-        if np.max(np.abs(nxt - x)) <= tol:
+        if np.max(np.abs(nxt - x)) <= POWER_STEP_TOL:
             x = nxt
             break
         x = nxt

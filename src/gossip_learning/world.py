@@ -259,29 +259,22 @@ def kl_divergence(p, q):
 class IdentifiabilityReport:
     """Which agents in a node set separate each false state from the truth."""
 
-    true_state_index: int
-    agents_checked: tuple[int, ...]
     witnesses: tuple[tuple[int, tuple[int, ...]], ...]  # (false state, witnesses)
     identifiable: bool
 
 
 def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> IdentifiabilityReport:
     """Verdict: every false state is distinguished from the truth by some agent
-    in the given set (pass the recurrent class of the selection chain)."""
-    agents = tuple(sorted(int(a) for a in agents))
-    if not agents:
+    in the given set (pass the recurrent class of the selection chain). Each
+    state's witnesses ascend."""
+    members = np.sort(np.asarray(agents, dtype=np.int64))
+    if not members.size:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index
-    members = np.array(agents)
     separated = world.divergences[members] > DISTINGUISH_TOL
     witnesses = tuple(
         (check, tuple(members[separated[:, check]].tolist()))
         for check in range(world.num_states)
         if check != theta
     )
-    return IdentifiabilityReport(
-        true_state_index=theta,
-        agents_checked=agents,
-        witnesses=witnesses,
-        identifiable=all(found for _, found in witnesses),
-    )
+    return IdentifiabilityReport(witnesses=witnesses, identifiable=all(found for _, found in witnesses))

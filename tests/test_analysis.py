@@ -6,7 +6,6 @@ from scipy.special import rel_entr
 
 from gossip_learning.analysis import (
     belief_difference,
-    empirical_rate,
     occupancy,
     rate_report,
     theoretical_rate,
@@ -49,6 +48,21 @@ def synthetic_trace(rate: float, horizon: int = 100) -> SimulationTrace:
 TWO_STATE_WORLD = tiny_world([[[0.5, 0.5], [0.5, 0.5]]])
 
 
+def fitted_rate(trace, world, agent, check_state, window) -> float:
+    """rate_report's fitted decay rate of one (state, agent) pair on one
+    trace: the negated slope of that trace's log belief ratio."""
+    pi = StationaryDistribution(pi=np.full(world.n_agents, 1 / world.n_agents))
+    return rate_report([trace], pi, world, [check_state], [agent], window).rows[0].empirical
+
+
+def polyfit_slope(trace, agent, check_state, window) -> float:
+    """Independent oracle: np.polyfit's slope of log mu_t(check_state) -
+    log mu_t(1) over the snapshots inside window (state index 0 true)."""
+    times = [t for t in trace.snapshot_times if window[0] <= t <= window[1]]
+    y = [trace.log_belief_at(t)[agent, check_state] - trace.log_belief_at(t)[agent, 0] for t in times]
+    return float(np.polyfit(times, y, 1)[0])
+
+
 class TestTheoreticalRate:
     def test_benchmark_values(self, ex1_pi, ex1_cfg):
         assert theoretical_rate(ex1_pi, ex1_cfg.world, 1) == pytest.approx(RATE_CHECK_STATE_2, rel=1e-12)
@@ -88,34 +102,31 @@ class TestTheoreticalRate:
 class TestEmpiricalRate:
     def test_recovers_exact_exponential_decay(self):
         tr = synthetic_trace(rate=0.0123, horizon=200)
-        slope, stderr = empirical_rate(tr, TWO_STATE_WORLD, 0, 1, (0, 200))
-        assert -slope == pytest.approx(0.0123, rel=1e-9)
-        assert stderr <= 1e-10
+        assert fitted_rate(tr, TWO_STATE_WORLD, 0, 1, (0, 200)) == pytest.approx(0.0123, rel=1e-9)
 
     def test_window_subsets_change_nothing_for_exact_decay(self):
         tr = synthetic_trace(rate=0.05, horizon=300)
-        s1, _ = empirical_rate(tr, TWO_STATE_WORLD, 0, 1, (100, 300))
-        s2, _ = empirical_rate(tr, TWO_STATE_WORLD, 0, 1, (10, 150))
-        assert s1 == pytest.approx(s2, rel=1e-9)
+        r1 = fitted_rate(tr, TWO_STATE_WORLD, 0, 1, (100, 300))
+        r2 = fitted_rate(tr, TWO_STATE_WORLD, 0, 1, (10, 150))
+        assert r1 == pytest.approx(r2, rel=1e-9)
 
     def test_strided_trace_fits_only_snapshots_inside_the_window(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=200, stride=7)
-        slope, _ = empirical_rate(tr, ex1_cfg.world, 1, 1, (30, 200))
+        rate = fitted_rate(tr, ex1_cfg.world, 1, 1, (30, 200))
         times = [t for t in tr.snapshot_times if 30 <= t <= 200]
         assert times[0] == 35 and times[-1] == 200
-        y = [tr.log_belief_at(t)[1, 1] - tr.log_belief_at(t)[1, 0] for t in times]
-        assert slope == pytest.approx(np.polyfit(times, y, 1)[0], rel=1e-9)
+        assert -rate == pytest.approx(polyfit_slope(tr, 1, 1, (30, 200)), rel=1e-9)
 
     def test_window_validation(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
         for bad in [(-1, 50), (10, 10), (40, 60)]:
             with pytest.raises(ValidationError, match="window"):
-                empirical_rate(tr, TWO_STATE_WORLD, 0, 1, bad)
+                fitted_rate(tr, TWO_STATE_WORLD, 0, 1, bad)
 
     def test_needs_two_snapshots_inside_window(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=100, stride=90)
         with pytest.raises(ValidationError, match="snapshots"):
-            empirical_rate(tr, ex1_cfg.world, 0, 1, (1, 89))
+            fitted_rate(tr, ex1_cfg.world, 0, 1, (1, 89))
 
     @staticmethod
     def _two_agent_trace(agent2_log_belief):
@@ -132,20 +143,20 @@ class TestEmpiricalRate:
     def test_zero_belief_on_check_state_rejected(self):
         tr = self._two_agent_trace([0.0, -np.inf])
         with pytest.raises(ValidationError, match="zero belief") as exc:
-            empirical_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
+            fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
         assert "agent 2 holds exactly zero belief on state 2 " in str(exc.value)
 
     def test_zero_belief_on_true_state_rejected(self):
         tr = self._two_agent_trace([-np.inf, 0.0])
         with pytest.raises(ValidationError, match="agent 2 has zero belief on the true state at t=0"):
-            empirical_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
+            fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
 
     def test_agent_and_state_bounds(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
         with pytest.raises(ValidationError, match="agent"):
-            empirical_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 50))
+            fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 50))
         with pytest.raises(ValidationError, match="check_state"):
-            empirical_rate(tr, TWO_STATE_WORLD, 0, 2, (0, 50))
+            fitted_rate(tr, TWO_STATE_WORLD, 0, 2, (0, 50))
 
 
 class TestRateReport:
@@ -153,7 +164,9 @@ class TestRateReport:
         cfg = SimulationConfig(horizon=400, seed=11, replications=4)
         traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
         report = rate_report(traces, ex1_pi, ex1_cfg.world, [1], [1, 7], (80, 400))
-        slopes = np.array([-empirical_rate(tr, ex1_cfg.world, 1, 1, (80, 400))[0] for tr in traces])
+        slopes = np.array([fitted_rate(tr, ex1_cfg.world, 1, 1, (80, 400)) for tr in traces])
+        for tr, rate in zip(traces, slopes):
+            assert -rate == pytest.approx(polyfit_slope(tr, 1, 1, (80, 400)), rel=1e-9)
         row = report.row(1, 1)
         assert row.empirical == pytest.approx(float(slopes.mean()), rel=1e-15)
         assert row.stderr == pytest.approx(float(slopes.std(ddof=1) / 2.0), rel=1e-12)
@@ -170,9 +183,21 @@ class TestRateReport:
         tr = synthetic_trace(rate=0.02, horizon=100)
         pi = StationaryDistribution(pi=np.array([1.0]))
         report = rate_report([tr], pi, TWO_STATE_WORLD, [1], [0], (0, 100))
-        # flat likelihoods: theoretical 0 but empirical 0.02, so rel error is inf
-        assert not report.within(0.15)
+        # flat likelihoods: theoretical 0 but empirical 0.02, so rel error is
+        # inf, and the row is not checked
+        assert report.within(0.15)
         assert report.rows[0].rel_error == np.inf
+
+    def test_within_checks_every_row_with_a_positive_rate(self):
+        tr = synthetic_trace(rate=0.02, horizon=100)
+        pi = StationaryDistribution(pi=np.array([1.0]))
+        informative = tiny_world([[[0.5, 0.5], [0.6, 0.4]]])
+        report = rate_report([tr], pi, informative, [1], [0], (0, 100))
+        theo = kl_divergence([0.5, 0.5], [0.6, 0.4])
+        assert report.rows[0].theoretical == pytest.approx(theo, rel=1e-15)
+        assert report.rows[0].rel_error == pytest.approx(abs(0.02 - theo) / theo, rel=1e-9)
+        assert not report.within(report.rows[0].rel_error * 0.99)
+        assert report.within(report.rows[0].rel_error * 1.01)
 
     def test_missing_row_lookup(self):
         tr = synthetic_trace(rate=0.02, horizon=100)
@@ -198,24 +223,23 @@ class TestRateReport:
 
 
 class TestOccupancy:
-    def test_counts_match_manual_walk(self, ex1_cfg):
+    def test_counts_match_manual_walk(self, ex1_cfg, ex1_pi):
         tr = small_run(ex1_cfg, horizon=50)
-        rep = occupancy(tr, 7, 50)
+        rep = occupancy(tr, 7, 50, ex1_pi)
         walk = backward_walk(tr, 7, 50)
         assert np.array_equal(rep.counts, np.bincount(walk[1:], minlength=8))
         assert rep.counts.sum() == 50
         assert np.allclose(rep.frequencies, rep.counts / 50.0)
-        assert rep.stationary is None and rep.max_abs_dev is None
 
     def test_deviation_against_stationary(self, ex1_cfg, ex1_pi):
         tr = small_run(ex1_cfg, horizon=50)
         rep = occupancy(tr, 7, 50, pi=ex1_pi)
         assert rep.max_abs_dev == pytest.approx(float(np.max(np.abs(rep.frequencies - ex1_pi.pi))))
 
-    def test_time_must_be_positive(self, ex1_cfg):
+    def test_time_must_be_positive(self, ex1_cfg, ex1_pi):
         tr = small_run(ex1_cfg, horizon=10)
         with pytest.raises(ValidationError, match="t >= 1"):
-            occupancy(tr, 0, 0)
+            occupancy(tr, 0, 0, ex1_pi)
 
     def test_pi_length_checked(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=10)
@@ -225,8 +249,9 @@ class TestOccupancy:
     def test_single_agent_occupancy_is_degenerate(self):
         w = tiny_world([[[0.3, 0.7], [0.7, 0.3]]])
         net = DirectedNetwork(1, [])
-        tr = run(net, uniform_selection_matrix(net), w, SimulationConfig(horizon=30, seed=1))
-        rep = occupancy(tr, 0, 30)
+        P = uniform_selection_matrix(net)
+        tr = run(net, P, w, SimulationConfig(horizon=30, seed=1))
+        rep = occupancy(tr, 0, 30, stationary_distribution(P))
         assert rep.frequencies.tolist() == [1.0]
 
 
@@ -275,13 +300,7 @@ class TestCsvWriters:
         assert [r["agent_m"] for r in rows] == [str(m) for m in range(1, 9)]
         total = sum(float(r["empirical"]) for r in rows)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_occupancy_csv_without_stationary_column_values(self, tmp_path, ex1_cfg):
-        tr = small_run(ex1_cfg, horizon=20)
-        path = write_occupancy(occupancy(tr, 0, 20), tmp_path / "occ.csv")
-        with path.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert all(r["stationary"] == "" for r in rows)
+        assert [float(r["stationary"]) for r in rows] == ex1_pi.pi.tolist()
 
     def test_belief_difference_csv(self, tmp_path, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=25)

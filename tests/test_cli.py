@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from gossip_learning import cli, example1, graph
-from gossip_learning.analysis import empirical_rate
+from gossip_learning.analysis import rate_report
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
-from gossip_learning.simulator import read_trace, run
+from gossip_learning.graph import stationary_distribution
+from gossip_learning.simulator import read_trace, run, run_replications
+from tests.test_analysis import fitted_rate
 
 
 def set_selection_entry(value):
@@ -27,6 +29,11 @@ def write_config(tmp_path, cfg_dict, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg_dict), encoding="utf-8")
     return str(path)
+
+
+def canonical_text(cfg):
+    """A config's canonical form as the manifest writes it."""
+    return json.dumps(cfg.canonical_dict(), indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +121,23 @@ class TestConfigErrors:
         assert main(["check", "--config", "/no/such/file.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        # Python reads no integer literal of more than 4300 digits
+        (lambda text: text.replace(b'"seed": 42', b'"seed": ' + b"1" * 5000),
+         "{path}: config cannot be decoded: Exceeds the limit (4300 digits)"),
+        (lambda text: text.replace(b'"prior": "uniform"', b'"prior": "\xff"'),
+         "cannot read config {path}: 'utf-8' codec can't decode byte 0xff"),
+        (lambda text: b"[" * 100_000, "{path}: config cannot be decoded: maximum recursion depth exceeded"),
+    ], ids=["integer past the digit limit", "not UTF-8", "nesting past the recursion limit"])
+    def test_undecodable_config_is_invalid_input(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "config.json"
+        text = json.dumps(example1.config_dict(horizon=20)).encode()
+        path.write_bytes(edit(text))
+        assert path.read_bytes() != text
+        assert main(["check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1, err
+
     def test_alias_must_point_at_explicit_table(self, tmp_path, capsys):
         cfg = example1.config_dict(horizon=10)
         cfg["world"]["likelihoods"][4] = {"agent": 5, "like": "l_4"}  # l_4 is itself an alias
@@ -199,12 +223,14 @@ class TestConfigErrors:
         (lambda c: c["network"].update(n=8.0), "network.n: agent count must be an integer, got 8.0"),
         (lambda c: c["network"].update(n=True), "network.n: agent count must be an integer, got True"),
         (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
+        (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
+         f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
     ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64", "zero agents",
             "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry",
             "bool likelihood", "null likelihood", "string likelihood", "likelihood beyond float",
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
-            "float agent count", "bool agent count", "short prior"])
+            "float agent count", "bool agent count", "short prior", "tolerance beyond float"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
         cfg = example1.config_dict(horizon=20)
@@ -259,10 +285,10 @@ class TestConfigErrors:
 class TestRoundTrip:
     def test_builtin_config_round_trips_canonically(self, tmp_path):
         cfg = example1.config()
-        text = cfg.canonical_json()
+        text = canonical_text(cfg)
         (tmp_path / "canonical.json").write_text(text, encoding="utf-8")
         again = load_config(tmp_path / "canonical.json")
-        assert again.canonical_json() == text
+        assert canonical_text(again) == text
 
     def test_explicit_selection_and_prior_round_trip(self, tmp_path):
         raw = {
@@ -280,10 +306,10 @@ class TestRoundTrip:
             "simulation": {"horizon": 20, "seed": 5},
         }
         cfg = parse_config_dict(raw)
-        text = cfg.canonical_json()
+        text = canonical_text(cfg)
         (tmp_path / "canonical.json").write_text(text, encoding="utf-8")
         again = load_config(tmp_path / "canonical.json")
-        assert again.canonical_json() == text
+        assert canonical_text(again) == text
         assert np.array_equal(cfg.world.likelihood(1), cfg.world.likelihood(0))
         assert cfg.selection.to_dense()[0, 1] == 0.75
 
@@ -379,6 +405,23 @@ class TestRate:
         out = capsys.readouterr().out
         assert "warning: truth not identifiable" in out
 
+    def test_exit_code_and_within_agree_on_a_zero_rate_state(self, tmp_path, capsys):
+        # no recurrent agent tells state 2 from the truth, but transient
+        # agent 8 does, so state 2's rows fit a decay against a rate of 0
+        raw = example1.config_dict(horizon=400, replications=3)
+        raw["world"]["likelihoods"][1] = {"agent": 2, "table": [[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]]}
+        raw["world"]["likelihoods"][7] = {"agent": 8, "table": [[0.5, 0.5], [2 / 3, 1 / 3], [0.5, 0.5]]}
+        code = main(["rate", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert "state 2: theoretical rate 0.0 nats/round\n  warning: truth not identifiable" in out
+        cfg = parse_config_dict(raw)
+        a = cfg.analysis
+        report = rate_report(run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation),
+                             stationary_distribution(cfg.selection), cfg.world,
+                             list(a.check_state_indices), list(a.agent_indices), a.window)
+        assert report.row(1, 7).rel_error == np.inf
+        assert (code, report.within(a.rate_rel_tolerance)) == (0, True)
+
 
 class TestExample1:
     def test_pipeline_exit_code(self, example1_report):
@@ -420,20 +463,20 @@ class TestExample1:
         back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
-            s_back, _ = empirical_rate(back, ex1_cfg.world, agent, check, (1000, 5000))
-            s_fresh, _ = empirical_rate(fresh, ex1_cfg.world, agent, check, (1000, 5000))
-            assert s_back == pytest.approx(s_fresh, rel=1e-9)
+            r_back = fitted_rate(back, ex1_cfg.world, agent, check, (1000, 5000))
+            r_fresh = fitted_rate(fresh, ex1_cfg.world, agent, check, (1000, 5000))
+            assert r_back == pytest.approx(r_fresh, rel=1e-9)
 
     def test_selection_chain_is_partitioned_once(self, tmp_path, monkeypatch):
-        # the structure report and the stationary solve share one Tarjan pass
-        # over the selection matrix
+        # the connectivity line, the structure report and the stationary
+        # solve share one Tarjan pass over the selection matrix
         configs, searched = [], []
         parse, tarjan = cli.parse_config_dict, graph._tarjan_sccs
         monkeypatch.setattr(cli, "parse_config_dict", lambda raw: configs.append(parse(raw)) or configs[-1])
         monkeypatch.setattr(graph, "_tarjan_sccs", lambda ptr, indices: searched.append(ptr) or tarjan(ptr, indices))
         assert main(["example1", "--out", str(tmp_path), "--quiet"]) == 0
         [cfg] = configs
-        assert sum(ptr is cfg.selection.indptr for ptr in searched) == 1
+        assert len(searched) == 1 and searched[0] is cfg.selection.indptr
 
     def test_config_flag_rejected(self, capsys):
         assert main(["example1", "--config", "x.json"]) == 2

@@ -263,12 +263,18 @@ class TestStructure:
 
     def test_strong_connectivity_matches_networkx(self):
         rng = np.random.default_rng(7)
+        # a lone agent; agents of in-degree 0 beside a strongly connected rest
+        nets = [DirectedNetwork(1, []), DirectedNetwork(2, []), DirectedNetwork(2, [(0, 1)]),
+                DirectedNetwork(3, [(0, 1), (1, 2), (2, 1)]), DirectedNetwork(3, [(1, 2), (2, 1)])]
         for _ in range(40):
             n = int(rng.integers(2, 12))
             net, _ = _random_net_and_rows(rng, n)
+            # the same net with agent 1 observing no one
+            nets += [net, DirectedNetwork(n, [(j, i) for j, i in net.edges.tolist() if i != 0])]
+        for net in nets:
             g = nx.DiGraph()
-            g.add_nodes_from(range(n))
-            g.add_edges_from(net.edges)
+            g.add_nodes_from(range(net.n))
+            g.add_edges_from(net.edges.tolist())
             assert is_strongly_connected(net) == nx.is_strongly_connected(g)
 
     def test_recurrent_classes_match_networkx_condensation(self):

@@ -317,6 +317,25 @@ def test_manifest_faults_are_named_after_the_manifest(text, message, trace_dir, 
     assert err.endswith(f"{traces / message}\n")
 
 
+@pytest.mark.parametrize("edit, message", [
+    # Python reads no integer literal of more than 4300 digits
+    (lambda text: text.replace(b'"seed": 42', b'"seed": ' + b"1" * 5000),
+     "cannot be decoded: Exceeds the limit (4300 digits)"),
+    (lambda text: text.replace(b'"prior"', b'"\xff"'), "cannot be decoded: 'utf-8' codec can't decode byte 0xff"),
+    (lambda text: b"[" * 100_000, "cannot be decoded: maximum recursion depth exceeded"),
+], ids=["integer past the digit limit", "not UTF-8", "nesting past the recursion limit"])
+def test_undecodable_manifest_is_invalid_input(edit, message, trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    path = traces / "manifest.json"
+    text = path.read_bytes()
+    path.write_bytes(edit(text))
+    assert path.read_bytes() != text
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1, err
+
+
 def test_unedited_traces_read_back(trace_dir, tmp_path):
     assert main(["rate", "--traces", str(trace_dir), "--out", str(tmp_path), "--quiet"]) in (0, 1)
 
