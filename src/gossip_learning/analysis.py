@@ -124,12 +124,6 @@ class RateReport:
         theoretical rate is 0 is not checked."""
         return all(r._verdict(rel_tolerance) is not False for r in self.rows)
 
-    def row(self, check_state: int, agent: int) -> RateRow:
-        for r in self.rows:
-            if r.check_state == check_state and r.agent == agent:
-                return r
-        raise ValidationError(f"no rate row for check_state={check_state}, agent={agent}")
-
 
 def rate_report(
     traces: list[SimulationTrace],
@@ -141,6 +135,8 @@ def rate_report(
 ) -> RateReport:
     """Fit the decay rate for each (false state, agent) pair on every trace.
 
+    The rows run by check state, then agent, each in the order given: the
+    row for check_states[k] and agents[j] is rows[k * len(agents) + j].
     empirical = mean of the negated per-replication slopes; stderr = sample
     standard deviation across replications divided by sqrt(R) (0.0 when R=1).
     """

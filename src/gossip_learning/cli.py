@@ -102,23 +102,31 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
+def _trace_name(r: int) -> str:
+    """The name of the file run writes replication r's trace to."""
+    return f"rep{r:03d}.npz"
+
+
+def _derived_fields(cfg: ExperimentConfig) -> dict:
+    """The manifest fields run derives from the config, fingerprints first."""
+    return {
+        "world_fingerprint": world_fingerprint(cfg.world),
+        "matrix_fingerprint": matrix_fingerprint(cfg.selection),
+        "master_seed": cfg.simulation.seed,
+        "replications": cfg.simulation.replications,
+        "seed_derivation": "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)",
+    }
+
+
 def _write_run_outputs(cfg: ExperimentConfig, out: Path, say, extra_files: dict | None = None) -> list:
     traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for r, tr in enumerate(traces):
-        path = out / f"rep{r:03d}.npz"
+        path = out / _trace_name(r)
         entries.append({"replication": r, "file": path.name, "sha256": write_trace(tr, path)})
         say(f"wrote {path}")
-    manifest = {
-        "config": cfg.canonical_dict(),
-        "master_seed": cfg.simulation.seed,
-        "replications": cfg.simulation.replications,
-        "seed_derivation": "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)",
-        "world_fingerprint": world_fingerprint(cfg.world),
-        "matrix_fingerprint": matrix_fingerprint(cfg.selection),
-        "traces": entries,
-    }
+    manifest = {"config": cfg.canonical_dict(), **_derived_fields(cfg), "traces": entries}
     if extra_files:
         manifest.update(extra_files)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -162,13 +170,13 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
         cfg = parse_config_dict(manifest["config"])
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from exc
-    if world_fingerprint(cfg.world) != manifest["world_fingerprint"]:
-        raise ValidationError(f"{manifest_path}: world fingerprint does not match its config")
-    if matrix_fingerprint(cfg.selection) != manifest["matrix_fingerprint"]:
-        raise ValidationError(f"{manifest_path}: selection-matrix fingerprint does not match its config")
-    # one entry per replication of the config, in order, each file once
+    names = {"world_fingerprint": "world fingerprint", "matrix_fingerprint": "selection-matrix fingerprint"}
+    for key, value in _derived_fields(cfg).items():
+        # as run writes it: 42.0 is not the seed 42, nor true the count 1
+        if (type(manifest.get(key)), manifest.get(key)) != (type(value), value):
+            raise ValidationError(f"{manifest_path}: {names.get(key, key)} does not match its config")
+    # entry k is replication k, in the file run names for it
     count = cfg.simulation.replications
-    files: set = set()
     for k, e in enumerate(entries):
         rep = e["replication"]
         if type(rep) is not int or rep != k or k >= count:
@@ -177,22 +185,18 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
                 f"{manifest_path}: traces[{k}] lists replication {rep!r}, expected {expected}: "
                 f"the entries must be replications 0..{count - 1} in order, each once"
             )
-        name = e["file"]
-        if not (isinstance(name, str) and name not in ("", "..") and Path(name).name == name):
+        if e["file"] != _trace_name(k):
             raise ValidationError(
-                f"{manifest_path}: traces[{k}] lists file {name!r}, expected a bare file name in {traces_dir}"
+                f"{manifest_path}: traces[{k}] lists file {e['file']!r}, expected {_trace_name(k)!r}"
             )
-        if name in files:
-            raise ValidationError(f"{manifest_path}: traces[{k}] lists file {name!r} a second time")
-        files.add(name)
     if len(entries) < count:
         raise ValidationError(
             f"{manifest_path}: traces lists {len(entries)} replication(s), but its config has {count}; "
             f"replication {len(entries)} has no entry"
         )
     traces = [
-        read_trace(traces_dir / e["file"], e["sha256"], cfg.selection, cfg.world, cfg.simulation)
-        for e in entries
+        read_trace(traces_dir / _trace_name(k), e["sha256"], cfg.selection, cfg.world, cfg.simulation)
+        for k, e in enumerate(entries)
     ]
     return cfg, traces
 
@@ -208,8 +212,8 @@ def _rate_verdict(cfg: ExperimentConfig, traces: list, pi, out: Path, say) -> in
     labels = cfg.world.state_space.states
     tol = a.rate_rel_tolerance
     say(f"window [{a.window[0]}, {a.window[1]}], {report.replications} replication(s), tolerance {tol:.0%}")
-    for cs in a.check_state_indices:
-        rows = [report.row(cs, ag) for ag in a.agent_indices]
+    for k, cs in enumerate(a.check_state_indices):
+        rows = report.rows[k * len(a.agent_indices):(k + 1) * len(a.agent_indices)]
         say(f"state {labels[cs]}: theoretical rate {rows[0].theoretical!r} nats/round")
         # the rows of one state share its theoretical rate, so all or none are checked
         if rows[0]._verdict(tol) is None:

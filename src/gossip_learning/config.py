@@ -185,19 +185,12 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
     raise ValidationError(f"selection.kind: expected 'uniform' or 'explicit', got {kind!r}")
 
 
-def _parse_likelihood_entry(raw: Any, path: str, n: int) -> tuple[int, list | str]:
-    obj = _require_keys(raw, path, ("agent",), ("table", "like"))
-    agent = _as_int(obj["agent"], f"{path}.agent", minimum=1)
+def _agent_index(v: Any, path: str, n: int) -> int:
+    """A 1-based agent id, one of 1..n, as its 0-based index."""
+    agent = _as_int(v, path, minimum=1)
     if agent > n:
-        raise ValidationError(f"{path}.agent: {agent} exceeds the {n} agents in the network")
-    if ("table" in obj) == ("like" in obj):
-        raise ValidationError(f"{path}: exactly one of 'table' or 'like' is required")
-    if "like" in obj:
-        ref = obj["like"]
-        if not (isinstance(ref, str) and ref.startswith("l_") and ref[2:].isdigit()):
-            raise ValidationError(f"{path}.like: expected an 'l_<agent>' reference, got {ref!r}")
-        return agent, ref
-    return agent, _as_list(obj["table"], f"{path}.table")
+        raise ValidationError(f"{path}: {agent} exceeds the {n} agents in the network")
+    return agent - 1
 
 
 def _parse_world(raw: Any, n: int) -> WorldModel:
@@ -225,31 +218,37 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
     entries = _as_list(obj["likelihoods"], "world.likelihoods")
     if len(entries) != n:
         raise ValidationError(f"world.likelihoods: expected one entry per agent ({n}), got {len(entries)}")
-    tables: dict[int, list] = {}
-    aliases: dict[int, tuple[str, str]] = {}  # agent -> (reference, path)
+    # slot a holds agent a + 1's table, or the index its alias names
+    slots: list[list | int | None] = [None] * n
     for k, entry in enumerate(entries):
         path = f"world.likelihoods[{k}]"
-        agent, table_or_ref = _parse_likelihood_entry(entry, path, n)
-        if agent in tables or agent in aliases:
-            raise ValidationError(f"{path}: duplicate entry for agent {agent}")
-        if isinstance(table_or_ref, str):
-            aliases[agent] = (table_or_ref, path)
+        e = _require_keys(entry, path, ("agent",), ("table", "like"))
+        agent = _agent_index(e["agent"], f"{path}.agent", n)
+        if ("table" in e) == ("like" in e):
+            raise ValidationError(f"{path}: exactly one of 'table' or 'like' is required")
+        if "like" in e:
+            ref = e["like"]
+            digits = ref[2:] if isinstance(ref, str) and ref.startswith("l_") else ""
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValidationError(f"{path}.like: expected an 'l_<agent>' reference, got {ref!r}")
+            stripped = digits.lstrip("0")
+            # an id longer than n's names no agent, and int() reads at most a few thousand digits
+            value: list | int = int(stripped or 0) - 1 if len(stripped) <= len(str(n)) else -1
         else:
-            tables[agent] = table_or_ref
-    missing = sorted(set(range(1, n + 1)) - set(tables) - set(aliases))
-    if missing:
-        raise ValidationError(f"world.likelihoods: no entry for agent(s) {missing}")
-    explicit = set(tables)
-    for agent, (ref, path) in aliases.items():
-        target = int(ref[2:])
-        if target not in explicit:
-            raise ValidationError(
-                f"{path}.like: {ref!r} must reference an agent with an explicit table"
-            )
-        tables[agent] = tables[target]
+            value = _as_list(e["table"], f"{path}.table")
+        if slots[agent] is not None:
+            raise ValidationError(f"{path}: duplicate entry for agent {agent + 1}")
+        slots[agent] = value
+    # n entries, each a distinct agent of 1..n, fill every slot; the aliases
+    # are checked in entry order, so the first faulty one is named
+    for k, entry in enumerate(entries):
+        target = slots[entry["agent"] - 1]
+        if isinstance(target, int) and not (0 <= target < n and isinstance(slots[target], list)):
+            raise ValidationError(f"world.likelihoods[{k}].like: {entry['like']!r} must reference an agent with an explicit table")
+    tables = [slots[s] if isinstance(s, int) else s for s in slots]
 
     try:
-        return WorldModel.from_tables(space, prior, [tables[agent] for agent in range(1, n + 1)])
+        return WorldModel.from_tables(space, prior, tables)
     except ValidationError as exc:
         raise ValidationError(f"world.likelihoods: {exc}") from exc
 
@@ -303,10 +302,7 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
     if "agents" in obj:
         agents = []
         for k, a in enumerate(_as_list(obj["agents"], "analysis.agents")):
-            a = _as_int(a, f"analysis.agents[{k}]", minimum=1)
-            if a > n:
-                raise ValidationError(f"analysis.agents[{k}]: {a} exceeds the {n} agents in the network")
-            agents.append(a - 1)
+            agents.append(_agent_index(a, f"analysis.agents[{k}]", n))
         if len(set(agents)) != len(agents):
             raise ValidationError("analysis.agents: duplicate entries")
         agent_indices = tuple(agents)

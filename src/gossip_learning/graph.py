@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -71,15 +70,9 @@ def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
     """The leading edges that are pairs of integers, as an (m, 2) int64
     array, and m. An endpoint beyond int64 is clipped to -1 or n: outside
     0..n-1 either way."""
-    try:
-        e = np.asarray(edges)
-    except ValueError:  # pairs of different lengths
-        e = None
-    # numpy reads a bool among integers as an integer, so a sequence's
-    # endpoints are looked at for bools before its array is taken
-    if (e is not None and e.dtype.kind in "iu" and e.shape == (len(edges), 2)
-            and (isinstance(edges, np.ndarray) or {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(edges))))):
-        return e.astype(np.int64, copy=False), len(edges)
+    e = int_array(edges)
+    if e is not None and e.shape == (len(edges), 2):
+        return e, len(edges)
     typed = next((k for k, pair in enumerate(edges) if not _is_integer_pair(pair)), len(edges))
     clipped = [[min(max(x, -1), n) for x in pair] for pair in edges[:typed]]
     return np.array(clipped, dtype=np.int64).reshape(-1, 2), typed

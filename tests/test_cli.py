@@ -144,6 +144,16 @@ class TestConfigErrors:
         assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
         assert "explicit table" in capsys.readouterr().err
 
+    def test_faulty_aliases_are_named_in_entry_order(self, tmp_path, capsys):
+        cfg = example1.config_dict(horizon=10)
+        likelihoods = cfg["world"]["likelihoods"]
+        # entry 3 names agent 8 and entry 7 agent 4, each aliased to an alias
+        likelihoods[3], likelihoods[7] = {"agent": 8, "like": "l_5"}, {"agent": 4, "like": "l_6"}
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("config.json: world.likelihoods[3].like: 'l_5' must reference an agent "
+                            "with an explicit table\n"), err
+
     def test_duplicate_agent_entry(self, tmp_path, capsys):
         cfg = example1.config_dict(horizon=10)
         cfg["world"]["likelihoods"][4]["agent"] = 4
@@ -225,12 +235,19 @@ class TestConfigErrors:
         (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
          f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
+        # str.isdigit() accepts a superscript two, which int() does not read
+        (lambda c: c["world"]["likelihoods"][3].update(like="l_\u00b2"),
+         "world.likelihoods[3].like: expected an 'l_<agent>' reference, got 'l_\u00b2'"),
+        # int() reads no string of more than 4300 digits
+        (lambda c: c["world"]["likelihoods"][3].update(like="l_" + "1" * 5000),
+         f"world.likelihoods[3].like: {'l_' + '1' * 5000!r} must reference an agent with an explicit table"),
     ], ids=["NaN prior", "NaN likelihood", "ragged likelihood rows", "endpoint beyond int64", "zero agents",
             "extra likelihood row summing to 0.9", "extra likelihood row with a negative entry",
             "bool likelihood", "null likelihood", "string likelihood", "likelihood beyond float",
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
-            "float agent count", "bool agent count", "short prior", "tolerance beyond float"])
+            "float agent count", "bool agent count", "short prior", "tolerance beyond float",
+            "alias to a superscript digit", "alias past the digit limit"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
         cfg = example1.config_dict(horizon=20)
@@ -378,6 +395,23 @@ class TestRate:
             assert float(a["empirical"]) == pytest.approx(float(b["empirical"]), rel=1e-9)
             assert a["check_state"] == b["check_state"] and a["agent"] == b["agent"]
 
+    def test_verdict_lines_pair_each_row_with_its_agent(self, tmp_path, capsys):
+        raw = example1.config_dict(horizon=400, replications=2)
+        raw["analysis"]["agents"] = [8, 2, 3]
+        assert main(["rate", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o")]) in (0, 1)
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  agent ")]
+        # each line's figures are those of a report fitted for its agent alone
+        cfg = parse_config_dict(raw)
+        traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
+        pi, tol = stationary_distribution(cfg.selection), cfg.analysis.rate_rel_tolerance
+        expected = []
+        for cs in (1, 2):
+            for agent in (8, 2, 3):
+                r = rate_report(traces, pi, cfg.world, [cs], [agent - 1], cfg.analysis.window).rows[0]
+                expected.append(f"  agent {agent}: empirical {r.empirical:.6f} (stderr {r.stderr:.2e}), "
+                                f"rel err {r.rel_error:.1%} -> {'PASS' if r.rel_error <= tol else 'FAIL'}")
+        assert lines == expected
+
     def test_missing_traces_dir_hints_at_run(self, tmp_path, capsys):
         assert main(["rate", "--traces", str(tmp_path / "nowhere"), "--quiet"]) == 2
         assert "run command" in capsys.readouterr().err
@@ -419,7 +453,8 @@ class TestRate:
         report = rate_report(run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation),
                              stationary_distribution(cfg.selection), cfg.world,
                              list(a.check_state_indices), list(a.agent_indices), a.window)
-        assert report.row(1, 7).rel_error == np.inf
+        # rows by check state, then agent: check state 1 with agents [2, 3, 8] is rows 0-2
+        assert report.rows[2].rel_error == np.inf
         assert (code, report.within(a.rate_rel_tolerance)) == (0, True)
 
 

@@ -222,15 +222,15 @@ MANIFEST_CASES = {
                       ["traces lists 1 replication(s), but its config has 2", "replication 1 has no entry"]),
     "entries out of order": (lambda e: e[::-1], ["traces[0] lists replication 1, expected replication 0"]),
     "one file for two replications": (lambda e: [e[0], {**e[0], "replication": 1}],
-                                      ["traces[1] lists file 'rep000.npz' a second time"]),
+                                      ["traces[1] lists file 'rep000.npz', expected 'rep001.npz'"]),
     "entry past the config's replications": (lambda e: e + [{**e[1], "replication": 2}],
                                              ["traces[2] lists replication 2, expected no entry past replication 1"]),
     "file not a string": (lambda e: [e[0], {**e[1], "file": 5}],
-                          ["traces[1] lists file 5, expected a bare file name in "]),
+                          ["traces[1] lists file 5, expected 'rep001.npz'"]),
     "file in the parent directory": (lambda e: [{**e[0], "file": "../rep000.npz"}, e[1]],
-                                     ["traces[0] lists file '../rep000.npz', expected a bare file name in "]),
+                                     ["traces[0] lists file '../rep000.npz', expected 'rep000.npz'"]),
     "absolute file path": (lambda e: [{**e[0], "file": "/rep000.npz"}, e[1]],
-                           ["traces[0] lists file '/rep000.npz', expected a bare file name in "]),
+                           ["traces[0] lists file '/rep000.npz', expected 'rep000.npz'"]),
 }
 
 
@@ -248,6 +248,49 @@ def test_inconsistent_trace_lists_exit_2_naming_the_entry(name, two_traces, tmp_
     assert "manifest.json" in err
     for fragment in fragments:
         assert fragment in err, (fragment, err)
+
+
+def test_renamed_trace_files_exit_2(two_traces, tmp_path, capsys):
+    """Entry k is replication k in rep{k:03d}.npz, the file run writes it to:
+    bare, distinct names of files whose digests hold are refused."""
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    for e, name in zip(manifest["traces"], ["first.npz", "second.npz"]):
+        (traces / e["file"]).rename(traces / name)
+        e["file"] = name
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "manifest.json: traces[0] lists file 'first.npz', expected 'rep000.npz'" in err
+
+
+@pytest.mark.parametrize("key, value", [("master_seed", 7), ("master_seed", 42.0), ("replications", 99),
+                                        ("seed_derivation", "x")])
+def test_manifest_fields_must_match_its_config(key, value, two_traces, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    manifest[key] = value
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(f"manifest.json: {key} does not match its config\n")
+
+
+def test_manifest_world_must_match_its_fingerprint(two_traces, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    likelihoods = manifest["config"]["world"]["likelihoods"]
+    likelihoods[0]["table"] = likelihoods[2]["table"]
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith("manifest.json: world fingerprint does not match its config\n")
 
 
 def test_consistent_trace_list_reads_back(two_traces, tmp_path, capsys):
