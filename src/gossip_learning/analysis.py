@@ -41,52 +41,6 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
     return float(np.cumsum(terms)[-1])
 
 
-def _window_fit_inputs(trace: SimulationTrace, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The snapshot times in [t0, t1], as floats, and the (m, n, k) log
-    beliefs at those times, a view. The times ascend, so the window is one
-    slice."""
-    t0, t1 = window
-    if t0 < 0 or t1 > trace.horizon or t0 >= t1:
-        raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={trace.horizon}")
-    inside = slice(bisect.bisect_left(trace.snapshot_times, t0), bisect.bisect_right(trace.snapshot_times, t1))
-    times = np.array(trace.snapshot_times[inside], dtype=float)
-    if len(times) < 2:
-        raise ValidationError(
-            f"need at least 2 belief snapshots inside {window}; horizon={trace.horizon}, "
-            f"{len(trace.snapshot_times)} snapshots recorded"
-        )
-    return times, trace.log_beliefs[inside]
-
-
-def _fit_slope(
-    times: np.ndarray,
-    snaps: np.ndarray,
-    world: WorldModel,
-    agent: int,
-    check_state: int,
-) -> float:
-    """Least-squares slope of log mu_t(check_state) - log mu_t(true) against
-    the given times, from the window's log beliefs."""
-    check_index("agent", agent, snaps.shape[1])
-    check_index("check_state", check_state, world.num_states)
-    theta = world.true_state_index
-    truth = snaps[:, agent, theta]
-    zero_truth = np.flatnonzero(truth == -np.inf)
-    if zero_truth.size:
-        t = times[zero_truth[0]]
-        raise ValidationError(f"agent {agent + 1} has zero belief on the true state at t={int(t)}")
-    y = snaps[:, agent, check_state] - truth
-    if np.any(np.isneginf(y)):
-        raise ValidationError(
-            f"agent {agent + 1} holds exactly zero belief on state "
-            f"{world.state_space.states[check_state]} inside the window; "
-            "the log-ratio regression is undefined"
-        )
-
-    tc = times - times.mean()
-    return float(tc @ (y - y.mean())) / float(tc @ tc)
-
-
 @dataclass(frozen=True)
 class RateRow:
     """One (false state, agent) comparison of predicted vs fitted decay rate."""
@@ -139,20 +93,56 @@ def rate_report(
     row for check_states[k] and agents[j] is rows[k * len(agents) + j].
     empirical = mean of the negated per-replication slopes; stderr = sample
     standard deviation across replications divided by sqrt(R) (0.0 when R=1).
+    Each trace fits all its pairs at once, with the bits of a lone pair's fit.
+    The first faulty trace names a zero true-state belief (first agent, then
+    earliest t), else a zero check-state belief (first state, then agent).
     """
     if not traces:
         raise ValidationError("rate_report needs at least one trace")
-    # each trace's window is cut and its times converted once, for every pair
-    fits = [_window_fit_inputs(tr, window) for tr in traces]
-    rows = []
-    for cs in check_states:
-        theo = theoretical_rate(pi, world, cs)
-        for a in agents:
-            slopes = np.array([-_fit_slope(times, snaps, world, a, cs) for times, snaps in fits])
-            emp = float(slopes.mean())
-            stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
-            rows.append(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=stderr))
-    return RateReport(window=window, replications=len(traces), rows=tuple(rows))
+    theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
+    theta = world.true_state_index
+    picked = np.array(agents, dtype=np.intp)
+    t0, t1 = window
+    slopes = np.empty((len(check_states), len(agents), len(traces)))
+    for r, tr in enumerate(traces):
+        if t0 < 0 or t1 > tr.horizon or t0 >= t1:
+            raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={tr.horizon}")
+        # the snapshot times ascend, so the window is one slice
+        inside = slice(bisect.bisect_left(tr.snapshot_times, t0), bisect.bisect_right(tr.snapshot_times, t1))
+        times = np.array(tr.snapshot_times[inside], dtype=float)
+        if len(times) < 2:
+            raise ValidationError(f"need at least 2 belief snapshots inside {window}; horizon={tr.horizon}, "
+                                  f"{len(tr.snapshot_times)} snapshots recorded")
+        outside = (picked < 0) | (picked >= tr.n)
+        if outside.any():
+            check_index("agent", agents[int(np.argmax(outside))], tr.n)
+        view = tr.log_beliefs[inside].transpose(2, 1, 0)  # (states, agents, m)
+        truth = np.ascontiguousarray(view[theta, picked])
+        zero_truth = np.isneginf(truth)
+        if zero_truth.any():
+            j = int(np.argmax(zero_truth.any(axis=1)))
+            t = times[np.argmax(zero_truth[j])]
+            raise ValidationError(f"agent {agents[j] + 1} has zero belief on the true state at t={int(t)}")
+        y = np.ascontiguousarray(view[np.ix_(check_states, picked)])  # a pair's series is one row
+        y -= truth
+        zero_check = np.isneginf(y).any(axis=-1)
+        if zero_check.any():
+            k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
+            raise ValidationError(f"agent {agents[j] + 1} holds exactly zero belief on state "
+                                  f"{world.state_space.states[check_states[k]]} inside the window; "
+                                  "the log-ratio regression is undefined")
+        # least-squares slopes: each mean runs along one contiguous row, as it
+        # would on that row alone, and the stacked matmul is one BLAS dot a row
+        tc = times - times.mean()
+        y -= y.mean(axis=-1, keepdims=True)
+        slopes[:, :, r] = -(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc))
+    empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
+    if len(traces) > 1:
+        stderr = slopes.std(ddof=1, axis=-1) / np.sqrt(len(traces))
+    rows = tuple(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=err)
+                 for cs, theo, emps, errs in zip(check_states, theoretical, empirical.tolist(), stderr.tolist())
+                 for a, emp, err in zip(agents, emps, errs))
+    return RateReport(window=window, replications=len(traces), rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +152,8 @@ class OccupancyReport(ArrayValue):
 
     agent: int
     t: int
-    counts: np.ndarray  # per-agent visit counts over walk steps 1..t
     frequencies: np.ndarray
     stationary: np.ndarray
-    max_abs_dev: float
 
 
 def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribution) -> OccupancyReport:
@@ -176,10 +164,8 @@ def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribu
     if pi.pi.shape[0] != trace.n:
         raise ValidationError(f"stationary vector has {pi.pi.shape[0]} entries, trace has {trace.n} agents")
     walk = backward_walk(trace, agent, t)
-    counts = np.bincount(walk[1:], minlength=trace.n).astype(np.int64)
-    freqs = counts / float(t)
-    return OccupancyReport(agent=agent, t=t, counts=counts, frequencies=freqs, stationary=pi.pi,
-                           max_abs_dev=float(np.max(np.abs(freqs - pi.pi))))
+    freqs = np.bincount(walk[1:], minlength=trace.n) / float(t)
+    return OccupancyReport(agent=agent, t=t, frequencies=freqs, stationary=pi.pi)
 
 
 def belief_difference(

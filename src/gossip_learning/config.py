@@ -267,8 +267,11 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
     theta = world.true_state_index
 
     if "check_states" in obj:
-        idx = []
-        for k, s in enumerate(_as_list(obj["check_states"], "analysis.check_states")):
+        idx, listed = [], _as_list(obj["check_states"], "analysis.check_states")
+        # [] is a one-state world's default, which its canonical form writes
+        if not listed and len(labels) > 1:
+            raise ValidationError("analysis.check_states: at least one false state is required")
+        for k, s in enumerate(listed):
             label = _as_label(s, f"analysis.check_states[{k}]")
             if label not in labels:
                 raise ValidationError(f"analysis.check_states[{k}]: {label!r} is not one of world.states")
@@ -300,9 +303,10 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
         raise ValidationError(f"analysis.rate_rel_tolerance: must be positive, got {tol}")
 
     if "agents" in obj:
-        agents = []
-        for k, a in enumerate(_as_list(obj["agents"], "analysis.agents")):
-            agents.append(_agent_index(a, f"analysis.agents[{k}]", n))
+        listed = _as_list(obj["agents"], "analysis.agents")
+        if not listed:
+            raise ValidationError("analysis.agents: at least one agent is required")
+        agents = [_agent_index(a, f"analysis.agents[{k}]", n) for k, a in enumerate(listed)]
         if len(set(agents)) != len(agents):
             raise ValidationError("analysis.agents: duplicate entries")
         agent_indices = tuple(agents)

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import rel_entr
 
 from gossip_learning.analysis import (
@@ -151,6 +153,29 @@ class TestEmpiricalRate:
         with pytest.raises(ValidationError, match="agent 2 has zero belief on the true state at t=0"):
             fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
 
+    def test_faults_are_named_by_replication_then_truth_then_state_then_agent(self):
+        # log beliefs [t, agent, state] at t = 0..3: every state 1/3 except at the faults
+        world = tiny_world([[[0.5, 0.5]] * 3] * 2)
+        pi = StationaryDistribution(pi=np.array([0.5, 0.5]))
+        first, second = np.full((4, 2, 3), np.log(1 / 3)), np.full((4, 2, 3), np.log(1 / 3))
+        first[1, 0, 0] = first[[2, 3], 1, 0] = -np.inf  # true state: agent 1 at t=1, agent 2 at t=2 and 3
+        first[2, 0, 2] = first[0, 1, 1] = -np.inf  # agent 1 on state 3, agent 2 on state 2
+        second[0, 0, 0] = -np.inf  # the second replication: agent 1 on the true state
+        expected = [
+            "agent 2 has zero belief on the true state at t=2",  # agent 2 is listed first
+            "agent 1 has zero belief on the true state at t=1",
+            "agent 2 holds exactly zero belief on state 2 ",  # state 2 is listed first
+            "agent 1 holds exactly zero belief on state 3 ",
+            "agent 1 has zero belief on the true state at t=0",
+        ]
+        faults = [(slice(2, 4), 1, 0), (1, 0, 0), (0, 1, 1), (2, 0, 2)]
+        for message, fault in zip(expected, faults + [None]):
+            with pytest.raises(ValidationError) as exc:
+                rate_report([log_belief_trace(first), log_belief_trace(second)], pi, world, [1, 2], [1, 0], (0, 3))
+            assert message in str(exc.value)
+            if fault is not None:
+                first[fault] = np.log(1 / 3)
+
     def test_agent_and_state_bounds(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
         with pytest.raises(ValidationError, match="agent"):
@@ -215,19 +240,71 @@ class TestRateReport:
         assert report.within(0.15)
 
 
+def log_belief_trace(log_beliefs: np.ndarray) -> SimulationTrace:
+    """A trace holding the given (T+1, n, k) log beliefs, one snapshot a round."""
+    horizon, n = log_beliefs.shape[0] - 1, log_beliefs.shape[1]
+    return SimulationTrace(
+        signals=np.zeros((horizon + 1, n), dtype=np.int64),
+        selections=np.zeros((horizon, n), dtype=np.int64),
+        snapshot_times=tuple(range(horizon + 1)), log_beliefs=log_beliefs,
+    )
+
+
+def per_pair_fit(traces, world, check_state, agent, window) -> tuple[float, float]:
+    """Oracle: each trace's negated least-squares slope of one pair's log
+    ratio, fitted on its own 1-D arrays, then the mean and the standard
+    error of those slopes."""
+    slopes = []
+    for tr in traces:
+        inside = [m for m, t in enumerate(tr.snapshot_times) if window[0] <= t <= window[1]]
+        times = np.array([tr.snapshot_times[m] for m in inside], dtype=float)
+        lb = tr.log_beliefs[inside, agent]
+        y = lb[:, check_state] - lb[:, world.true_state_index]
+        tc = times - times.mean()
+        slopes.append(-(float(tc @ (y - y.mean())) / float(tc @ tc)))
+    slopes = np.array(slopes)
+    stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
+    return float(slopes.mean()), stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(2, 4),
+    # numpy sums fewer than 8 values left to right, up to 128 in eight running sums, and more by halving
+    m=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 300)),
+    replications=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_rate_report_matches_a_per_pair_fit_bit_for_bit(n, k, m, replications, seed, data):
+    rng = np.random.default_rng(seed)
+    theta = data.draw(st.integers(0, k - 1))
+    world = tiny_world([rng.dirichlet(np.ones(3), size=k) for _ in range(n)], true_index=theta)
+    pi = StationaryDistribution(pi=rng.dirichlet(np.ones(n)))
+    t0 = data.draw(st.integers(0, 5))
+    horizon = t0 + m - 1 + data.draw(st.integers(0, 5))
+    # drifting log beliefs over several orders of magnitude
+    traces = [log_belief_trace(np.cumsum(rng.standard_normal((horizon + 1, n, k)), axis=0)
+                               * 10.0 ** rng.uniform(-3, 3)) for _ in range(replications)]
+    false_states = [s for s in range(k) if s != theta]
+    check_states = data.draw(st.permutations(false_states))[:data.draw(st.integers(1, k - 1))]
+    agents = data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))]
+    window = (t0, t0 + m - 1)
+
+    report = rate_report(traces, pi, world, check_states, agents, window)
+    assert [(r.check_state, r.agent) for r in report.rows] == [(cs, a) for cs in check_states for a in agents]
+    for r in report.rows:
+        assert r.theoretical == theoretical_rate(pi, world, r.check_state)
+        assert (r.empirical, r.stderr) == per_pair_fit(traces, world, r.check_state, r.agent, window)
+
+
 class TestOccupancy:
     def test_counts_match_manual_walk(self, ex1_cfg, ex1_pi):
         tr = small_run(ex1_cfg, horizon=50)
         rep = occupancy(tr, 7, 50, ex1_pi)
         walk = backward_walk(tr, 7, 50)
-        assert np.array_equal(rep.counts, np.bincount(walk[1:], minlength=8))
-        assert rep.counts.sum() == 50
-        assert np.allclose(rep.frequencies, rep.counts / 50.0)
-
-    def test_deviation_against_stationary(self, ex1_cfg, ex1_pi):
-        tr = small_run(ex1_cfg, horizon=50)
-        rep = occupancy(tr, 7, 50, pi=ex1_pi)
-        assert rep.max_abs_dev == pytest.approx(float(np.max(np.abs(rep.frequencies - ex1_pi.pi))))
+        assert np.array_equal(rep.frequencies, np.bincount(walk[1:], minlength=8) / 50.0)
 
     def test_time_must_be_positive(self, ex1_cfg, ex1_pi):
         tr = small_run(ex1_cfg, horizon=10)

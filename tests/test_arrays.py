@@ -492,8 +492,7 @@ VALUE_BUILDS = {
     "WorldModel": lambda changed: WorldModel.from_tables(SPACE, Prior(np.array([0.5, 0.5])), [_two_by_two(changed)]),
     "SimulationTrace": _trace,
     "OccupancyReport": lambda changed: OccupancyReport(
-        agent=0, t=4, counts=np.array([1, 3]), frequencies=np.array([0.25, 0.75]),
-        stationary=np.array(_two_by_two(changed)[1]), max_abs_dev=0.0),
+        agent=0, t=4, frequencies=np.array([0.25, 0.75]), stationary=np.array(_two_by_two(changed)[1])),
 }
 
 

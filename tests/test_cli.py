@@ -235,6 +235,9 @@ class TestConfigErrors:
         (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
          f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
+        (lambda c: c["analysis"].update(agents=[]), "analysis.agents: at least one agent is required"),
+        (lambda c: c["analysis"].update(check_states=[]),
+         "analysis.check_states: at least one false state is required"),
         # str.isdigit() accepts a superscript two, which int() does not read
         (lambda c: c["world"]["likelihoods"][3].update(like="l_\u00b2"),
          "world.likelihoods[3].like: expected an 'l_<agent>' reference, got 'l_\u00b2'"),
@@ -247,6 +250,7 @@ class TestConfigErrors:
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
             "float agent count", "bool agent count", "short prior", "tolerance beyond float",
+            "no rate agents", "no check states",
             "alias to a superscript digit", "alias past the digit limit"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):
@@ -438,6 +442,31 @@ class TestRate:
         assert code == 0
         out = capsys.readouterr().out
         assert "warning: truth not identifiable" in out
+
+    @pytest.mark.parametrize("field, message", [
+        ("agents", "analysis.agents: at least one agent is required"),
+        ("check_states", "analysis.check_states: at least one false state is required"),
+    ], ids=["agents", "check_states"])
+    def test_empty_analysis_list_in_a_manifest_is_invalid_input(self, tmp_path, capsys, field, message):
+        traces = tmp_path / "tr"
+        assert main(["run", "--horizon", "200", "--replications", "2", "--out", str(traces), "--quiet"]) == 0
+        manifest = json.loads((traces / "manifest.json").read_text())
+        manifest["config"]["analysis"][field] = []
+        (traces / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {traces / 'manifest.json'}: {message}\n"
+
+    def test_one_state_world_keeps_its_empty_default(self, tmp_path, capsys):
+        # no false state: check_states defaults to [], which the manifest's
+        # canonical config writes and rate --traces reads back
+        raw = example1.config_dict(horizon=200, replications=2)
+        raw["world"].update(states=[1], likelihoods=[{"agent": a, "table": [[0.5, 0.5]]} for a in range(1, 9)])
+        del raw["analysis"]
+        traces = tmp_path / "tr"
+        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(traces), "--quiet"]) == 0
+        assert json.loads((traces / "manifest.json").read_text())["config"]["analysis"]["check_states"] == []
+        assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert (tmp_path / "o" / "rate_report.csv").read_text() == "check_state,theoretical,agent,empirical,stderr\n"
 
     def test_exit_code_and_within_agree_on_a_zero_rate_state(self, tmp_path, capsys):
         # no recurrent agent tells state 2 from the truth, but transient
