@@ -50,6 +50,7 @@ class RateRow:
     theoretical: float
     empirical: float
     stderr: float
+    separated: bool  # some agent of positive stationary weight separates check_state from the truth
 
     @property
     def rel_error(self) -> float:
@@ -58,24 +59,19 @@ class RateRow:
         return abs(self.empirical - self.theoretical) / self.theoretical
 
     def _verdict(self, rel_tolerance: float) -> bool | None:
-        """The rate check: None for a row whose theoretical rate is 0, which
-        is not checked (the truth is not identifiable from the weighted
-        signals, so no decay is predicted), else whether rel_error is at
-        most rel_tolerance."""
-        if self.theoretical == 0.0:
+        """The rate check: None for a row that is not separated, else rel_error <= rel_tolerance."""
+        if not self.separated:
             return None
         return self.rel_error <= rel_tolerance
 
 
 @dataclass(frozen=True)
 class RateReport:
-    window: tuple[int, int]
     replications: int
     rows: tuple[RateRow, ...]
 
     def within(self, rel_tolerance: float) -> bool:
-        """Whether every checked row is within rel_tolerance; a row whose
-        theoretical rate is 0 is not checked."""
+        """Whether every separated row is within rel_tolerance; no other row is checked."""
         return all(r._verdict(rel_tolerance) is not False for r in self.rows)
 
 
@@ -100,6 +96,7 @@ def rate_report(
     if not traces:
         raise ValidationError("rate_report needs at least one trace")
     theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
+    separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
     theta = world.true_state_index
     picked = np.array(agents, dtype=np.intp)
     t0, t1 = window
@@ -139,10 +136,11 @@ def rate_report(
     empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
     if len(traces) > 1:
         stderr = slopes.std(ddof=1, axis=-1) / np.sqrt(len(traces))
-    rows = tuple(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=err)
-                 for cs, theo, emps, errs in zip(check_states, theoretical, empirical.tolist(), stderr.tolist())
+    rows = tuple(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=err, separated=sep)
+                 for cs, theo, sep, emps, errs in zip(check_states, theoretical, separated, empirical.tolist(),
+                                                      stderr.tolist())
                  for a, emp, err in zip(agents, emps, errs))
-    return RateReport(window=window, replications=len(traces), rows=rows)
+    return RateReport(replications=len(traces), rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +148,6 @@ class OccupancyReport(ArrayValue):
     """Backward-walk visit frequencies for one (agent, t), next to the
     stationary weights they should approach."""
 
-    agent: int
-    t: int
     frequencies: np.ndarray
     stationary: np.ndarray
 
@@ -165,7 +161,7 @@ def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribu
         raise ValidationError(f"stationary vector has {pi.pi.shape[0]} entries, trace has {trace.n} agents")
     walk = backward_walk(trace, agent, t)
     freqs = np.bincount(walk[1:], minlength=trace.n) / float(t)
-    return OccupancyReport(agent=agent, t=t, frequencies=freqs, stationary=pi.pi)
+    return OccupancyReport(frequencies=freqs, stationary=pi.pi)
 
 
 def belief_difference(

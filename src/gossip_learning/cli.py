@@ -35,7 +35,7 @@ from .analysis import (
 from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
-from .simulator import matrix_fingerprint, read_trace, run_replications, world_fingerprint, write_trace
+from .simulator import SEED_DERIVATION, matrix_fingerprint, read_trace, run_replications, world_fingerprint, write_trace
 from .world import check_global_identifiability
 
 OUT_ENV_VAR = "GOSSIP_LEARNING_OUT"
@@ -114,19 +114,19 @@ def _derived_fields(cfg: ExperimentConfig) -> dict:
         "matrix_fingerprint": matrix_fingerprint(cfg.selection),
         "master_seed": cfg.simulation.seed,
         "replications": cfg.simulation.replications,
-        "seed_derivation": "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)",
+        "seed_derivation": SEED_DERIVATION,
     }
 
 
 def _write_run_outputs(cfg: ExperimentConfig, out: Path, say, extra_files: dict | None = None) -> list:
     traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
+    digests = []
     for r, tr in enumerate(traces):
         path = out / _trace_name(r)
-        entries.append({"replication": r, "file": path.name, "sha256": write_trace(tr, path)})
+        digests.append(write_trace(tr, path))
         say(f"wrote {path}")
-    manifest = {"config": cfg.canonical_dict(), **_derived_fields(cfg), "traces": entries}
+    manifest = {"config": cfg.canonical_dict(), **_derived_fields(cfg), "traces": digests}
     if extra_files:
         manifest.update(extra_files)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -158,13 +158,11 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
     for key in ("config", "traces", "world_fingerprint", "matrix_fingerprint", "master_seed"):
         if key not in manifest:
             raise ValidationError(f"{manifest_path}: missing key {key!r}")
-    entries = manifest["traces"]
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and {"replication", "file", "sha256"} <= e.keys() for e in entries
-    ):
+    digests = manifest["traces"]
+    if not isinstance(digests, list) or not all(isinstance(d, str) for d in digests):
         raise ValidationError(
-            f"{manifest_path}: its traces are not listed as .npz files with SHA-256 digests "
-            "(the CSV trace layout of earlier versions); regenerate the traces with the run command"
+            f"{manifest_path}: its traces are not listed as one SHA-256 digest per replication "
+            "(a trace layout of earlier versions); regenerate the traces with the run command"
         )
     try:
         cfg = parse_config_dict(manifest["config"])
@@ -175,29 +173,13 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
         # as run writes it: 42.0 is not the seed 42, nor true the count 1
         if (type(manifest.get(key)), manifest.get(key)) != (type(value), value):
             raise ValidationError(f"{manifest_path}: {names.get(key, key)} does not match its config")
-    # entry k is replication k, in the file run names for it
+    # entry k is the digest of replication k's file
     count = cfg.simulation.replications
-    for k, e in enumerate(entries):
-        rep = e["replication"]
-        if type(rep) is not int or rep != k or k >= count:
-            expected = f"replication {k}" if k < count else f"no entry past replication {count - 1}"
-            raise ValidationError(
-                f"{manifest_path}: traces[{k}] lists replication {rep!r}, expected {expected}: "
-                f"the entries must be replications 0..{count - 1} in order, each once"
-            )
-        if e["file"] != _trace_name(k):
-            raise ValidationError(
-                f"{manifest_path}: traces[{k}] lists file {e['file']!r}, expected {_trace_name(k)!r}"
-            )
-    if len(entries) < count:
-        raise ValidationError(
-            f"{manifest_path}: traces lists {len(entries)} replication(s), but its config has {count}; "
-            f"replication {len(entries)} has no entry"
-        )
-    traces = [
-        read_trace(traces_dir / _trace_name(k), e["sha256"], cfg.selection, cfg.world, cfg.simulation)
-        for k, e in enumerate(entries)
-    ]
+    if len(digests) != count:
+        raise ValidationError(f"{manifest_path}: traces lists {len(digests)} digest(s), "
+                              f"but its config has {count} replication(s)")
+    traces = [read_trace(traces_dir / _trace_name(k), d, cfg.selection, cfg.world, cfg.simulation)
+              for k, d in enumerate(digests)]
     return cfg, traces
 
 
@@ -215,10 +197,10 @@ def _rate_verdict(cfg: ExperimentConfig, traces: list, pi, out: Path, say) -> in
     for k, cs in enumerate(a.check_state_indices):
         rows = report.rows[k * len(a.agent_indices):(k + 1) * len(a.agent_indices)]
         say(f"state {labels[cs]}: theoretical rate {rows[0].theoretical!r} nats/round")
-        # the rows of one state share its theoretical rate, so all or none are checked
+        # the rows of one state share whether it is separated, so all or none are checked
         if rows[0]._verdict(tol) is None:
-            say("  warning: truth not identifiable from the weighted signals; rate is 0 "
-                "and the tolerance check is skipped for this state")
+            say("  warning: truth not identifiable from the weighted signals; no agent of positive "
+                "stationary weight separates this state, so its tolerance check is skipped")
             continue
         for r in rows:
             say(f"  agent {r.agent + 1}: empirical {r.empirical:.6f} (stderr {r.stderr:.2e}), "
@@ -241,8 +223,10 @@ def cmd_rate(args) -> int:
             raise ValidationError("--seed/--horizon/--replications do not apply to stored traces")
         cfg, traces = _load_traces_dir(Path(args.traces))
     else:
-        cfg = _resolve_config(args)
-        traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
+        cfg, traces = _resolve_config(args), None
+    if not cfg.analysis.check_state_indices:
+        raise ValidationError("the world has one state, so it has no false state to check a rate on")
+    traces = traces or run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
     return _rate_verdict(cfg, traces, stationary_distribution(cfg.selection), out, say)
 
 

@@ -221,6 +221,10 @@ def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldMode
     check_selection_support(net, P)
 
 
+# how _simulate derives each replication's two streams, as the manifest records it
+SEED_DERIVATION = "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)"
+
+
 def _simulate(
     net: DirectedNetwork,
     P: SelectionMatrix,

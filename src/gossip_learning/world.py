@@ -221,6 +221,12 @@ class WorldModel(ArrayValue):
         theta = self.true_state_index
         return read_only(kl_divergence(self.tables[:, theta : theta + 1], self.tables))
 
+    @cached_property
+    def separates(self) -> np.ndarray:
+        """(n_agents, num_states) bool array: [i, c] when agent i tells the truth
+        from state c, a divergence above DISTINGUISH_TOL. check and rate both read it."""
+        return read_only(self.divergences > DISTINGUISH_TOL)
+
 
 def kl_divergence(p, q):
     """D(p || q) in nats along the last axis, with 0 log 0 = 0 and +inf on
@@ -271,7 +277,7 @@ def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> Id
     if not members.size:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index
-    separated = world.divergences[members] > DISTINGUISH_TOL
+    separated = world.separates[members]
     witnesses = tuple(
         (check, tuple(members[separated[:, check]].tolist()))
         for check in range(world.num_states)

@@ -492,7 +492,7 @@ VALUE_BUILDS = {
     "WorldModel": lambda changed: WorldModel.from_tables(SPACE, Prior(np.array([0.5, 0.5])), [_two_by_two(changed)]),
     "SimulationTrace": _trace,
     "OccupancyReport": lambda changed: OccupancyReport(
-        agent=0, t=4, frequencies=np.array([0.25, 0.75]), stationary=np.array(_two_by_two(changed)[1])),
+        frequencies=np.array([0.25, 0.75]), stationary=np.array(_two_by_two(changed)[1])),
 }
 
 

@@ -31,6 +31,17 @@ def write_config(tmp_path, cfg_dict, name="config.json"):
     return str(path)
 
 
+def one_state_world():
+    """The built-in network with one state, and no analysis block."""
+    raw = example1.config_dict(horizon=200, replications=2)
+    raw["world"].update(states=[1], likelihoods=[{"agent": a, "table": [[0.5, 0.5]]} for a in range(1, 9)])
+    del raw["analysis"]
+    return raw
+
+
+NO_FALSE_STATE = "error: the world has one state, so it has no false state to check a rate on\n"
+
+
 def canonical_text(cfg):
     """A config's canonical form as the manifest writes it."""
     return json.dumps(cfg.canonical_dict(), indent=2, sort_keys=True)
@@ -341,9 +352,9 @@ class TestRun:
         assert main(["run", "--out", str(out), "--horizon", "50", "--replications", "2", "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 2
-        assert [(e["replication"], e["file"]) for e in manifest["traces"]] == [(0, "rep000.npz"), (1, "rep001.npz")]
-        for e in manifest["traces"]:
-            assert hashlib.sha256((out / e["file"]).read_bytes()).hexdigest() == e["sha256"]
+        # entry k is the SHA-256 of rep{k:03d}.npz
+        assert manifest["traces"] == [hashlib.sha256((out / f"rep{k:03d}.npz").read_bytes()).hexdigest()
+                                      for k in range(2)]
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rep000.npz", "rep001.npz"]
         # the benchmark's tables appear in the manifest exactly
         tables = manifest["config"]["world"]["likelihoods"]
@@ -458,15 +469,42 @@ class TestRate:
 
     def test_one_state_world_keeps_its_empty_default(self, tmp_path, capsys):
         # no false state: check_states defaults to [], which the manifest's
-        # canonical config writes and rate --traces reads back
-        raw = example1.config_dict(horizon=200, replications=2)
-        raw["world"].update(states=[1], likelihoods=[{"agent": a, "table": [[0.5, 0.5]]} for a in range(1, 9)])
-        del raw["analysis"]
+        # canonical config writes and rate --traces reads back, and refuses
         traces = tmp_path / "tr"
-        assert main(["run", "--config", write_config(tmp_path, raw), "--out", str(traces), "--quiet"]) == 0
+        assert main(["run", "--config", write_config(tmp_path, one_state_world()), "--out", str(traces),
+                     "--quiet"]) == 0
         assert json.loads((traces / "manifest.json").read_text())["config"]["analysis"]["check_states"] == []
-        assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        assert (tmp_path / "o" / "rate_report.csv").read_text() == "check_state,theoretical,agent,empirical,stderr\n"
+        assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == NO_FALSE_STATE
+        assert not (tmp_path / "o").exists()
+
+    def test_one_state_world_exits_2_before_it_simulates(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rate simulated a world with no false state")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        path = write_config(tmp_path, one_state_world())
+        assert main(["rate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == NO_FALSE_STATE
+        assert main(["check", "--config", path, "--quiet"]) == 0
+
+    def test_check_and_rate_share_one_separability_rule(self, tmp_path, capsys):
+        # agent 2, the lone witness for state 2, now tells it from the truth
+        # by a divergence of 2e-14, below DISTINGUISH_TOL: check finds no
+        # witness, and rate skips the state instead of failing its rows
+        raw = example1.config_dict(horizon=2000, replications=4)
+        raw["world"]["likelihoods"][1]["table"][1] = [0.5 + 1e-7, 0.5 - 1e-7]
+        raw["analysis"]["check_states"] = [2]
+        path = write_config(tmp_path, raw)
+        assert main(["check", "--config", path]) == 1
+        assert "  state 2: agents none\n" in capsys.readouterr().out
+        assert main(["rate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert ("state 2: theoretical rate 6.679841864828025e-15 nats/round\n"
+                "  warning: truth not identifiable from the weighted signals;") in out
+        assert "FAIL" not in out and "verdict: PASS" in out
+        with (tmp_path / "o" / "rate_report.csv").open(newline="") as fh:
+            assert {r["theoretical"] for r in csv.DictReader(fh)} == {"6.679841864828025e-15"}
 
     def test_exit_code_and_within_agree_on_a_zero_rate_state(self, tmp_path, capsys):
         # no recurrent agent tells state 2 from the truth, but transient
@@ -523,8 +561,8 @@ class TestExample1:
 
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
-        entry = json.loads((out / "manifest.json").read_text())["traces"][0]
-        back = read_trace(out / entry["file"], entry["sha256"], ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
+        digest = json.loads((out / "manifest.json").read_text())["traces"][0]
+        back = read_trace(out / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             r_back = fitted_rate(back, ex1_cfg.world, agent, check, (1000, 5000))

@@ -69,7 +69,7 @@ def test_trace_bytes_are_pinned(tmp_path):
     digest = hashlib.sha256((tmp_path / "rep000.npz").read_bytes()).hexdigest()
     assert digest == "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["traces"] == [{"replication": 0, "file": "rep000.npz", "sha256": digest}]
+    assert manifest["traces"] == [digest]
 
 
 # ---- what a read rejects ----------------------------------------------------
@@ -97,7 +97,7 @@ def rewrite(traces, edit):
     path.write_bytes(buf.getvalue())
     manifest_path = traces / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["traces"][0]["sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    manifest["traces"][0] = hashlib.sha256(buf.getvalue()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
 
 
@@ -214,23 +214,20 @@ def two_traces(tmp_path_factory):
     return out
 
 
-# edits of the manifest's trace list, which holds one entry per replication
+# the message for a trace list that is not one digest per replication
+LAYOUT = ("its traces are not listed as one SHA-256 digest per replication (a trace layout of earlier "
+          "versions); regenerate the traces with the run command")
+COUNT = "manifest.json: traces lists {} digest(s), but its config has 2 replication(s)"
+
+# edits of the manifest's trace list, which holds the digest of rep{k:03d}.npz
+# at position k: a fault in the list fails the digest check of the file at
+# its position, or the count check
 MANIFEST_CASES = {
-    "entry listed twice": (lambda e: [e[0], dict(e[0])],
-                           ["traces[1] lists replication 0, expected replication 1"]),
-    "entry missing": (lambda e: e[:1],
-                      ["traces lists 1 replication(s), but its config has 2", "replication 1 has no entry"]),
-    "entries out of order": (lambda e: e[::-1], ["traces[0] lists replication 1, expected replication 0"]),
-    "one file for two replications": (lambda e: [e[0], {**e[0], "replication": 1}],
-                                      ["traces[1] lists file 'rep000.npz', expected 'rep001.npz'"]),
-    "entry past the config's replications": (lambda e: e + [{**e[1], "replication": 2}],
-                                             ["traces[2] lists replication 2, expected no entry past replication 1"]),
-    "file not a string": (lambda e: [e[0], {**e[1], "file": 5}],
-                          ["traces[1] lists file 5, expected 'rep001.npz'"]),
-    "file in the parent directory": (lambda e: [{**e[0], "file": "../rep000.npz"}, e[1]],
-                                     ["traces[0] lists file '../rep000.npz', expected 'rep000.npz'"]),
-    "absolute file path": (lambda e: [{**e[0], "file": "/rep000.npz"}, e[1]],
-                           ["traces[0] lists file '/rep000.npz', expected 'rep000.npz'"]),
+    "entry listed twice": (lambda d: [d[0], d[0]], ["rep001.npz: SHA-256 is"]),
+    "entry missing": (lambda d: d[:1], [COUNT.format(1)]),
+    "entries out of order": (lambda d: d[::-1], ["rep000.npz: SHA-256 is"]),
+    "entry past the config's replications": (lambda d: d + d[1:], [COUNT.format(3)]),
+    "digest not a string": (lambda d: [d[0], 5], ["manifest.json: " + LAYOUT]),
 }
 
 
@@ -245,25 +242,33 @@ def test_inconsistent_trace_lists_exit_2_naming_the_entry(name, two_traces, tmp_
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "manifest.json" in err
     for fragment in fragments:
         assert fragment in err, (fragment, err)
 
 
 def test_renamed_trace_files_exit_2(two_traces, tmp_path, capsys):
-    """Entry k is replication k in rep{k:03d}.npz, the file run writes it to:
-    bare, distinct names of files whose digests hold are refused."""
+    """The reader opens only rep{k:03d}.npz, the file run writes replication
+    k to: renamed files whose digests hold are missing to it."""
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    for k, name in enumerate(["first.npz", "second.npz"]):
+        (traces / f"rep{k:03d}.npz").rename(traces / name)
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {traces / 'rep000.npz'}: no such trace file\n"
+
+
+def test_dict_entry_trace_list_asks_for_regeneration(two_traces, tmp_path, capsys):
+    """The trace list of earlier versions: one {replication, file, sha256}
+    object per trace."""
     traces = tmp_path / "traces"
     shutil.copytree(two_traces, traces)
     manifest = json.loads((traces / "manifest.json").read_text())
-    for e, name in zip(manifest["traces"], ["first.npz", "second.npz"]):
-        (traces / e["file"]).rename(traces / name)
-        e["file"] = name
+    manifest["traces"] = [{"replication": k, "file": f"rep{k:03d}.npz", "sha256": d}
+                          for k, d in enumerate(manifest["traces"])]
     (traces / "manifest.json").write_text(json.dumps(manifest))
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "manifest.json: traces[0] lists file 'first.npz', expected 'rep000.npz'" in err
+    assert capsys.readouterr().err == f"error: {traces / 'manifest.json'}: {LAYOUT}\n"
 
 
 @pytest.mark.parametrize("key, value", [("master_seed", 7), ("master_seed", 42.0), ("replications", 99),
@@ -338,9 +343,7 @@ def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, 
     manifest["matrix_fingerprint"] = hashlib.sha256(dense).hexdigest()
     (traces / "manifest.json").write_text(json.dumps(manifest))
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "regenerate the traces with the run command" in err
+    assert capsys.readouterr().err == f"error: {traces / 'manifest.json'}: {LAYOUT}\n"
 
 
 @pytest.mark.parametrize("text, message", [
