@@ -8,10 +8,10 @@ types check numbers, the agent count, the edges and the simulation integers,
 and the loader puts the field path in front of their messages. A world is
 read as whole arrays: the edge list as one (m, 2) integer array, and the
 likelihood tables as one (agents, states, signals) array where every agent
-has the same number of signals. Only where such a read fails are the edges
-(for their shape as pairs of integers) or the tables walked one at a time,
-so the first faulty edge or agent is named. Agent ids, state labels, and
-edge endpoints are 1-based in files, converted to 0-based indices at the
+has the same number of signals. Where such a read fails, the edges go to the
+network as the file holds them, and the tables are walked one at a time, so
+the first faulty edge or agent is named. Agent ids, state labels, and edge
+endpoints are 1-based in files, converted to 0-based indices at the
 boundary. The canonical form (aliases expanded, defaults filled, edges
 sorted) round-trips: parsing it again yields the same canonical form.
 """
@@ -133,18 +133,6 @@ class ExperimentConfig:
         }
 
 
-def _untyped_edge(raw_edges: list) -> tuple[int, ValidationError | None]:
-    """The position of the first edge that is not a list of two integers,
-    and its error; (len(raw_edges), None) when there is none."""
-    for k, e in enumerate(raw_edges):
-        if not isinstance(e, list) or len(e) != 2:
-            return k, ValidationError(f"network.edges[{k}]: expected a [source, target] pair")
-        for p in (0, 1):
-            if not is_integer(e[p]):
-                return k, ValidationError(f"network.edges[{k}][{p}]: expected an integer, got {e[p]!r}")
-    return len(raw_edges), None
-
-
 def _parse_network(raw: Any) -> DirectedNetwork:
     obj = _require_keys(raw, "network", ("n", "edges"))
     raw_edges = _as_list(obj["edges"], "network.edges")
@@ -152,19 +140,14 @@ def _parse_network(raw: Any) -> DirectedNetwork:
     # lists of two integers, none of them -2**63, which has no 0-based int64
     if (pairs is not None and pairs.shape == (len(raw_edges), 2) and set(map(type, raw_edges)) == {list}
             and pairs.min() > np.iinfo(np.int64).min):
-        edges, fault = pairs - 1, None
+        edges = pairs - 1
     else:
-        # the network checks the edges before the first untyped one, so the
-        # first faulty edge is the one named
-        typed, fault = _untyped_edge(raw_edges)
-        edges = tuple((j - 1, i - 1) for j, i in raw_edges[:typed])
+        # the network names the first faulty edge, its entries as the file holds them
+        edges = [[x - 1 if is_integer(x) else x for x in e] if isinstance(e, list) else e for e in raw_edges]
     try:
-        net = DirectedNetwork(n=obj["n"], edges=edges)
+        return DirectedNetwork(n=obj["n"], edges=edges)
     except ValidationError as exc:
         raise ValidationError(f"network.{exc}") from exc
-    if fault is not None:
-        raise fault
-    return net
 
 
 def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, str]:
@@ -299,8 +282,8 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
         window = (sim.horizon // 5, sim.horizon)
 
     tol = _as_number(obj.get("rate_rel_tolerance", DEFAULT_RATE_REL_TOLERANCE), "analysis.rate_rel_tolerance")
-    if not (0.0 < tol):
-        raise ValidationError(f"analysis.rate_rel_tolerance: must be positive, got {tol}")
+    if not (0.0 < tol < np.inf):
+        raise ValidationError(f"analysis.rate_rel_tolerance: must be a positive finite number, got {tol}")
 
     if "agents" in obj:
         listed = _as_list(obj["agents"], "analysis.agents")

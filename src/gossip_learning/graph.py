@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, is_integer
-from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError
+from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError, check_index
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 
@@ -61,21 +61,24 @@ def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndar
     return stored[np.searchsorted(stored, keys)] == keys
 
 
-def _is_integer_pair(pair) -> bool:
-    return (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-            and all(is_integer(x) for x in pair))
-
-
-def _integer_pairs(edges, n: int) -> tuple[np.ndarray, int]:
+def _integer_pairs(edges, n: int) -> tuple[np.ndarray, ValidationError | None]:
     """The leading edges that are pairs of integers, as an (m, 2) int64
-    array, and m. An endpoint beyond int64 is clipped to -1 or n: outside
-    0..n-1 either way."""
+    array, and the error naming the first edge that is not, or None. An
+    endpoint beyond int64 is clipped to -1 or n: outside 0..n-1 either way."""
     e = int_array(edges)
     if e is not None and e.shape == (len(edges), 2):
-        return e, len(edges)
-    typed = next((k for k, pair in enumerate(edges) if not _is_integer_pair(pair)), len(edges))
-    clipped = [[min(max(x, -1), n) for x in pair] for pair in edges[:typed]]
-    return np.array(clipped, dtype=np.int64).reshape(-1, 2), typed
+        return e, None
+    clipped, fault = [], None
+    for k, pair in enumerate(edges):
+        if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
+            fault = ValidationError(f"edges[{k}]: expected a [source, target] pair")
+            break
+        p = next((p for p in (0, 1) if not is_integer(pair[p])), None)
+        if p is not None:
+            fault = ValidationError(f"edges[{k}][{p}]: expected an integer, got {pair[p]!r}")
+            break
+        clipped.append([min(max(x, -1), n) for x in pair])
+    return np.array(clipped, dtype=np.int64).reshape(-1, 2), fault
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +109,7 @@ class DirectedNetwork(ArrayValue):
         if n < 1:
             raise ValidationError(f"n: agent count must be >= 1, got {n}")
         object.__setattr__(self, "n", n)
-        e, typed = _integer_pairs(self.edges, n)
+        e, fault = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
         order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source; stable
@@ -122,13 +125,14 @@ class DirectedNetwork(ArrayValue):
             if loop[k]:
                 raise ValidationError(f"edges[{k}]: self-loop [{j}, {i}] not allowed")
             raise ValidationError(f"edges[{k}]: duplicate edge [{j}, {i}]")
-        if typed < len(self.edges):
-            raise ValidationError(f"edges[{typed}]: expected a pair of integers, got {self.edges[typed]!r}")
+        if fault is not None:
+            raise fault
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(e[:, 1], minlength=n), out=indptr[1:])
         self._store(edges=e, in_indptr=indptr, in_indices=e[order, 0])
 
     def degree(self, i: int) -> int:
+        check_index("agent", i, self.n)
         return int(self.in_indptr[i + 1] - self.in_indptr[i])
 
     @cached_property

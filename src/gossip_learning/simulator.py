@@ -5,8 +5,10 @@ selection row, then refines the neighbor's previous-round belief with her own
 likelihood (synchronous rounds: all agents read round t-1, all write round t).
 Randomness comes from the counter-based Philox generator; per-replication
 streams are derived from the master seed with SeedSequence spawn keys, one
-stream for signals and one for selections, so traces are reproducible
-bit-for-bit across runs and platforms.
+stream for signals and one for selections, so the draws are the same on
+every machine. The belief bits are the same on one machine, not across CPUs:
+numpy's SIMD exp and log, and the OpenBLAS kernel of the stationary solve
+and the rate fit's dot product, round some inputs differently on another.
 
 Draws and rounds run together, one block of rounds at a time (a block holds
 BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
@@ -29,9 +31,7 @@ belief.bayes_log_posterior's operations in its order, so a replay one vector
 at a time gives the same bits: a maximum is exact in any order, and numpy
 sums a row of fewer than 8 entries left to right, as adding the state rows
 in order does, so from 8 states on the sum over states runs on an
-agent-major copy instead, pairwise as numpy sums a row. The
-impossible-signal check runs once a block, on the maxima its rounds
-recorded, and names the first (replication, t, agent, signal).
+agent-major copy instead, pairwise as numpy sums a row.
 
 A trace holds what its file stores and nothing else: the signals, the
 selections, the snapshot times, and the belief snapshots as one read-only
@@ -60,7 +60,7 @@ import numpy as np
 
 from .arrays import ArrayValue, is_integer, read_only, rows_by_length
 from .belief import constant_columns
-from .errors import ImpossibleSignalError, ValidationError, check_index
+from .errors import ValidationError, check_index
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
@@ -234,9 +234,9 @@ def _simulate(
 ) -> list[SimulationTrace]:
     """Execute the given replications together and record their traces.
 
-    A signal with zero likelihood under every state the neighbor's belief
-    holds raises ImpossibleSignalError naming the first such (replication,
-    round t, agent, signal), the replication and agent 1-based."""
+    Signals are drawn where the true state's likelihood is positive and the
+    prior is positive, so the true state's log belief is always finite, and
+    with it each round's maximum over the states."""
     _check_consistent(net, P, world)
     T, n, R = cfg.horizon, net.n, len(replications)
     N, k, S = R * n, world.num_states, world.log_columns.shape[1]
@@ -265,7 +265,7 @@ def _simulate(
     # round 0 updates the prior, which every column of the first belief holds
     cur = np.repeat(world.prior.log_nu[:, None], N, axis=1)
     nxt, gathered, col, y = (np.empty((k, N)) for _ in range(4))
-    total = np.empty(N)
+    peak, total = np.empty(N), np.empty(N)
     # numpy sums a row of 8 or more entries pairwise, not left to right as
     # adding the state rows does, so from 8 states on the sum over states
     # runs on an agent-major copy
@@ -279,53 +279,40 @@ def _simulate(
         rng_sig.random(out=u_signals[b])
         rng_sel.random(out=u_selections[b])
     slot = 0
-    # a -inf or NaN maximum is reported when its block ends, so its round's
-    # invalid -inf - -inf runs first
-    with np.errstate(invalid="ignore"):
-        for t0 in range(0, T + 1, rounds):
-            t1 = min(t0 + rounds, T + 1)
-            s0 = max(t0, 1)  # the block's first round with a selection
-            sig = signals[:, t0:t1]
-            sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_signals[:, t0:t1])
-            sel = selections[:, s0 - 1 : t1 - 1]
-            sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_selections[:, s0 - 1 : t1 - 1])
+    for t0 in range(0, T + 1, rounds):
+        t1 = min(t0 + rounds, T + 1)
+        s0 = max(t0, 1)  # the block's first round with a selection
+        sig = signals[:, t0:t1]
+        sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_signals[:, t0:t1])
+        sel = selections[:, s0 - 1 : t1 - 1]
+        sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_selections[:, s0 - 1 : t1 - 1])
 
-            sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
-            nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
-            if t0 == 0:
-                nbr_idx = np.vstack([np.arange(N), nbr_idx])
-            # where the column is constant, every state keeps the neighbor's belief
-            keep = np.repeat(constant[sig_idx][:, None], k, axis=1)
-            maxima = np.empty((t1 - t0, N))
-            # every index is in range; mode="clip" spares take a buffered copy for out=
-            for t, nbr_t, sig_t, keep_t, max_t in zip(range(t0, t1), nbr_idx, sig_idx, keep, maxima):
-                cur.take(nbr_t, axis=1, out=gathered, mode="clip")
-                cols.take(sig_t, axis=1, out=col, mode="clip")
-                np.add(gathered, col, out=y)
-                np.maximum.reduce(y, axis=0, out=max_t)
-                np.subtract(y, max_t, out=y)
-                np.exp(y, out=col)
-                if agent_major is None:
-                    np.add.reduce(col, axis=0, out=total)
-                else:
-                    np.copyto(agent_major, col.T)
-                    np.add.reduce(agent_major, axis=1, out=total)
-                np.log(total, out=total)
-                np.subtract(y, total, out=nxt)
-                np.putmask(nxt, keep_t, gathered)
-                cur, nxt = nxt, cur
-                if t == times[slot]:
-                    snapshots[:, slot] = cur.T.reshape(R, n, k)
-                    slot += 1
-
-            impossible = ~(maxima > -np.inf)  # -inf or NaN
-            if impossible.any():
-                j, row = divmod(int(np.argmax(impossible)), N)
-                b, i = divmod(row, n)
-                raise ImpossibleSignalError(
-                    f"replication {replications[b] + 1}, t={t0 + j}, agent {i + 1}, signal {sig[b, j, i]}: "
-                    "signal has zero likelihood under every state with mass"
-                )
+        sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
+        nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
+        if t0 == 0:
+            nbr_idx = np.vstack([np.arange(N), nbr_idx])
+        # where the column is constant, every state keeps the neighbor's belief
+        keep = np.repeat(constant[sig_idx][:, None], k, axis=1)
+        # every index is in range; mode="clip" spares take a buffered copy for out=
+        for t, nbr_t, sig_t, keep_t in zip(range(t0, t1), nbr_idx, sig_idx, keep):
+            cur.take(nbr_t, axis=1, out=gathered, mode="clip")
+            cols.take(sig_t, axis=1, out=col, mode="clip")
+            np.add(gathered, col, out=y)
+            np.maximum.reduce(y, axis=0, out=peak)
+            np.subtract(y, peak, out=y)
+            np.exp(y, out=col)
+            if agent_major is None:
+                np.add.reduce(col, axis=0, out=total)
+            else:
+                np.copyto(agent_major, col.T)
+                np.add.reduce(agent_major, axis=1, out=total)
+            np.log(total, out=total)
+            np.subtract(y, total, out=nxt)
+            np.putmask(nxt, keep_t, gathered)
+            cur, nxt = nxt, cur
+            if t == times[slot]:
+                snapshots[:, slot] = cur.T.reshape(R, n, k)
+                slot += 1
 
     for arr in (signals, selections, snapshots):
         read_only(arr)

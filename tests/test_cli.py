@@ -246,6 +246,8 @@ class TestConfigErrors:
         (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
          f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
+        (lambda c: c["analysis"].update(rate_rel_tolerance=float("inf")),
+         "analysis.rate_rel_tolerance: must be a positive finite number, got inf"),
         (lambda c: c["analysis"].update(agents=[]), "analysis.agents: at least one agent is required"),
         (lambda c: c["analysis"].update(check_states=[]),
          "analysis.check_states: at least one false state is required"),
@@ -261,7 +263,7 @@ class TestConfigErrors:
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
             "float agent count", "bool agent count", "short prior", "tolerance beyond float",
-            "no rate agents", "no check states",
+            "infinite tolerance", "no rate agents", "no check states",
             "alias to a superscript digit", "alias past the digit limit"])
     @pytest.mark.parametrize("command", ["check", "rate"])
     def test_bad_values_are_invalid_input_on_one_line(self, tmp_path, capsys, command, edit, message):

@@ -55,6 +55,12 @@ class TestDirectedNetwork:
             assert tuple(net.in_indices[net.in_indptr[i]:net.in_indptr[i + 1]].tolist()) == nbrs
             assert net.degree(i) == len(nbrs)
 
+    @pytest.mark.parametrize("i", [-1, 8])
+    def test_degree_of_an_agent_outside_the_network_is_rejected(self, i):
+        with pytest.raises(ValidationError) as info:
+            ex1_net().degree(i)
+        assert str(info.value) == f"agent {i} outside 0..7"
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):
             DirectedNetwork(3, [(0, 0)])
@@ -103,10 +109,10 @@ class TestDirectedNetwork:
         assert net == cycle and hash(net) == hash(cycle)
 
     @pytest.mark.parametrize("edges, message", [
-        (((True, 2),), "edges[0]: expected a pair of integers, got (True, 2)"),
-        ([[0, 1], [1, False]], "edges[1]: expected a pair of integers, got [1, False]"),
-        ([(0, 1), (np.True_, 2)], "edges[1]: expected a pair of integers, got (np.True_, 2)"),
-        (np.array([[True, False]]), "edges[0]: expected a pair of integers, got array([ True, False])"),
+        (((True, 2),), "edges[0][0]: expected an integer, got True"),
+        ([[0, 1], [1, False]], "edges[1][1]: expected an integer, got False"),
+        ([(0, 1), (np.True_, 2)], "edges[1][0]: expected an integer, got np.True_"),
+        (np.array([[True, False]]), "edges[0][0]: expected an integer, got np.True_"),
     ], ids=["bool in a tuple", "bool in a list", "numpy bool", "bool array"])
     def test_bool_endpoint_is_rejected(self, edges, message):
         with pytest.raises(ValidationError) as info:
@@ -164,9 +170,9 @@ class TestEdgeRules:
         assert str(info.value) == "network.edges[2]: self-loop [1, 1] not allowed"
 
     @pytest.mark.parametrize("edges, message", [
-        (((0, 1, 2), (1, 2, 0)), "edges[0]: expected a pair of integers, got (0, 1, 2)"),
-        (((0.7, 1.9),), "edges[0]: expected a pair of integers, got (0.7, 1.9)"),
-        (((0, 1), (1,)), "edges[1]: expected a pair of integers, got (1,)"),
+        (((0, 1, 2), (1, 2, 0)), "edges[0]: expected a [source, target] pair"),
+        (((0.7, 1.9),), "edges[0][0]: expected an integer, got 0.7"),
+        (((0, 1), (1,)), "edges[1]: expected a [source, target] pair"),
         (((0, 0), (0, 1, 2)), "edges[0]: self-loop [1, 1] not allowed"),
     ], ids=["triples", "floats", "a single", "a self-loop before a triple"])
     def test_an_edge_that_is_not_an_integer_pair_is_named(self, edges, message):
