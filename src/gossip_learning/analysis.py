@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue
+from .arrays import ArrayValue, sum_left_to_right
 from .errors import ValidationError, check_index
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
@@ -37,8 +37,17 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
     terms = np.zeros(len(weights) + 1)
     # transient agents add nothing, not even an infinite divergence
     terms[1:][recurrent] = weights[recurrent] * world.divergences[recurrent, check_state]
-    # a running sum from 0.0, added in agent order
-    return float(np.cumsum(terms)[-1])
+    return float(sum_left_to_right(terms))  # from 0.0, in agent order
+
+
+def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int]) -> slice:
+    """The slice of the ascending snapshot_times inside window, ends included.
+    A rate fit needs at least 2 of them."""
+    t0, t1 = window
+    inside = slice(bisect.bisect_left(snapshot_times, t0), bisect.bisect_right(snapshot_times, t1))
+    if inside.stop - inside.start < 2:
+        raise ValidationError(f"need at least 2 belief snapshots inside [{t0}, {t1}], got {inside.stop - inside.start}")
+    return inside
 
 
 @dataclass(frozen=True)
@@ -99,17 +108,12 @@ def rate_report(
     separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
     theta = world.true_state_index
     picked = np.array(agents, dtype=np.intp)
-    t0, t1 = window
     slopes = np.empty((len(check_states), len(agents), len(traces)))
     for r, tr in enumerate(traces):
-        if t0 < 0 or t1 > tr.horizon or t0 >= t1:
+        if not 0 <= window[0] < window[1] <= tr.horizon:
             raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={tr.horizon}")
-        # the snapshot times ascend, so the window is one slice
-        inside = slice(bisect.bisect_left(tr.snapshot_times, t0), bisect.bisect_right(tr.snapshot_times, t1))
+        inside = window_snapshots(tr.snapshot_times, window)
         times = np.array(tr.snapshot_times[inside], dtype=float)
-        if len(times) < 2:
-            raise ValidationError(f"need at least 2 belief snapshots inside {window}; horizon={tr.horizon}, "
-                                  f"{len(tr.snapshot_times)} snapshots recorded")
         outside = (picked < 0) | (picked >= tr.n)
         if outside.any():
             check_index("agent", agents[int(np.argmax(outside))], tr.n)

@@ -81,6 +81,13 @@ def int_array(x) -> np.ndarray | None:
     return _typed_array(x, np.int64, "iu", (int, np.integer))
 
 
+def sum_left_to_right(a: np.ndarray) -> np.ndarray:
+    """a summed along its last axis left to right, the one order of the sums
+    over a belief's states and a divergence's signals: a zero entry then
+    changes no bit, and a row of a stacked array sums as it does alone."""
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
 def rows_by_length(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """(d, the rows of length d, ascending) for each length d that occurs,
     ascending."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import sum_left_to_right
 from .errors import ImpossibleSignalError
 
 
@@ -29,16 +30,15 @@ def bayes_log_posterior(log_prior: np.ndarray, log_lik_col: np.ndarray) -> np.nd
     """Normalized log posteriors from normalized log priors plus log-likelihood
     columns, along the last axis.
 
-    Each row of a stacked call comes out exactly as it would alone. The
-    simulator's round loop makes the same operations in the same order on
-    state-major buffers, and reads the same constant-column rule, so
-    replaying a trace one vector at a time reproduces the simulated beliefs
-    bit for bit. -inf entries (zero prior or zero likelihood) stay -inf in the
-    posterior.
+    The states are summed left to right, so each row of a stacked call comes
+    out exactly as it would alone. The simulator's round loop makes the same
+    operations in the same order on state-major buffers, and reads the same
+    constant-column rule, so replaying a trace one vector at a time gives
+    the simulated beliefs bit for bit. -inf entries stay -inf.
     """
     y = log_prior + log_lik_col
     m = np.max(y, axis=-1, keepdims=True)
     if np.any(m == -np.inf) or np.any(np.isnan(m)):
         raise ImpossibleSignalError("signal has zero likelihood under every state with mass")
     d = y - m
-    return np.where(constant_columns(log_lik_col), log_prior, d - np.log(np.exp(d).sum(axis=-1, keepdims=True)))
+    return np.where(constant_columns(log_lik_col), log_prior, d - np.log(sum_left_to_right(np.exp(d))[..., None]))

@@ -25,6 +25,7 @@ from typing import Any
 
 import numpy as np
 
+from .analysis import window_snapshots
 from .arrays import float_array, int_array, is_integer
 from .errors import ValidationError
 from .graph import (
@@ -280,6 +281,10 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
         window = (t0, t1)
     else:
         window = (sim.horizon // 5, sim.horizon)
+    try:
+        window_snapshots(sim.snapshot_times(), window)
+    except ValidationError as exc:
+        raise ValidationError(f"analysis.window: {exc}") from exc
 
     tol = _as_number(obj.get("rate_rel_tolerance", DEFAULT_RATE_REL_TOLERANCE), "analysis.rate_rel_tolerance")
     if not (0.0 < tol < np.inf):

@@ -65,12 +65,14 @@ def _integer_pairs(edges, n: int) -> tuple[np.ndarray, ValidationError | None]:
     """The leading edges that are pairs of integers, as an (m, 2) int64
     array, and the error naming the first edge that is not, or None. An
     endpoint beyond int64 is clipped to -1 or n: outside 0..n-1 either way."""
+    if not isinstance(edges, (tuple, list, np.ndarray)) or getattr(edges, "ndim", 1) == 0:
+        raise ValidationError(f"edges: expected a sequence of [source, target] pairs, got {type(edges).__name__}")
     e = int_array(edges)
     if e is not None and e.shape == (len(edges), 2):
         return e, None
     clipped, fault = [], None
     for k, pair in enumerate(edges):
-        if not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 2:
+        if not isinstance(pair, (tuple, list, np.ndarray)) or getattr(pair, "ndim", 1) != 1 or len(pair) != 2:
             fault = ValidationError(f"edges[{k}]: expected a [source, target] pair")
             break
         p = next((p for p in (0, 1) if not is_integer(pair[p])), None)
@@ -400,7 +402,7 @@ class StationaryDistribution(ArrayValue):
         if np.any(~(pi >= 0.0)):
             raise ValidationError("stationary distribution has a negative or NaN entry")
         if not (abs(pi.sum() - 1.0) <= PROB_SUM_TOL):
-            raise ValidationError(f"stationary distribution sums to {pi.sum()!r}")
+            raise ValidationError(f"stationary distribution sums to {float(pi.sum())!r}")
         self._store(pi=pi)
 
 

@@ -28,10 +28,8 @@ neighbors' previous beliefs, adds the agents' log-likelihood columns for
 their signals, normalizes, and keeps the neighbor's belief where the column
 is constant, through a keep mask made once a block. These are
 belief.bayes_log_posterior's operations in its order, so a replay one vector
-at a time gives the same bits: a maximum is exact in any order, and numpy
-sums a row of fewer than 8 entries left to right, as adding the state rows
-in order does, so from 8 states on the sum over states runs on an
-agent-major copy instead, pairwise as numpy sums a row.
+at a time gives the same bits: a maximum is exact in any order, and the
+state rows add in order, as arrays.sum_left_to_right sums a belief.
 
 A trace holds what its file stores and nothing else: the signals, the
 selections, the snapshot times, and the belief snapshots as one read-only
@@ -58,13 +56,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, is_integer, read_only, rows_by_length
+from .arrays import ArrayValue, is_integer, read_only, rows_by_length, sum_left_to_right
 from .belief import constant_columns
 from .errors import ValidationError, check_index
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
-
-WALK_IDENTITY_TOL = 1e-8
 
 # the round loop draws and indexes this many agent-rows (replications x
 # agents x rounds) at a time, or one round where a round holds more. A
@@ -265,11 +261,9 @@ def _simulate(
     # round 0 updates the prior, which every column of the first belief holds
     cur = np.repeat(world.prior.log_nu[:, None], N, axis=1)
     nxt, gathered, col, y = (np.empty((k, N)) for _ in range(4))
-    peak, total = np.empty(N), np.empty(N)
-    # numpy sums a row of 8 or more entries pairwise, not left to right as
-    # adding the state rows does, so from 8 states on the sum over states
-    # runs on an agent-major copy
-    agent_major = np.empty((N, k)) if k >= 8 else None
+    peak = np.empty(N)
+    # the states add into col's first row in order (a reduce sums them pairwise where N is 1)
+    total, later_states = col[0], list(col[1:])
     rounds = max(1, BLOCK_AGENT_ROWS // N)
     # the uniforms fill the draws' own storage (int64 and float64 share an
     # itemsize); a block's draws overwrite its uniforms once the search has
@@ -301,11 +295,8 @@ def _simulate(
             np.maximum.reduce(y, axis=0, out=peak)
             np.subtract(y, peak, out=y)
             np.exp(y, out=col)
-            if agent_major is None:
-                np.add.reduce(col, axis=0, out=total)
-            else:
-                np.copyto(agent_major, col.T)
-                np.add.reduce(agent_major, axis=1, out=total)
+            for row in later_states:
+                np.add(total, row, out=total)
             np.log(total, out=total)
             np.subtract(y, total, out=nxt)
             np.putmask(nxt, keep_t, gathered)
@@ -384,7 +375,7 @@ def verify_walk_identity(
     cols = world.log_columns
     terms = cols[walk, sigs, check_state] - cols[walk, sigs, theta]
     prior_ratio = world.prior.log_nu[check_state] - world.prior.log_nu[theta]
-    rhs = float(np.cumsum(np.concatenate(([prior_ratio], terms)))[-1])
+    rhs = float(sum_left_to_right(np.concatenate(([prior_ratio], terms))))
 
     if np.isnan(rhs) or rhs == np.inf:
         raise ValidationError("a walk signal has zero likelihood under the true state")

@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, read_only, rows_by_length
+from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, read_only, rows_by_length, sum_left_to_right
 from .errors import ValidationError
 
 # KL divergence below this is treated as "states look identical to the agent".
@@ -68,7 +68,7 @@ class Prior(ArrayValue):
                 f"prior must be strictly positive on every state; entry {k + 1} is {float(nu[k])!r}"
             )
         if abs(nu.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"prior sums to {nu.sum()!r}, expected 1 within {PROB_SUM_TOL}")
+            raise ValidationError(f"prior sums to {float(nu.sum())!r}, expected 1 within {PROB_SUM_TOL}")
         self._store(nu=nu)
 
     def check_states(self, space: StateSpace) -> None:
@@ -232,32 +232,19 @@ def kl_divergence(p, q):
     """D(p || q) in nats along the last axis, with 0 log 0 = 0 and +inf on
     support mismatch; leading axes broadcast. Two 1-D inputs give a float.
 
-    Each pair's terms over the entries with p > 0 are summed as one
-    contiguous row of just those terms, so a stacked call gives every pair
-    the bits it gets alone."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    Each pair's terms, 0 where p is, are summed left to right, so a stacked
+    call gives every pair the bits it gets alone."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     try:
         if p.shape[-1:] != q.shape[-1:]:
             raise ValueError
         p, q = np.broadcast_arrays(p, q)
     except ValueError:
         raise ValidationError(f"length mismatch: {p.shape} vs {q.shape}") from None
-    mask = p > 0.0
-    # move each row's p > 0 entries to its front, keeping their order
-    order = np.argsort(~mask, axis=-1, kind="stable")
-    pc = np.take_along_axis(p, order, axis=-1)
-    qc = np.take_along_axis(q, order, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (pc * (np.log(pc) - np.log(qc))).reshape(-1, p.shape[-1])
-    count = mask.sum(axis=-1).ravel()
-    val = np.empty(len(count))
-    for c, rows in rows_by_length(count):
-        val[rows] = terms[rows, :c].sum(axis=-1)
-    val = val.reshape(mask.shape[:-1])
-    infinite = np.any(mask & (q == 0.0), axis=-1)
+        terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
     # Rounding can push near-equal inputs a hair below zero.
-    out = np.where(infinite, np.inf, np.maximum(val, 0.0))
+    out = np.maximum(sum_left_to_right(terms), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import gossip_learning
 from gossip_learning import example1
 from gossip_learning.analysis import OccupancyReport, theoretical_rate
-from gossip_learning.arrays import ArrayValue, float_array, int_array
+from gossip_learning.arrays import ArrayValue, float_array, int_array, sum_left_to_right
 from gossip_learning.config import parse_config_dict
 from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
 from gossip_learning.graph import (
@@ -58,7 +58,10 @@ def reference_kl(p, q) -> float:
     mask = p > 0.0
     if np.any(q[mask] == 0.0):
         return math.inf
-    return max(float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask])))), 0.0)
+    total = 0.0  # the terms added left to right
+    for x in p[mask] * (np.log(p[mask]) - np.log(q[mask])):
+        total += x
+    return max(float(total), 0.0)
 
 
 def reference_rate(pi, tables, theta, check) -> float:
@@ -228,6 +231,32 @@ def test_kl_rows_with_many_positive_signals():
         q = rng.dirichlet(np.ones(size), size=50)
         stacked = kl_divergence(p, q)
         assert bits(stacked) == bits([reference_kl(a, b) for a, b in zip(p, q)])
+
+
+# -0.0 is left out: a running sum from +0.0 reads it as +0.0
+SUMMANDS = st.floats(-1e6, 1e6).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.lists(st.lists(SUMMANDS, min_size=1, max_size=40), min_size=1, max_size=4),
+       extra=st.integers(0, 10))
+def test_sum_left_to_right_ignores_zeros_and_stacking(data, rows, extra):
+    """Rows of up to 40 entries, with zeros inserted anywhere and stacked,
+    sum with the bits of each row alone and of a Python loop adding its
+    entries left to right."""
+    width = max(map(len, rows)) + extra
+    stacked = np.zeros((len(rows), width))
+    for r, row in enumerate(rows):
+        slots = sorted(data.draw(st.permutations(range(width)))[: len(row)])
+        stacked[r, slots] = row
+    expected = []
+    for row in rows:
+        total = 0.0
+        for x in row:
+            total += x
+        expected.append(total)
+    assert bits(sum_left_to_right(stacked)) == bits([sum_left_to_right(np.array(row)) for row in rows])
+    assert bits(sum_left_to_right(stacked)) == bits(expected)
 
 
 def reference_selection_error(p):

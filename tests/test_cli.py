@@ -244,6 +244,11 @@ class TestConfigErrors:
         (lambda c: c["network"].update(n=8.0), "network.n: agent count must be an integer, got 8.0"),
         (lambda c: c["network"].update(n=True), "network.n: agent count must be an integer, got True"),
         (lambda c: c["world"].update(prior=[0.5, 0.5]), "world.prior: prior length 2 != 3 states"),
+        (lambda c: c["world"].update(prior=[0.5, 0.4, 0.05]),
+         "world.prior: prior sums to 0.9500000000000001, expected 1 within 1e-12"),
+        # horizon 20 at stride 10 records t = 0, 10 and 20, so [5, 15] holds one
+        (lambda c: (c["simulation"].update(record_beliefs_every=10), c["analysis"].update(window=[5, 15])),
+         "analysis.window: need at least 2 belief snapshots inside [5, 15], got 1"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
          f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=float("inf")),
@@ -262,7 +267,8 @@ class TestConfigErrors:
             "bool likelihood", "null likelihood", "string likelihood", "likelihood beyond float",
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
-            "float agent count", "bool agent count", "short prior", "tolerance beyond float",
+            "float agent count", "bool agent count", "short prior", "prior summing to 0.95",
+            "window holding one snapshot", "tolerance beyond float",
             "infinite tolerance", "no rate agents", "no check states",
             "alias to a superscript digit", "alias past the digit limit"])
     @pytest.mark.parametrize("command", ["check", "rate"])

@@ -174,7 +174,9 @@ class TestEdgeRules:
         (((0.7, 1.9),), "edges[0][0]: expected an integer, got 0.7"),
         (((0, 1), (1,)), "edges[1]: expected a [source, target] pair"),
         (((0, 0), (0, 1, 2)), "edges[0]: self-loop [1, 1] not allowed"),
-    ], ids=["triples", "floats", "a single", "a self-loop before a triple"])
+        ([np.array(1)], "edges[0]: expected a [source, target] pair"),
+        (5, "edges: expected a sequence of [source, target] pairs, got int"),
+    ], ids=["triples", "floats", "a single", "a self-loop before a triple", "a 0-d array", "an int"])
     def test_an_edge_that_is_not_an_integer_pair_is_named(self, edges, message):
         with pytest.raises(ValidationError) as info:
             DirectedNetwork(3, edges)
@@ -370,6 +372,10 @@ class TestStationary:
     def test_nan_entry_is_rejected(self, pi):
         with pytest.raises(ValidationError, match="^stationary distribution has a negative or NaN entry$"):
             StationaryDistribution(np.array(pi))
+
+    def test_sum_off_one_is_named_as_a_float(self):
+        with pytest.raises(ValidationError, match=r"^stationary distribution sums to 0\.9$"):
+            StationaryDistribution(np.array([0.5, 0.4]))
 
     def test_nan_solve_fails_the_residual_check(self, monkeypatch):
         monkeypatch.setattr(graph, "_direct_stationary", lambda sub: np.full(len(sub), np.nan))

@@ -210,10 +210,11 @@ class TestReplay:
             ]
             assert np.array_equal(np.stack(beliefs), tr.log_belief_at(t))
 
-    @pytest.mark.parametrize("k", [2, 7, 8, 9, 16])
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 16, 40])
     def test_snapshots_replay_bitwise_on_both_sides_of_the_pairwise_sum(self, k):
         # numpy sums a row of 8 or more entries pairwise and a shorter one
-        # left to right, so the kernel's sum over states takes two paths.
+        # left to right; the kernel and the replay sum the states left to
+        # right at every k, so no k on either side takes another path.
         # Agent 1 is uninformative (every column constant), agent 2 has one
         # constant column, and agents 3-5 have zero entries off the true state.
         rng = np.random.default_rng(k)
@@ -438,7 +439,10 @@ def _reference_posterior(log_prior, log_col):
     if log_col[0] != -np.inf and np.all(log_col == log_col[0]):
         return log_prior.copy()
     d = y - m
-    return d - np.log(np.exp(d).sum())
+    total = 0.0  # the states added left to right
+    for x in np.exp(d):
+        total += x
+    return d - np.log(total)
 
 
 def _reference_draws(probs, u):
@@ -535,6 +539,16 @@ def small_worlds(draw):
 )
 def test_batched_run_matches_per_agent_reference(case, horizon, stride, replications, seed):
     assert_matches_reference(*case, SimulationConfig(horizon, seed, stride, replications))
+
+
+@pytest.mark.parametrize("k", [9, 16, 40])
+def test_a_lone_agent_run_matches_the_reference(k):
+    # one agent in one replication makes each state-major buffer (k, 1), whose
+    # rows numpy's add.reduce sums pairwise
+    rng = np.random.default_rng(k)
+    world = tiny_world([rng.dirichlet(np.ones(3), size=k).tolist()])
+    net = DirectedNetwork(1, [])
+    assert_matches_reference(net, uniform_selection_matrix(net), world, SimulationConfig(horizon=50, seed=k))
 
 
 @settings(max_examples=100, deadline=None)
