@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, sum_left_to_right
+from .arrays import ArrayValue, int_array, is_integer, sum_left_to_right
 from .errors import ValidationError, check_index
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
@@ -40,10 +40,13 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
     return float(sum_left_to_right(terms))  # from 0.0, in agent order
 
 
-def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int]) -> slice:
-    """The slice of the ascending snapshot_times inside window, ends included.
-    A rate fit needs at least 2 of them."""
+def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int], horizon: int) -> slice:
+    """The slice of the ascending snapshot_times inside window, ends included:
+    a window is two integers 0 <= t0 < t1 <= horizon holding at least 2 of them."""
     t0, t1 = window
+    if not (is_integer(t0) and is_integer(t1) and 0 <= t0 < t1 <= horizon):
+        raise ValidationError(
+            f"need a window of integers 0 <= t_start < t_end <= horizon ({horizon}), got [{t0}, {t1}]")
     inside = slice(bisect.bisect_left(snapshot_times, t0), bisect.bisect_right(snapshot_times, t1))
     if inside.stop - inside.start < 2:
         raise ValidationError(f"need at least 2 belief snapshots inside [{t0}, {t1}], got {inside.stop - inside.start}")
@@ -107,12 +110,13 @@ def rate_report(
     theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
     separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
     theta = world.true_state_index
-    picked = np.array(agents, dtype=np.intp)
+    picked = int_array(agents)
+    if picked is None or picked.ndim != 1:
+        for a in agents:
+            check_index("agent", a, traces[0].n)
     slopes = np.empty((len(check_states), len(agents), len(traces)))
     for r, tr in enumerate(traces):
-        if not 0 <= window[0] < window[1] <= tr.horizon:
-            raise ValidationError(f"window {window} must satisfy 0 <= t0 < t1 <= horizon={tr.horizon}")
-        inside = window_snapshots(tr.snapshot_times, window)
+        inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
         times = np.array(tr.snapshot_times[inside], dtype=float)
         outside = (picked < 0) | (picked >= tr.n)
         if outside.any():

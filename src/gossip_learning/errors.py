@@ -1,12 +1,16 @@
 """Exception types shared across the package, and its one index check."""
 
+from .arrays import is_integer
+
 
 class ValidationError(ValueError):
     """An input violates a documented contract (bad graph, matrix, config, ...)."""
 
 
 def check_index(name: str, value: int, count: int) -> None:
-    """Raise unless value is a 0-based index below count."""
+    """Raise unless value is an integer, not a bool, in 0..count - 1."""
+    if not is_integer(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not (0 <= value < count):
         raise ValidationError(f"{name} {value} outside 0..{count - 1}")
 

@@ -98,9 +98,8 @@ class SimulationConfig:
             raise ValidationError("replications must be >= 1")
 
     def snapshot_times(self) -> tuple[int, ...]:
-        times = set(range(0, self.horizon + 1, self.record_beliefs_every))
-        times.add(self.horizon)
-        return tuple(sorted(times))
+        times = range(0, self.horizon + 1, self.record_beliefs_every)
+        return tuple(times) if times[-1] == self.horizon else (*times, self.horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,43 +438,35 @@ def read_trace(
         raise ValidationError(f"{path}: not an .npz archive")
     if sorted(npz.files) != sorted(TRACE_ARRAYS):
         raise ValidationError(f"{path}: holds arrays {sorted(npz.files)}, expected {sorted(TRACE_ARRAYS)}")
-    arrays = {}
-    for name in TRACE_ARRAYS:
-        try:
-            arrays[name] = npz[name]
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-            raise ValidationError(f"{path}: {name}: {exc}") from None
-
     n, k, T = world.n_agents, world.num_states, cfg.horizon
     times = cfg.snapshot_times()
     m = len(times)
+    # every dtype is checked first, then every shape, the snapshot times' values before their shape
     expected = {
         "signals": ("<i8", (T + 1, n), f"rounds 0..{T} of {n} agents"),
         "selections": ("<i8", (T, n), f"rounds 1..{T} of {n} agents"),
         "snapshot_times": ("<i8", (m,), f"{m} snapshot times"),
         "log_beliefs": ("<f8", (m, n, k), f"{m} snapshots of {n} agents over {k} states"),
     }
+    arrays = {}
     for name, (dtype, _, _) in expected.items():
+        try:
+            arrays[name] = npz[name]
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValidationError(f"{path}: {name}: {exc}") from None
         if arrays[name].dtype != dtype:
             raise ValidationError(f"{path}: {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
-
-    def check_shape(name: str) -> None:
-        _, shape, what = expected[name]
+    for name, (_, shape, what) in expected.items():
+        if name == "snapshot_times" and (stored := arrays[name].ravel().tolist()) != list(times):
+            diff = set(times) ^ set(stored)
+            if not diff:
+                raise ValidationError(
+                    f"{path}: snapshot_times are not the config's times in ascending order, each once")
+            t = min(diff)
+            fault = "has no snapshot" if t in times else "has a snapshot the config does not record"
+            raise ValidationError(f"{path}: snapshot_times {fault} at t={t}")
         if arrays[name].shape != shape:
             raise ValidationError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}: {what}")
-
-    check_shape("signals")
-    check_shape("selections")
-    stored = arrays["snapshot_times"].ravel().tolist()
-    if stored != list(times):
-        diff = set(times) ^ set(stored)
-        if not diff:
-            raise ValidationError(f"{path}: snapshot_times are not the config's times in ascending order, each once")
-        t = min(diff)
-        what = "has no snapshot" if t in times else "has a snapshot the config does not record"
-        raise ValidationError(f"{path}: snapshot_times {what} at t={t}")
-    check_shape("snapshot_times")
-    check_shape("log_beliefs")
 
     signals = arrays["signals"]
     sizes = world.signal_counts

@@ -241,6 +241,8 @@ def kl_divergence(p, q):
         p, q = np.broadcast_arrays(p, q)
     except ValueError:
         raise ValidationError(f"length mismatch: {p.shape} vs {q.shape}") from None
+    if p.shape[-1:] == (0,):
+        raise ValidationError(f"empty distributions: shape {p.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
     # Rounding can push near-equal inputs a hair below zero.

@@ -11,6 +11,7 @@ from gossip_learning.analysis import (
     occupancy,
     rate_report,
     theoretical_rate,
+    window_snapshots,
     write_belief_difference,
     write_occupancy,
     write_rate_report,
@@ -125,6 +126,14 @@ class TestEmpiricalRate:
             with pytest.raises(ValidationError, match="window"):
                 fitted_rate(tr, TWO_STATE_WORLD, 0, 1, bad)
 
+    @pytest.mark.parametrize("window", [(-1, 50), (10, 10), (40, 60), (10.5, 50), (True, 50)],
+                             ids=["negative start", "empty", "end past the horizon", "float start", "bool start"])
+    def test_window_is_two_integers_inside_the_horizon(self, window):
+        with pytest.raises(ValidationError) as info:
+            window_snapshots(tuple(range(51)), window, 50)
+        assert str(info.value) == ("need a window of integers 0 <= t_start < t_end <= horizon (50), "
+                                   f"got [{window[0]}, {window[1]}]")
+
     def test_needs_two_snapshots_inside_window(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=100, stride=90)
         with pytest.raises(ValidationError, match="snapshots"):
@@ -182,6 +191,13 @@ class TestEmpiricalRate:
             fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 50))
         with pytest.raises(ValidationError, match="check_state"):
             fitted_rate(tr, TWO_STATE_WORLD, 0, 2, (0, 50))
+
+    @pytest.mark.parametrize("agent", [1.7, True, 0.0, np.float64(0.0)], ids=["1.7", "True", "0.0", "numpy 0.0"])
+    def test_an_agent_that_is_not_an_integer_is_named(self, agent):
+        tr = synthetic_trace(rate=0.1, horizon=50)
+        with pytest.raises(ValidationError) as info:
+            rate_report([tr], StationaryDistribution(pi=np.array([1.0])), TWO_STATE_WORLD, [1], [0, agent], (0, 50))
+        assert str(info.value) == f"agent must be an integer, got {agent!r}"
 
 
 class TestRateReport:
@@ -339,12 +355,13 @@ class TestBeliefDifference:
         with pytest.raises(ValidationError, match="agent"):
             belief_difference(tr, 0, 8, 0)
 
-    @pytest.mark.parametrize("state", [-1, 3])
+    @pytest.mark.parametrize("state", [-1, 3, True, 1.0])
     def test_state_bounds(self, ex1_cfg, state):
         tr = small_run(ex1_cfg, horizon=10)
         with pytest.raises(ValidationError) as info:
             belief_difference(tr, 2, 7, state)
-        assert str(info.value) == f"state {state} outside 0..2"
+        assert str(info.value) == (f"state {state} outside 0..2" if type(state) is int
+                                   else f"state must be an integer, got {state!r}")
 
 
 class TestCsvWriters:

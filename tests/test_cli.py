@@ -249,6 +249,10 @@ class TestConfigErrors:
         # horizon 20 at stride 10 records t = 0, 10 and 20, so [5, 15] holds one
         (lambda c: (c["simulation"].update(record_beliefs_every=10), c["analysis"].update(window=[5, 15])),
          "analysis.window: need at least 2 belief snapshots inside [5, 15], got 1"),
+        (lambda c: c["analysis"].update(window=[-1, 20]),
+         "analysis.window: need a window of integers 0 <= t_start < t_end <= horizon (20), got [-1, 20]"),
+        (lambda c: c["analysis"].update(window=[4, 21]),
+         "analysis.window: need a window of integers 0 <= t_start < t_end <= horizon (20), got [4, 21]"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=10**400),
          f"analysis.rate_rel_tolerance: expected a number, got {10**400}"),
         (lambda c: c["analysis"].update(rate_rel_tolerance=float("inf")),
@@ -268,7 +272,8 @@ class TestConfigErrors:
             "bool prior", "null prior", "string prior",
             "bool selection entry", "null selection entry", "string selection entry", "float horizon",
             "float agent count", "bool agent count", "short prior", "prior summing to 0.95",
-            "window holding one snapshot", "tolerance beyond float",
+            "window holding one snapshot", "negative window start", "window end past the horizon",
+            "tolerance beyond float",
             "infinite tolerance", "no rate agents", "no check states",
             "alias to a superscript digit", "alias past the digit limit"])
     @pytest.mark.parametrize("command", ["check", "rate"])

@@ -72,7 +72,7 @@ def test_configs_parse_to_the_models_built_one_item_at_a_time(raw):
     assert cfg.world == per_agent_world(raw)
 
 
-EDGE_FAULTS = ("bool", "None", "string", "2**70", "ragged", "negative", "-2**63")
+EDGE_FAULTS = ("bool", "None", "string", "2**70", "ragged", "negative", "-2**63", "tuple")
 TABLE_FAULTS = ("bool", "None", "string", "2**70", "ragged row", "row count", "negative", "row sum")
 
 
@@ -82,6 +82,9 @@ def inject_edge_fault(raw, k, p, fault) -> str:
     path = f"network.edges[{k}]"
     if fault == "ragged":
         edge.append(1)
+        return f"{path}: expected a [source, target] pair"
+    if fault == "tuple":  # a valid edge, but only a list is a pair
+        raw["network"]["edges"][k] = tuple(edge)
         return f"{path}: expected a [source, target] pair"
     value = {"bool": True, "None": None, "string": "1", "2**70": 2**70, "negative": -1, "-2**63": -2**63}[fault]
     edge[p] = value

@@ -55,11 +55,12 @@ class TestDirectedNetwork:
             assert tuple(net.in_indices[net.in_indptr[i]:net.in_indptr[i + 1]].tolist()) == nbrs
             assert net.degree(i) == len(nbrs)
 
-    @pytest.mark.parametrize("i", [-1, 8])
+    @pytest.mark.parametrize("i", [-1, 8, True, 1.0])
     def test_degree_of_an_agent_outside_the_network_is_rejected(self, i):
         with pytest.raises(ValidationError) as info:
             ex1_net().degree(i)
-        assert str(info.value) == f"agent {i} outside 0..7"
+        assert str(info.value) == (f"agent {i} outside 0..7" if type(i) is int
+                                   else f"agent must be an integer, got {i!r}")
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):

@@ -75,6 +75,13 @@ class TestConfig:
         cfg = SimulationConfig(horizon=5, seed=0)
         assert cfg.snapshot_times() == (0, 1, 2, 3, 4, 5)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), horizon=st.integers(1, 10**4))
+    def test_snapshot_times_are_the_stride_multiples_and_the_horizon_ascending(self, data, horizon):
+        stride = data.draw(st.integers(1, horizon + 5))
+        cfg = SimulationConfig(horizon=horizon, seed=0, record_beliefs_every=stride)
+        assert cfg.snapshot_times() == tuple(sorted(set(range(0, horizon + 1, stride)) | {horizon}))
+
 
 class TestDeterminism:
     def test_identical_runs_are_bitwise_equal(self, ex1_cfg):
@@ -289,12 +296,13 @@ class TestWalk:
         with pytest.raises(ValidationError, match="snapshot"):
             verify_walk_identity(tr, ex1_cfg.world, 0, 7, 1)
 
-    @pytest.mark.parametrize("check", [-1, 3])
+    @pytest.mark.parametrize("check", [-1, 3, True, 1.0])
     def test_identity_check_state_is_a_state(self, ex1_cfg, check):
         tr = small_run(ex1_cfg, horizon=10)
         with pytest.raises(ValidationError) as info:
             verify_walk_identity(tr, ex1_cfg.world, 0, 10, check)
-        assert str(info.value) == f"check_state {check} outside 0..2"
+        assert str(info.value) == (f"check_state {check} outside 0..2" if type(check) is int
+                                   else f"check_state must be an integer, got {check!r}")
 
     def test_identity_with_collapsed_state_on_both_sides(self):
         # signal 0 is impossible under state 2, so one draw of it zeroes that

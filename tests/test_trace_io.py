@@ -164,6 +164,10 @@ CASES = {
                                   ["rep000.npz", "selections has dtype <U1, expected int64"]),
     "log beliefs stored as float32": (setitem("log_beliefs", lambda a: a.astype(np.float32)),
                                       ["rep000.npz", "log_beliefs has dtype float32, expected float64"]),
+    # every dtype is checked before any shape
+    "float32 log beliefs and a missing signals row": (
+        every(setitem("log_beliefs", lambda a: a.astype(np.float32)), setitem("signals", lambda a: a[:-1])),
+        ["rep000.npz", "log_beliefs has dtype float32, expected float64"]),
     "changed header": (rename("signals", "sig"), ["rep000.npz", "holds arrays", "'sig'", "'signals'"]),
     "missing array": (lambda arrays: arrays.pop("log_beliefs"), ["rep000.npz", "holds arrays", "'log_beliefs'"]),
     "extra array": (lambda arrays: arrays.update(notes=np.zeros(3)), ["rep000.npz", "holds arrays", "'notes'"]),

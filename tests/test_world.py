@@ -160,6 +160,12 @@ class TestKLDivergence:
         with pytest.raises(ValidationError, match="length"):
             kl_divergence([0.5, 0.5], [0.2, 0.3, 0.5])
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_distributions_rejected(self, shape):
+        with pytest.raises(ValidationError) as info:
+            kl_divergence(np.zeros(shape), np.zeros(shape))
+        assert str(info.value) == f"empty distributions: shape {shape}"
+
     def test_never_negative_near_equality(self):
         p = np.array([0.5, 0.5])
         q = np.array([0.5 + 1e-16, 0.5 - 1e-16])
