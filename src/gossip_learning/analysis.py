@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arrays import ArrayValue, int_array, is_integer, sum_left_to_right
-from .errors import ValidationError, check_index
+from .errors import ValidationError, check_index, check_integer
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
 from .world import WorldModel
@@ -43,7 +43,10 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
 def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int], horizon: int) -> slice:
     """The slice of the ascending snapshot_times inside window, ends included:
     a window is two integers 0 <= t0 < t1 <= horizon holding at least 2 of them."""
-    t0, t1 = window
+    try:
+        t0, t1 = window
+    except (TypeError, ValueError):
+        raise ValidationError(f"need a window of two integers [t_start, t_end], got {window!r}") from None
     if not (is_integer(t0) and is_integer(t1) and 0 <= t0 < t1 <= horizon):
         raise ValidationError(
             f"need a window of integers 0 <= t_start < t_end <= horizon ({horizon}), got [{t0}, {t1}]")
@@ -163,6 +166,7 @@ class OccupancyReport(ArrayValue):
 def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribution) -> OccupancyReport:
     """Frequency of each agent along the backward walk from (agent, t),
     excluding the starting node itself (steps 1..t), against pi."""
+    check_integer("time", t)
     if t < 1:
         raise ValidationError(f"occupancy needs t >= 1, got {t}")
     if pi.pi.shape[0] != trace.n:

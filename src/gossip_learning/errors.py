@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one index check."""
+"""Exception types shared across the package, and its one integer check and
+one index check."""
 
 from .arrays import is_integer
 
@@ -7,10 +8,15 @@ class ValidationError(ValueError):
     """An input violates a documented contract (bad graph, matrix, config, ...)."""
 
 
-def check_index(name: str, value: int, count: int) -> None:
-    """Raise unless value is an integer, not a bool, in 0..count - 1."""
+def check_integer(name: str, value) -> None:
+    """Raise unless value is an int or a numpy integer, not a bool."""
     if not is_integer(value):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_index(name: str, value: int, count: int) -> None:
+    """Raise unless value is an integer, not a bool, in 0..count - 1."""
+    check_integer(name, value)
     if not (0 <= value < count):
         raise ValidationError(f"{name} {value} outside 0..{count - 1}")
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, is_integer
-from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError, check_index
+from .errors import MultipleRecurrentClassesError, StationarySolveError, ValidationError, check_index, check_integer
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 
@@ -104,10 +104,8 @@ class DirectedNetwork(ArrayValue):
     in_indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        if not is_integer(n):
-            raise ValidationError(f"n: agent count must be an integer, got {n!r}")
-        n = int(n)
+        check_integer("n: agent count", self.n)
+        n = int(self.n)
         if n < 1:
             raise ValidationError(f"n: agent count must be >= 1, got {n}")
         object.__setattr__(self, "n", n)
@@ -170,10 +168,8 @@ class SelectionMatrix(ArrayValue):
     rows: np.ndarray = field(init=False, repr=False, compare=False)  # the row of every entry
 
     def __post_init__(self):
-        n = self.n
-        if not is_integer(n):
-            raise ValidationError(f"n: agent count must be an integer, got {n!r}")
-        n = int(n)
+        check_integer("n: agent count", self.n)
+        n = int(self.n)
         object.__setattr__(self, "n", n)
         indptr = int_array(self.indptr)
         indices = int_array(self.indices)

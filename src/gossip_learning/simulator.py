@@ -11,37 +11,41 @@ numpy's SIMD exp and log, and the OpenBLAS kernel of the stationary solve
 and the rate fit's dot product, round some inputs differently on another.
 
 Draws and rounds run together, one block of rounds at a time (a block holds
-BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
-Each stream's uniforms are drawn in one call, straight into a float64 view
-of the signals or selections they become (one call gives the same numbers
-as consecutive Philox blocks), and a block turns its uniforms into draws in
-place. Each agent's signal distribution (the positive entries of its
-true-state likelihood row) and its selection row are CSR rows whose CDFs
-are built once per run, and a draw inverts a row's CDF at a uniform, by one
-binary search over the row's first d - 1 entries (the last is drawn when
-every other is at or below the uniform) that halves every row's range at
-each step. Each round is one update over every agent of every
-replication at once, in preallocated state-major (k, R * n) buffers: row s
-holds state s of every agent-row, so each step over the states is k - 1
-elementwise operations on rows of R * n values. A round gathers the chosen
-neighbors' previous beliefs, adds the agents' log-likelihood columns for
-their signals, normalizes, and keeps the neighbor's belief where the column
-is constant, through a keep mask made once a block. These are
-belief.bayes_log_posterior's operations in its order, so a replay one vector
-at a time gives the same bits: a maximum is exact in any order, and the
-state rows add in order, as arrays.sum_left_to_right sums a belief.
+BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any
+horizon). A block draws each stream's uniforms for its rounds into one
+float64 block buffer, reused by every block and both streams (consecutive
+calls continue a Philox stream, so each uniform is the one a single call
+over all rounds would give), and turns them into draws. Each agent's signal
+distribution (the positive entries of its true-state likelihood row) and
+its selection row are CSR rows whose CDFs are built once per run, and a
+draw inverts a row's CDF at a uniform, by one binary search over the row's
+first d - 1 entries (the last is drawn when every other is at or below the
+uniform) that halves every row's range at each step. Each round is one
+update over every agent of every replication at once, in preallocated
+state-major (k, R * n) buffers: row s holds state s of every agent-row, so
+each step over the states is k - 1 elementwise operations on rows of R * n
+values. A round gathers the chosen neighbors' previous beliefs, adds the
+agents' log-likelihood columns for their signals, normalizes, and keeps the
+neighbor's belief where the column is constant, through a keep mask made
+once a block. These are belief.bayes_log_posterior's operations in its
+order, so a replay one vector at a time gives the same bits: a maximum is
+exact in any order, and the state rows add in order, as
+arrays.sum_left_to_right sums a belief.
 
-A trace holds what its file stores and nothing else: the signals, the
+A trace holds the values its file stores and nothing else: the signals, the
 selections, the snapshot times, and the belief snapshots as one read-only
-(m, n, k) array aligned with the m snapshot times. What belongs to the run
+(m, n, k) array aligned with the m snapshot times. It holds the signals and
+selections in the narrowest unsigned dtype that holds every signal or agent
+index of its world (uint8 up to 256 signals or agents); the file stores
+them as int64, and a read narrows them again. What belongs to the run
 rather than to one replication (its seed, the fingerprints of its world and
 selection matrix) lives in the run's manifest. A trace is stored as one
 .npz file holding those four arrays as np.savez writes them: the log
-beliefs themselves, so a read gives back every bit,
--inf and subnormals included. Zip entries carry a fixed 1980 timestamp, so
-the same trace always gives the same bytes. A read checks the file's
-SHA-256 before it loads it, never unpickles, and checks every array against
-the run the caller expects.
+beliefs themselves, so a read gives back every bit, -inf and subnormals
+included. Zip entries carry a fixed 1980 timestamp, so the same trace
+always gives the same bytes. A read checks the file's SHA-256 before it
+loads it, never unpickles, and checks every array against the run the
+caller expects.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, is_integer, read_only, rows_by_length, sum_left_to_right
+from .arrays import ArrayValue, read_only, rows_by_length, sum_left_to_right
 from .belief import constant_columns
-from .errors import ValidationError, check_index
+from .errors import ValidationError, check_index, check_integer
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
@@ -84,10 +88,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("horizon", "seed", "record_beliefs_every", "replications"):
-            v = getattr(self, name)
-            if not is_integer(v):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (0 <= self.seed < 2**64):
@@ -105,8 +107,10 @@ class SimulationConfig:
 @dataclass(frozen=True, eq=False)
 class SimulationTrace(ArrayValue):
     """One replication's backward random walk and the beliefs built along
-    it: exactly the four arrays a trace file stores. The agent count and the
-    horizon are read from the arrays' shapes."""
+    it: the values of exactly the four arrays a trace file stores. The draws
+    may be of any integer dtype; a run and a read hold them in draw_dtypes,
+    and a file stores them as int64. The agent count and the horizon are
+    read from the arrays' shapes."""
 
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
@@ -114,6 +118,9 @@ class SimulationTrace(ArrayValue):
     log_beliefs: np.ndarray  # (len(snapshot_times), n, num_states); row m is time snapshot_times[m]
 
     def __post_init__(self):
+        for name, draws in (("signals", self.signals), ("selections", self.selections)):
+            if draws.dtype.kind not in "iu":
+                raise ValidationError(f"{name} has dtype {draws.dtype}, expected integers")
         if self.signals.ndim != 2 or self.selections.shape != (self.horizon, self.n):
             raise ValidationError(
                 f"selections has shape {self.selections.shape} and signals {self.signals.shape}, "
@@ -216,6 +223,14 @@ def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldMode
     check_selection_support(net, P)
 
 
+def draw_dtypes(world: WorldModel) -> tuple[np.dtype, np.dtype]:
+    """The dtypes a trace holds its signals and selections in: the narrowest
+    unsigned dtype holding every value the array can take, below the largest
+    signal count or below the agent count. A value of such a dtype wraps
+    (np.uint8(255) + 1 is 0), so arithmetic on one takes int() first."""
+    return np.min_scalar_type(int(world.signal_counts.max()) - 1), np.min_scalar_type(world.n_agents - 1)
+
+
 # how _simulate derives each replication's two streams, as the manifest records it
 SEED_DERIVATION = "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)"
 
@@ -236,18 +251,17 @@ def _simulate(
     T, n, R = cfg.horizon, net.n, len(replications)
     N, k, S = R * n, world.num_states, world.log_columns.shape[1]
     times = cfg.snapshot_times()  # starts at 0, ends at T
-    signals = np.empty((R, T + 1, n), dtype=np.int64)
-    selections = np.empty((R, T, n), dtype=np.int64)
+    sig_dtype, sel_dtype = draw_dtypes(world)
+    signals = np.empty((R, T + 1, n), dtype=sig_dtype)
+    selections = np.empty((R, T, n), dtype=sel_dtype)
     snapshots = np.empty((R, len(times), n, k))
 
-    streams = []
-    for r in replications:
-        sig_ss, sel_ss = np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2)
-        streams.append((np.random.Generator(np.random.Philox(sig_ss)), np.random.Generator(np.random.Philox(sel_ss))))
+    seqs = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2) for r in replications]
+    sig_rngs, sel_rngs = ([np.random.Generator(np.random.Philox(ss[j])) for ss in seqs] for j in (0, 1))
     # a world's tables are non-negative, so the nonzero entries are the positive ones
     sig_ptr, sig_values, sig_probs = nonzero_csr(world.tables[:, world.true_state_index])
-    sig_cdf = _row_cdfs(sig_ptr, sig_probs)
-    sel_cdf = _row_cdfs(P.indptr, P.probs)
+    sig_dist = (sig_ptr, sig_values, _row_cdfs(sig_ptr, sig_probs))
+    sel_dist = (P.indptr, P.indices, _row_cdfs(P.indptr, P.probs))
 
     # column b * n + i of a state-major (k, N) buffer is agent i of
     # replication b, and row s holds state s; column i * S + x of cols is
@@ -263,22 +277,21 @@ def _simulate(
     peak = np.empty(N)
     # the states add into col's first row in order (a reduce sums them pairwise where N is 1)
     total, later_states = col[0], list(col[1:])
-    rounds = max(1, BLOCK_AGENT_ROWS // N)
-    # the uniforms fill the draws' own storage (int64 and float64 share an
-    # itemsize); a block's draws overwrite its uniforms once the search has
-    # read them all
-    u_signals, u_selections = signals.view(np.float64), selections.view(np.float64)
-    for b, (rng_sig, rng_sel) in enumerate(streams):
-        rng_sig.random(out=u_signals[b])
-        rng_sel.random(out=u_selections[b])
+    rounds = min(max(1, BLOCK_AGENT_ROWS // N), T + 1)
+    # one block's uniforms of one stream: each call continues its stream
+    # where the block before left it
+    uniforms = np.empty((R, rounds, n))
     slot = 0
     for t0 in range(0, T + 1, rounds):
         t1 = min(t0 + rounds, T + 1)
         s0 = max(t0, 1)  # the block's first round with a selection
         sig = signals[:, t0:t1]
-        sig[:] = _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_signals[:, t0:t1])
         sel = selections[:, s0 - 1 : t1 - 1]
-        sel[:] = _inverse_cdf(P.indptr, P.indices, sel_cdf, u_selections[:, s0 - 1 : t1 - 1])
+        for draws, rngs, dist in ((sig, sig_rngs, sig_dist), (sel, sel_rngs, sel_dist)):
+            u = uniforms[:, : draws.shape[1]]
+            for b, rng in enumerate(rngs):
+                rng.random(out=u[b])
+            draws[:] = _inverse_cdf(*dist, u)
 
         sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
         nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
@@ -387,15 +400,17 @@ def verify_walk_identity(
     return float(abs(lhs - rhs))
 
 
-# the arrays of a trace file, each as a trace holds it
+# the arrays of a trace file, each named as the trace field whose values it stores
 TRACE_ARRAYS = ("signals", "selections", "snapshot_times", "log_beliefs")
 
 
 def write_trace(trace: SimulationTrace, path: str | Path) -> str:
-    """Write the trace's arrays to one .npz file with np.savez and return
-    the SHA-256 of the bytes written."""
+    """Write the trace's arrays to one .npz file with np.savez, the draws
+    and snapshot times as little-endian int64, and return the SHA-256 of the
+    bytes written."""
     with Path(path).open("w+b") as fh:
-        np.savez(fh, signals=trace.signals, selections=trace.selections,
+        np.savez(fh, signals=np.asarray(trace.signals, dtype="<i8"),
+                 selections=np.asarray(trace.selections, dtype="<i8"),
                  snapshot_times=np.array(trace.snapshot_times, dtype=np.int64), log_beliefs=trace.log_beliefs)
         fh.seek(0)
         h = hashlib.sha256()
@@ -420,7 +435,8 @@ def read_trace(
     config's, every signal must lie in its agent's signal space and every
     choice in the support of its agent's selection row. Anything else
     raises ValidationError naming the file, and the round t and 1-based
-    agent where they apply.
+    agent where they apply. The draws come back in draw_dtypes, as a run
+    holds them.
     """
     path = Path(path)
     try:
@@ -486,6 +502,8 @@ def read_trace(
             "the support of the agent's selection row"
         )
 
-    return SimulationTrace(read_only(signals), read_only(selections), times, read_only(arrays["log_beliefs"]))
+    sig_dtype, sel_dtype = draw_dtypes(world)
+    return SimulationTrace(read_only(signals.astype(sig_dtype)), read_only(selections.astype(sel_dtype)), times,
+                           read_only(arrays["log_beliefs"]))
 
 

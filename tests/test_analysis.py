@@ -122,9 +122,15 @@ class TestEmpiricalRate:
 
     def test_window_validation(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
-        for bad in [(-1, 50), (10, 10), (40, 60)]:
+        for bad in [(-1, 50), (10, 10), (40, 60), (1, 2, 3), 5, None]:
             with pytest.raises(ValidationError, match="window"):
                 fitted_rate(tr, TWO_STATE_WORLD, 0, 1, bad)
+
+    @pytest.mark.parametrize("window", [(1, 2, 3), (50,), 5, None], ids=["three", "one", "int", "None"])
+    def test_a_window_that_is_not_a_pair_is_named(self, window):
+        with pytest.raises(ValidationError) as info:
+            window_snapshots(tuple(range(51)), window, 50)
+        assert str(info.value) == f"need a window of two integers [t_start, t_end], got {window!r}"
 
     @pytest.mark.parametrize("window", [(-1, 50), (10, 10), (40, 60), (10.5, 50), (True, 50)],
                              ids=["negative start", "empty", "end past the horizon", "float start", "bool start"])
@@ -326,6 +332,20 @@ class TestOccupancy:
         tr = small_run(ex1_cfg, horizon=10)
         with pytest.raises(ValidationError, match="t >= 1"):
             occupancy(tr, 0, 0, ex1_pi)
+
+    @pytest.mark.parametrize("t", ["3", None, 2.5, True, np.float64(3.0)])
+    def test_time_must_be_an_integer(self, t, ex1_cfg, ex1_pi):
+        tr = small_run(ex1_cfg, horizon=10)
+        with pytest.raises(ValidationError) as info:
+            occupancy(tr, 0, t, ex1_pi)
+        assert str(info.value) == f"time must be an integer, got {t!r}"
+
+    @pytest.mark.parametrize("t", [0, -1, np.int64(0)])
+    def test_time_below_one_is_named(self, t, ex1_cfg, ex1_pi):
+        tr = small_run(ex1_cfg, horizon=10)
+        with pytest.raises(ValidationError) as info:
+            occupancy(tr, 0, t, ex1_pi)
+        assert str(info.value) == f"occupancy needs t >= 1, got {t}"
 
     def test_pi_length_checked(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=10)

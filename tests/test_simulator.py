@@ -1,10 +1,11 @@
 import dataclasses
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gossip_learning import example1, simulator
@@ -435,6 +436,22 @@ class TestValidationAndFingerprints:
                 snapshot_times=(0,), log_beliefs=np.zeros((1, 7, 2)),
             )
 
+    @pytest.mark.parametrize("field, dtype", [
+        ("signals", np.float64), ("selections", np.float64), ("signals", np.bool_), ("selections", object),
+    ])
+    def test_trace_rejects_draws_that_are_not_integers(self, field, dtype):
+        draws = {"signals": np.zeros((4, 2), dtype=np.int64), "selections": np.zeros((3, 2), dtype=np.int64)}
+        draws[field] = draws[field].astype(dtype)
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(**draws, snapshot_times=(0, 3), log_beliefs=np.zeros((2, 2, 2)))
+        assert str(info.value) == f"{field} has dtype {np.dtype(dtype)}, expected integers"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint16])
+    def test_trace_takes_draws_of_any_integer_dtype(self, dtype):
+        tr = SimulationTrace(signals=np.zeros((4, 2), dtype=dtype), selections=np.ones((3, 2), dtype=dtype),
+                             snapshot_times=(0, 3), log_beliefs=np.zeros((2, 2, 2)))
+        assert backward_walk(tr, 0, 3).tolist() == [0, 1, 1, 1]
+
 
 # ---- reference oracle: the batched round kernel against a per-agent loop ----
 
@@ -574,6 +591,46 @@ def test_batched_run_matches_per_agent_reference_across_blocks(case, horizon, st
     # with later rounds and put strided snapshots on block edges
     with mock.patch.object(simulator, "BLOCK_AGENT_ROWS", block_rows):
         assert_matches_reference(*case, SimulationConfig(horizon, seed, stride, replications))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=small_worlds(),
+    horizon=st.integers(1, 25),
+    replications=st.sampled_from([1, 3]),
+    rounds=st.integers(2, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_block_draws_equal_one_call_per_stream(case, horizon, replications, rounds, seed):
+    # blocks of a few rounds that leave a shorter last block, each drawing its
+    # uniforms stream by stream, give every stream's draws from one call
+    assume((horizon + 1) % rounds)
+    net, P, world = case
+    with mock.patch.object(simulator, "BLOCK_AGENT_ROWS", rounds * replications * net.n):
+        traces = run_replications(net, P, world, SimulationConfig(horizon, seed, replications=replications))
+    sig_ptr, sig_values, sig_probs = nonzero_csr(world.tables[:, world.true_state_index])
+    sig_cdf, sel_cdf = _row_cdfs(sig_ptr, sig_probs), _row_cdfs(P.indptr, P.probs)
+    for r, tr in enumerate(traces):
+        sig_ss, sel_ss = np.random.SeedSequence(seed, spawn_key=(r,)).spawn(2)
+        u_sig = np.random.Generator(np.random.Philox(sig_ss)).random((horizon + 1, net.n))
+        u_sel = np.random.Generator(np.random.Philox(sel_ss)).random((horizon, net.n))
+        assert np.array_equal(tr.signals, _inverse_cdf(sig_ptr, sig_values, sig_cdf, u_sig))
+        assert np.array_equal(tr.selections, _inverse_cdf(P.indptr, P.indices, sel_cdf, u_sel))
+
+
+def test_example1_run_holds_little_beyond_its_traces(ex1_cfg):
+    """tracemalloc's peak over example1's run_replications (20 x 5000 rounds
+    of 8 agents) stays within 2 MiB of the traces' own arrays at one byte a
+    draw: no draw is held wider, and a block's buffers are small."""
+    run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, SimulationConfig(horizon=1, seed=0))  # world caches
+    tracemalloc.start()
+    try:
+        traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(tr.log_beliefs.nbytes + tr.signals.size + tr.selections.size for tr in traces)
+    assert peak <= held + 2 * 2**20, (peak, held)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gossip_learning import example1
 from gossip_learning.cli import main
+from gossip_learning.graph import DirectedNetwork, uniform_selection_matrix
 from gossip_learning.simulator import (
     SimulationConfig,
     SimulationTrace,
@@ -22,7 +23,8 @@ from gossip_learning.simulator import (
     run,
     write_trace,
 )
-from tests.test_simulator import small_worlds
+from tests.test_simulator import small_run, small_worlds
+from tests.test_world import tiny_world
 
 # log beliefs of every kind a trace can hold, and more: -inf for a collapsed
 # state, subnormals, -0.0, the extremes, and any other float
@@ -70,6 +72,39 @@ def test_trace_bytes_are_pinned(tmp_path):
     assert digest == "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["traces"] == [digest]
+
+
+def test_example1_draws_are_held_in_bytes(ex1_cfg):
+    tr = small_run(ex1_cfg, horizon=20)
+    assert (tr.signals.dtype, tr.selections.dtype) == (np.uint8, np.uint8)
+
+
+@pytest.mark.parametrize("n, signals, dtypes", [
+    (300, 2, (np.uint8, np.uint16)),
+    (2, 257, (np.uint16, np.uint8)),
+    (256, 256, (np.uint8, np.uint8)),
+])
+def test_draws_are_held_narrow_and_stored_as_int64(n, signals, dtypes, tmp_path):
+    """n agents on a ring, each consulting its predecessor, each drawing its
+    last signal: the largest value each array can take."""
+    net = DirectedNetwork(n, [((i - 1) % n, i) for i in range(n)])
+    P = uniform_selection_matrix(net)
+    row = [0.0] * (signals - 1) + [1.0]
+    world = tiny_world([[row, row]] * n)
+    cfg = SimulationConfig(horizon=4, seed=5)
+    tr = run(net, P, world, cfg)
+    assert (tr.signals.dtype, tr.selections.dtype) == dtypes
+    assert np.all(tr.signals == signals - 1)
+    assert np.all(tr.selections == (np.arange(n) - 1) % n)
+
+    digest = write_trace(tr, tmp_path / "rep000.npz")
+    with np.load(tmp_path / "rep000.npz") as npz:
+        for name in ("signals", "selections"):
+            assert npz[name].dtype.str == "<i8"
+            assert np.array_equal(npz[name], getattr(tr, name))
+    back = read_trace(tmp_path / "rep000.npz", digest, P, world, cfg)
+    assert (back.signals.dtype, back.selections.dtype) == dtypes
+    assert back == tr
 
 
 # ---- what a read rejects ----------------------------------------------------
