@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, int_array, is_integer, sum_left_to_right
-from .errors import ValidationError, check_index, check_integer
+from .arrays import ArrayValue, is_integer, sum_left_to_right
+from .errors import ValidationError, check_index, check_indices, check_integer, check_sizes
 from .graph import StationaryDistribution
 from .simulator import SimulationTrace, backward_walk
 from .world import WorldModel
@@ -27,10 +27,7 @@ from .world import WorldModel
 def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state: int) -> float:
     """Predicted decay rate of belief on check_state: sum over agents of the
     stationary weight times the signal divergence between truth and check_state."""
-    if pi.pi.shape[0] != world.n_agents:
-        raise ValidationError(
-            f"stationary vector has {pi.pi.shape[0]} entries, world has {world.n_agents} agents"
-        )
+    check_sizes(stationary_entries=len(pi.pi), world_agents=world.n_agents)
     check_index("check_state", check_state, world.num_states)
     weights = pi.pi
     recurrent = weights > 0.0
@@ -105,38 +102,36 @@ def rate_report(
     empirical = mean of the negated per-replication slopes; stderr = sample
     standard deviation across replications divided by sqrt(R) (0.0 when R=1).
     Each trace fits all its pairs at once, with the bits of a lone pair's fit.
-    The first faulty trace names a zero true-state belief (first agent, then
-    earliest t), else a zero check-state belief (first state, then agent).
+    The first faulty trace (1-based replication) names a zero true-state
+    belief (first agent, then earliest t), else a zero check-state belief
+    (first state, then agent). pi and every trace must fit the world.
     """
     if not traces:
         raise ValidationError("rate_report needs at least one trace")
     theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
     separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
     theta = world.true_state_index
-    picked = int_array(agents)
-    if picked is None or picked.ndim != 1:
-        for a in agents:
-            check_index("agent", a, traces[0].n)
+    picked = check_indices("agent", agents, world.n_agents)
     slopes = np.empty((len(check_states), len(agents), len(traces)))
     for r, tr in enumerate(traces):
+        check_sizes(world_agents=world.n_agents, trace_agents=tr.n)
+        check_sizes(world_states=world.num_states, trace_states=tr.log_beliefs.shape[2])
         inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
         times = np.array(tr.snapshot_times[inside], dtype=float)
-        outside = (picked < 0) | (picked >= tr.n)
-        if outside.any():
-            check_index("agent", agents[int(np.argmax(outside))], tr.n)
         view = tr.log_beliefs[inside].transpose(2, 1, 0)  # (states, agents, m)
         truth = np.ascontiguousarray(view[theta, picked])
         zero_truth = np.isneginf(truth)
         if zero_truth.any():
             j = int(np.argmax(zero_truth.any(axis=1)))
             t = times[np.argmax(zero_truth[j])]
-            raise ValidationError(f"agent {agents[j] + 1} has zero belief on the true state at t={int(t)}")
+            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} has zero belief on the true state "
+                                  f"at t={int(t)}")
         y = np.ascontiguousarray(view[np.ix_(check_states, picked)])  # a pair's series is one row
         y -= truth
         zero_check = np.isneginf(y).any(axis=-1)
         if zero_check.any():
             k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
-            raise ValidationError(f"agent {agents[j] + 1} holds exactly zero belief on state "
+            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} holds exactly zero belief on state "
                                   f"{world.state_space.states[check_states[k]]} inside the window; "
                                   "the log-ratio regression is undefined")
         # least-squares slopes: each mean runs along one contiguous row, as it
@@ -169,8 +164,7 @@ def occupancy(trace: SimulationTrace, agent: int, t: int, pi: StationaryDistribu
     check_integer("time", t)
     if t < 1:
         raise ValidationError(f"occupancy needs t >= 1, got {t}")
-    if pi.pi.shape[0] != trace.n:
-        raise ValidationError(f"stationary vector has {pi.pi.shape[0]} entries, trace has {trace.n} agents")
+    check_sizes(stationary_entries=len(pi.pi), trace_agents=trace.n)
     walk = backward_walk(trace, agent, t)
     freqs = np.bincount(walk[1:], minlength=trace.n) / float(t)
     return OccupancyReport(frequencies=freqs, stationary=pi.pi)
@@ -183,8 +177,7 @@ def belief_difference(
     state: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|belief_a(state) - belief_b(state)| at every snapshot time."""
-    for a in (agent_a, agent_b):
-        check_index("agent", a, trace.n)
+    check_indices("agent", [agent_a, agent_b], trace.n)
     check_index("state", state, trace.log_beliefs.shape[2])
     times = np.array(trace.snapshot_times, dtype=np.int64)
     mass = np.exp(trace.log_beliefs[:, [agent_a, agent_b], state])

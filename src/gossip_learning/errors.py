@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and its one integer check and
-one index check."""
+"""Exception types shared across the package, and its one integer check,
+one index check, one index-list check and one size-agreement check."""
 
-from .arrays import is_integer
+import numpy as np
+
+from .arrays import int_array, is_integer
 
 
 class ValidationError(ValueError):
@@ -19,6 +21,23 @@ def check_index(name: str, value: int, count: int) -> None:
     check_integer(name, value)
     if not (0 <= value < count):
         raise ValidationError(f"{name} {value} outside 0..{count - 1}")
+
+
+def check_indices(name: str, values, count: int) -> np.ndarray:
+    """values as a 1-D int64 array, raising unless it is a sequence of
+    indices that each pass check_index; the first entry that fails is named."""
+    arr = int_array(values)
+    if arr is not None and arr.ndim == 1 and ((arr >= 0) & (arr < count)).all():
+        return arr
+    for value in values if hasattr(values, "__iter__") else [values]:
+        check_index(name, value, count)
+    raise ValidationError(f"need a sequence of {name} indices, got {values!r}")
+
+
+def check_sizes(**sizes: int) -> None:
+    """Raise unless every named size is the same, naming each."""
+    if len(set(sizes.values())) > 1:
+        raise ValidationError("inconsistent sizes: " + ", ".join(f"{name}={size}" for name, size in sizes.items()))
 
 
 class ImpossibleSignalError(ValidationError):

@@ -62,7 +62,7 @@ import numpy as np
 
 from .arrays import ArrayValue, read_only, rows_by_length, sum_left_to_right
 from .belief import constant_columns
-from .errors import ValidationError, check_index, check_integer
+from .errors import ValidationError, check_index, check_integer, check_sizes
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
@@ -108,9 +108,10 @@ class SimulationConfig:
 class SimulationTrace(ArrayValue):
     """One replication's backward random walk and the beliefs built along
     it: the values of exactly the four arrays a trace file stores. The draws
-    may be of any integer dtype; a run and a read hold them in draw_dtypes,
-    and a file stores them as int64. The agent count and the horizon are
-    read from the arrays' shapes."""
+    may be of any integer dtype, each a valid index (a signal >= 0, a choice
+    in 0..n-1); a run and a read hold them in draw_dtypes, and a file stores
+    them as int64. The log beliefs are float64. The agent count and the
+    horizon are read from the arrays' shapes."""
 
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
@@ -126,11 +127,20 @@ class SimulationTrace(ArrayValue):
                 f"selections has shape {self.selections.shape} and signals {self.signals.shape}, "
                 "expected (horizon, n) and (horizon + 1, n)"
             )
-        if self.log_beliefs.shape[:2] != (len(self.snapshot_times), self.n):
+        if self.log_beliefs.dtype != np.float64:
+            raise ValidationError(f"log_beliefs has dtype {self.log_beliefs.dtype}, expected float64")
+        if self.log_beliefs.ndim != 3 or self.log_beliefs.shape[:2] != (len(self.snapshot_times), self.n):
             raise ValidationError(
                 f"log_beliefs has shape {self.log_beliefs.shape}, expected "
                 f"({len(self.snapshot_times)}, {self.n}, num_states)"
             )
+        sig, sel, n = self.signals, self.selections, self.n
+        if sig.dtype.kind == "i" and sig.min(initial=0) < 0:
+            t, i = divmod(int(np.argmax(sig < 0)), n)
+            raise ValidationError(f"t={t}, agent {i + 1}: signal {sig[t, i]} is negative")
+        if sel.max(initial=0) >= n or (sel.dtype.kind == "i" and sel.min(initial=0) < 0):
+            r, i = divmod(int(np.argmax((sel < 0) | (sel >= n))), n)
+            raise ValidationError(f"t={r + 1}, agent {i + 1}: chosen agent {int(sel[r, i]) + 1} outside agents 1..{n}")
 
     @property
     def n(self) -> int:
@@ -214,15 +224,6 @@ def _inverse_cdf(indptr: np.ndarray, indices: np.ndarray, cdf: np.ndarray, u: np
     return indices[np.minimum(at, last)]
 
 
-def _check_consistent(net: DirectedNetwork, P: SelectionMatrix, world: WorldModel) -> None:
-    if not (net.n == P.n == world.n_agents):
-        raise ValidationError(
-            f"inconsistent sizes: network n={net.n}, selection matrix n={P.n}, "
-            f"world has {world.n_agents} likelihood tables"
-        )
-    check_selection_support(net, P)
-
-
 def draw_dtypes(world: WorldModel) -> tuple[np.dtype, np.dtype]:
     """The dtypes a trace holds its signals and selections in: the narrowest
     unsigned dtype holding every value the array can take, below the largest
@@ -247,7 +248,8 @@ def _simulate(
     Signals are drawn where the true state's likelihood is positive and the
     prior is positive, so the true state's log belief is always finite, and
     with it each round's maximum over the states."""
-    _check_consistent(net, P, world)
+    check_sizes(network_agents=net.n, matrix_agents=P.n, world_agents=world.n_agents)
+    check_selection_support(net, P)
     T, n, R = cfg.horizon, net.n, len(replications)
     N, k, S = R * n, world.num_states, world.log_columns.shape[1]
     times = cfg.snapshot_times()  # starts at 0, ends at T
@@ -373,16 +375,19 @@ def verify_walk_identity(
     signal term per backward-walk step. Returns the absolute residual;
     exact -inf on both sides counts as a match (residual 0).
     """
+    check_sizes(world_agents=world.n_agents, trace_agents=trace.n)
+    check_sizes(world_states=world.num_states, trace_states=trace.log_beliefs.shape[2])
     check_index("check_state", check_state, world.num_states)
+    walk = backward_walk(trace, i, t)  # checks the agent and t
     theta = world.true_state_index
     snap = trace.log_belief_at(t)
+    where = f"agent {i + 1} at t={t}, check state {world.state_space.states[check_state]}"
     if snap[i, theta] == -np.inf:
-        raise ValidationError("belief has zero mass on the true state; ratio undefined")
+        raise ValidationError(f"{where}: belief has zero mass on the true state; ratio undefined")
     lhs = snap[i, check_state] - snap[i, theta]
 
     # one signal term per walk node, own round-t term first, summed left to
     # right after the prior ratio
-    walk = backward_walk(trace, i, t)
     sigs = trace.signals[t - np.arange(t + 1), walk]
     cols = world.log_columns
     terms = cols[walk, sigs, check_state] - cols[walk, sigs, theta]
@@ -390,13 +395,11 @@ def verify_walk_identity(
     rhs = float(sum_left_to_right(np.concatenate(([prior_ratio], terms))))
 
     if np.isnan(rhs) or rhs == np.inf:
-        raise ValidationError("a walk signal has zero likelihood under the true state")
+        raise ValidationError(f"{where}: a walk signal has zero likelihood under the true state")
     if lhs == -np.inf or rhs == -np.inf:
         if lhs == rhs:
             return 0.0
-        raise ValidationError(
-            f"one side is -inf and the other is not: stored {lhs!r}, telescoped {rhs!r}"
-        )
+        raise ValidationError(f"{where}: one side is -inf and the other is not: stored {lhs!r}, telescoped {rhs!r}")
     return float(abs(lhs - rhs))
 
 

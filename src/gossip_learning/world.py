@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .arrays import PROB_SUM_TOL, ArrayValue, float_array, int_array, read_only, rows_by_length, sum_left_to_right
-from .errors import ValidationError
+from .errors import ValidationError, check_indices
 
 # KL divergence below this is treated as "states look identical to the agent".
 DISTINGUISH_TOL = 1e-12
@@ -262,7 +262,7 @@ def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> Id
     """Verdict: every false state is distinguished from the truth by some agent
     in the given set (pass the recurrent class of the selection chain). Each
     state's witnesses ascend."""
-    members = np.sort(np.asarray(agents, dtype=np.int64))
+    members = np.sort(check_indices("agent", agents, world.n_agents))
     if not members.size:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index

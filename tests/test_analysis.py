@@ -25,7 +25,7 @@ from gossip_learning.graph import (
 )
 from gossip_learning.simulator import SimulationConfig, SimulationTrace, backward_walk, run, run_replications
 from gossip_learning.world import kl_divergence
-from tests.test_simulator import small_run
+from tests.test_simulator import nine_agent_run, small_run
 from tests.test_world import tiny_world
 
 # frozen from an independent high-precision evaluation of sum_m pi_m * KL_m
@@ -49,6 +49,7 @@ def synthetic_trace(rate: float, horizon: int = 100) -> SimulationTrace:
 
 
 TWO_STATE_WORLD = tiny_world([[[0.5, 0.5], [0.5, 0.5]]])
+TWO_AGENT_WORLD = tiny_world([[[0.5, 0.5], [0.5, 0.5]]] * 2)
 
 
 def fitted_rate(trace, world, agent, check_state, window) -> float:
@@ -160,13 +161,13 @@ class TestEmpiricalRate:
     def test_zero_belief_on_check_state_rejected(self):
         tr = self._two_agent_trace([0.0, -np.inf])
         with pytest.raises(ValidationError, match="zero belief") as exc:
-            fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
+            fitted_rate(tr, TWO_AGENT_WORLD, 1, 1, (0, 3))
         assert "agent 2 holds exactly zero belief on state 2 " in str(exc.value)
 
     def test_zero_belief_on_true_state_rejected(self):
         tr = self._two_agent_trace([-np.inf, 0.0])
         with pytest.raises(ValidationError, match="agent 2 has zero belief on the true state at t=0"):
-            fitted_rate(tr, TWO_STATE_WORLD, 1, 1, (0, 3))
+            fitted_rate(tr, TWO_AGENT_WORLD, 1, 1, (0, 3))
 
     def test_faults_are_named_by_replication_then_truth_then_state_then_agent(self):
         # log beliefs [t, agent, state] at t = 0..3: every state 1/3 except at the faults
@@ -188,6 +189,7 @@ class TestEmpiricalRate:
             with pytest.raises(ValidationError) as exc:
                 rate_report([log_belief_trace(first), log_belief_trace(second)], pi, world, [1, 2], [1, 0], (0, 3))
             assert message in str(exc.value)
+            assert str(exc.value).startswith(f"replication {1 if fault else 2}: ")
             if fault is not None:
                 first[fault] = np.log(1 / 3)
 
@@ -245,6 +247,19 @@ class TestRateReport:
         assert report.rows[0].rel_error == pytest.approx(abs(0.02 - theo) / theo, rel=1e-9)
         assert not report.within(report.rows[0].rel_error * 0.99)
         assert report.within(report.rows[0].rel_error * 1.01)
+
+    def test_a_trace_of_another_world_is_rejected(self, ex1_pi, ex1_cfg):
+        nine = nine_agent_run(ex1_cfg)  # example1 plus agent 9
+        with pytest.raises(ValidationError) as info:
+            rate_report([nine], ex1_pi, ex1_cfg.world, [1, 2], [1, 8], (10, 50))
+        assert str(info.value) == "agent 8 outside 0..7"
+        with pytest.raises(ValidationError) as info:
+            rate_report([small_run(ex1_cfg, horizon=50), nine], ex1_pi, ex1_cfg.world, [1, 2], [1, 7], (10, 50))
+        assert str(info.value) == "inconsistent sizes: world_agents=8, trace_agents=9"
+        two_states = log_belief_trace(np.full((51, 8, 2), np.log(0.5)))
+        with pytest.raises(ValidationError) as info:
+            rate_report([two_states], ex1_pi, ex1_cfg.world, [1], [1], (10, 50))
+        assert str(info.value) == "inconsistent sizes: world_states=3, trace_states=2"
 
     def test_empty_trace_list_rejected(self, ex1_pi, ex1_cfg):
         with pytest.raises(ValidationError, match="at least one"):

@@ -24,7 +24,7 @@ from gossip_learning import example1
 from gossip_learning.analysis import OccupancyReport, theoretical_rate
 from gossip_learning.arrays import ArrayValue, float_array, int_array, sum_left_to_right
 from gossip_learning.config import parse_config_dict
-from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError
+from gossip_learning.errors import MultipleRecurrentClassesError, ValidationError, check_indices, check_sizes
 from gossip_learning.graph import (
     DirectedNetwork,
     SelectionMatrix,
@@ -475,6 +475,34 @@ def test_integers_become_an_int64_array(x):
         "string", "int beyond int64"])
 def test_what_is_not_integers(x):
     assert int_array(x) is None
+
+
+@pytest.mark.parametrize("values", [[0, 7, 3], range(8), (2,), np.array([5, 1], dtype=np.uint8), []],
+                         ids=["list", "range", "tuple", "uint8 array", "empty"])
+def test_an_index_list_becomes_an_int64_array(values):
+    arr = check_indices("agent", values, 8)
+    assert arr.dtype == np.int64 and arr.tolist() == list(values)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 8, -1], "agent 8 outside 0..7"), ([0, -1], "agent -1 outside 0..7"),
+    ([2, 1.0], "agent must be an integer, got 1.0"), ([np.True_], "agent must be an integer, got np.True_"),
+    ([[0, 1]], "agent must be an integer, got [0, 1]"),
+    ([0, 2**70], f"agent {2**70} outside 0..7"), (3, "need a sequence of agent indices, got 3"),
+    (2.5, "agent must be an integer, got 2.5"), ("", "need a sequence of agent indices, got ''"),
+], ids=["past the end", "negative", "float", "numpy bool", "nested", "beyond int64", "scalar", "float scalar",
+        "empty string"])
+def test_an_index_list_names_its_first_bad_entry(values, message):
+    with pytest.raises(ValidationError) as info:
+        check_indices("agent", values, 8)
+    assert str(info.value) == message
+
+
+def test_sizes_agree_or_each_is_named():
+    check_sizes(network_agents=3, matrix_agents=3, world_agents=3)
+    with pytest.raises(ValidationError) as info:
+        check_sizes(network_agents=3, matrix_agents=2, world_agents=3)
+    assert str(info.value) == "inconsistent sizes: network_agents=3, matrix_agents=2, world_agents=3"
 
 
 def test_selection_indices_must_be_integers():

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,17 @@ from gossip_learning.config import load_config, parse_config_dict
 from gossip_learning.graph import stationary_distribution
 from gossip_learning.simulator import read_trace, run, run_replications
 from tests.test_analysis import fitted_rate
+
+
+def test_the_cli_loads_no_test_only_package():
+    """numpy is the one runtime dependency: a fresh interpreter that imports
+    the CLI has loaded none of the packages only the tests need."""
+    code = "import json, sys, gossip_learning.cli; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "numpy" in loaded and "gossip_learning" in loaded
+    assert loaded.isdisjoint({"scipy", "networkx", "hypothesis", "pytest"}), sorted(loaded)
 
 
 def set_selection_entry(value):

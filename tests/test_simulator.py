@@ -35,6 +35,15 @@ def small_run(ex1_cfg, horizon=200, seed=7, stride=1, replication=0):
     return run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=replication)
 
 
+def nine_agent_run(ex1_cfg, horizon=50):
+    """example1's world and network plus agent 9, who observes agent 8 and
+    holds agent 3's table."""
+    w = ex1_cfg.world
+    world = tiny_world([w.likelihood(i) for i in range(8)] + [example1.TABLE_AGENT_3], labels=(1, 2, 3))
+    net = DirectedNetwork(9, [(a - 1, b - 1) for a, b in example1.EDGES] + [(7, 8)])
+    return run(net, uniform_selection_matrix(net), world, SimulationConfig(horizon=horizon, seed=3))
+
+
 def row_draws(row, u):
     """Draws from one dense probability row, one per uniform in u."""
     indptr, indices, probs = nonzero_csr(row[None])
@@ -318,6 +327,30 @@ class TestWalk:
         tr = run(net, P, w, SimulationConfig(horizon=20, seed=seed))
         assert verify_walk_identity(tr, w, 0, 10, 1) == 0.0
 
+    def test_identity_rejects_a_trace_of_another_world(self, ex1_cfg):
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(nine_agent_run(ex1_cfg), ex1_cfg.world, 8, 50, 1)
+        assert str(info.value) == "inconsistent sizes: world_agents=8, trace_agents=9"
+        four_states = tiny_world([[[0.5, 0.5]] * 4] * 8)
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(small_run(ex1_cfg, horizon=10), four_states, 0, 10, 1)
+        assert str(info.value) == "inconsistent sizes: world_states=4, trace_states=3"
+
+    def test_identity_faults_name_the_agent_time_and_state(self):
+        world = tiny_world([[[1.0, 0.0], [0.5, 0.5]]] * 2)  # signal 1 is impossible under the truth
+        logb = np.zeros((4, 2, 2))
+        logb[3, 1, 0] = -np.inf
+        tr = SimulationTrace(np.zeros((4, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64), (0, 1, 2, 3), logb)
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(tr, world, 1, 3, 1)
+        assert str(info.value) == ("agent 2 at t=3, check state 2: belief has zero mass on the true state; "
+                                   "ratio undefined")
+        tr = dataclasses.replace(tr, signals=np.ones((4, 2), dtype=np.int64))
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(tr, world, 0, 2, 1)
+        assert str(info.value) == ("agent 1 at t=2, check state 2: a walk signal has zero likelihood under "
+                                   "the true state")
+
     def test_identity_detects_mismatched_world(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=30)
         zero_col = [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5]]
@@ -445,6 +478,34 @@ class TestValidationAndFingerprints:
         with pytest.raises(ValidationError) as info:
             SimulationTrace(**draws, snapshot_times=(0, 3), log_beliefs=np.zeros((2, 2, 2)))
         assert str(info.value) == f"{field} has dtype {np.dtype(dtype)}, expected integers"
+
+    @pytest.mark.parametrize("chosen", [-1, 8, 9])
+    def test_trace_rejects_a_choice_outside_its_agents(self, chosen):
+        selections = np.zeros((3, 8), dtype=np.int64)
+        selections[1, 5] = chosen
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(np.zeros((4, 8), dtype=np.int64), selections, (0, 3), np.zeros((2, 8, 3)))
+        assert str(info.value) == f"t=2, agent 6: chosen agent {chosen + 1} outside agents 1..8"
+
+    def test_trace_rejects_a_negative_signal(self):
+        signals = np.zeros((4, 2), dtype=np.int8)
+        signals[3, 1] = -2
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(signals, np.zeros((3, 2), dtype=np.int8), (0, 3), np.zeros((2, 2, 2)))
+        assert str(info.value) == "t=3, agent 2: signal -2 is negative"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float16, object])
+    def test_trace_rejects_log_beliefs_that_are_not_float64(self, dtype):
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(np.zeros((4, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64), (0, 3),
+                            np.zeros((2, 2, 2), dtype=dtype))
+        assert str(info.value) == f"log_beliefs has dtype {np.dtype(dtype)}, expected float64"
+
+    def test_trace_rejects_log_beliefs_without_a_state_axis(self):
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(np.zeros((4, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64), (0, 3),
+                            np.zeros((2, 2)))
+        assert str(info.value) == "log_beliefs has shape (2, 2), expected (2, 2, num_states)"
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.uint16])
     def test_trace_takes_draws_of_any_integer_dtype(self, dtype):
@@ -642,3 +703,44 @@ def test_walk_identity_holds_on_random_worlds(case, horizon, seed, data):
     t = data.draw(st.integers(0, horizon))
     check = data.draw(st.integers(0, world.num_states - 1))
     assert verify_walk_identity(tr, world, i, t, check) <= 1e-8
+
+
+SIGNED = [np.int8, np.int16, np.int64]
+TRACE_FAULTS = {
+    "negative signal": lambda t, i, n: f"t={t}, agent {i + 1}: signal -1 is negative",
+    "choice -1": lambda t, i, n: f"t={t}, agent {i + 1}: chosen agent 0 outside agents 1..{n}",
+    "choice n": lambda t, i, n: f"t={t}, agent {i + 1}: chosen agent {n + 1} outside agents 1..{n}",
+    "int64 log beliefs": lambda t, i, n: "log_beliefs has dtype int64, expected float64",
+    "float32 log beliefs": lambda t, i, n: "log_beliefs has dtype float32, expected float64",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), horizon=st.integers(1, 8), k=st.integers(1, 3), seed=st.integers(0, 2**32),
+       fault=st.sampled_from([None, *TRACE_FAULTS]), data=st.data())
+def test_a_trace_names_the_one_fault_in_its_arrays(n, horizon, k, seed, fault, data):
+    """A hand-built trace with one injected fault raises a ValidationError
+    naming it, with round t and 1-based agent for a draw; without one it is
+    accepted, and every walk stays on its agents."""
+    negative = fault in ("negative signal", "choice -1")
+    dtype = data.draw(st.sampled_from(SIGNED if negative else [*SIGNED, np.uint8, np.uint16]))
+    rng = np.random.default_rng(seed)
+    signals = rng.integers(0, 4, (horizon + 1, n)).astype(dtype)
+    selections = rng.integers(0, n, (horizon, n)).astype(dtype)
+    log_beliefs = rng.standard_normal((2, n, k))
+    i = data.draw(st.integers(0, n - 1))
+    t = data.draw(st.integers(0 if fault == "negative signal" else 1, horizon))
+    if fault == "negative signal":
+        signals[t, i] = -1
+    elif fault in ("choice -1", "choice n"):
+        selections[t - 1, i] = -1 if fault == "choice -1" else n
+    elif fault is not None:
+        log_beliefs = log_beliefs.astype(np.int64 if fault.startswith("int64") else np.float32)
+    if fault is None:
+        tr = SimulationTrace(signals, selections, (0, horizon), log_beliefs)
+        walk = backward_walk(tr, i, t)
+        assert 0 <= walk.min() and walk.max() < n
+        return
+    with pytest.raises(ValidationError) as info:
+        SimulationTrace(signals, selections, (0, horizon), log_beliefs)
+    assert str(info.value) == TRACE_FAULTS[fault](t, i, n)

@@ -216,6 +216,20 @@ class TestIdentifiability:
         assert not report.identifiable
         assert report.witnesses == ((1, (1,)), (2, ()))
 
+    @pytest.mark.parametrize("agents, message", [
+        ([-1], "agent -1 outside 0..7"), ([8], "agent 8 outside 0..7"), ([0.5], "agent must be an integer, got 0.5"),
+        ([1, True], "agent must be an integer, got True"), ([[0, 1]], "agent must be an integer, got [0, 1]"),
+    ], ids=["-1", "8", "0.5", "bool", "nested"])
+    def test_each_agent_is_an_index(self, ex1_cfg, agents, message):
+        with pytest.raises(ValidationError) as info:
+            check_global_identifiability(ex1_cfg.world, agents)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("agents", [range(5), (4, 3, 2, 1, 0), np.arange(5, dtype=np.uint8)],
+                             ids=["range", "tuple", "uint8 array"])
+    def test_any_sequence_of_agents_is_read(self, ex1_cfg, agents):
+        assert check_global_identifiability(ex1_cfg.world, agents).witnesses == ((1, (1,)), (2, (0,)))
+
     def test_empty_agent_set_rejected(self, ex1_cfg):
         with pytest.raises(ValidationError, match="nonempty"):
             check_global_identifiability(ex1_cfg.world, [])
