@@ -87,6 +87,63 @@ class RateReport:
         return all(r._verdict(rel_tolerance) is not False for r in self.rows)
 
 
+def fit_rates(
+    windows: Iterable[tuple[Sequence[int], np.ndarray]],
+    pi: StationaryDistribution,
+    world: WorldModel,
+    check_states: list[int],
+    agents: list[int],
+    positions: Sequence[int] | None = None,
+) -> RateReport:
+    """Fit the decay rate for each (false state, agent) pair on every
+    replication's window.
+
+    windows yields one (snapshot times, log beliefs) pair a replication:
+    the ascending times inside the fit window and the (m, agents, states)
+    log beliefs at them, with agents[j]'s series at positions[j] of the
+    agent axis (by default at agents[j] itself, as in a trace's snapshots).
+    Rows and faults are as rate_report states them; faults name agents[j].
+    """
+    theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
+    separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
+    theta = world.true_state_index
+    picked = check_indices("agent", agents, world.n_agents)
+    at = picked if positions is None else positions
+    slopes = []
+    for r, (snapshot_times, beliefs) in enumerate(windows):
+        times = np.array(snapshot_times, dtype=float)
+        view = beliefs.transpose(2, 1, 0)  # (states, agents, m)
+        truth = np.ascontiguousarray(view[theta, at])
+        zero_truth = np.isneginf(truth)
+        if zero_truth.any():
+            j = int(np.argmax(zero_truth.any(axis=1)))
+            t = times[np.argmax(zero_truth[j])]
+            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} has zero belief on the true state "
+                                  f"at t={int(t)}")
+        y = np.ascontiguousarray(view[np.ix_(check_states, at)])  # a pair's series is one row
+        y -= truth
+        zero_check = np.isneginf(y).any(axis=-1)
+        if zero_check.any():
+            k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
+            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} holds exactly zero belief on state "
+                                  f"{world.state_space.states[check_states[k]]} inside the window; "
+                                  "the log-ratio regression is undefined")
+        # least-squares slopes: each mean runs along one contiguous row, as it
+        # would on that row alone, and the stacked matmul is one BLAS dot a row
+        tc = times - times.mean()
+        y -= y.mean(axis=-1, keepdims=True)
+        slopes.append(-(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc)))
+    slopes = np.stack(slopes, axis=-1)  # (states, agents, replications)
+    empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
+    if slopes.shape[-1] > 1:
+        stderr = slopes.std(ddof=1, axis=-1) / np.sqrt(slopes.shape[-1])
+    rows = tuple(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=err, separated=sep)
+                 for cs, theo, sep, emps, errs in zip(check_states, theoretical, separated, empirical.tolist(),
+                                                      stderr.tolist())
+                 for a, emp, err in zip(agents, emps, errs))
+    return RateReport(replications=slopes.shape[-1], rows=rows)
+
+
 def rate_report(
     traces: list[SimulationTrace],
     pi: StationaryDistribution,
@@ -104,49 +161,20 @@ def rate_report(
     Each trace fits all its pairs at once, with the bits of a lone pair's fit.
     The first faulty trace (1-based replication) names a zero true-state
     belief (first agent, then earliest t), else a zero check-state belief
-    (first state, then agent). pi and every trace must fit the world.
+    (first state, then agent). pi and every trace must fit the world. Each
+    trace's window is passed to fit_rates as a view of its snapshots.
     """
     if not traces:
         raise ValidationError("rate_report needs at least one trace")
-    theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
-    separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
-    theta = world.true_state_index
-    picked = check_indices("agent", agents, world.n_agents)
-    slopes = np.empty((len(check_states), len(agents), len(traces)))
-    for r, tr in enumerate(traces):
-        check_sizes(world_agents=world.n_agents, trace_agents=tr.n)
-        check_sizes(world_states=world.num_states, trace_states=tr.log_beliefs.shape[2])
-        inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
-        times = np.array(tr.snapshot_times[inside], dtype=float)
-        view = tr.log_beliefs[inside].transpose(2, 1, 0)  # (states, agents, m)
-        truth = np.ascontiguousarray(view[theta, picked])
-        zero_truth = np.isneginf(truth)
-        if zero_truth.any():
-            j = int(np.argmax(zero_truth.any(axis=1)))
-            t = times[np.argmax(zero_truth[j])]
-            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} has zero belief on the true state "
-                                  f"at t={int(t)}")
-        y = np.ascontiguousarray(view[np.ix_(check_states, picked)])  # a pair's series is one row
-        y -= truth
-        zero_check = np.isneginf(y).any(axis=-1)
-        if zero_check.any():
-            k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
-            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} holds exactly zero belief on state "
-                                  f"{world.state_space.states[check_states[k]]} inside the window; "
-                                  "the log-ratio regression is undefined")
-        # least-squares slopes: each mean runs along one contiguous row, as it
-        # would on that row alone, and the stacked matmul is one BLAS dot a row
-        tc = times - times.mean()
-        y -= y.mean(axis=-1, keepdims=True)
-        slopes[:, :, r] = -(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc))
-    empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
-    if len(traces) > 1:
-        stderr = slopes.std(ddof=1, axis=-1) / np.sqrt(len(traces))
-    rows = tuple(RateRow(check_state=cs, agent=a, theoretical=theo, empirical=emp, stderr=err, separated=sep)
-                 for cs, theo, sep, emps, errs in zip(check_states, theoretical, separated, empirical.tolist(),
-                                                      stderr.tolist())
-                 for a, emp, err in zip(agents, emps, errs))
-    return RateReport(replications=len(traces), rows=rows)
+
+    def windows():
+        for tr in traces:
+            check_sizes(world_agents=world.n_agents, trace_agents=tr.n)
+            check_sizes(world_states=world.num_states, trace_states=tr.log_beliefs.shape[2])
+            inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
+            yield tr.snapshot_times[inside], tr.log_beliefs[inside]
+
+    return fit_rates(windows(), pi, world, check_states, agents)
 
 
 @dataclass(frozen=True, eq=False)

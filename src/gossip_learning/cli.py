@@ -18,28 +18,46 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from . import example1
 from .analysis import (
+    RateReport,
     belief_difference,
+    fit_rates,
     occupancy,
     rate_report,
+    window_snapshots,
     write_belief_difference,
     write_csv,
     write_occupancy,
     write_rate_report,
 )
+from .arrays import read_only
 from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
-from .simulator import SEED_DERIVATION, matrix_fingerprint, read_trace, run_replications, world_fingerprint, write_trace
+from .simulator import (
+    SEED_DERIVATION,
+    SimulationTrace,
+    TraceWriter,
+    matrix_fingerprint,
+    read_trace,
+    run_replications,  # noqa: F401 -- not called here; bench/ binds cli.run_replications by name
+    simulate,
+    world_fingerprint,
+)
 from .world import check_global_identifiability
 
 OUT_ENV_VAR = "GOSSIP_LEARNING_OUT"
 DEFAULT_OUT = "gossip_learning_out"
+
+# replications simulated together, so a run holds at most this many trace
+# files open (a common limit on open files is 1024)
+GROUP_REPLICATIONS = 64
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -118,26 +136,66 @@ def _derived_fields(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _write_run_outputs(cfg: ExperimentConfig, out: Path, say, extra_files: dict | None = None) -> list:
-    traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
-    out.mkdir(parents=True, exist_ok=True)
-    digests = []
-    for r, tr in enumerate(traces):
-        path = out / _trace_name(r)
-        digests.append(write_trace(tr, path))
-        say(f"wrote {path}")
+def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bool = False,
+                       first: bool = False) -> tuple[list, list, SimulationTrace | None]:
+    """Simulate every replication of cfg, at most GROUP_REPLICATIONS at a
+    time, and take each block of belief snapshots as it is made, holding no
+    run's full snapshot array.
+
+    Returns (digests, fit windows, first trace): with out, replication r is
+    written to out/repNNN.npz and digests lists the files' SHA-256; with
+    windows, the fit windows are one (snapshot times, log beliefs) pair a
+    replication for fit_rates, the beliefs of the analysis agents inside the
+    analysis window; with first, the first trace is replication 0's."""
+    sim, world, a = cfg.simulation, cfg.world, cfg.analysis
+    # an int64 array: a tuple of the times would hold a Python int for each
+    times = np.flatnonzero(sim.snapshot_rounds())
+    n, k, R = world.n_agents, world.num_states, sim.replications
+    agents = list(a.agent_indices)
+    inside = window_snapshots(times, a.window, sim.horizon) if windows else slice(0, 0)
+    held = np.empty((R, inside.stop - inside.start, len(agents), k)) if windows else None
+    digests, trace0 = [], None
+    for g0 in range(0, R, GROUP_REPLICATIONS):
+        reps = range(g0, min(g0 + GROUP_REPLICATIONS, R))
+        signals, selections, blocks = simulate(cfg.network, cfg.selection, world, sim, reps)
+        snapshots0 = np.empty((len(times), n, k)) if first and g0 == 0 else None
+        with ExitStack() as files:
+            writers = []
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                writers = [files.enter_context(TraceWriter(out / _trace_name(r), signals[b], selections[b], times, k))
+                           for b, r in enumerate(reps)]
+            for slot, rows in blocks:
+                end = slot + rows.shape[1]
+                for writer, rep_rows in zip(writers, rows):
+                    writer.write(rep_rows)
+                lo, hi = max(slot, inside.start), min(end, inside.stop)
+                if lo < hi:
+                    held[g0:reps.stop, lo - inside.start:hi - inside.start] = rows[:, lo - slot:hi - slot, agents]
+                if snapshots0 is not None:
+                    snapshots0[slot:end] = rows[0]
+            for r, writer in zip(reps, writers):
+                digests.append(writer.close())
+                say(f"wrote {out / _trace_name(r)}")
+        if snapshots0 is not None:
+            trace0 = SimulationTrace(signals[0], selections[0], sim.snapshot_times(), read_only(snapshots0))
+    window_times = times[inside]
+    return digests, [(window_times, rows) for rows in held] if windows else [], trace0
+
+
+def _write_manifest(cfg: ExperimentConfig, out: Path, digests: list, say, extra_files: dict | None = None) -> None:
     manifest = {"config": cfg.canonical_dict(), **_derived_fields(cfg), "traces": digests}
     if extra_files:
         manifest.update(extra_files)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     say(f"wrote {out / 'manifest.json'}")
-    return traces
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     out = _resolve_out(args)
-    _write_run_outputs(cfg, out, _say(args.quiet))
+    say = _say(args.quiet)
+    _write_manifest(cfg, out, _simulate_streamed(cfg, out, say)[0], say)
     return EXIT_OK
 
 
@@ -183,14 +241,15 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
     return cfg, traces
 
 
-def _rate_verdict(cfg: ExperimentConfig, traces: list, pi, out: Path, say) -> int:
+def _fit_windows(cfg: ExperimentConfig, fit_windows: list, pi) -> RateReport:
+    """The rate report of the analysis agents' fit windows that _simulate_streamed collects."""
     a = cfg.analysis
-    report = rate_report(
-        traces, pi, cfg.world,
-        check_states=list(a.check_state_indices),
-        agents=list(a.agent_indices),
-        window=a.window,
-    )
+    return fit_rates(fit_windows, pi, cfg.world, list(a.check_state_indices), list(a.agent_indices),
+                     positions=np.arange(len(a.agent_indices)))
+
+
+def _rate_verdict(cfg: ExperimentConfig, report: RateReport, out: Path, say) -> int:
+    a = cfg.analysis
     labels = cfg.world.state_space.states
     tol = a.rate_rel_tolerance
     say(f"window [{a.window[0]}, {a.window[1]}], {report.replications} replication(s), tolerance {tol:.0%}")
@@ -226,8 +285,12 @@ def cmd_rate(args) -> int:
         cfg, traces = _resolve_config(args), None
     if not cfg.analysis.check_state_indices:
         raise ValidationError("the world has one state, so it has no false state to check a rate on")
-    traces = traces or run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
-    return _rate_verdict(cfg, traces, stationary_distribution(cfg.selection), out, say)
+    a, pi = cfg.analysis, stationary_distribution(cfg.selection)
+    if traces is None:
+        report = _fit_windows(cfg, _simulate_streamed(cfg, None, say, windows=True)[1], pi)
+    else:
+        report = rate_report(traces, pi, cfg.world, list(a.check_state_indices), list(a.agent_indices), a.window)
+    return _rate_verdict(cfg, report, out, say)
 
 
 def cmd_example1(args) -> int:
@@ -243,9 +306,8 @@ def cmd_example1(args) -> int:
 
     say("== simulation ==")
     figures = ["fig2_agent2_beliefs.csv", "fig3_diff_3_8.csv", "occupancy.csv", "rate_report.csv"]
-    traces = _write_run_outputs(cfg, out, say, extra_files={"figures": sorted(figures)})
-
-    trace0 = traces[0]
+    digests, fit_windows, trace0 = _simulate_streamed(cfg, out, say, windows=True, first=True)
+    _write_manifest(cfg, out, digests, say, extra_files={"figures": sorted(figures)})
     world = cfg.world
 
     # rows are made one at a time as csv.writer writes them, so no table of
@@ -268,7 +330,7 @@ def cmd_example1(args) -> int:
     say(f"wrote {out / 'occupancy.csv'}")
 
     say("== rate comparison ==")
-    return _rate_verdict(cfg, traces, pi, out, say)
+    return _rate_verdict(cfg, _fit_windows(cfg, fit_windows, pi), out, say)
 
 
 def build_parser() -> argparse.ArgumentParser:

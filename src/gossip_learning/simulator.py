@@ -10,22 +10,29 @@ every machine. The belief bits are the same on one machine, not across CPUs:
 numpy's SIMD exp and log, and the OpenBLAS kernel of the stationary solve
 and the rate fit's dot product, round some inputs differently on another.
 
-Draws and rounds run together, one block of rounds at a time (a block holds
-BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any
-horizon). A block draws each stream's uniforms for its rounds into one
-float64 block buffer, reused by every block and both streams (consecutive
-calls continue a Philox stream, so each uniform is the one a single call
-over all rounds would give), and turns them into draws. Each agent's signal
-distribution (the positive entries of its true-state likelihood row) and
-its selection row are CSR rows whose CDFs are built once per run, and a
-draw inverts a row's CDF at a uniform, by one binary search over the row's
-first d - 1 entries (the last is drawn when every other is at or below the
-uniform) that halves every row's range at each step. Each round is one
-update over every agent of every replication at once, in preallocated
-state-major (k, R * n) buffers: row s holds state s of every agent-row, so
-each step over the states is k - 1 elementwise operations on rows of R * n
-values. A round gathers the chosen neighbors' previous beliefs, adds the
-agents' log-likelihood columns for their signals, normalizes, and keeps the
+A simulation makes two passes over blocks of rounds (a block holds
+BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
+The first draws every signal and selection: a block draws each stream's
+uniforms for its rounds into one float64 block buffer, reused by every block
+and both streams (consecutive calls continue a Philox stream, so each
+uniform is the one a single call over all rounds would give), and turns them
+into draws. Each agent's signal distribution (the positive entries of its
+true-state likelihood row) and its selection row are CSR rows whose CDFs are
+built once per run, and a draw inverts a row's CDF at a uniform, by one
+binary search over the row's first d - 1 entries (the last is drawn when
+every other is at or below the uniform) that halves every row's range at
+each step.
+
+The second pass runs the rounds and hands each block's belief snapshots to
+its consumer as they are made, so a run need not hold every snapshot at
+once: simulate returns the draws with that pass yet to run, run_replications
+keeps every snapshot, and the command line writes each block to the trace
+files and keeps only what it fits. Each round is one update over every agent
+of every replication at once, in preallocated state-major (k, R * n)
+buffers: row s holds state s of every agent-row, so each step over the
+states is k - 1 elementwise operations on rows of R * n values. A round
+gathers the chosen neighbors' previous beliefs, adds the agents'
+log-likelihood columns for their signals, normalizes, and keeps the
 neighbor's belief where the column is constant, through a keep mask made
 once a block. These are belief.bayes_log_posterior's operations in its
 order, so a replay one vector at a time gives the same bits: a maximum is
@@ -40,8 +47,9 @@ index of its world (uint8 up to 256 signals or agents); the file stores
 them as int64, and a read narrows them again. What belongs to the run
 rather than to one replication (its seed, the fingerprints of its world and
 selection matrix) lives in the run's manifest. A trace is stored as one
-.npz file holding those four arrays as np.savez writes them: the log
-beliefs themselves, so a read gives back every bit, -inf and subnormals
+.npz file holding those four arrays, written by the one TraceWriter (the
+bytes np.savez would write for them in C order): the log beliefs
+themselves, so a read gives back every bit, -inf and subnormals
 included. Zip entries carry a fixed 1980 timestamp, so the same trace
 always gives the same bytes. A read checks the file's SHA-256 before it
 loads it, never unpickles, and checks every array against the run the
@@ -56,7 +64,7 @@ import io
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,9 +107,17 @@ class SimulationConfig:
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
 
+    def snapshot_rounds(self) -> np.ndarray:
+        """Whether each round 0..horizon is a snapshot time, a byte a round:
+        every record_beliefs_every-th round from 0, and the horizon."""
+        rounds = np.zeros(self.horizon + 1, dtype=bool)
+        rounds[:: self.record_beliefs_every] = True
+        rounds[-1] = True
+        return rounds
+
     def snapshot_times(self) -> tuple[int, ...]:
-        times = range(0, self.horizon + 1, self.record_beliefs_every)
-        return tuple(times) if times[-1] == self.horizon else (*times, self.horizon)
+        """The rounds snapshot_rounds marks, ascending."""
+        return tuple(np.flatnonzero(self.snapshot_rounds()).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,18 +248,27 @@ def draw_dtypes(world: WorldModel) -> tuple[np.dtype, np.dtype]:
     return np.min_scalar_type(int(world.signal_counts.max()) - 1), np.min_scalar_type(world.n_agents - 1)
 
 
-# how _simulate derives each replication's two streams, as the manifest records it
+# how simulate derives each replication's two streams, as the manifest records it
 SEED_DERIVATION = "SeedSequence(master_seed, spawn_key=(replication,)).spawn(2) -> Philox(signals), Philox(selections)"
 
 
-def _simulate(
+def simulate(
     net: DirectedNetwork,
     P: SelectionMatrix,
     world: WorldModel,
     cfg: SimulationConfig,
     replications: Sequence[int],
-) -> list[SimulationTrace]:
-    """Execute the given replications together and record their traces.
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """Draw every signal and selection of the given replications, and return
+    them with the round loop that has yet to run over them.
+
+    Returns (signals, selections, blocks): the draws of replication b are
+    signals[b], of shape (horizon+1, n), and selections[b], of shape
+    (horizon, n). Iterating blocks runs the rounds one block at a time and
+    yields (slot, rows) for each block that holds a snapshot time: rows[b, j]
+    is replication b's (n, num_states) log beliefs at
+    snapshot_times[slot + j]. rows is a buffer the next block reuses, so a
+    consumer copies what it keeps.
 
     Signals are drawn where the true state's likelihood is positive and the
     prior is positive, so the true state's log belief is always finite, and
@@ -251,12 +276,9 @@ def _simulate(
     check_sizes(network_agents=net.n, matrix_agents=P.n, world_agents=world.n_agents)
     check_selection_support(net, P)
     T, n, R = cfg.horizon, net.n, len(replications)
-    N, k, S = R * n, world.num_states, world.log_columns.shape[1]
-    times = cfg.snapshot_times()  # starts at 0, ends at T
     sig_dtype, sel_dtype = draw_dtypes(world)
     signals = np.empty((R, T + 1, n), dtype=sig_dtype)
     selections = np.empty((R, T, n), dtype=sel_dtype)
-    snapshots = np.empty((R, len(times), n, k))
 
     seqs = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2) for r in replications]
     sig_rngs, sel_rngs = ([np.random.Generator(np.random.Philox(ss[j])) for ss in seqs] for j in (0, 1))
@@ -264,7 +286,35 @@ def _simulate(
     sig_ptr, sig_values, sig_probs = nonzero_csr(world.tables[:, world.true_state_index])
     sig_dist = (sig_ptr, sig_values, _row_cdfs(sig_ptr, sig_probs))
     sel_dist = (P.indptr, P.indices, _row_cdfs(P.indptr, P.probs))
+    rounds = min(max(1, BLOCK_AGENT_ROWS // (R * n)), T + 1)
+    # one block's uniforms of one stream: each call continues its stream
+    # where the block before left it
+    uniforms = np.empty((R, rounds, n))
+    for t0 in range(0, T + 1, rounds):
+        t1 = min(t0 + rounds, T + 1)
+        s0 = max(t0, 1)  # the block's first round with a selection
+        for draws, rngs, dist in ((signals[:, t0:t1], sig_rngs, sig_dist),
+                                  (selections[:, s0 - 1 : t1 - 1], sel_rngs, sel_dist)):
+            u = uniforms[:, : draws.shape[1]]
+            for b, rng in enumerate(rngs):
+                rng.random(out=u[b])
+            draws[:] = _inverse_cdf(*dist, u)
+    for arr in (signals, selections):
+        read_only(arr)
+    return signals, selections, _rounds(world, cfg, signals, selections, rounds)
 
+
+def _rounds(
+    world: WorldModel,
+    cfg: SimulationConfig,
+    signals: np.ndarray,
+    selections: np.ndarray,
+    rounds: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The round loop of simulate, rounds rounds a block."""
+    R, T1, n = signals.shape
+    snapshot = cfg.snapshot_rounds()
+    N, k, S = R * n, world.num_states, world.log_columns.shape[1]
     # column b * n + i of a state-major (k, N) buffer is agent i of
     # replication b, and row s holds state s; column i * S + x of cols is
     # agent i's log-likelihood column for signal x
@@ -279,30 +329,21 @@ def _simulate(
     peak = np.empty(N)
     # the states add into col's first row in order (a reduce sums them pairwise where N is 1)
     total, later_states = col[0], list(col[1:])
-    rounds = min(max(1, BLOCK_AGENT_ROWS // N), T + 1)
-    # one block's uniforms of one stream: each call continues its stream
-    # where the block before left it
-    uniforms = np.empty((R, rounds, n))
+    # a block of rounds holds at most one snapshot a round
+    rows = np.empty((R, min(rounds, np.count_nonzero(snapshot)), n, k))
     slot = 0
-    for t0 in range(0, T + 1, rounds):
-        t1 = min(t0 + rounds, T + 1)
-        s0 = max(t0, 1)  # the block's first round with a selection
-        sig = signals[:, t0:t1]
-        sel = selections[:, s0 - 1 : t1 - 1]
-        for draws, rngs, dist in ((sig, sig_rngs, sig_dist), (sel, sel_rngs, sel_dist)):
-            u = uniforms[:, : draws.shape[1]]
-            for b, rng in enumerate(rngs):
-                rng.random(out=u[b])
-            draws[:] = _inverse_cdf(*dist, u)
-
-        sig_idx = (sig + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
-        nbr_idx = (sel + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
+    for t0 in range(0, T1, rounds):
+        t1 = min(t0 + rounds, T1)
+        s0 = max(t0, 1)
+        sig_idx = (signals[:, t0:t1] + col_base).transpose(1, 0, 2).reshape(t1 - t0, N)
+        nbr_idx = (selections[:, s0 - 1 : t1 - 1] + rep_base).transpose(1, 0, 2).reshape(t1 - s0, N)
         if t0 == 0:
             nbr_idx = np.vstack([np.arange(N), nbr_idx])
         # where the column is constant, every state keeps the neighbor's belief
         keep = np.repeat(constant[sig_idx][:, None], k, axis=1)
+        first = slot
         # every index is in range; mode="clip" spares take a buffered copy for out=
-        for t, nbr_t, sig_t, keep_t in zip(range(t0, t1), nbr_idx, sig_idx, keep):
+        for nbr_t, sig_t, keep_t, snap in zip(nbr_idx, sig_idx, keep, snapshot[t0:t1].tolist()):
             cur.take(nbr_t, axis=1, out=gathered, mode="clip")
             cols.take(sig_t, axis=1, out=col, mode="clip")
             np.add(gathered, col, out=y)
@@ -315,13 +356,28 @@ def _simulate(
             np.subtract(y, total, out=nxt)
             np.putmask(nxt, keep_t, gathered)
             cur, nxt = nxt, cur
-            if t == times[slot]:
-                snapshots[:, slot] = cur.T.reshape(R, n, k)
+            if snap:
+                rows[:, slot - first] = cur.T.reshape(R, n, k)
                 slot += 1
+        if slot > first:
+            yield first, rows[:, : slot - first]
 
-    for arr in (signals, selections, snapshots):
-        read_only(arr)
-    return [SimulationTrace(signals[b], selections[b], times, snapshots[b]) for b in range(R)]
+
+def _simulate(
+    net: DirectedNetwork,
+    P: SelectionMatrix,
+    world: WorldModel,
+    cfg: SimulationConfig,
+    replications: Sequence[int],
+) -> list[SimulationTrace]:
+    """Execute the given replications together and record their traces."""
+    signals, selections, blocks = simulate(net, P, world, cfg, replications)
+    times = cfg.snapshot_times()  # starts at 0, ends at T
+    snapshots = np.empty((len(replications), len(times), net.n, world.num_states))
+    for slot, rows in blocks:
+        snapshots[:, slot : slot + rows.shape[1]] = rows
+    read_only(snapshots)
+    return [SimulationTrace(signals[b], selections[b], times, snapshots[b]) for b in range(len(replications))]
 
 
 def run(
@@ -388,7 +444,9 @@ def verify_walk_identity(
 
     # one signal term per walk node, own round-t term first, summed left to
     # right after the prior ratio
-    sigs = trace.signals[t - np.arange(t + 1), walk]
+    rounds = t - np.arange(t + 1)
+    sigs = trace.signals[rounds, walk]
+    _check_signals(world, sigs, rounds, walk)
     cols = world.log_columns
     terms = cols[walk, sigs, check_state] - cols[walk, sigs, theta]
     prior_ratio = world.prior.log_nu[check_state] - world.prior.log_nu[theta]
@@ -403,23 +461,101 @@ def verify_walk_identity(
     return float(abs(lhs - rhs))
 
 
+def _check_signals(world: WorldModel, signals: np.ndarray, rounds: np.ndarray, agents: np.ndarray) -> None:
+    """Raise unless each signal lies in its agent's signal space of the
+    world, naming the first that does not by its round t and 1-based agent.
+    signals, rounds and agents broadcast together: each signal is the draw of
+    the agent at its place in agents in the round at its place in rounds."""
+    signals, rounds, agents = np.broadcast_arrays(signals, rounds, agents)
+    sizes = world.signal_counts[agents]
+    bad = (signals < 0) | (signals >= sizes)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValidationError(f"t={rounds[at]}, agent {agents[at] + 1}: signal {signals[at]} outside the agent's "
+                              f"signals 0..{sizes[at] - 1}")
+
+
 # the arrays of a trace file, each named as the trace field whose values it stores
 TRACE_ARRAYS = ("signals", "selections", "snapshot_times", "log_beliefs")
 
 
+def _npy_entry(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...], descr: str):
+    """Open the entry name.npy of archive for writing, as np.savez opens
+    each entry, and write its NPY 1.0 header for a C-ordered array."""
+    entry = archive.open(f"{name}.npy", "w", force_zip64=True)
+    np.lib.format.write_array_header_1_0(entry, {"descr": descr, "fortran_order": False, "shape": shape})
+    return entry
+
+
+def _c_bytes(arr, dtype: str) -> np.ndarray:
+    """arr's values as dtype in C order, as a flat uint8 array of their
+    bytes (a view where arr is already that)."""
+    return np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8)
+
+
+class TraceWriter:
+    """One trace file, written as its log beliefs arrive: the bytes np.savez
+    writes for the trace's four arrays in C order. The file is a zip64
+    archive of stored (uncompressed) NPY 1.0 entries in the order of
+    TRACE_ARRAYS, the draws and snapshot times as little-endian int64 and
+    the log beliefs as little-endian float64. Opening writes the draws and
+    the snapshot times, write appends log-belief rows in snapshot order, and
+    close returns the SHA-256 of the file; the rows written must make up
+    the (len(snapshot_times), n, num_states) array. Used as a context
+    manager, it closes its file on the way out, cut short if it was not
+    closed."""
+
+    def __init__(self, path: str | Path, signals: np.ndarray, selections: np.ndarray,
+                 snapshot_times: Sequence[int], num_states: int):
+        # a block's rows of one replication can be a few KB: a 64 KB buffer
+        # writes several blocks a call
+        self._file = Path(path).open("w+b", buffering=1 << 16)
+        try:
+            self._archive = zipfile.ZipFile(self._file, "w", compression=zipfile.ZIP_STORED, allowZip64=True)
+            for name, values in (("signals", signals), ("selections", selections),
+                                 ("snapshot_times", snapshot_times)):
+                with _npy_entry(self._archive, name, np.shape(values), "<i8") as entry:
+                    entry.write(_c_bytes(values, "<i8"))
+            shape = (len(snapshot_times), signals.shape[1], int(num_states))
+            self._beliefs = _npy_entry(self._archive, "log_beliefs", shape, "<f8")
+        except BaseException:
+            self._file.close()
+            raise
+
+    def write(self, rows: np.ndarray) -> None:
+        """Append float64 log-belief rows of shape (j, n, num_states)."""
+        self._beliefs.write(_c_bytes(rows, "<f8"))
+
+    def close(self) -> str:
+        """Finish the file and return the SHA-256 of its bytes, read back once."""
+        with self:
+            self._beliefs.close()
+            self._archive.close()
+            self._file.seek(0)
+            h = hashlib.sha256()
+            for chunk in iter(lambda: self._file.read(1 << 16), b""):
+                h.update(chunk)
+        return h.hexdigest()
+
+    def __enter__(self) -> TraceWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # each close is a no-op once done
+        try:
+            self._beliefs.close()
+            self._archive.close()
+        finally:
+            self._file.close()
+
+
 def write_trace(trace: SimulationTrace, path: str | Path) -> str:
-    """Write the trace's arrays to one .npz file with np.savez, the draws
-    and snapshot times as little-endian int64, and return the SHA-256 of the
-    bytes written."""
-    with Path(path).open("w+b") as fh:
-        np.savez(fh, signals=np.asarray(trace.signals, dtype="<i8"),
-                 selections=np.asarray(trace.selections, dtype="<i8"),
-                 snapshot_times=np.array(trace.snapshot_times, dtype=np.int64), log_beliefs=trace.log_beliefs)
-        fh.seek(0)
-        h = hashlib.sha256()
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """Write the trace to one .npz file with a TraceWriter and return the
+    SHA-256 of the bytes written."""
+    with TraceWriter(path, trace.signals, trace.selections, trace.snapshot_times,
+                     trace.log_beliefs.shape[2]) as writer:
+        writer.write(trace.log_beliefs)
+        return writer.close()
 
 
 def read_trace(
@@ -488,13 +624,10 @@ def read_trace(
             raise ValidationError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}: {what}")
 
     signals = arrays["signals"]
-    sizes = world.signal_counts
-    bad = (signals < 0) | (signals >= sizes)
-    if bad.any():
-        t, i = divmod(int(np.argmax(bad)), n)
-        raise ValidationError(
-            f"{path}: t={t}, agent {i + 1}: signal {signals[t, i]} outside the agent's signals 0..{sizes[i] - 1}"
-        )
+    try:
+        _check_signals(world, signals, np.arange(T + 1)[:, None], np.arange(n))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     selections = arrays["selections"]
     chosen = np.clip(selections, 0, n - 1)
     bad = (selections != chosen) | ~csr_contains(P.indptr, P.indices, np.arange(n), chosen)

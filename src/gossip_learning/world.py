@@ -260,9 +260,9 @@ class IdentifiabilityReport:
 
 def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> IdentifiabilityReport:
     """Verdict: every false state is distinguished from the truth by some agent
-    in the given set (pass the recurrent class of the selection chain). Each
-    state's witnesses ascend."""
-    members = np.sort(check_indices("agent", agents, world.n_agents))
+    in the given set (pass the recurrent class of the selection chain), read
+    as a set. Each state's witnesses ascend, each agent once."""
+    members = np.unique(check_indices("agent", agents, world.n_agents))
     if not members.size:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index

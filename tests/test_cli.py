@@ -5,15 +5,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gossip_learning import cli, example1, graph
-from gossip_learning.analysis import rate_report
+from gossip_learning.analysis import rate_report, write_rate_report
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
+from gossip_learning.errors import ValidationError
 from gossip_learning.graph import stationary_distribution
 from gossip_learning.simulator import read_trace, run, run_replications
 from tests.test_analysis import fitted_rate
@@ -407,6 +411,47 @@ class TestRun:
         assert code == 3
         assert "I/O error" in capsys.readouterr().err
 
+    def test_groups_of_replications_write_the_same_files(self, tmp_path, monkeypatch):
+        # five replications simulated two at a time give one group's bytes,
+        # and no more than two trace files are open at once
+        args = ["run", "--horizon", "60", "--replications", "5", "--seed", "4", "--quiet"]
+        assert main([*args, "--out", str(tmp_path / "one")]) == 0
+        live, counts = set(), []
+
+        class CountedWriter(cli.TraceWriter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                counts.append(len(live))
+
+            def __exit__(self, *exc_info):
+                super().__exit__(*exc_info)
+                live.discard(self)
+
+        monkeypatch.setattr(cli, "GROUP_REPLICATIONS", 2)
+        monkeypatch.setattr(cli, "TraceWriter", CountedWriter)
+        assert main([*args, "--out", str(tmp_path / "groups")]) == 0
+        assert (counts, live) == ([1, 2, 1, 2, 1], set())
+        one, groups = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("one", "groups"))
+        assert len(one) == 6 and one == groups
+
+    @pytest.mark.parametrize("command", ["run", "rate"])
+    def test_a_long_run_holds_no_snapshot_array(self, tmp_path, command):
+        """tracemalloc's peak over run and rate at 4 x 20000 rounds of the
+        built-in world stays below half the 15.4 MB of their (R, m, n, k)
+        snapshots: each block of snapshots is written, or cut to the fit
+        window's agents, as it is made."""
+        # a short run first, so lazy imports and caches are not counted
+        assert main([command, "--horizon", "50", "--out", str(tmp_path / "warm"), "--quiet"]) in (0, 1)
+        tracemalloc.start()
+        try:
+            assert main([command, "--horizon", "20000", "--replications", "4", "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 20001 * 8 * 3 * 8 / 2, peak
+
     def test_env_var_supplies_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("GOSSIP_LEARNING_OUT", str(target))
@@ -510,7 +555,7 @@ class TestRate:
         def refuse(*args):
             raise AssertionError("rate simulated a world with no false state")
 
-        monkeypatch.setattr(cli, "run_replications", refuse)
+        monkeypatch.setattr(cli, "simulate", refuse)
         path = write_config(tmp_path, one_state_world())
         assert main(["rate", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert capsys.readouterr().err == NO_FALSE_STATE
@@ -551,6 +596,52 @@ class TestRate:
         # rows by check state, then agent: check state 1 with agents [2, 3, 8] is rows 0-2
         assert report.rows[2].rel_error == np.inf
         assert (code, report.within(a.rate_rel_tolerance)) == (0, True)
+
+
+@st.composite
+def rate_configs(draw):
+    """The built-in config at 2-40 rounds, 1-3 replications and a snapshot
+    stride of 2-6; agent 1's table sometimes redrawn with zero entries; any
+    check states and agents; a window from one snapshot time to a later one,
+    often the first and the last."""
+    horizon, stride = draw(st.integers(2, 40)), draw(st.integers(2, 6))
+    raw = example1.config_dict(horizon=horizon, seed=draw(st.integers(0, 2**32)),
+                               replications=draw(st.integers(1, 3)), record_beliefs_every=stride)
+    times = sorted({*range(0, horizon + 1, stride), horizon})
+    first = draw(st.one_of(st.just(0), st.integers(0, len(times) - 2)))
+    last = draw(st.one_of(st.just(len(times) - 1), st.integers(first + 1, len(times) - 1)))
+    raw["analysis"] = {
+        "check_states": draw(st.lists(st.sampled_from([2, 3]), min_size=1, unique=True)),
+        "agents": draw(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True)),
+        "window": [times[first], times[last]],
+    }
+    if draw(st.booleans()):
+        rows = [draw(st.lists(st.integers(0, 3), min_size=2, max_size=2).filter(any)) for _ in range(3)]
+        raw["world"]["likelihoods"][0]["table"] = [[x / sum(w) for x in w] for w in rows]
+    return raw
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=rate_configs())
+def test_streamed_rate_rows_are_the_bits_of_rate_report(raw, tmp_path_factory, capsys):
+    """rate fits the window rows it collects as the rounds run; rate_report
+    fits the same rows of whole traces. Floats are written as their repr,
+    so equal CSV files hold equal bits."""
+    out = tmp_path_factory.mktemp("rate")
+    code = main(["rate", "--config", write_config(out, raw), "--out", str(out / "o"), "--quiet"])
+    err = capsys.readouterr().err
+    cfg = parse_config_dict(raw)
+    a = cfg.analysis
+    traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
+    try:
+        report = rate_report(traces, stationary_distribution(cfg.selection), cfg.world,
+                             list(a.check_state_indices), list(a.agent_indices), a.window)
+    except ValidationError as exc:
+        assert (code, err) == (2, f"error: {exc}\n")
+        return
+    assert (code, err) == (0 if report.within(a.rate_rel_tolerance) else 1, "")
+    held = write_rate_report(report, cfg.world, out / "held.csv")
+    assert (out / "o" / "rate_report.csv").read_bytes() == held.read_bytes()
 
 
 class TestExample1:

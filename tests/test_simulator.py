@@ -351,6 +351,15 @@ class TestWalk:
         assert str(info.value) == ("agent 1 at t=2, check state 2: a walk signal has zero likelihood under "
                                    "the true state")
 
+    def test_identity_rejects_a_signal_outside_the_world(self, ex1_cfg):
+        # read_trace's signal rule, round and 1-based agent named as it names them
+        tr = small_run(ex1_cfg, horizon=20)
+        signals = tr.signals.copy()
+        signals[10, 0] = 5
+        with pytest.raises(ValidationError) as info:
+            verify_walk_identity(dataclasses.replace(tr, signals=signals), ex1_cfg.world, 0, 10, 1)
+        assert str(info.value) == "t=10, agent 1: signal 5 outside the agent's signals 0..1"
+
     def test_identity_detects_mismatched_world(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=30)
         zero_col = [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5]]

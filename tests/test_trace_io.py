@@ -19,6 +19,7 @@ from gossip_learning.graph import DirectedNetwork, uniform_selection_matrix
 from gossip_learning.simulator import (
     SimulationConfig,
     SimulationTrace,
+    TraceWriter,
     read_trace,
     run,
     write_trace,
@@ -72,6 +73,64 @@ def test_trace_bytes_are_pinned(tmp_path):
     assert digest == "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["traces"] == [digest]
+
+
+def savez_bytes(trace: SimulationTrace) -> bytes:
+    """The bytes np.savez writes for a trace's four arrays, the draws and
+    snapshot times widened to int64: the reference the trace writer keeps."""
+    buf = io.BytesIO()
+    np.savez(buf, signals=np.asarray(trace.signals, dtype="<i8"), selections=np.asarray(trace.selections, dtype="<i8"),
+             snapshot_times=np.array(trace.snapshot_times, dtype=np.int64), log_beliefs=trace.log_beliefs)
+    return buf.getvalue()
+
+
+@st.composite
+def built_traces(draw):
+    """A trace built from its arrays: 1-4 agents, or 257 (uint16 choices);
+    1-3 states; 1-6 rounds; 1 to horizon + 1 snapshots; log beliefs drawn
+    from a pool of LOG_BELIEFS values."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 257]))
+    horizon = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    times = tuple(sorted(draw(st.sets(st.integers(0, horizon), min_size=1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    signals = rng.integers(0, 3, (horizon + 1, n)).astype(np.uint8)
+    selections = rng.integers(0, n, (horizon, n)).astype(np.min_scalar_type(n - 1))
+    pool = np.array(draw(st.lists(LOG_BELIEFS, min_size=1, max_size=8)))
+    return SimulationTrace(signals, selections, times, rng.choice(pool, (len(times), n, k)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tr=built_traces(), data=st.data())
+def test_the_writer_writes_what_np_savez_writes(tr, data, tmp_path_factory):
+    want = savez_bytes(tr)
+    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+    assert write_trace(tr, path) == hashlib.sha256(want).hexdigest()
+    assert path.read_bytes() == want
+    # the same bytes however the rows arrive
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(tr.snapshot_times)), max_size=4)))
+    with TraceWriter(path, tr.signals, tr.selections, tr.snapshot_times, tr.log_beliefs.shape[2]) as writer:
+        for rows in np.split(tr.log_beliefs, cuts):
+            writer.write(rows)
+        assert writer.close() == hashlib.sha256(want).hexdigest()
+    assert path.read_bytes() == want
+
+
+def test_a_trace_in_any_memory_order_is_written_in_c_order(ex1_cfg, tmp_path):
+    tr = small_run(ex1_cfg, horizon=30, stride=4)
+    want = write_trace(tr, tmp_path / "c.npz")
+    lb = tr.log_beliefs
+    spread = np.zeros(lb.shape[:2] + (2 * lb.shape[2],))
+    spread[..., ::2] = lb
+    reversed_rows = lb[::-1].copy()[::-1]
+    for name, lb_view, signals in [("fortran", np.asfortranarray(lb), np.asfortranarray(tr.signals)),
+                                   ("strided", spread[..., ::2], tr.signals),
+                                   ("reversed", reversed_rows, tr.signals[::-1].copy()[::-1])]:
+        other = dataclasses.replace(tr, signals=signals, log_beliefs=lb_view)
+        assert write_trace(other, tmp_path / f"{name}.npz") == want, name
+    # np.savez writes an F-ordered array in its own order, flagged in its header
+    fortran = dataclasses.replace(tr, log_beliefs=np.asfortranarray(lb))
+    assert savez_bytes(fortran) != (tmp_path / "c.npz").read_bytes()
 
 
 def test_example1_draws_are_held_in_bytes(ex1_cfg):

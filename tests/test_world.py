@@ -230,6 +230,9 @@ class TestIdentifiability:
     def test_any_sequence_of_agents_is_read(self, ex1_cfg, agents):
         assert check_global_identifiability(ex1_cfg.world, agents).witnesses == ((1, (1,)), (2, (0,)))
 
+    def test_agents_are_read_as_a_set(self, ex1_cfg):
+        assert check_global_identifiability(ex1_cfg.world, [1, 1, 0]).witnesses == ((1, (1,)), (2, (0,)))
+
     def test_empty_agent_set_rejected(self, ex1_cfg):
         with pytest.raises(ValidationError, match="nonempty"):
             check_global_identifiability(ex1_cfg.world, [])
