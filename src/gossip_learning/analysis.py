@@ -102,37 +102,18 @@ def fit_rates(
     the ascending times inside the fit window and the (m, agents, states)
     log beliefs at them, with agents[j]'s series at positions[j] of the
     agent axis (by default at agents[j] itself, as in a trace's snapshots).
-    Rows and faults are as rate_report states them; faults name agents[j].
+    Each window is dropped before the next is asked for, so a lazy
+    iterable of windows is held one replication at a time. Rows and faults
+    are as rate_report states them; faults name agents[j].
     """
     theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
     separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
-    theta = world.true_state_index
     picked = check_indices("agent", agents, world.n_agents)
     at = picked if positions is None else positions
     slopes = []
-    for r, (snapshot_times, beliefs) in enumerate(windows):
-        times = np.array(snapshot_times, dtype=float)
-        view = beliefs.transpose(2, 1, 0)  # (states, agents, m)
-        truth = np.ascontiguousarray(view[theta, at])
-        zero_truth = np.isneginf(truth)
-        if zero_truth.any():
-            j = int(np.argmax(zero_truth.any(axis=1)))
-            t = times[np.argmax(zero_truth[j])]
-            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} has zero belief on the true state "
-                                  f"at t={int(t)}")
-        y = np.ascontiguousarray(view[np.ix_(check_states, at)])  # a pair's series is one row
-        y -= truth
-        zero_check = np.isneginf(y).any(axis=-1)
-        if zero_check.any():
-            k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
-            raise ValidationError(f"replication {r + 1}: agent {picked[j] + 1} holds exactly zero belief on state "
-                                  f"{world.state_space.states[check_states[k]]} inside the window; "
-                                  "the log-ratio regression is undefined")
-        # least-squares slopes: each mean runs along one contiguous row, as it
-        # would on that row alone, and the stacked matmul is one BLAS dot a row
-        tc = times - times.mean()
-        y -= y.mean(axis=-1, keepdims=True)
-        slopes.append(-(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc)))
+    for snapshot_times, beliefs in windows:
+        slopes.append(_window_slopes(len(slopes) + 1, snapshot_times, beliefs, world, check_states, picked, at))
+        del snapshot_times, beliefs  # dropped before the next window is taken
     slopes = np.stack(slopes, axis=-1)  # (states, agents, replications)
     empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
     if slopes.shape[-1] > 1:
@@ -144,8 +125,45 @@ def fit_rates(
     return RateReport(replications=slopes.shape[-1], rows=rows)
 
 
+def _window_slopes(
+    replication: int,
+    snapshot_times: Sequence[int],
+    beliefs: np.ndarray,
+    world: WorldModel,
+    check_states: list[int],
+    picked: list[int],
+    at: Sequence[int],
+) -> np.ndarray:
+    """The (states, agents) fitted rates of one fit window of fit_rates, the
+    1-based replication naming its faults. Its temporaries die when it
+    returns, so no two windows' are alive at once."""
+    theta = world.true_state_index
+    times = np.array(snapshot_times, dtype=float)
+    view = beliefs.transpose(2, 1, 0)  # (states, agents, m)
+    truth = np.ascontiguousarray(view[theta, at])
+    zero_truth = np.isneginf(truth)
+    if zero_truth.any():
+        j = int(np.argmax(zero_truth.any(axis=1)))
+        t = times[np.argmax(zero_truth[j])]
+        raise ValidationError(f"replication {replication}: agent {picked[j] + 1} has zero belief on the true state "
+                              f"at t={int(t)}")
+    y = np.ascontiguousarray(view[np.ix_(check_states, at)])  # a pair's series is one row
+    y -= truth
+    zero_check = np.isneginf(y).any(axis=-1)
+    if zero_check.any():
+        k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
+        raise ValidationError(f"replication {replication}: agent {picked[j] + 1} holds exactly zero belief on state "
+                              f"{world.state_space.states[check_states[k]]} inside the window; "
+                              "the log-ratio regression is undefined")
+    # least-squares slopes: each mean runs along one contiguous row, as it
+    # would on that row alone, and the stacked matmul is one BLAS dot a row
+    tc = times - times.mean()
+    y -= y.mean(axis=-1, keepdims=True)
+    return -(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc))
+
+
 def rate_report(
-    traces: list[SimulationTrace],
+    traces: Iterable[SimulationTrace],
     pi: StationaryDistribution,
     world: WorldModel,
     check_states: list[int],
@@ -154,6 +172,10 @@ def rate_report(
 ) -> RateReport:
     """Fit the decay rate for each (false state, agent) pair on every trace.
 
+    traces is any iterable of traces, at least one, taken once in order: a
+    lazy one (as rate --traces reads its files) is read, checked and fitted
+    one trace at a time, with no trace held once its fit is done, so a fault
+    of replication r is raised before replication r + 1 is read.
     The rows run by check state, then agent, each in the order given: the
     row for check_states[k] and agents[j] is rows[k * len(agents) + j].
     empirical = mean of the negated per-replication slopes; stderr = sample
@@ -164,15 +186,18 @@ def rate_report(
     (first state, then agent). pi and every trace must fit the world. Each
     trace's window is passed to fit_rates as a view of its snapshots.
     """
-    if not traces:
-        raise ValidationError("rate_report needs at least one trace")
 
     def windows():
+        empty = True
         for tr in traces:
+            empty = False
             check_sizes(world_agents=world.n_agents, trace_agents=tr.n)
             check_sizes(world_states=world.num_states, trace_states=tr.log_beliefs.shape[2])
             inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
             yield tr.snapshot_times[inside], tr.log_beliefs[inside]
+            del tr  # dropped before the next trace is taken
+        if empty:
+            raise ValidationError("rate_report needs at least one trace")
 
     return fit_rates(windows(), pi, world, check_states, agents)
 

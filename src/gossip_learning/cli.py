@@ -8,8 +8,10 @@ comes from --out, else the GOSSIP_LEARNING_OUT environment variable, else
 ./gossip_learning_out. All outputs are deterministic for a given config: CSVs
 and the manifest carry no timestamps and the .npz traces a fixed one, so
 reruns are byte-identical. run writes one repNNN.npz per replication and a
-manifest.json that records each file's SHA-256; rate --traces reads them
-back only after checking those digests.
+manifest.json that records each file's SHA-256; rate --traces checks the
+manifest, then reads, checks and fits one file at a time in replication
+order, each only after checking its digest, so its faults come in that
+order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -199,7 +202,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
+def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, Iterator[SimulationTrace]]:
+    """The config of a trace directory, checked against its manifest at
+    once, and its traces, each read and checked only as it is taken."""
     manifest_path = traces_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ValidationError(
@@ -236,8 +241,9 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, list]:
     if len(digests) != count:
         raise ValidationError(f"{manifest_path}: traces lists {len(digests)} digest(s), "
                               f"but its config has {count} replication(s)")
-    traces = [read_trace(traces_dir / _trace_name(k), d, cfg.selection, cfg.world, cfg.simulation)
-              for k, d in enumerate(digests)]
+    # read lazily, in replication order, so a fit takes one trace at a time
+    traces = (read_trace(traces_dir / _trace_name(k), d, cfg.selection, cfg.world, cfg.simulation)
+              for k, d in enumerate(digests))
     return cfg, traces
 
 

@@ -51,9 +51,14 @@ selection matrix) lives in the run's manifest. A trace is stored as one
 bytes np.savez would write for them in C order): the log beliefs
 themselves, so a read gives back every bit, -inf and subnormals
 included. Zip entries carry a fixed 1980 timestamp, so the same trace
-always gives the same bytes. A read checks the file's SHA-256 before it
-loads it, never unpickles, and checks every array against the run the
-caller expects.
+always gives the same bytes. A read takes the file's bytes once and checks
+their SHA-256 before anything else; as that digest covers every byte, the
+entries' CRC-32s are not computed again. It finds each array's bytes from
+the zip's central directory and the entry's local and NPY headers, so an
+entry must be stored (uncompressed), as the writer stores it; it never
+unpickles, checks every array against the run the caller expects as a view
+of the file's bytes, and copies each out once, so a trace it returns does
+not keep those bytes.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import io
+import math
+import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -558,6 +565,53 @@ def write_trace(trace: SimulationTrace, path: str | Path) -> str:
         return writer.close()
 
 
+def _npz_entries(data: bytes) -> list[tuple[str, zipfile.ZipInfo]]:
+    """The entries of the zip archive data holds, from its central
+    directory: each entry's array name (its file name less a .npy suffix,
+    as np.load names it) and its zipfile.ZipInfo, in archive order."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        return [(info.filename.removesuffix(".npy"), info) for info in archive.infolist()]
+
+
+def _npy_view(data: bytes, info: zipfile.ZipInfo) -> np.ndarray:
+    """The array of one stored NPY entry of the zip archive data holds, as a
+    read-only view of data's bytes, in the order its header gives.
+
+    The entry's bytes start past its local header, whose name and extra
+    field lengths are its last two fields. Its NPY header is parsed by
+    numpy.lib.format's public readers, so numpy's header rules and messages
+    hold. No CRC-32 is computed: a caller checks a digest of all of data.
+    Raises ValueError for a compressed entry, a bad header, an object dtype
+    (never unpickled) or fewer data bytes than the header's shape needs."""
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"entry is compressed (zip method {info.compress_type}); "
+                         "a trace file stores its entries uncompressed")
+    local = data[info.header_offset : info.header_offset + 30]  # a local header is 30 bytes
+    if len(local) < 30 or local[:4] != zipfile.stringFileHeader:
+        raise ValueError("bad zip local file header")
+    name_length, extra_length = struct.unpack("<HH", local[26:])
+    start = info.header_offset + 30 + name_length + extra_length
+    stream = io.BytesIO(data)  # shares data's bytes
+    stream.seek(start)
+    version = np.lib.format.read_magic(stream)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(stream)
+    else:
+        raise ValueError(f"NPY format version {version}, expected (1, 0) or (2, 0)")
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    if min(shape, default=0) < 0:  # np.frombuffer would read a negative count as "to the end"
+        raise ValueError(f"shape {shape} has a negative dimension")
+    count, offset = math.prod(shape), stream.tell()
+    stored = min(start + info.compress_size, len(data)) - offset
+    if count * dtype.itemsize > stored:
+        raise ValueError(f"truncated: {max(stored, 0)} bytes of array data, expected {count * dtype.itemsize}")
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
+
+
 def read_trace(
     path: str | Path,
     sha256: str,
@@ -569,13 +623,15 @@ def read_trace(
     and run config.
 
     The file's bytes must have the given SHA-256, and it must hold exactly
-    the four trace arrays, with no pickled objects. Each array must have
-    the dtype and shape the config implies, the snapshot times must be the
-    config's, every signal must lie in its agent's signal space and every
-    choice in the support of its agent's selection row. Anything else
-    raises ValidationError naming the file, and the round t and 1-based
-    agent where they apply. The draws come back in draw_dtypes, as a run
-    holds them.
+    the four trace arrays, each a stored (uncompressed) NPY entry with no
+    pickled objects. Each array must have the dtype and shape the config
+    implies, the snapshot times must be the config's, every signal must lie
+    in its agent's signal space and every choice in the support of its
+    agent's selection row. Anything else raises ValidationError naming the
+    file, and the array or the round t and 1-based agent where they apply.
+    The file is read once: each array is checked as a view of its bytes, and
+    the trace holds copies, the draws in draw_dtypes (as a run holds them)
+    and the log beliefs in C order, so it does not keep the file's bytes.
     """
     path = Path(path)
     try:
@@ -586,15 +642,15 @@ def read_trace(
     if digest != sha256:
         raise ValidationError(f"{path}: SHA-256 is {digest}, but {sha256} was recorded for it")
     try:
-        npz = np.load(io.BytesIO(data), allow_pickle=False)
+        entries = _npz_entries(data)
     except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{path}: not a readable .npz file: {exc}") from None
-    if not isinstance(npz, np.lib.npyio.NpzFile):
-        raise ValidationError(f"{path}: not an .npz archive")
-    if sorted(npz.files) != sorted(TRACE_ARRAYS):
-        raise ValidationError(f"{path}: holds arrays {sorted(npz.files)}, expected {sorted(TRACE_ARRAYS)}")
+    names = sorted(name for name, _ in entries)
+    if names != sorted(TRACE_ARRAYS):
+        raise ValidationError(f"{path}: holds arrays {names}, expected {sorted(TRACE_ARRAYS)}")
+    entries = dict(entries)
     n, k, T = world.n_agents, world.num_states, cfg.horizon
-    times = cfg.snapshot_times()
+    times = np.flatnonzero(cfg.snapshot_rounds())  # the int64 array of cfg.snapshot_times()
     m = len(times)
     # every dtype is checked first, then every shape, the snapshot times' values before their shape
     expected = {
@@ -606,19 +662,21 @@ def read_trace(
     arrays = {}
     for name, (dtype, _, _) in expected.items():
         try:
-            arrays[name] = npz[name]
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            arrays[name] = _npy_view(data, entries[name])
+        except ValueError as exc:
             raise ValidationError(f"{path}: {name}: {exc}") from None
         if arrays[name].dtype != dtype:
             raise ValidationError(f"{path}: {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
     for name, (_, shape, what) in expected.items():
-        if name == "snapshot_times" and (stored := arrays[name].ravel().tolist()) != list(times):
-            diff = set(times) ^ set(stored)
+        if name == "snapshot_times" and not np.array_equal(arrays[name].ravel(), times):
+            # the lists and sets are built only to name the fault
+            want, stored = times.tolist(), arrays[name].ravel().tolist()
+            diff = set(want) ^ set(stored)
             if not diff:
                 raise ValidationError(
                     f"{path}: snapshot_times are not the config's times in ascending order, each once")
             t = min(diff)
-            fault = "has no snapshot" if t in times else "has a snapshot the config does not record"
+            fault = "has no snapshot" if t in want else "has a snapshot the config does not record"
             raise ValidationError(f"{path}: snapshot_times {fault} at t={t}")
         if arrays[name].shape != shape:
             raise ValidationError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}: {what}")
@@ -639,7 +697,9 @@ def read_trace(
         )
 
     sig_dtype, sel_dtype = draw_dtypes(world)
-    return SimulationTrace(read_only(signals.astype(sig_dtype)), read_only(selections.astype(sel_dtype)), times,
-                           read_only(arrays["log_beliefs"]))
+    # each array is copied once, C-ordered and aligned, from its view of the file's bytes
+    return SimulationTrace(read_only(signals.astype(sig_dtype, order="C")),
+                           read_only(selections.astype(sel_dtype, order="C")), cfg.snapshot_times(),
+                           read_only(np.array(arrays["log_beliefs"], order="C")))
 
 

@@ -265,6 +265,15 @@ class TestRateReport:
         with pytest.raises(ValidationError, match="at least one"):
             rate_report([], ex1_pi, ex1_cfg.world, [1], [0], (0, 10))
 
+    def test_any_iterable_of_traces_is_fitted_once_in_order(self, ex1_cfg, ex1_pi):
+        cfg = SimulationConfig(horizon=200, seed=3, replications=3)
+        traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
+        args = (ex1_pi, ex1_cfg.world, [1, 2], [1, 7], (40, 200))
+        assert rate_report(iter(traces), *args) == rate_report(traces, *args)
+        with pytest.raises(ValidationError) as info:
+            rate_report(iter([]), *args)
+        assert str(info.value) == "rate_report needs at least one trace"
+
     def test_lone_informative_agent_end_to_end(self):
         w = tiny_world([[[0.3, 0.7], [0.7, 0.3]]])
         net = DirectedNetwork(1, [])

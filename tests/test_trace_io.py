@@ -7,13 +7,15 @@ import hashlib
 import io
 import json
 import shutil
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossip_learning import example1
+from gossip_learning import example1, simulator
 from gossip_learning.cli import main
 from gossip_learning.graph import DirectedNetwork, uniform_selection_matrix
 from gossip_learning.simulator import (
@@ -506,3 +508,129 @@ def test_long_horizon_traces_replay_losslessly(tmp_path):
     assert main(["rate", "--out", str(tmp_path / "fresh"), *args]) == 0
     stored = (tmp_path / "stored" / "rate_report.csv").read_bytes()
     assert stored == (tmp_path / "fresh" / "rate_report.csv").read_bytes()
+
+
+# ---- how a read takes the arrays from the file's bytes ----------------------
+
+def stored_arrays(data: bytes) -> dict:
+    """Every array of an .npz file's bytes, as read_trace takes them."""
+    return {name: simulator._npy_view(data, info) for name, info in simulator._npz_entries(data)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tr=built_traces(), fortran=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_each_array_is_what_np_load_gives(tr, fortran, tmp_path_factory):
+    """The bytes of the trace writer, and np.savez's bytes with any of the
+    arrays in Fortran order: each array read from them has np.load's dtype,
+    shape, memory order and bits."""
+    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+    write_trace(tr, path)
+    arrays = {"signals": np.asarray(tr.signals, dtype="<i8"), "selections": np.asarray(tr.selections, dtype="<i8"),
+              "snapshot_times": np.array(tr.snapshot_times, dtype=np.int64), "log_beliefs": tr.log_beliefs}
+    buf = io.BytesIO()
+    np.savez(buf, **{name: np.asfortranarray(a) if f else a for (name, a), f in zip(arrays.items(), fortran)})
+    for data in (path.read_bytes(), buf.getvalue()):
+        got = stored_arrays(data)
+        with np.load(io.BytesIO(data)) as npz:
+            assert list(got) == npz.files
+            for name in npz.files:
+                have, want = got[name], npz[name]
+                assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+                assert have.flags.f_contiguous == want.flags.f_contiguous, name
+                assert have.tobytes() == want.tobytes(), name
+
+
+def replace_trace(traces, data: bytes, k: int = 0):
+    """Write data as rep{k:03d}.npz and record its SHA-256 in the manifest,
+    so a read gets past the digest check."""
+    (traces / f"rep{k:03d}.npz").write_bytes(data)
+    manifest_path = traces / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["traces"][k] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def truncated_log_beliefs(data: bytes) -> bytes:
+    """The archive with the log_beliefs entry cut 8 bytes short of the
+    array its header describes."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w") as dst:
+        for name in src.namelist():
+            payload = src.read(name)
+            dst.writestr(name, payload[:-8] if name == "log_beliefs.npy" else payload)
+    return buf.getvalue()
+
+
+def compressed(data: bytes) -> bytes:
+    buf = io.BytesIO()
+    with np.load(io.BytesIO(data)) as npz:
+        np.savez_compressed(buf, **npz)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (truncated_log_beliefs, f"log_beliefs: truncated: {(T + 1) * N * 3 * 8 - 8} bytes of array data, "
+                            f"expected {(T + 1) * N * 3 * 8}"),
+    (compressed, "signals: entry is compressed (zip method 8); a trace file stores its entries uncompressed"),
+], ids=["truncated entry", "compressed entry"])
+def test_unreadable_entries_exit_2_naming_the_entry(edit, message, trace_dir, tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    replace_trace(traces, edit((traces / "rep000.npz").read_bytes()))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {traces / 'rep000.npz'}: {message}\n"
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_read_trace_owns_aligned_c_ordered_log_beliefs(order, trace_dir, tmp_path, ex1_cfg):
+    """However the file orders them, the draws and log beliefs come back as
+    aligned C-ordered copies that own their memory: the trace does not hold
+    the file's bytes."""
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    with np.load(traces / "rep000.npz") as npz:
+        arrays = {name: np.asarray(npz[name], order=order) for name in npz.files}
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    replace_trace(traces, buf.getvalue())
+    digest = json.loads((traces / "manifest.json").read_text())["traces"][0]
+    cfg = dataclasses.replace(ex1_cfg.simulation, horizon=T, replications=1)
+    back = read_trace(traces / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
+    for name in ("signals", "selections", "log_beliefs"):
+        arr = getattr(back, name)
+        assert arr.flags.c_contiguous and arr.flags.aligned and arr.base is None, name
+        assert np.array_equal(arr, arrays[name]), name
+
+
+# ---- rate --traces takes one trace at a time --------------------------------
+
+def test_rate_from_traces_holds_one_trace_at_a_time(tmp_path):
+    """tracemalloc's peak over rate --traces of 8 replications stays below
+    2.5 trace files' bytes: each trace is read, checked, fitted and dropped
+    before the next is read (holding all 8 took about 6 files' worth)."""
+    traces = tmp_path / "traces"
+    assert main(["run", "--horizon", "5000", "--replications", "8", "--out", str(traces), "--quiet"]) == 0
+    file_bytes = (traces / "rep000.npz").stat().st_size
+    # a first rate run, so lazy imports and caches are not counted
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "warm"), "--quiet"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * file_bytes, (peak, file_bytes)
+
+
+def test_faults_are_named_in_replication_order(two_traces, tmp_path, capsys):
+    """A zero true-state belief in replication 1 is named before a digest
+    fault in replication 2: each trace is fitted before the next is read."""
+    traces = tmp_path / "traces"
+    shutil.copytree(two_traces, traces)
+    rewrite(traces, set_entry("log_beliefs", (-1, slice(None), 0), -np.inf))
+    path = traces / "rep001.npz"
+    data = bytearray(path.read_bytes())
+    data[-200] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: replication 1: agent 2 has zero belief on the true state at t={T}\n"
