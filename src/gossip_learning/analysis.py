@@ -9,7 +9,6 @@ against the other.
 
 from __future__ import annotations
 
-import bisect
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ def theoretical_rate(pi: StationaryDistribution, world: WorldModel, check_state:
     return float(sum_left_to_right(terms))  # from 0.0, in agent order
 
 
-def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int], horizon: int) -> slice:
+def window_snapshots(snapshot_times: np.ndarray, window: tuple[int, int], horizon: int) -> slice:
     """The slice of the ascending snapshot_times inside window, ends included:
     a window is two integers 0 <= t0 < t1 <= horizon holding at least 2 of them."""
     try:
@@ -47,7 +46,7 @@ def window_snapshots(snapshot_times: Sequence[int], window: tuple[int, int], hor
     if not (is_integer(t0) and is_integer(t1) and 0 <= t0 < t1 <= horizon):
         raise ValidationError(
             f"need a window of integers 0 <= t_start < t_end <= horizon ({horizon}), got [{t0}, {t1}]")
-    inside = slice(bisect.bisect_left(snapshot_times, t0), bisect.bisect_right(snapshot_times, t1))
+    inside = slice(*np.searchsorted(snapshot_times, [t0, t1 + 1]).tolist())  # t <= t1 is t < t1 + 1
     if inside.stop - inside.start < 2:
         raise ValidationError(f"need at least 2 belief snapshots inside [{t0}, {t1}], got {inside.stop - inside.start}")
     return inside
@@ -88,7 +87,7 @@ class RateReport:
 
 
 def fit_rates(
-    windows: Iterable[tuple[Sequence[int], np.ndarray]],
+    windows: Iterable[tuple[np.ndarray, np.ndarray]],
     pi: StationaryDistribution,
     world: WorldModel,
     check_states: list[int],
@@ -99,7 +98,7 @@ def fit_rates(
     replication's window.
 
     windows yields one (snapshot times, log beliefs) pair a replication:
-    the ascending times inside the fit window and the (m, agents, states)
+    the ascending int64 times inside the fit window and the (m, agents, states)
     log beliefs at them, with agents[j]'s series at positions[j] of the
     agent axis (by default at agents[j] itself, as in a trace's snapshots).
     Each window is dropped before the next is asked for, so a lazy
@@ -127,7 +126,7 @@ def fit_rates(
 
 def _window_slopes(
     replication: int,
-    snapshot_times: Sequence[int],
+    times: np.ndarray,
     beliefs: np.ndarray,
     world: WorldModel,
     check_states: list[int],
@@ -138,15 +137,13 @@ def _window_slopes(
     1-based replication naming its faults. Its temporaries die when it
     returns, so no two windows' are alive at once."""
     theta = world.true_state_index
-    times = np.array(snapshot_times, dtype=float)
     view = beliefs.transpose(2, 1, 0)  # (states, agents, m)
     truth = np.ascontiguousarray(view[theta, at])
     zero_truth = np.isneginf(truth)
     if zero_truth.any():
         j = int(np.argmax(zero_truth.any(axis=1)))
-        t = times[np.argmax(zero_truth[j])]
         raise ValidationError(f"replication {replication}: agent {picked[j] + 1} has zero belief on the true state "
-                              f"at t={int(t)}")
+                              f"at t={times[np.argmax(zero_truth[j])]}")
     y = np.ascontiguousarray(view[np.ix_(check_states, at)])  # a pair's series is one row
     y -= truth
     zero_check = np.isneginf(y).any(axis=-1)
@@ -156,7 +153,8 @@ def _window_slopes(
                               f"{world.state_space.states[check_states[k]]} inside the window; "
                               "the log-ratio regression is undefined")
     # least-squares slopes: each mean runs along one contiguous row, as it
-    # would on that row alone, and the stacked matmul is one BLAS dot a row
+    # would on that row alone, and the stacked matmul is one BLAS dot a row.
+    # The int64 times sum exactly in float64, so tc has the bits float times give
     tc = times - times.mean()
     y -= y.mean(axis=-1, keepdims=True)
     return -(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc))
@@ -232,9 +230,8 @@ def belief_difference(
     """|belief_a(state) - belief_b(state)| at every snapshot time."""
     check_indices("agent", [agent_a, agent_b], trace.n)
     check_index("state", state, trace.log_beliefs.shape[2])
-    times = np.array(trace.snapshot_times, dtype=np.int64)
     mass = np.exp(trace.log_beliefs[:, [agent_a, agent_b], state])
-    return times, np.abs(mass[:, 0] - mass[:, 1])
+    return trace.snapshot_times, np.abs(mass[:, 0] - mass[:, 1])
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:

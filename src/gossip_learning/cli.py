@@ -11,7 +11,9 @@ reruns are byte-identical. run writes one repNNN.npz per replication and a
 manifest.json that records each file's SHA-256; rate --traces checks the
 manifest, then reads, checks and fits one file at a time in replication
 order, each only after checking its digest, so its faults come in that
-order.
+order. example1 writes its traces as run does, then reads replication 0
+back from rep000.npz by that same checked read and makes its figures from
+the stored trace.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .analysis import (
     write_occupancy,
     write_rate_report,
 )
-from .arrays import read_only
 from .config import ExperimentConfig, load_config, parse_config_dict
 from .errors import ValidationError
 from .graph import is_strongly_connected, recurrent_classes, stationary_distribution
@@ -139,29 +140,26 @@ def _derived_fields(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bool = False,
-                       first: bool = False) -> tuple[list, list, SimulationTrace | None]:
+def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bool = False) -> tuple[list, list]:
     """Simulate every replication of cfg, at most GROUP_REPLICATIONS at a
     time, and take each block of belief snapshots as it is made, holding no
     run's full snapshot array.
 
-    Returns (digests, fit windows, first trace): with out, replication r is
-    written to out/repNNN.npz and digests lists the files' SHA-256; with
-    windows, the fit windows are one (snapshot times, log beliefs) pair a
-    replication for fit_rates, the beliefs of the analysis agents inside the
-    analysis window; with first, the first trace is replication 0's."""
+    Returns (digests, fit windows): with out, replication r is written to
+    out/repNNN.npz and digests lists the files' SHA-256; with windows, the
+    fit windows are one (snapshot times, log beliefs) pair a replication for
+    fit_rates, the beliefs of the analysis agents inside the analysis
+    window."""
     sim, world, a = cfg.simulation, cfg.world, cfg.analysis
-    # an int64 array: a tuple of the times would hold a Python int for each
-    times = np.flatnonzero(sim.snapshot_rounds())
-    n, k, R = world.n_agents, world.num_states, sim.replications
+    times = sim.snapshot_times()
+    k, R = world.num_states, sim.replications
     agents = list(a.agent_indices)
     inside = window_snapshots(times, a.window, sim.horizon) if windows else slice(0, 0)
     held = np.empty((R, inside.stop - inside.start, len(agents), k)) if windows else None
-    digests, trace0 = [], None
+    digests = []
     for g0 in range(0, R, GROUP_REPLICATIONS):
         reps = range(g0, min(g0 + GROUP_REPLICATIONS, R))
         signals, selections, blocks = simulate(cfg.network, cfg.selection, world, sim, reps)
-        snapshots0 = np.empty((len(times), n, k)) if first and g0 == 0 else None
         with ExitStack() as files:
             writers = []
             if out is not None:
@@ -169,21 +167,16 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
                 writers = [files.enter_context(TraceWriter(out / _trace_name(r), signals[b], selections[b], times, k))
                            for b, r in enumerate(reps)]
             for slot, rows in blocks:
-                end = slot + rows.shape[1]
                 for writer, rep_rows in zip(writers, rows):
                     writer.write(rep_rows)
-                lo, hi = max(slot, inside.start), min(end, inside.stop)
+                lo, hi = max(slot, inside.start), min(slot + rows.shape[1], inside.stop)
                 if lo < hi:
                     held[g0:reps.stop, lo - inside.start:hi - inside.start] = rows[:, lo - slot:hi - slot, agents]
-                if snapshots0 is not None:
-                    snapshots0[slot:end] = rows[0]
             for r, writer in zip(reps, writers):
                 digests.append(writer.close())
                 say(f"wrote {out / _trace_name(r)}")
-        if snapshots0 is not None:
-            trace0 = SimulationTrace(signals[0], selections[0], sim.snapshot_times(), read_only(snapshots0))
     window_times = times[inside]
-    return digests, [(window_times, rows) for rows in held] if windows else [], trace0
+    return digests, [(window_times, rows) for rows in held] if windows else []
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path, digests: list, say, extra_files: dict | None = None) -> None:
@@ -312,16 +305,18 @@ def cmd_example1(args) -> int:
 
     say("== simulation ==")
     figures = ["fig2_agent2_beliefs.csv", "fig3_diff_3_8.csv", "occupancy.csv", "rate_report.csv"]
-    digests, fit_windows, trace0 = _simulate_streamed(cfg, out, say, windows=True, first=True)
+    digests, fit_windows = _simulate_streamed(cfg, out, say, windows=True)
     _write_manifest(cfg, out, digests, say, extra_files={"figures": sorted(figures)})
     world = cfg.world
+    # the figures are made from replication 0 as stored, read back as rate --traces reads it
+    trace0 = read_trace(out / _trace_name(0), digests[0], cfg.selection, world, cfg.simulation)
 
     # rows are made one at a time as csv.writer writes them, so no table of
     # cells is held beside the traces
     labels = world.state_space.states
     probs = np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1]).tolist()
     write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], (
-        (t, label, p) for t, row in zip(trace0.snapshot_times, probs) for label, p in zip(labels, row)
+        (t, label, p) for t, row in zip(trace0.snapshot_times.tolist(), probs) for label, p in zip(labels, row)
     ))
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 

@@ -40,8 +40,9 @@ exact in any order, and the state rows add in order, as
 arrays.sum_left_to_right sums a belief.
 
 A trace holds the values its file stores and nothing else: the signals, the
-selections, the snapshot times, and the belief snapshots as one read-only
-(m, n, k) array aligned with the m snapshot times. It holds the signals and
+selections, the snapshot times as one read-only int64 array (the config's
+one schedule, which a run's traces share), and the belief snapshots as one
+read-only (m, n, k) array aligned with them. It holds the signals and
 selections in the narrowest unsigned dtype that holds every signal or agent
 index of its world (uint8 up to 256 signals or agents); the file stores
 them as int64, and a read narrows them again. What belongs to the run
@@ -63,7 +64,6 @@ not keep those bytes.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import io
 import math
@@ -75,7 +75,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .arrays import ArrayValue, read_only, rows_by_length, sum_left_to_right
+from .arrays import ArrayValue, int_array, read_only, rows_by_length, sum_left_to_right
 from .belief import constant_columns
 from .errors import ValidationError, check_index, check_integer, check_sizes
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
@@ -114,17 +114,11 @@ class SimulationConfig:
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
 
-    def snapshot_rounds(self) -> np.ndarray:
-        """Whether each round 0..horizon is a snapshot time, a byte a round:
-        every record_beliefs_every-th round from 0, and the horizon."""
-        rounds = np.zeros(self.horizon + 1, dtype=bool)
-        rounds[:: self.record_beliefs_every] = True
-        rounds[-1] = True
-        return rounds
-
-    def snapshot_times(self) -> tuple[int, ...]:
-        """The rounds snapshot_rounds marks, ascending."""
-        return tuple(np.flatnonzero(self.snapshot_rounds()).tolist())
+    def snapshot_times(self) -> np.ndarray:
+        """The snapshot times as a read-only int64 array: every
+        record_beliefs_every-th round from 0, and the horizon, ascending."""
+        return read_only(np.append(np.arange(0, self.horizon, self.record_beliefs_every, dtype=np.int64),
+                                   self.horizon))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +127,14 @@ class SimulationTrace(ArrayValue):
     it: the values of exactly the four arrays a trace file stores. The draws
     may be of any integer dtype, each a valid index (a signal >= 0, a choice
     in 0..n-1); a run and a read hold them in draw_dtypes, and a file stores
-    them as int64. The log beliefs are float64. The agent count and the
-    horizon are read from the arrays' shapes."""
+    them as int64. The snapshot times ascend strictly inside 0..horizon, held
+    as a read-only int64 array (shared where given as one). The log beliefs
+    are float64. The agent count and the horizon are read from the arrays'
+    shapes."""
 
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
-    snapshot_times: tuple[int, ...]  # ascending
+    snapshot_times: np.ndarray  # (m,) int64, read-only
     log_beliefs: np.ndarray  # (len(snapshot_times), n, num_states); row m is time snapshot_times[m]
 
     def __post_init__(self):
@@ -150,6 +146,15 @@ class SimulationTrace(ArrayValue):
                 f"selections has shape {self.selections.shape} and signals {self.signals.shape}, "
                 "expected (horizon, n) and (horizon + 1, n)"
             )
+        times = int_array(self.snapshot_times)
+        if times is None or times.ndim != 1:
+            raise ValidationError(f"snapshot_times must be a 1-D sequence of integers, got {self.snapshot_times!r}")
+        bad = np.append(times[:1] < 0, times[1:] <= times[:-1]) | (times > self.horizon)  # bools: no int64 temporary
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise ValidationError(f"snapshot_times must ascend strictly inside 0..{self.horizon}; "
+                                  f"snapshot_times[{m}] is {times[m]}")
+        object.__setattr__(self, "snapshot_times", read_only(times.copy() if times.flags.writeable else times))
         if self.log_beliefs.dtype != np.float64:
             raise ValidationError(f"log_beliefs has dtype {self.log_beliefs.dtype}, expected float64")
         if self.log_beliefs.ndim != 3 or self.log_beliefs.shape[:2] != (len(self.snapshot_times), self.n):
@@ -175,12 +180,11 @@ class SimulationTrace(ArrayValue):
 
     def log_belief_at(self, t: int) -> np.ndarray:
         """The (n, num_states) log beliefs at snapshot time t."""
-        m = bisect.bisect_left(self.snapshot_times, t)
+        check_integer("time", t)
+        m = np.searchsorted(self.snapshot_times, t)
         if m == len(self.snapshot_times) or self.snapshot_times[m] != t:
-            raise ValidationError(
-                f"no belief snapshot at t={t}; recorded times follow the "
-                "record_beliefs_every stride (plus the final round)"
-            )
+            raise ValidationError(f"no belief snapshot at t={t}; recorded times follow the "
+                                  "record_beliefs_every stride (plus the final round)")
         return self.log_beliefs[m]
 
 
@@ -320,7 +324,8 @@ def _rounds(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The round loop of simulate, rounds rounds a block."""
     R, T1, n = signals.shape
-    snapshot = cfg.snapshot_rounds()
+    snapshot = np.zeros(T1, dtype=bool)  # whether each round is a snapshot time
+    snapshot[cfg.snapshot_times()] = True
     N, k, S = R * n, world.num_states, world.log_columns.shape[1]
     # column b * n + i of a state-major (k, N) buffer is agent i of
     # replication b, and row s holds state s; column i * S + x of cols is
@@ -513,7 +518,7 @@ class TraceWriter:
     closed."""
 
     def __init__(self, path: str | Path, signals: np.ndarray, selections: np.ndarray,
-                 snapshot_times: Sequence[int], num_states: int):
+                 snapshot_times: np.ndarray, num_states: int):
         # a block's rows of one replication can be a few KB: a 64 KB buffer
         # writes several blocks a call
         self._file = Path(path).open("w+b", buffering=1 << 16)
@@ -650,7 +655,7 @@ def read_trace(
         raise ValidationError(f"{path}: holds arrays {names}, expected {sorted(TRACE_ARRAYS)}")
     entries = dict(entries)
     n, k, T = world.n_agents, world.num_states, cfg.horizon
-    times = np.flatnonzero(cfg.snapshot_rounds())  # the int64 array of cfg.snapshot_times()
+    times = cfg.snapshot_times()
     m = len(times)
     # every dtype is checked first, then every shape, the snapshot times' values before their shape
     expected = {
@@ -687,19 +692,20 @@ def read_trace(
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     selections = arrays["selections"]
-    chosen = np.clip(selections, 0, n - 1)
-    bad = (selections != chosen) | ~csr_contains(P.indptr, P.indices, np.arange(n), chosen)
+    sig_dtype, sel_dtype = draw_dtypes(world)
+    # the support is checked on the narrowed copy the trace holds, each choice
+    # outside 0..n-1 (which narrowing may wrap) read as agent 0 there
+    bad = (selections < 0) | (selections >= n)
+    chosen = selections.astype(sel_dtype, order="C")
+    chosen[bad] = 0
+    bad |= ~csr_contains(P.indptr, P.indices, np.arange(n), chosen)
     if bad.any():
         r, i = divmod(int(np.argmax(bad)), n)
-        raise ValidationError(
-            f"{path}: t={r + 1}, agent {i + 1}: chosen agent {selections[r, i] + 1} is outside "
-            "the support of the agent's selection row"
-        )
-
-    sig_dtype, sel_dtype = draw_dtypes(world)
+        raise ValidationError(f"{path}: t={r + 1}, agent {i + 1}: chosen agent {selections[r, i] + 1} is outside "
+                              "the support of the agent's selection row")
+    del bad  # dropped before the log beliefs are copied
     # each array is copied once, C-ordered and aligned, from its view of the file's bytes
-    return SimulationTrace(read_only(signals.astype(sig_dtype, order="C")),
-                           read_only(selections.astype(sel_dtype, order="C")), cfg.snapshot_times(),
+    return SimulationTrace(read_only(signals.astype(sig_dtype, order="C")), read_only(chosen), times,
                            read_only(np.array(arrays["log_beliefs"], order="C")))
 
 

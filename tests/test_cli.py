@@ -14,7 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gossip_learning import cli, example1, graph
-from gossip_learning.analysis import rate_report, write_rate_report
+from gossip_learning.analysis import (
+    belief_difference,
+    occupancy,
+    rate_report,
+    write_belief_difference,
+    write_csv,
+    write_occupancy,
+    write_rate_report,
+)
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
 from gossip_learning.errors import ValidationError
@@ -687,6 +695,26 @@ class TestExample1:
             r_back = fitted_rate(back, ex1_cfg.world, agent, check, (1000, 5000))
             r_fresh = fitted_rate(fresh, ex1_cfg.world, agent, check, (1000, 5000))
             assert r_back == pytest.approx(r_fresh, rel=1e-9)
+
+    def test_figures_are_those_of_replication_0_in_memory(self, tmp_path):
+        """example1 makes its figures from rep000.npz as it reads it back; at
+        a seed and horizon of their own they are the bytes that replication
+        0 of an in-memory run gives."""
+        assert main(["example1", "--seed", "1009", "--horizon", "150", "--replications", "2",
+                     "--out", str(tmp_path / "cli"), "--quiet"]) in (0, 1)
+        cfg = parse_config_dict(example1.config_dict(seed=1009, horizon=150, replications=2))
+        tr = run(cfg.network, cfg.selection, cfg.world, cfg.simulation, replication=0)
+        ref = tmp_path / "ref"
+        labels = cfg.world.state_space.states
+        probs = np.exp(tr.log_beliefs[:, example1.FIG2_AGENT - 1]).tolist()
+        write_csv(ref / "fig2_agent2_beliefs.csv", ["t", "state", "prob"],
+                  [(t, label, p) for t, row in zip(tr.snapshot_times.tolist(), probs) for label, p in zip(labels, row)])
+        a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)
+        write_belief_difference(*belief_difference(tr, a3, a8, cfg.world.true_state_index),
+                                ref / "fig3_diff_3_8.csv")
+        write_occupancy(occupancy(tr, a8, tr.horizon, stationary_distribution(cfg.selection)), ref / "occupancy.csv")
+        for name in ("fig2_agent2_beliefs.csv", "fig3_diff_3_8.csv", "occupancy.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_selection_chain_is_partitioned_once(self, tmp_path, monkeypatch):
         # the connectivity line, the structure report and the stationary

@@ -79,18 +79,18 @@ class TestConfig:
 
     def test_snapshot_times_include_stride_multiples_and_final_round(self):
         cfg = SimulationConfig(horizon=50, seed=0, record_beliefs_every=7)
-        assert cfg.snapshot_times() == (0, 7, 14, 21, 28, 35, 42, 49, 50)
+        assert cfg.snapshot_times().tolist() == [0, 7, 14, 21, 28, 35, 42, 49, 50]
 
     def test_snapshot_times_stride_one(self):
         cfg = SimulationConfig(horizon=5, seed=0)
-        assert cfg.snapshot_times() == (0, 1, 2, 3, 4, 5)
+        assert cfg.snapshot_times().tolist() == [0, 1, 2, 3, 4, 5]
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), horizon=st.integers(1, 10**4))
     def test_snapshot_times_are_the_stride_multiples_and_the_horizon_ascending(self, data, horizon):
         stride = data.draw(st.integers(1, horizon + 5))
         cfg = SimulationConfig(horizon=horizon, seed=0, record_beliefs_every=stride)
-        assert cfg.snapshot_times() == tuple(sorted(set(range(0, horizon + 1, stride)) | {horizon}))
+        assert cfg.snapshot_times().tolist() == sorted(set(range(0, horizon + 1, stride)) | {horizon})
 
 
 class TestDeterminism:
@@ -99,7 +99,7 @@ class TestDeterminism:
         b = small_run(ex1_cfg)
         assert np.array_equal(a.signals, b.signals)
         assert np.array_equal(a.selections, b.selections)
-        assert a.snapshot_times == b.snapshot_times
+        assert np.array_equal(a.snapshot_times, b.snapshot_times)
         assert np.array_equal(a.log_beliefs, b.log_beliefs)
 
     def test_replications_use_distinct_streams(self, ex1_cfg):
@@ -121,7 +121,7 @@ class TestDeterminism:
             solo = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=r)
             assert np.array_equal(batch[r].signals, solo.signals)
             assert np.array_equal(batch[r].selections, solo.selections)
-            assert batch[r].snapshot_times == solo.snapshot_times
+            assert np.array_equal(batch[r].snapshot_times, solo.snapshot_times)
             assert np.array_equal(batch[r].log_beliefs, solo.log_beliefs)
 
 
@@ -436,12 +436,59 @@ class TestValidationAndFingerprints:
     def test_trace_accessors(self, ex1_cfg):
         tr = small_run(ex1_cfg, horizon=20, stride=6)
         assert (tr.n, tr.horizon) == (8, 20)
-        assert tr.snapshot_times == (0, 6, 12, 18, 20)
+        assert tr.snapshot_times.tolist() == [0, 6, 12, 18, 20]
         assert tr.log_beliefs.shape == (5, 8, 3)
         assert np.array_equal(tr.log_belief_at(18), tr.log_beliefs[3])
         for t in (17, -1, 21):
             with pytest.raises(ValidationError, match="record_beliefs_every"):
                 tr.log_belief_at(t)
+
+    @pytest.mark.parametrize("t", ["3", 3.0, True, None])
+    def test_log_belief_at_takes_an_integer_time(self, ex1_cfg, t):
+        tr = small_run(ex1_cfg, horizon=5)
+        with pytest.raises(ValidationError) as info:
+            tr.log_belief_at(t)
+        assert str(info.value) == f"time must be an integer, got {t!r}"
+        assert np.array_equal(tr.log_belief_at(np.int64(3)), tr.log_beliefs[3])
+
+    def test_snapshot_times_are_one_shared_read_only_int64_array(self, ex1_cfg):
+        cfg = SimulationConfig(horizon=30, seed=3, record_beliefs_every=4, replications=3)
+        traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
+        times = traces[0].snapshot_times
+        assert isinstance(times, np.ndarray) and times.dtype == np.int64 and not times.flags.writeable
+        assert all(tr.snapshot_times is times for tr in traces)
+        assert times.tolist() == cfg.snapshot_times().tolist()
+        assert not cfg.snapshot_times().flags.writeable
+
+    def test_a_trace_holds_its_snapshot_times_as_a_read_only_int64_array(self):
+        draws = {"signals": np.zeros((6, 1), dtype=np.int64), "selections": np.zeros((5, 1), dtype=np.int64)}
+        tr = SimulationTrace(**draws, snapshot_times=(0, 3, 5), log_beliefs=np.zeros((3, 1, 2)))
+        assert tr.snapshot_times.dtype == np.int64 and not tr.snapshot_times.flags.writeable
+        assert tr.snapshot_times.tolist() == [0, 3, 5]
+        # a caller's writable array is copied, not frozen under the caller
+        mine = np.array([0, 3, 5])
+        tr = SimulationTrace(**draws, snapshot_times=mine, log_beliefs=np.zeros((3, 1, 2)))
+        assert tr.snapshot_times is not mine and mine.flags.writeable and not tr.snapshot_times.flags.writeable
+        # narrower integers are read as int64
+        tr = SimulationTrace(**draws, snapshot_times=np.array([0, 3, 5], dtype=np.uint8),
+                             log_beliefs=np.zeros((3, 1, 2)))
+        assert tr.snapshot_times.dtype == np.int64
+
+    @pytest.mark.parametrize("times, message", [
+        ((0, 5, 3), "snapshot_times must ascend strictly inside 0..5; snapshot_times[2] is 3"),
+        ((0, 3, 3), "snapshot_times must ascend strictly inside 0..5; snapshot_times[2] is 3"),
+        ((0, 9, 40), "snapshot_times must ascend strictly inside 0..5; snapshot_times[1] is 9"),
+        ((-3, 1, 2), "snapshot_times must ascend strictly inside 0..5; snapshot_times[0] is -3"),
+        ((0.5, 2.7, 4.2), "snapshot_times must be a 1-D sequence of integers, got (0.5, 2.7, 4.2)"),
+        ((0, 2.0, 4), "snapshot_times must be a 1-D sequence of integers, got (0, 2.0, 4)"),
+        ((0, True, 4), "snapshot_times must be a 1-D sequence of integers, got (0, True, 4)"),
+        (((0,), (2,), (4,)), "snapshot_times must be a 1-D sequence of integers, got ((0,), (2,), (4,))"),
+    ])
+    def test_trace_rejects_snapshot_times_that_are_not_ascending_rounds(self, times, message):
+        with pytest.raises(ValidationError) as info:
+            SimulationTrace(signals=np.zeros((6, 2), dtype=np.int64), selections=np.zeros((5, 2), dtype=np.int64),
+                            snapshot_times=times, log_beliefs=np.zeros((3, 2, 2)))
+        assert str(info.value) == message
 
     def test_run_hashes_nothing(self, ex1_cfg, monkeypatch):
         def fail(_):
@@ -578,7 +625,7 @@ def assert_matches_reference(net, P, world, cfg):
         signals, selections, snapshots = reference_run(net, P, world, cfg, r)
         assert np.array_equal(tr.signals, signals)
         assert np.array_equal(tr.selections, selections)
-        assert tr.snapshot_times == tuple(snapshots)
+        assert tr.snapshot_times.tolist() == list(snapshots)
         for m, t in enumerate(tr.snapshot_times):
             assert np.array_equal(tr.log_beliefs[m], snapshots[t])
         assert np.isfinite(tr.log_beliefs[..., world.true_state_index]).all()
