@@ -10,7 +10,10 @@ read as whole arrays: the edge list as one (m, 2) integer array, and the
 likelihood tables as one (agents, states, signals) array where every agent
 has the same number of signals. Where such a read fails, the edges go to the
 network as the file holds them, and the tables are walked one at a time, so
-the first faulty edge or agent is named. Agent ids, state labels, and edge
+the first faulty edge or agent is named. Likelihood entries of the common
+shape, {"agent": a, "table": [...]} for the agents 1..n in order, are read
+whole; they are walked one at a time only to name a fault or to resolve
+"like" aliases. Agent ids, state labels, and edge
 endpoints are 1-based in files, converted to 0-based indices at the
 boundary. The canonical form (aliases expanded, defaults filled, edges
 sorted) round-trips: parsing it again yields the same canonical form.
@@ -202,6 +205,21 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
     entries = _as_list(obj["likelihoods"], "world.likelihoods")
     if len(entries) != n:
         raise ValidationError(f"world.likelihoods: expected one entry per agent ({n}), got {len(entries)}")
+    # entries {"agent": a, "table": [...]} for a = 1..n in order are read whole
+    if all(type(e) is dict and e.keys() == {"agent", "table"} and type(e["agent"]) is int and e["agent"] == a
+           and type(e["table"]) is list for a, e in enumerate(entries, 1)):
+        tables = [e["table"] for e in entries]
+    else:
+        tables = _walk_likelihoods(entries, n)
+    try:
+        return WorldModel.from_tables(space, prior, tables)
+    except ValidationError as exc:
+        raise ValidationError(f"world.likelihoods: {exc}") from exc
+
+
+def _walk_likelihoods(entries: list, n: int) -> list:
+    """The n entries' tables in agent order, aliases resolved; the first
+    faulty entry is named."""
     # slot a holds agent a + 1's table, or the index its alias names
     slots: list[list | int | None] = [None] * n
     for k, entry in enumerate(entries):
@@ -229,12 +247,7 @@ def _parse_world(raw: Any, n: int) -> WorldModel:
         target = slots[entry["agent"] - 1]
         if isinstance(target, int) and not (0 <= target < n and isinstance(slots[target], list)):
             raise ValidationError(f"world.likelihoods[{k}].like: {entry['like']!r} must reference an agent with an explicit table")
-    tables = [slots[s] if isinstance(s, int) else s for s in slots]
-
-    try:
-        return WorldModel.from_tables(space, prior, tables)
-    except ValidationError as exc:
-        raise ValidationError(f"world.likelihoods: {exc}") from exc
+    return [slots[s] if isinstance(s, int) else s for s in slots]
 
 
 def _parse_simulation(raw: Any) -> SimulationConfig:

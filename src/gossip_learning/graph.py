@@ -34,6 +34,10 @@ DIRECT_SOLVE_LIMIT = 2000
 POWER_STEP_TOL = 1e-13
 POWER_MAX_ITER = 1_000_000
 
+# A chain is proven one recurrent class, with no Tarjan pass, when agent 0
+# reaches every agent and every agent reaches agent 0 within this many steps.
+SWEEP_LEVEL_CAP = 32
+
 
 def _csr_rows(indptr: np.ndarray) -> np.ndarray:
     """The row of every stored entry of a CSR structure."""
@@ -112,10 +116,15 @@ class DirectedNetwork(ArrayValue):
         e, fault = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
-        order = np.lexsort((e[:, 0], e[:, 1]))  # by target, then source; stable
-        ordered = e[order]
+        # one key per edge, by target then source, on endpoints clipped to
+        # -1..n: an edge outside is named as such whatever it equals, and
+        # (n + 2)^2 fits int64 as csr_contains's keys do
+        c = np.clip(e, -1, n)
+        key = c[:, 1] * (n + 2) + c[:, 0]
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
         repeated = np.zeros(len(e), dtype=bool)  # equal to an earlier edge
-        repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+        repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
         bad = outside | loop | repeated
         if bad.any():
             k = int(np.argmax(bad))
@@ -232,6 +241,8 @@ class SelectionMatrix(ArrayValue):
 
     @cached_property
     def _recurrent_classes(self) -> RecurrentClasses:
+        if _reaches_all(self.n, self.rows, self.indices) and _reaches_all(self.n, self.indices, self.rows):
+            return RecurrentClasses(classes=(tuple(range(self.n)),), transient=())
         sccs = _tarjan_sccs(self.indptr, self.indices)
         scc_id = np.empty(self.n, dtype=np.int64)
         scc_id[np.concatenate(sccs)] = np.repeat(np.arange(len(sccs)), [len(c) for c in sccs])
@@ -294,6 +305,20 @@ def custom_selection_matrix(net: DirectedNetwork, rows: Sequence[Sequence[float]
     mat = SelectionMatrix.from_dense(rows)
     check_selection_support(net, mat)
     return mat
+
+
+def _reaches_all(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether agent 0 reaches all n agents along the steps src[k] -> dst[k]
+    within SWEEP_LEVEL_CAP levels; a level is one gather over every step."""
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    count = 1
+    for _ in range(SWEEP_LEVEL_CAP):
+        reached[dst[reached[src]]] = True
+        count, before = int(np.count_nonzero(reached)), count
+        if count == n or count == before:
+            break
+    return count == n
 
 
 def _tarjan_sccs(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
@@ -379,8 +404,11 @@ def recurrent_classes(P: SelectionMatrix) -> RecurrentClasses:
 
     Works on the support graph of P (edge i -> j iff p_ij > 0). A class is
     recurrent iff it is closed: no positive-probability transition leaves it.
-    The partition is found once per matrix and kept on it (its arrays are
-    read-only), so a check and a stationary solve share one Tarjan pass.
+    When a forward and a backward sweep from agent 0 each reach every agent
+    within SWEEP_LEVEL_CAP levels (the first step of Fleischer, Hendrickson
+    & Pinar's forward-backward SCC method), all states form one class;
+    otherwise Tarjan's pass finds the same partition. It is found once per
+    matrix and kept on it, so a check and a stationary solve share it.
     """
     return P._recurrent_classes
 

@@ -424,7 +424,7 @@ def backward_walk(trace: SimulationTrace, i: int, t: int) -> np.ndarray:
     cur = i
     sel = trace.selections
     for k in range(1, t + 1):
-        cur = sel[t - k, cur]  # round t-k+1 choice of the walk's current node
+        cur = sel.item(t - k, cur)  # round t-k+1 choice of the walk's current node, a Python int
         walk[k] = cur
     return walk
 

@@ -1,4 +1,6 @@
 import copy
+import importlib.util
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -401,3 +403,148 @@ def test_stationary_contract_on_random_dense_chains(data, n):
     assert np.all(pi >= 0.0)
     assert abs(pi.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(pi @ P.to_dense() - pi)) <= 1e-10
+
+
+def _tarjan_classes(P: SelectionMatrix) -> graph.RecurrentClasses:
+    """The recurrent classes of a fresh copy of P, found by Tarjan's pass alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_reaches_all", lambda *args: False)
+        return recurrent_classes(SelectionMatrix(P.n, P.indptr, P.indices, P.probs))
+
+
+def _sparse_uniform_chain(rng, n: int, in_degree: float, ring: bool) -> SelectionMatrix:
+    """The uniform chain of a random digraph with about in_degree random
+    in-neighbours per agent, on a directed ring of all n agents or not."""
+    m = int(in_degree * n)
+    pairs = set(zip(rng.integers(0, n, m).tolist(), rng.integers(0, n, m).tolist()))
+    if ring:
+        pairs |= {(i, (i + 1) % n) for i in range(n)}
+    return uniform_selection_matrix(DirectedNetwork(n, sorted((j, i) for j, i in pairs if j != i)))
+
+
+def _condensation_classes(P: SelectionMatrix) -> list[tuple[int, ...]]:
+    """networkx's closed strongly connected components of P's support graph, sorted."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(P.n))
+    g.add_edges_from(zip(P.rows.tolist(), P.indices.tolist()))  # i can step to j
+    cond = nx.condensation(g)
+    return sorted(tuple(sorted(cond.nodes[c]["members"])) for c in cond.nodes if cond.out_degree(c) == 0)
+
+
+class TestSweepProof:
+    """recurrent_classes proves one recurrent class by a forward and a
+    backward frontier sweep from agent 0, and runs Tarjan's pass otherwise;
+    either way its result is Tarjan's."""
+
+    def test_sweeps_prove_strongly_connected_chains_without_tarjan(self, monkeypatch):
+        rng = np.random.default_rng(3401)
+        chains = [_sparse_uniform_chain(rng, int(rng.integers(2, 300)), 3.0, ring=True) for _ in range(12)]
+        net, rows = _random_net_and_rows(rng, 9)
+        chains.append(custom_selection_matrix(net, rows))
+        chains.append(custom_selection_matrix(DirectedNetwork(1, []), [[1.0]]))  # n = 1
+        expected = [_tarjan_classes(P) for P in chains]
+        monkeypatch.setattr(graph, "_tarjan_sccs", lambda *args: pytest.fail("Tarjan ran"))
+        for P, tarjan in zip(chains, expected):
+            rc = recurrent_classes(P)
+            assert rc == tarjan and rc.classes == (tuple(range(P.n)),) and rc.transient == ()
+
+    @pytest.mark.parametrize("net, rows, classes, transient", [
+        (ex1_net(), None, ((0, 1, 2, 3, 4),), (5, 6, 7)),
+        (DirectedNetwork(3, [(1, 2), (2, 1)]), None, ((0,), (1, 2)), ()),
+        (DirectedNetwork(4, [(0, 1), (1, 0), (2, 3), (3, 2)]), None, ((0, 1), (2, 3)), ()),
+        (DirectedNetwork(3, [(1, 0), (2, 0)]), [[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], ((1,), (2,)), (0,)),
+        (DirectedNetwork(3, [(0, 1), (0, 2)]), [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]], ((0,),), (1, 2)),
+    ], ids=["transient agents", "an agent with no in-neighbour selects itself", "two closed classes",
+            "agent 0 reaches all, none reaches it", "all reach agent 0, it reaches none"])
+    def test_where_the_sweeps_fail_tarjan_decides(self, net, rows, classes, transient):
+        P = uniform_selection_matrix(net) if rows is None else custom_selection_matrix(net, rows)
+        fresh = SelectionMatrix(P.n, P.indptr, P.indices, P.probs)
+        assert recurrent_classes(fresh) == _tarjan_classes(P) == graph.RecurrentClasses(classes, transient)
+
+    def test_a_ring_longer_than_the_level_cap_falls_back_to_tarjan(self, monkeypatch):
+        n = graph.SWEEP_LEVEL_CAP + 5
+        P = uniform_selection_matrix(DirectedNetwork(n, [(i, (i + 1) % n) for i in range(n)]))
+        calls = []
+        tarjan = graph._tarjan_sccs
+        monkeypatch.setattr(graph, "_tarjan_sccs", lambda *args: calls.append(1) or tarjan(*args))
+        rc = recurrent_classes(P)
+        assert calls == [1]
+        assert rc == _tarjan_classes(P) == graph.RecurrentClasses((tuple(range(n)),), ())
+
+    def test_recurrent_classes_match_networkx_condensation_at_a_few_hundred_agents(self):
+        rng = np.random.default_rng(3402)
+        for in_degree in (0.3, 0.8, 1.5, 3.0):
+            for ring in (False, True):
+                P = _sparse_uniform_chain(rng, int(rng.integers(200, 400)), in_degree, ring)
+                expected = _condensation_classes(P)
+                rc = recurrent_classes(P)
+                assert sorted(rc.classes) == expected
+                members = {i for c in expected for i in c}
+                assert rc.transient == tuple(i for i in range(P.n) if i not in members)
+                assert rc == _tarjan_classes(P)
+
+    def test_the_sweeps_prove_the_wide_benchmark_chain(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("bench_wide", Path(__file__).parents[1] / "bench" / "wide.py")
+        wide = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wide)
+        cfg = parse_config_dict(wide.config_dict(42))
+        monkeypatch.setattr(graph, "_tarjan_sccs", lambda *args: pytest.fail("Tarjan ran"))
+        rc = recurrent_classes(cfg.selection)
+        assert rc.classes == (tuple(range(cfg.network.n)),) and rc.transient == ()
+
+
+def _lexsort_edge_fault(n: int, edges: list) -> str | None:
+    """The message naming the first faulty edge, by a pairwise np.lexsort of
+    the edges; every edge is a pair of integers."""
+    e = np.array([[min(max(x, -1), n) for x in pair] for pair in edges], dtype=np.int64).reshape(-1, 2)
+    outside = np.any((e < 0) | (e >= n), axis=1)
+    loop = e[:, 0] == e[:, 1]
+    order = np.lexsort((e[:, 0], e[:, 1]))
+    ordered = e[order]
+    repeated = np.zeros(len(e), dtype=bool)
+    repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+    bad = outside | loop | repeated
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    j, i = (x + 1 for x in edges[k])
+    if outside[k]:
+        return f"edges[{k}]: [{j}, {i}] has an endpoint outside 1..{n}"
+    if loop[k]:
+        return f"edges[{k}]: self-loop [{j}, {i}] not allowed"
+    return f"edges[{k}]: duplicate edge [{j}, {i}]"
+
+
+FAR = [2**62, -(2**62), int(np.iinfo(np.int64).max), int(np.iinfo(np.int64).min)]
+
+
+class TestEdgeKey:
+    """DirectedNetwork orders its edges by one int64 key, target then source;
+    the first faulty edge it names is that of a pairwise sort."""
+
+    @pytest.mark.parametrize("far", FAR[:3])
+    def test_a_far_endpoint_is_outside_never_a_duplicate(self, far):
+        for edges, k in (([(0, 1), (far, 1), (far, 1)], 1), ([(far, far), (far, far)], 0),
+                         ([(1, far), (2, 0), (1, far)], 0), ([(0, 1), (1, 2), (far, 0), (2, 1)], 2)):
+            with pytest.raises(ValidationError) as info:
+                DirectedNetwork(3, edges)
+            j, i = (x + 1 for x in edges[k])
+            assert str(info.value) == f"edges[{k}]: [{j}, {i}] has an endpoint outside 1..3"
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_the_named_edge_is_that_of_a_pairwise_lexsort(self, data, n):
+        endpoint = st.one_of(st.integers(-2, n + 1), st.integers(0, n - 1), st.sampled_from(FAR))
+        edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))
+        edges += data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []  # repeats
+        expected = _lexsort_edge_fault(n, edges)
+        if expected is None:
+            net = DirectedNetwork(n, edges)
+            e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            order = np.lexsort((e[:, 0], e[:, 1]))
+            assert net.in_indices.tolist() == e[order, 0].tolist()
+            assert net.in_indptr.tolist() == np.concatenate([[0], np.cumsum(np.bincount(e[:, 1], minlength=n))]).tolist()
+        else:
+            with pytest.raises(ValidationError) as info:
+                DirectedNetwork(n, edges)
+            assert str(info.value) == expected
