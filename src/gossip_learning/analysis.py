@@ -10,6 +10,7 @@ against the other.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -234,34 +235,54 @@ def belief_difference(
     return trace.snapshot_times, np.abs(mass[:, 0] - mass[:, 1])
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a header line and then the rows with csv.writer, creating the
-    parent directory. Cells are Python values (numpy arrays go in through
-    .tolist()): a float is written as its repr, anything else as its str."""
+def _csv_cells(column: Sequence, width: int) -> Iterable:
+    """column's cells for str.format in a row of width fields: each str as
+    csv.writer writes it there (rendered once per distinct string, so its
+    quoting is csv's), anything else as it is."""
+    if not any(issubclass(t, str) for t in set(map(type, column))):
+        return column
+    pad, cut = [""] * (width - 1), width + 1  # the pad's commas and the \r\n
+
+    def quoted(s: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([s, *pad])
+        return buf.getvalue()[:-cut]
+
+    strings = {s: quoted(s) for s in {v for v in column if isinstance(v, str)}}
+    return (strings[v] if isinstance(v, str) else v for v in column)
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> Path:
+    """Write the bytes csv.writer writes for a header line and then the rows
+    of equal-length columns, creating the parent directory. Cells are Python
+    ints, floats and strings (numpy arrays go in through .tolist()): a float
+    is written as its repr, an int as its str, a string quoted as csv.writer
+    quotes it. The lines are made and written one at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    template = ",".join(["{}"] * len(header)) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(template.format, *(_csv_cells(c, len(header)) for c in columns)))
     return path
 
 
 def write_rate_report(report: RateReport, world: WorldModel, path: str | Path) -> Path:
     """rate_report.csv: check_state,theoretical,agent,empirical,stderr."""
-    labels = world.state_space.states
-    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], (
-        (labels[r.check_state], r.theoretical, r.agent + 1, r.empirical, r.stderr) for r in report.rows
-    ))
+    labels, rows = world.state_space.states, report.rows
+    return write_csv(path, ["check_state", "theoretical", "agent", "empirical", "stderr"], [
+        [labels[r.check_state] for r in rows], [r.theoretical for r in rows], [r.agent + 1 for r in rows],
+        [r.empirical for r in rows], [r.stderr for r in rows],
+    ])
 
 
 def write_occupancy(report: OccupancyReport, path: str | Path) -> Path:
     """occupancy.csv: agent_m,empirical,stationary."""
     n = len(report.frequencies)
     return write_csv(path, ["agent_m", "empirical", "stationary"],
-                     zip(range(1, n + 1), report.frequencies.tolist(), report.stationary.tolist()))
+                     [range(1, n + 1), report.frequencies.tolist(), report.stationary.tolist()])
 
 
 def write_belief_difference(times: np.ndarray, diffs: np.ndarray, path: str | Path) -> Path:
     """belief_diff.csv: t,value."""
-    return write_csv(path, ["t", "value"], zip(times.tolist(), diffs.tolist()))
+    return write_csv(path, ["t", "value"], [times.tolist(), diffs.tolist()])

@@ -149,11 +149,12 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
     out/repNNN.npz and digests lists the files' SHA-256; with windows, the
     fit windows are one (snapshot times, log beliefs) pair a replication for
     fit_rates, the beliefs of the analysis agents inside the analysis
-    window."""
+    window. Each block's rows go to the trace files as they are, and its
+    window rows are gathered by np.take straight into the held windows."""
     sim, world, a = cfg.simulation, cfg.world, cfg.analysis
     times = sim.snapshot_times()
     k, R = world.num_states, sim.replications
-    agents = list(a.agent_indices)
+    agents = np.array(a.agent_indices, dtype=np.int64)
     inside = window_snapshots(times, a.window, sim.horizon) if windows else slice(0, 0)
     held = np.empty((R, inside.stop - inside.start, len(agents), k)) if windows else None
     digests = []
@@ -171,7 +172,8 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
                     writer.write(rep_rows)
                 lo, hi = max(slot, inside.start), min(slot + rows.shape[1], inside.stop)
                 if lo < hi:
-                    held[g0:reps.stop, lo - inside.start:hi - inside.start] = rows[:, lo - slot:hi - slot, agents]
+                    np.take(rows[:, lo - slot:hi - slot], agents, axis=2,
+                            out=held[g0:reps.stop, lo - inside.start:hi - inside.start])
             for r, writer in zip(reps, writers):
                 digests.append(writer.close())
                 say(f"wrote {out / _trace_name(r)}")
@@ -311,13 +313,13 @@ def cmd_example1(args) -> int:
     # the figures are made from replication 0 as stored, read back as rate --traces reads it
     trace0 = read_trace(out / _trace_name(0), digests[0], cfg.selection, world, cfg.simulation)
 
-    # rows are made one at a time as csv.writer writes them, so no table of
-    # cells is held beside the traces
+    # one row a (snapshot, state) pair, snapshot-major: each column goes in
+    # as one flat list and write_csv makes the lines one at a time
     labels = world.state_space.states
-    probs = np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1]).tolist()
-    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], (
-        (t, label, p) for t, row in zip(trace0.snapshot_times.tolist(), probs) for label, p in zip(labels, row)
-    ))
+    probs = np.exp(trace0.log_beliefs[:, example1.FIG2_AGENT - 1])
+    write_csv(out / "fig2_agent2_beliefs.csv", ["t", "state", "prob"], [
+        np.repeat(trace0.snapshot_times, len(labels)).tolist(), list(labels) * len(probs), probs.ravel().tolist(),
+    ])
     say(f"wrote {out / 'fig2_agent2_beliefs.csv'}")
 
     a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)

@@ -1,8 +1,10 @@
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import rel_entr
 
@@ -13,6 +15,7 @@ from gossip_learning.analysis import (
     theoretical_rate,
     window_snapshots,
     write_belief_difference,
+    write_csv,
     write_occupancy,
     write_rate_report,
 )
@@ -442,3 +445,60 @@ class TestCsvWriters:
         assert list(rows[0].keys()) == ["t", "value"]
         assert len(rows) == 26
         assert float(rows[-1]["value"]) == diffs[-1]
+
+
+# the cells a column of write_csv can hold: ints past int64, every kind of
+# float csv.writer writes by repr, strings csv.writer must quote, and state
+# labels that mix ints and strings
+CSV_INTS = st.one_of(st.integers(), st.sampled_from([-1, 0, 2**63, 2**64 + 1, -(2**63) - 1]))
+CSV_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]))
+CSV_STRINGS = st.one_of(st.text(), st.sampled_from(["", " ", " x ", "a,b", 'say "hi"', "x\ny", "\r", "a\r\nb",
+                                                    "Zürich", "状态"]))
+CSV_COLUMNS = [CSV_INTS, CSV_FLOATS, CSV_STRINGS, st.one_of(CSV_INTS, CSV_STRINGS)]
+
+
+def csv_writer_bytes(path, header, columns) -> bytes:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+    return path.read_bytes()
+
+
+@st.composite
+def csv_tables(draw):
+    """1-5 equal-length columns of 0-12 rows, each of one kind of CSV_COLUMNS."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(CSV_COLUMNS), min_size=1, max_size=5))
+    return [draw(st.lists(kind, min_size=rows, max_size=rows)) for kind in kinds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=csv_tables())
+@example(columns=[["x\ny", "a,b", 'say "hi"', ""], [1, 2, 3, 4]])
+@example(columns=[["", "x"]])
+def test_write_csv_writes_the_bytes_of_csv_writer(columns, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    assert write_csv(tmp / "new.csv", header, columns).read_bytes() == csv_writer_bytes(tmp / "ref.csv", header, columns)
+
+
+def test_write_csv_streams_its_lines(tmp_path):
+    """write_csv makes and writes one line at a time: over a 2e5-row
+    (int, str, float) file of 5.5 MB, its tracemalloc peak above its input
+    columns measured 139 KB on CPython 3.11, the 128 KB record buffer of a
+    csv.writer, the file's buffer and one pending chunk of text. A list of
+    the file's lines would take 16.8 MB and the joined text 22 MB. The bound
+    is 512 KB."""
+    n = 200_000
+    columns = [list(range(n)), ["a,b", "c", "d"] * (n // 4) + ["e"] * (n - 3 * (n // 4)),
+               (np.arange(n) / 7).tolist()]
+    header = ["t", "state", "prob"]
+    write_csv(tmp_path / "warm.csv", header, [c[:10] for c in columns])
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", header, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, peak

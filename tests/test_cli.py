@@ -19,7 +19,6 @@ from gossip_learning.analysis import (
     occupancy,
     rate_report,
     write_belief_difference,
-    write_csv,
     write_occupancy,
     write_rate_report,
 )
@@ -587,6 +586,29 @@ class TestRate:
         with (tmp_path / "o" / "rate_report.csv").open(newline="") as fh:
             assert {r["theoretical"] for r in csv.DictReader(fh)} == {"6.679841864828025e-15"}
 
+    def test_string_labels_are_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        # labels holding a delimiter, a quote and a line break: the report is
+        # the bytes csv.writer writes for the rows rate_report gives in memory
+        raw = example1.config_dict(horizon=200, replications=2)
+        states = ["a,b", 'say "hi"', "x\ny"]
+        raw["world"].update(states=states, true_state="a,b")
+        raw["analysis"]["check_states"] = states[1:]
+        assert main(["rate", "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "o"),
+                     "--quiet"]) in (0, 1)
+        cfg = parse_config_dict(raw)
+        a = cfg.analysis
+        report = rate_report(run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation),
+                             stationary_distribution(cfg.selection), cfg.world,
+                             list(a.check_state_indices), list(a.agent_indices), a.window)
+        with (tmp_path / "ref.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check_state", "theoretical", "agent", "empirical", "stderr"])
+            writer.writerows((states[r.check_state], r.theoretical, r.agent + 1, r.empirical, r.stderr)
+                             for r in report.rows)
+        written = (tmp_path / "o" / "rate_report.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert written.count(b'"x\ny",') == 3 and written.count(b'"say ""hi""",') == 3
+
     def test_exit_code_and_within_agree_on_a_zero_rate_state(self, tmp_path, capsys):
         # no recurrent agent tells state 2 from the truth, but transient
         # agent 8 does, so state 2's rows fit a decay against a rate of 0
@@ -707,8 +729,12 @@ class TestExample1:
         ref = tmp_path / "ref"
         labels = cfg.world.state_space.states
         probs = np.exp(tr.log_beliefs[:, example1.FIG2_AGENT - 1]).tolist()
-        write_csv(ref / "fig2_agent2_beliefs.csv", ["t", "state", "prob"],
-                  [(t, label, p) for t, row in zip(tr.snapshot_times.tolist(), probs) for label, p in zip(labels, row)])
+        ref.mkdir()
+        with (ref / "fig2_agent2_beliefs.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "state", "prob"])
+            writer.writerows((t, label, p) for t, row in zip(tr.snapshot_times.tolist(), probs)
+                             for label, p in zip(labels, row))
         a3, a8 = (x - 1 for x in example1.FIG3_AGENTS)
         write_belief_difference(*belief_difference(tr, a3, a8, cfg.world.true_state_index),
                                 ref / "fig3_diff_3_8.csv")

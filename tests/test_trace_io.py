@@ -132,6 +132,30 @@ def test_a_trace_in_any_memory_order_is_written_in_c_order(ex1_cfg, tmp_path):
     assert savez_bytes(fortran) != (tmp_path / "c.npz").read_bytes()
 
 
+def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
+    """TraceWriter.write hands C-contiguous <f8 rows to the file as they are
+    and writes any other rows as their C-ordered <f8 bytes: the same values
+    as a transposed view, in Fortran order, as float32 (values it holds
+    exactly) or big-endian give the same file."""
+    tr = small_run(ex1_cfg, horizon=40, stride=3)
+    lb = tr.log_beliefs.astype(np.float32).astype(np.float64)
+    ways = {"c": lb, "transposed": lb.transpose(1, 0, 2).copy().transpose(1, 0, 2),
+            "fortran": np.asfortranarray(lb), "float32": lb.astype(np.float32), "big-endian": lb.astype(">f8")}
+    files = {}
+    for name, rows in ways.items():
+        path = tmp_path / f"{name}.npz"
+        with TraceWriter(path, tr.signals, tr.selections, tr.snapshot_times, lb.shape[2]) as writer:
+            for block in np.array_split(rows, 3):
+                writer.write(block)
+            digest = writer.close()
+        data = path.read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest(), name
+        files[name] = data
+    assert not (ways["transposed"].flags.c_contiguous or ways["transposed"].flags.f_contiguous)
+    assert files["c"] == savez_bytes(dataclasses.replace(tr, log_beliefs=lb))
+    assert all(data == files["c"] for data in files.values())
+
+
 def test_example1_draws_are_held_in_bytes(ex1_cfg):
     tr = small_run(ex1_cfg, horizon=20)
     assert (tr.signals.dtype, tr.selections.dtype) == (np.uint8, np.uint8)
