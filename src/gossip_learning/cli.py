@@ -149,8 +149,8 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
     out/repNNN.npz and digests lists the files' SHA-256; with windows, the
     fit windows are one (snapshot times, log beliefs) pair a replication for
     fit_rates, the beliefs of the analysis agents inside the analysis
-    window. Each block's rows go to the trace files as they are, and its
-    window rows are gathered by np.take straight into the held windows."""
+    window. Each block's window rows are gathered by np.take into the held
+    windows."""
     sim, world, a = cfg.simulation, cfg.world, cfg.analysis
     times = sim.snapshot_times()
     k, R = world.num_states, sim.replications

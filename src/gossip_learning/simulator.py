@@ -535,14 +535,8 @@ class TraceWriter:
             raise
 
     def write(self, rows: np.ndarray) -> None:
-        """Append float64 log-belief rows of shape (j, n, num_states). Rows
-        already C-contiguous little-endian float64 go to the entry as they
-        are, since the entry, its CRC-32 and the file take an array's buffer;
-        any other layout or dtype is written as its C-ordered <f8 bytes."""
-        if rows.flags.c_contiguous and rows.dtype.str == "<f8":
-            self._beliefs.write(rows)
-        else:
-            self._beliefs.write(_c_bytes(rows, "<f8"))
+        """Append float64 log-belief rows of shape (j, n, num_states)."""
+        self._beliefs.write(_c_bytes(rows, "<f8"))
 
     def close(self) -> str:
         """Finish the file and return the SHA-256 of its bytes, read back once."""

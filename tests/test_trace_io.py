@@ -133,10 +133,9 @@ def test_a_trace_in_any_memory_order_is_written_in_c_order(ex1_cfg, tmp_path):
 
 
 def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
-    """TraceWriter.write hands C-contiguous <f8 rows to the file as they are
-    and writes any other rows as their C-ordered <f8 bytes: the same values
-    as a transposed view, in Fortran order, as float32 (values it holds
-    exactly) or big-endian give the same file."""
+    """TraceWriter.write writes rows as their C-ordered <f8 bytes: the same
+    values as C-contiguous float64, a transposed view, in Fortran order, as
+    float32 (values it holds exactly) or big-endian give the same file."""
     tr = small_run(ex1_cfg, horizon=40, stride=3)
     lb = tr.log_beliefs.astype(np.float32).astype(np.float64)
     ways = {"c": lb, "transposed": lb.transpose(1, 0, 2).copy().transpose(1, 0, 2),
