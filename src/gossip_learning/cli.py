@@ -5,15 +5,17 @@ manifest), rate (theoretical vs fitted decay rates), example1 (the built-in
 benchmark end to end). Exit codes are a stable contract: 0 success, 1 negative
 analytic verdict, 2 invalid input or config, 3 I/O failure. Output location
 comes from --out, else the GOSSIP_LEARNING_OUT environment variable, else
-./gossip_learning_out. All outputs are deterministic for a given config: CSVs
-and the manifest carry no timestamps and the .npz traces a fixed one, so
-reruns are byte-identical. run writes one repNNN.npz per replication and a
-manifest.json that records each file's SHA-256; rate --traces checks the
-manifest, then reads, checks and fits one file at a time in replication
-order, each only after checking its digest, so its faults come in that
-order. example1 writes its traces as run does, then reads replication 0
-back from rep000.npz by that same checked read and makes its figures from
-the stored trace.
+./gossip_learning_out. All outputs are deterministic for a given config: CSVs,
+the manifest and the traces carry no timestamps, so reruns are
+byte-identical. run writes one repNNN.trace per replication (its four
+arrays as NPY arrays back to back) and a manifest.json that records each
+file's SHA-256; rate --traces checks the manifest, then reads, checks and
+fits one file at a time in replication order, naming a digest mismatch
+before any other fault of the file, so its faults come in that order; a
+directory of the repNNN.npz files of earlier versions exits 2, asking for
+the traces to be made again. example1 writes its traces as run does, then
+reads replication 0 back from rep000.trace by that same checked read and
+makes its figures from the stored trace.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def cmd_check(args) -> int:
 
 def _trace_name(r: int) -> str:
     """The name of the file run writes replication r's trace to."""
-    return f"rep{r:03d}.npz"
+    return f"rep{r:03d}.trace"
 
 
 def _derived_fields(cfg: ExperimentConfig) -> dict:
@@ -146,7 +148,7 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
     run's full snapshot array.
 
     Returns (digests, fit windows): with out, replication r is written to
-    out/repNNN.npz and digests lists the files' SHA-256; with windows, the
+    out/repNNN.trace and digests lists the files' SHA-256; with windows, the
     fit windows are one (snapshot times, log beliefs) pair a replication for
     fit_rates, the beliefs of the analysis agents inside the analysis
     window. Each block's window rows are gathered by np.take into the held
@@ -236,6 +238,9 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, Iterator[Simul
     if len(digests) != count:
         raise ValidationError(f"{manifest_path}: traces lists {len(digests)} digest(s), "
                               f"but its config has {count} replication(s)")
+    if not (traces_dir / _trace_name(0)).exists() and (traces_dir / "rep000.npz").exists():
+        raise ValidationError(f"{traces_dir}: holds .npz traces (a trace layout of earlier versions); "
+                              "regenerate the traces with the run command")
     # read lazily, in replication order, so a fit takes one trace at a time
     traces = (read_trace(traces_dir / _trace_name(k), d, cfg.selection, cfg.world, cfg.simulation)
               for k, d in enumerate(digests))
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--traces", metavar="DIR", help="reuse traces previously written by 'run'")
 
     common(sub.add_parser("check", help="report structure, recurrent classes, identifiability"))
-    common(sub.add_parser("run", help="simulate and write one .npz trace per replication plus a manifest "
+    common(sub.add_parser("run", help="simulate and write one .trace file per replication plus a manifest "
                                       "with their SHA-256 digests"))
     common(sub.add_parser("rate", help="compare empirical decay rates to the closed form"), traces=True)
     common(sub.add_parser("example1", help="run the built-in benchmark pipeline end to end"))

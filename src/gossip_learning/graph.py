@@ -34,6 +34,10 @@ DIRECT_SOLVE_LIMIT = 2000
 POWER_STEP_TOL = 1e-13
 POWER_MAX_ITER = 1_000_000
 
+# The most agents a network may have: its edge keys, below (n + 2)^2, fit
+# int64, as csr_contains's keys do (isqrt(2**63 - 1) - 2).
+MAX_AGENTS = 3_037_000_497
+
 # A chain is proven one recurrent class, with no Tarjan pass, when agent 0
 # reaches every agent and every agent reaches agent 0 within this many steps.
 SWEEP_LEVEL_CAP = 32
@@ -55,12 +59,13 @@ def nonzero_csr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def csr_contains(indptr: np.ndarray, indices: np.ndarray, rows, cols) -> np.ndarray:
     """Whether each (rows, cols) pair, broadcast together, is a stored entry
-    of a square CSR structure whose rows' indices ascend; cols must lie in
-    0..n-1. Each entry is searched as the key row * n + column, and the
-    structure's keys ascend."""
+    of a square CSR structure whose rows' indices ascend. Each entry is
+    searched as the key row * n + column, and the structure's keys ascend,
+    so a column past n - 1 can match another row's entry: a caller flags
+    those itself."""
     n = len(indptr) - 1
-    # a last key past every entry closes the structure's keys
-    stored = np.append(_csr_rows(indptr) * n + indices, n * n)
+    # a last key past every key closes the structure's keys
+    stored = np.append(_csr_rows(indptr) * n + indices, np.iinfo(np.int64).max)
     keys = np.asarray(rows) * n + np.asarray(cols)
     return stored[np.searchsorted(stored, keys)] == keys
 
@@ -112,13 +117,14 @@ class DirectedNetwork(ArrayValue):
         n = int(self.n)
         if n < 1:
             raise ValidationError(f"n: agent count must be >= 1, got {n}")
+        if n > MAX_AGENTS:
+            raise ValidationError(f"n: agent count must be <= {MAX_AGENTS}, so that int64 edge keys hold it, got {n}")
         object.__setattr__(self, "n", n)
         e, fault = _integer_pairs(self.edges, n)
         outside = np.any((e < 0) | (e >= n), axis=1)
         loop = e[:, 0] == e[:, 1]
         # one key per edge, by target then source, on endpoints clipped to
-        # -1..n: an edge outside is named as such whatever it equals, and
-        # (n + 2)^2 fits int64 as csr_contains's keys do
+        # -1..n: an edge outside is named as such whatever it equals
         c = np.clip(e, -1, n)
         key = c[:, 1] * (n + 2) + c[:, 0]
         order = np.argsort(key, kind="stable")

@@ -44,31 +44,25 @@ selections, the snapshot times as one read-only int64 array (the config's
 one schedule, which a run's traces share), and the belief snapshots as one
 read-only (m, n, k) array aligned with them. It holds the signals and
 selections in the narrowest unsigned dtype that holds every signal or agent
-index of its world (uint8 up to 256 signals or agents); the file stores
-them as int64, and a read narrows them again. What belongs to the run
-rather than to one replication (its seed, the fingerprints of its world and
-selection matrix) lives in the run's manifest. A trace is stored as one
-.npz file holding those four arrays, written by the one TraceWriter (the
-bytes np.savez would write for them in C order): the log beliefs
-themselves, so a read gives back every bit, -inf and subnormals
-included. Zip entries carry a fixed 1980 timestamp, so the same trace
-always gives the same bytes. A read takes the file's bytes once and checks
-their SHA-256 before anything else; as that digest covers every byte, the
-entries' CRC-32s are not computed again. It finds each array's bytes from
-the zip's central directory and the entry's local and NPY headers, so an
-entry must be stored (uncompressed), as the writer stores it; it never
-unpickles, checks every array against the run the caller expects as a view
-of the file's bytes, and copies each out once, so a trace it returns does
-not keep those bytes.
+index of its world (uint8 up to 256 signals or agents), and the file stores
+them in that dtype. What belongs to the run rather than to one replication
+(its seed, the fingerprints of its world and selection matrix) lives in the
+run's manifest. A trace is stored as one .trace file, written by the one
+TraceWriter: its four arrays back to back, each an NPY 1.0 header and its
+values in C order (the bytes np.save writes for each), the log beliefs
+themselves, so a read gives back every bit, -inf and subnormals included.
+The file holds no timestamp, so the same trace always gives the same bytes.
+The writer hashes each byte as it goes out, and a read hashes each byte as
+it comes in, in one pass over the file: it checks each array's header
+before it makes the array, reads the array's bytes straight into it, and
+names a SHA-256 mismatch before any other fault. It never unpickles.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import math
-import struct
-import zipfile
+import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -89,6 +83,10 @@ from .world import WorldModel
 # 2**13 rows run it within 5% of that speed
 BLOCK_AGENT_ROWS = 1 << 13
 
+# the most rounds a run may have: its snapshot times, up to horizon + 1
+# int64 values, fit in one numpy array
+MAX_HORIZON = np.iinfo(np.intp).max // 8 - 1
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -107,6 +105,9 @@ class SimulationConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon > MAX_HORIZON:
+            raise ValidationError(f"horizon must be <= {MAX_HORIZON}, so that one int64 array holds its snapshot "
+                                  f"times, got {self.horizon}")
         if not (0 <= self.seed < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits (0 <= seed < 2**64), got {self.seed}")
         if self.record_beliefs_every < 1:
@@ -126,11 +127,10 @@ class SimulationTrace(ArrayValue):
     """One replication's backward random walk and the beliefs built along
     it: the values of exactly the four arrays a trace file stores. The draws
     may be of any integer dtype, each a valid index (a signal >= 0, a choice
-    in 0..n-1); a run and a read hold them in draw_dtypes, and a file stores
-    them as int64. The snapshot times ascend strictly inside 0..horizon, held
-    as a read-only int64 array (shared where given as one). The log beliefs
-    are float64. The agent count and the horizon are read from the arrays'
-    shapes."""
+    in 0..n-1); a run, a file and a read hold them in draw_dtypes. The
+    snapshot times ascend strictly inside 0..horizon, held as a read-only
+    int64 array (shared where given as one). The log beliefs are float64.
+    The agent count and the horizon are read from the arrays' shapes."""
 
     signals: np.ndarray  # (horizon+1, n); signals[t, i] is agent i's round-t draw
     selections: np.ndarray  # (horizon, n); row t-1 holds the round-t choices
@@ -478,8 +478,9 @@ def _check_signals(world: WorldModel, signals: np.ndarray, rounds: np.ndarray, a
     world, naming the first that does not by its round t and 1-based agent.
     signals, rounds and agents broadcast together: each signal is the draw of
     the agent at its place in agents in the round at its place in rounds."""
-    signals, rounds, agents = np.broadcast_arrays(signals, rounds, agents)
-    sizes = world.signal_counts[agents]
+    # each agent's signal count is looked up before broadcasting, so a
+    # broadcast axis copies nothing
+    signals, rounds, agents, sizes = np.broadcast_arrays(signals, rounds, agents, world.signal_counts[agents])
     bad = (signals < 0) | (signals >= sizes)
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
@@ -487,16 +488,33 @@ def _check_signals(world: WorldModel, signals: np.ndarray, rounds: np.ndarray, a
                               f"signals 0..{sizes[at] - 1}")
 
 
-# the arrays of a trace file, each named as the trace field whose values it stores
+# the arrays of a trace file, in file order, each named as the trace field
+# whose values it stores
 TRACE_ARRAYS = ("signals", "selections", "snapshot_times", "log_beliefs")
 
 
-def _npy_entry(archive: zipfile.ZipFile, name: str, shape: tuple[int, ...], descr: str):
-    """Open the entry name.npy of archive for writing, as np.savez opens
-    each entry, and write its NPY 1.0 header for a C-ordered array."""
-    entry = archive.open(f"{name}.npy", "w", force_zip64=True)
-    np.lib.format.write_array_header_1_0(entry, {"descr": descr, "fortran_order": False, "shape": shape})
-    return entry
+class _Hashed:
+    """A binary file whose every byte written or read is added to one
+    SHA-256, as it goes out or comes in."""
+
+    def __init__(self, file):
+        self.file, self.sha = file, hashlib.sha256()
+
+    def write(self, data) -> None:
+        self.sha.update(data)
+        self.file.write(data)
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.file.read(size)
+        self.sha.update(data)
+        return data
+
+    def readinto(self, buf: np.ndarray) -> int:
+        """Fill the flat uint8 array buf from the file, as far as the file
+        goes, and return the count of bytes read."""
+        count = self.file.readinto(buf)
+        self.sha.update(buf[:count])
+        return count
 
 
 def _c_bytes(arr, dtype: str) -> np.ndarray:
@@ -506,63 +524,53 @@ def _c_bytes(arr, dtype: str) -> np.ndarray:
 
 
 class TraceWriter:
-    """One trace file, written as its log beliefs arrive: the bytes np.savez
-    writes for the trace's four arrays in C order. The file is a zip64
-    archive of stored (uncompressed) NPY 1.0 entries in the order of
-    TRACE_ARRAYS, the draws and snapshot times as little-endian int64 and
-    the log beliefs as little-endian float64. Opening writes the draws and
-    the snapshot times, write appends log-belief rows in snapshot order, and
-    close returns the SHA-256 of the file; the rows written must make up
-    the (len(snapshot_times), n, num_states) array. Used as a context
-    manager, it closes its file on the way out, cut short if it was not
-    closed."""
+    """One trace file, written as its log beliefs arrive: the four arrays of
+    TRACE_ARRAYS back to back, each an NPY 1.0 header and then its values in
+    C order, the bytes np.save writes for each C-ordered array in turn. The
+    draws are stored little-endian in their own dtype, the snapshot times as
+    <i8 and the log beliefs as <f8. Opening writes the draws and the
+    snapshot times, write appends log-belief rows in snapshot order, and
+    close returns the SHA-256 of every byte written, hashed as it went out;
+    the rows written must make up the (len(snapshot_times), n, num_states)
+    array. Used as a context manager, it closes its file on the way out, cut
+    short if it was not closed."""
 
     def __init__(self, path: str | Path, signals: np.ndarray, selections: np.ndarray,
                  snapshot_times: np.ndarray, num_states: int):
         # a block's rows of one replication can be a few KB: a 64 KB buffer
         # writes several blocks a call
-        self._file = Path(path).open("w+b", buffering=1 << 16)
+        self._out = _Hashed(Path(path).open("wb", buffering=1 << 16))
         try:
-            self._archive = zipfile.ZipFile(self._file, "w", compression=zipfile.ZIP_STORED, allowZip64=True)
-            for name, values in (("signals", signals), ("selections", selections),
-                                 ("snapshot_times", snapshot_times)):
-                with _npy_entry(self._archive, name, np.shape(values), "<i8") as entry:
-                    entry.write(_c_bytes(values, "<i8"))
-            shape = (len(snapshot_times), signals.shape[1], int(num_states))
-            self._beliefs = _npy_entry(self._archive, "log_beliefs", shape, "<f8")
+            for values in (signals, selections, np.asarray(snapshot_times, dtype="<i8")):
+                descr = values.dtype.newbyteorder("<").str
+                self._header(values.shape, descr)
+                self._out.write(_c_bytes(values, descr))
+            self._header((len(snapshot_times), signals.shape[1], int(num_states)), "<f8")
         except BaseException:
-            self._file.close()
+            self._out.file.close()
             raise
+
+    def _header(self, shape: tuple[int, ...], descr: str) -> None:
+        np.lib.format.write_array_header_1_0(self._out, {"descr": descr, "fortran_order": False, "shape": shape})
 
     def write(self, rows: np.ndarray) -> None:
         """Append float64 log-belief rows of shape (j, n, num_states)."""
-        self._beliefs.write(_c_bytes(rows, "<f8"))
+        self._out.write(_c_bytes(rows, "<f8"))
 
     def close(self) -> str:
-        """Finish the file and return the SHA-256 of its bytes, read back once."""
-        with self:
-            self._beliefs.close()
-            self._archive.close()
-            self._file.seek(0)
-            h = hashlib.sha256()
-            for chunk in iter(lambda: self._file.read(1 << 16), b""):
-                h.update(chunk)
-        return h.hexdigest()
+        """Finish the file and return the SHA-256 of its bytes."""
+        self._out.file.close()
+        return self._out.sha.hexdigest()
 
     def __enter__(self) -> TraceWriter:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        # each close is a no-op once done
-        try:
-            self._beliefs.close()
-            self._archive.close()
-        finally:
-            self._file.close()
+        self._out.file.close()  # a no-op once closed
 
 
 def write_trace(trace: SimulationTrace, path: str | Path) -> str:
-    """Write the trace to one .npz file with a TraceWriter and return the
+    """Write the trace to one trace file with a TraceWriter and return the
     SHA-256 of the bytes written."""
     with TraceWriter(path, trace.signals, trace.selections, trace.snapshot_times,
                      trace.log_beliefs.shape[2]) as writer:
@@ -570,51 +578,42 @@ def write_trace(trace: SimulationTrace, path: str | Path) -> str:
         return writer.close()
 
 
-def _npz_entries(data: bytes) -> list[tuple[str, zipfile.ZipInfo]]:
-    """The entries of the zip archive data holds, from its central
-    directory: each entry's array name (its file name less a .npy suffix,
-    as np.load names it) and its zipfile.ZipInfo, in archive order."""
-    with zipfile.ZipFile(io.BytesIO(data)) as archive:
-        return [(info.filename.removesuffix(".npy"), info) for info in archive.infolist()]
+def _read_array(src: _Hashed, name: str, dtype: np.dtype, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The next array of a trace file, read from src into a new C-ordered
+    array once its header gives the dtype and shape expected.
 
-
-def _npy_view(data: bytes, info: zipfile.ZipInfo) -> np.ndarray:
-    """The array of one stored NPY entry of the zip archive data holds, as a
-    read-only view of data's bytes, in the order its header gives.
-
-    The entry's bytes start past its local header, whose name and extra
-    field lengths are its last two fields. Its NPY header is parsed by
-    numpy.lib.format's public readers, so numpy's header rules and messages
-    hold. No CRC-32 is computed: a caller checks a digest of all of data.
-    Raises ValueError for a compressed entry, a bad header, an object dtype
-    (never unpickled) or fewer data bytes than the header's shape needs."""
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"entry is compressed (zip method {info.compress_type}); "
-                         "a trace file stores its entries uncompressed")
-    local = data[info.header_offset : info.header_offset + 30]  # a local header is 30 bytes
-    if len(local) < 30 or local[:4] != zipfile.stringFileHeader:
-        raise ValueError("bad zip local file header")
-    name_length, extra_length = struct.unpack("<HH", local[26:])
-    start = info.header_offset + 30 + name_length + extra_length
-    stream = io.BytesIO(data)  # shares data's bytes
-    stream.seek(start)
-    version = np.lib.format.read_magic(stream)
-    if version == (1, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
-    elif version == (2, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(stream)
-    else:
-        raise ValueError(f"NPY format version {version}, expected (1, 0) or (2, 0)")
-    if dtype.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-    if min(shape, default=0) < 0:  # np.frombuffer would read a negative count as "to the end"
-        raise ValueError(f"shape {shape} has a negative dimension")
-    count, offset = math.prod(shape), stream.tell()
-    stored = min(start + info.compress_size, len(data)) - offset
-    if count * dtype.itemsize > stored:
-        raise ValueError(f"truncated: {max(stored, 0)} bytes of array data, expected {count * dtype.itemsize}")
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
+    The NPY header is parsed by numpy.lib.format's public readers, so
+    numpy's header rules and messages hold, and whatever the parser raises
+    or warns of is a fault of the file (changed header bytes make it raise
+    ValueError, TypeError, SyntaxError or tokenize.TokenError, or warn of a
+    header only Python 2 wrote or of a deprecated dtype). Raises
+    ValidationError naming the array for a bad header, an object dtype
+    (never unpickled), a dtype or shape other than the one expected, or
+    fewer data bytes than the shape needs."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            version = np.lib.format.read_magic(src)
+            if version == (1, 0):
+                stored, fortran_order, stored_dtype = np.lib.format.read_array_header_1_0(src)
+            elif version == (2, 0):
+                stored, fortran_order, stored_dtype = np.lib.format.read_array_header_2_0(src)
+            else:
+                raise ValueError(f"NPY format version {version}, expected (1, 0) or (2, 0)")
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, Warning) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    if stored_dtype.hasobject:
+        raise ValidationError(f"{name}: Object arrays cannot be loaded when allow_pickle=False")
+    if stored_dtype != dtype:
+        raise ValidationError(f"{name} has dtype {stored_dtype}, expected {dtype}")
+    if stored != shape:
+        raise ValidationError(f"{name} has shape {stored}, expected {shape}: {what}")
+    values = np.empty(shape[::-1] if fortran_order else shape, dtype)
+    buf = values.reshape(-1).view(np.uint8)
+    count = src.readinto(buf)
+    if count < buf.size:
+        raise ValidationError(f"{name}: truncated: {count} bytes of array data, expected {buf.size}")
+    return np.ascontiguousarray(values.T) if fortran_order else values
 
 
 def read_trace(
@@ -628,84 +627,64 @@ def read_trace(
     and run config.
 
     The file's bytes must have the given SHA-256, and it must hold exactly
-    the four trace arrays, each a stored (uncompressed) NPY entry with no
-    pickled objects. Each array must have the dtype and shape the config
-    implies, the snapshot times must be the config's, every signal must lie
-    in its agent's signal space and every choice in the support of its
-    agent's selection row. Anything else raises ValidationError naming the
-    file, and the array or the round t and 1-based agent where they apply.
-    The file is read once: each array is checked as a view of its bytes, and
-    the trace holds copies, the draws in draw_dtypes (as a run holds them)
-    and the log beliefs in C order, so it does not keep the file's bytes.
+    the four trace arrays in the order of TRACE_ARRAYS, with no pickled
+    objects. Each array must have the dtype and shape the config implies
+    (the draws in draw_dtypes), the snapshot times must be the config's,
+    every signal must lie in its agent's signal space and every choice in the
+    support of its agent's selection row. Anything else raises
+    ValidationError naming the file, and the array or the round t and
+    1-based agent where they apply; a digest mismatch is named before any
+    other fault. The file is read once, in order: each array's header is
+    checked before its array is made, and its bytes are read straight into
+    it, so the trace holds aligned C-ordered arrays of its own and no other
+    copy of the file's bytes.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise ValidationError(f"{path}: no such trace file") from None
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != sha256:
-        raise ValidationError(f"{path}: SHA-256 is {digest}, but {sha256} was recorded for it")
-    try:
-        entries = _npz_entries(data)
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path}: not a readable .npz file: {exc}") from None
-    names = sorted(name for name, _ in entries)
-    if names != sorted(TRACE_ARRAYS):
-        raise ValidationError(f"{path}: holds arrays {names}, expected {sorted(TRACE_ARRAYS)}")
-    entries = dict(entries)
     n, k, T = world.n_agents, world.num_states, cfg.horizon
     times = cfg.snapshot_times()
     m = len(times)
-    # every dtype is checked first, then every shape, the snapshot times' values before their shape
-    expected = {
-        "signals": ("<i8", (T + 1, n), f"rounds 0..{T} of {n} agents"),
-        "selections": ("<i8", (T, n), f"rounds 1..{T} of {n} agents"),
-        "snapshot_times": ("<i8", (m,), f"{m} snapshot times"),
-        "log_beliefs": ("<f8", (m, n, k), f"{m} snapshots of {n} agents over {k} states"),
-    }
-    arrays = {}
-    for name, (dtype, _, _) in expected.items():
-        try:
-            arrays[name] = _npy_view(data, entries[name])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: {name}: {exc}") from None
-        if arrays[name].dtype != dtype:
-            raise ValidationError(f"{path}: {name} has dtype {arrays[name].dtype}, expected {np.dtype(dtype)}")
-    for name, (_, shape, what) in expected.items():
-        if name == "snapshot_times" and not np.array_equal(arrays[name].ravel(), times):
-            # the lists and sets are built only to name the fault
-            want, stored = times.tolist(), arrays[name].ravel().tolist()
-            diff = set(want) ^ set(stored)
-            if not diff:
-                raise ValidationError(
-                    f"{path}: snapshot_times are not the config's times in ascending order, each once")
-            t = min(diff)
-            fault = "has no snapshot" if t in want else "has a snapshot the config does not record"
-            raise ValidationError(f"{path}: snapshot_times {fault} at t={t}")
-        if arrays[name].shape != shape:
-            raise ValidationError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}: {what}")
-
-    signals = arrays["signals"]
-    try:
-        _check_signals(world, signals, np.arange(T + 1)[:, None], np.arange(n))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    selections = arrays["selections"]
     sig_dtype, sel_dtype = draw_dtypes(world)
-    # the support is checked on the narrowed copy the trace holds, each choice
-    # outside 0..n-1 (which narrowing may wrap) read as agent 0 there
-    bad = (selections < 0) | (selections >= n)
-    chosen = selections.astype(sel_dtype, order="C")
-    chosen[bad] = 0
-    bad |= ~csr_contains(P.indptr, P.indices, np.arange(n), chosen)
-    if bad.any():
-        r, i = divmod(int(np.argmax(bad)), n)
-        raise ValidationError(f"{path}: t={r + 1}, agent {i + 1}: chosen agent {selections[r, i] + 1} is outside "
-                              "the support of the agent's selection row")
-    del bad  # dropped before the log beliefs are copied
-    # each array is copied once, C-ordered and aligned, from its view of the file's bytes
-    return SimulationTrace(read_only(signals.astype(sig_dtype, order="C")), read_only(chosen), times,
-                           read_only(np.array(arrays["log_beliefs"], order="C")))
-
-
+    try:
+        file = path.open("rb")
+    except FileNotFoundError:
+        raise ValidationError(f"{path}: no such trace file") from None
+    with file:
+        src, fault = _Hashed(file), None
+        # a fault stops the checks, and the rest of the file is hashed before it is named
+        try:
+            if file.peek(4)[:4] == b"PK\x03\x04":
+                raise ValidationError("a zip archive, a trace layout of earlier versions; "
+                                      "regenerate the traces with the run command")
+            signals = _read_array(src, "signals", sig_dtype, (T + 1, n), f"rounds 0..{T} of {n} agents")
+            _check_signals(world, signals, np.arange(T + 1)[:, None], np.arange(n))
+            selections = _read_array(src, "selections", sel_dtype, (T, n), f"rounds 1..{T} of {n} agents")
+            # a choice past n - 1 is flagged whatever csr_contains makes of it
+            bad = (selections >= n) | ~csr_contains(P.indptr, P.indices, np.arange(n), selections)
+            if bad.any():
+                r, i = divmod(int(np.argmax(bad)), n)
+                raise ValidationError(f"t={r + 1}, agent {i + 1}: chosen agent {int(selections[r, i]) + 1} is "
+                                      "outside the support of the agent's selection row")
+            del bad  # dropped before the log beliefs are made
+            stored = _read_array(src, "snapshot_times", np.dtype(np.int64), (m,), f"{m} snapshot times")
+            if not np.array_equal(stored, times):
+                # the lists and sets are built only to name the fault
+                want, have = times.tolist(), stored.tolist()
+                diff = set(want) ^ set(have)
+                if not diff:
+                    raise ValidationError("snapshot_times are not the config's times in ascending order, each once")
+                t = min(diff)
+                which = "has no snapshot" if t in want else "has a snapshot the config does not record"
+                raise ValidationError(f"snapshot_times {which} at t={t}")
+            log_beliefs = _read_array(src, "log_beliefs", np.dtype(np.float64), (m, n, k),
+                                      f"{m} snapshots of {n} agents over {k} states")
+        except ValidationError as exc:
+            fault = exc
+        trailing = sum(len(chunk) for chunk in iter(lambda: src.read(1 << 16), b""))
+    digest = src.sha.hexdigest()
+    if digest != sha256:
+        raise ValidationError(f"{path}: SHA-256 is {digest}, but {sha256} was recorded for it")
+    if fault is None and trailing:
+        fault = ValidationError(f"{trailing} trailing bytes after the four trace arrays")
+    if fault is not None:
+        raise ValidationError(f"{path}: {fault}")
+    return SimulationTrace(read_only(signals), read_only(selections), times, read_only(log_beliefs))

@@ -262,7 +262,11 @@ def check_global_identifiability(world: WorldModel, agents: Sequence[int]) -> Id
     """Verdict: every false state is distinguished from the truth by some agent
     in the given set (pass the recurrent class of the selection chain), read
     as a set. Each state's witnesses ascend, each agent once."""
-    members = np.unique(check_indices("agent", agents, world.n_agents))
+    # a mask over the agents gives them ascending, each once, as np.unique
+    # would without its first call importing numpy.ma
+    chosen = np.zeros(world.n_agents, dtype=bool)
+    chosen[check_indices("agent", agents, world.n_agents)] = True
+    members = np.flatnonzero(chosen)
     if not members.size:
         raise ValidationError("agent set must be nonempty")
     theta = world.true_state_index

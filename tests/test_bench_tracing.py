@@ -1,7 +1,7 @@
 """The benchmark's per-layer metrics wrap names the package binds, among them
 the names cli imports. A binding the package drops is reported as absent and
 its layer reads zero, so the set of absent bindings is pinned here: only the
-two trace-CSV functions, gone since traces became .npz files. Nothing under
+two trace-CSV functions, gone since traces became binary files. Nothing under
 bench/ is written."""
 
 import sys

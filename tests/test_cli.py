@@ -25,8 +25,8 @@ from gossip_learning.analysis import (
 from gossip_learning.cli import main
 from gossip_learning.config import load_config, parse_config_dict
 from gossip_learning.errors import ValidationError
-from gossip_learning.graph import stationary_distribution
-from gossip_learning.simulator import read_trace, run, run_replications
+from gossip_learning.graph import MAX_AGENTS, stationary_distribution
+from gossip_learning.simulator import MAX_HORIZON, read_trace, run, run_replications
 from tests.test_analysis import fitted_rate
 
 
@@ -39,6 +39,17 @@ def test_the_cli_loads_no_test_only_package():
     loaded = set(json.loads(done.stdout))
     assert "numpy" in loaded and "gossip_learning" in loaded
     assert loaded.isdisjoint({"scipy", "networkx", "hypothesis", "pytest"}), sorted(loaded)
+
+
+def test_example1_leaves_numpy_ma_unimported(tmp_path):
+    """A fresh interpreter that runs example1 end to end has not imported
+    numpy.ma (np.unique imports it on its first call)."""
+    code = ("import sys; from gossip_learning.cli import main; "
+            f"assert main(['example1', '--out', {str(tmp_path)!r}, '--quiet']) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def set_selection_entry(value):
@@ -148,6 +159,22 @@ class TestConfigErrors:
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", path, "--horizon", "0", "--out", str(tmp_path / "o")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["network"].update(n=2**70), f"network.n: agent count must be <= {MAX_AGENTS}"),
+        (lambda c: c["network"].update(n=MAX_AGENTS + 1), f"network.n: agent count must be <= {MAX_AGENTS}"),
+        (lambda c: c["simulation"].update(horizon=2**62), f"simulation: horizon must be <= {MAX_HORIZON}"),
+        (lambda c: c["simulation"].update(horizon=MAX_HORIZON + 1), f"simulation: horizon must be <= {MAX_HORIZON}"),
+    ], ids=["2**70 agents", "one agent past the limit", "2**62 rounds", "one round past the limit"])
+    def test_sizes_past_their_int64_limits_exit_2(self, edit, message, tmp_path, capsys):
+        """An agent count whose edge keys overflow int64, or a horizon whose
+        snapshot times no numpy array holds, is invalid input, refused before
+        anything of its size is made."""
+        cfg = example1.config_dict()
+        edit(cfg)
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
     def test_horizon_override_conflicts_with_pinned_window(self, tmp_path, capsys):
         path = write_config(tmp_path, example1.config_dict())
@@ -352,6 +379,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "stationary solve residual" in err
 
+    def test_a_residual_of_1e_6_is_a_failed_solve(self, ex1_cfg, monkeypatch, tmp_path, capsys):
+        """The solver's vector moved by 1e-6 on two agents, summing to 1 still,
+        leaves a pi P = pi residual near 1e-6: far above the 1e-10 the check
+        allows, so rate exits 2 before it simulates."""
+        solve = graph._direct_stationary
+        shift = np.zeros(8)
+        shift[:2] = 1e-6, -1e-6
+        monkeypatch.setattr(graph, "_direct_stationary", lambda sub: solve(sub) + shift[:len(sub)])
+        pi = solve(ex1_cfg.selection.to_dense()) + shift
+        assert 1e-7 < np.max(np.abs(ex1_cfg.selection.vecmat(pi) - pi)) < 1e-5
+        code = main(["rate", "--horizon", "20", "--replications", "1", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "stationary solve residual" in err, err
+
 
 class TestRoundTrip:
     def test_builtin_config_round_trips_canonically(self, tmp_path):
@@ -391,10 +433,10 @@ class TestRun:
         assert main(["run", "--out", str(out), "--horizon", "50", "--replications", "2", "--quiet"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["replications"] == 2
-        # entry k is the SHA-256 of rep{k:03d}.npz
-        assert manifest["traces"] == [hashlib.sha256((out / f"rep{k:03d}.npz").read_bytes()).hexdigest()
+        # entry k is the SHA-256 of rep{k:03d}.trace
+        assert manifest["traces"] == [hashlib.sha256((out / f"rep{k:03d}.trace").read_bytes()).hexdigest()
                                       for k in range(2)]
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rep000.npz", "rep001.npz"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "rep000.trace", "rep001.trace"]
         # the benchmark's tables appear in the manifest exactly
         tables = manifest["config"]["world"]["likelihoods"]
         assert tables[0]["table"] == [[1 / 3, 2 / 3], [1 / 3, 2 / 3], [1 / 5, 4 / 5]]
@@ -408,7 +450,7 @@ class TestRun:
         assert main(["run", "--out", str(tmp_path / "b"), *args]) == 0
         # what diff -r compares: the same file names, each with the same bytes
         a, b = ({p.relative_to(tmp_path / d): p.read_bytes() for p in (tmp_path / d).rglob("*")} for d in "ab")
-        assert sorted(map(str, a)) == ["manifest.json", "rep000.npz", "rep001.npz"]
+        assert sorted(map(str, a)) == ["manifest.json", "rep000.trace", "rep001.trace"]
         assert a == b
 
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
@@ -684,7 +726,7 @@ class TestExample1:
         for name in ("manifest.json", "rate_report.csv", "fig2_agent2_beliefs.csv",
                      "fig3_diff_3_8.csv", "occupancy.csv"):
             assert (out / name).is_file()
-        assert sorted(p.name for p in out.glob("rep*.npz")) == [f"rep{r:03d}.npz" for r in range(20)]
+        assert sorted(p.name for p in out.glob("rep*.trace")) == [f"rep{r:03d}.trace" for r in range(20)]
         assert not any(p.is_dir() for p in out.iterdir())
 
     def test_agent2_learns_the_truth(self, example1_report):
@@ -711,7 +753,7 @@ class TestExample1:
     def test_emitted_traces_reparse_into_the_same_rates(self, example1_report, ex1_cfg):
         _, out = example1_report
         digest = json.loads((out / "manifest.json").read_text())["traces"][0]
-        back = read_trace(out / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
+        back = read_trace(out / "rep000.trace", digest, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation)
         fresh = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, ex1_cfg.simulation, replication=0)
         for (agent, check) in [(1, 1), (7, 2)]:
             r_back = fitted_rate(back, ex1_cfg.world, agent, check, (1000, 5000))
@@ -719,7 +761,7 @@ class TestExample1:
             assert r_back == pytest.approx(r_fresh, rel=1e-9)
 
     def test_figures_are_those_of_replication_0_in_memory(self, tmp_path):
-        """example1 makes its figures from rep000.npz as it reads it back; at
+        """example1 makes its figures from rep000.trace as it reads it back; at
         a seed and horizon of their own they are the bytes that replication
         0 of an in-memory run gives."""
         assert main(["example1", "--seed", "1009", "--horizon", "150", "--replications", "2",

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import tracemalloc
 from unittest import mock
 
@@ -189,16 +190,32 @@ class TestDraws:
         assert np.array_equal(_inverse_cdf(indptr, indices, cdf, u[None]), expected[None])
 
 
-# SHA-256 of write_trace's bytes for example1's world at seed 42, one per
-# replication, taken from the per-round kernel the blocked loop replaced
+# SHA-256 of a trace's bytes as write_trace writes them, and of the same
+# trace's np.savez bytes (the .npz layout of earlier versions, see
+# savez_bytes), for example1's world at seed 42, one pair per replication.
+# The .npz digests were taken from the per-round kernel the blocked loop
+# replaced, so a moved seeded bit fails both.
 GOLDEN_TRACES = {
-    (20_000, 1, 1): ["e517b7bde626bd789d77624d8e1dbcdec0bbe46a452727b81d0496708e91d028"],
+    (20_000, 1, 1): [("28b5243f921d60f62b8a96e6e425f3fd970550db44e08d44f7a139d41a0ce579",
+                      "e517b7bde626bd789d77624d8e1dbcdec0bbe46a452727b81d0496708e91d028")],
     (3000, 3, 7): [
-        "cc5d14fcba9c30eb7f51925dc0028f1c7aff8d812684aa226030e19af83b352a",
-        "a6c49ba5d1a69fce37efe06fbcdc2ca68bd1aad38201230a5d607558ffb552b8",
-        "fe432e88c6831489d61c6f7da4967e73b9749199cc19d308c4e868a6c913d4b5",
+        ("f0c80cd4afc086683bd9a1d5123b49f14ac564be18a617185449bc4f0392f77a",
+         "cc5d14fcba9c30eb7f51925dc0028f1c7aff8d812684aa226030e19af83b352a"),
+        ("0504d407f1713a88a161053dd1370a696e255635ca03db884955f2dc3b684fb9",
+         "a6c49ba5d1a69fce37efe06fbcdc2ca68bd1aad38201230a5d607558ffb552b8"),
+        ("54aa29b6f46ae2c051d3c4e18898f885f5349f11ce65e32f42badf2353542308",
+         "fe432e88c6831489d61c6f7da4967e73b9749199cc19d308c4e868a6c913d4b5"),
     ],
 }
+
+
+def savez_bytes(signals, selections, snapshot_times, log_beliefs) -> bytes:
+    """The bytes of a trace's .npz file as earlier versions wrote it: np.savez
+    of its four arrays, the draws and snapshot times as int64."""
+    buf = io.BytesIO()
+    np.savez(buf, signals=np.asarray(signals, dtype="<i8"), selections=np.asarray(selections, dtype="<i8"),
+             snapshot_times=np.asarray(snapshot_times, dtype="<i8"), log_beliefs=log_beliefs)
+    return buf.getvalue()
 
 
 class TestGoldenTraces:
@@ -209,7 +226,10 @@ class TestGoldenTraces:
         monkeypatch.setattr(simulator, "BLOCK_AGENT_ROWS", block_rows)
         cfg = SimulationConfig(horizon=horizon, seed=42, record_beliefs_every=stride, replications=replications)
         traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
-        digests = [write_trace(tr, tmp_path / f"rep{r:03d}.npz") for r, tr in enumerate(traces)]
+        digests = [(write_trace(tr, tmp_path / f"rep{r:03d}.trace"),
+                    hashlib.sha256(savez_bytes(tr.signals, tr.selections, tr.snapshot_times,
+                                               tr.log_beliefs)).hexdigest())
+                   for r, tr in enumerate(traces)]
         assert digests == GOLDEN_TRACES[horizon, replications, stride]
 
 
@@ -259,8 +279,8 @@ class TestReplay:
     def test_trace_file_round_trip(self, ex1_cfg, tmp_path):
         cfg = SimulationConfig(horizon=40, seed=7, record_beliefs_every=5, replications=2)
         tr = run(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg, replication=1)
-        digest = write_trace(tr, tmp_path / "rep001.npz")
-        back = read_trace(tmp_path / "rep001.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
+        digest = write_trace(tr, tmp_path / "rep001.trace")
+        back = read_trace(tmp_path / "rep001.trace", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
         assert back == tr
         # a trace is exactly the arrays its file stores, and a read gives back every one
         fields = [f.name for f in dataclasses.fields(SimulationTrace)]

@@ -1,6 +1,6 @@
 """Trace files: what a write stores, what a read gives back, and what a read
-rejects. A trace is one .npz per replication, recorded in manifest.json with
-its SHA-256."""
+rejects. A trace is one .trace file per replication, its four arrays as NPY
+arrays back to back, recorded in manifest.json with its SHA-256."""
 
 import dataclasses
 import hashlib
@@ -8,11 +8,11 @@ import io
 import json
 import shutil
 import tracemalloc
-import zipfile
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossip_learning import example1, simulator
@@ -26,7 +26,7 @@ from gossip_learning.simulator import (
     run,
     write_trace,
 )
-from tests.test_simulator import small_run, small_worlds
+from tests.test_simulator import savez_bytes, small_run, small_worlds
 from tests.test_world import tiny_world
 
 # log beliefs of every kind a trace can hold, and more: -inf for a collapsed
@@ -49,7 +49,7 @@ def test_npz_round_trip_is_bitwise(case, horizon, stride, seed, data, tmp_path_f
         values = np.array(data.draw(st.lists(LOG_BELIEFS, min_size=size, max_size=size)))
         tr = dataclasses.replace(tr, log_beliefs=values.reshape(tr.log_beliefs.shape))
 
-    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+    path = tmp_path_factory.mktemp("trace") / "rep000.trace"
     digest = write_trace(tr, path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = read_trace(path, digest, P, world, cfg)
@@ -68,18 +68,30 @@ def test_trace_bytes_are_pinned(tmp_path):
     manifest records too."""
     assert main(["run", "--horizon", "200", "--seed", "42", "--replications", "1",
                  "--out", str(tmp_path), "--quiet"]) == 0
-    digest = hashlib.sha256((tmp_path / "rep000.npz").read_bytes()).hexdigest()
-    assert digest == "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a"
+    digest = hashlib.sha256((tmp_path / "rep000.trace").read_bytes()).hexdigest()
+    assert digest == "b0cc755bb3072ece53ee6bf645d493b2d03753a10a3e535ca2c1d1b73108aaf8"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["traces"] == [digest]
+    # the digest of the same trace in the .npz layout of earlier versions,
+    # the draws widened to int64: a moved seeded bit fails here too
+    arrays = stored_arrays((tmp_path / "rep000.trace").read_bytes())
+    assert hashlib.sha256(savez_bytes(*arrays.values())).hexdigest() == (
+        "8f70379c5ac7a19a57fe71e45a7421d7bcff57dce45a44d97964e8ec0197422a")
 
 
-def savez_bytes(trace: SimulationTrace) -> bytes:
-    """The bytes np.savez writes for a trace's four arrays, the draws and
-    snapshot times widened to int64: the reference the trace writer keeps."""
+def stored_arrays(data: bytes) -> dict:
+    """The arrays of a trace file's bytes by name, read by one np.load call
+    each."""
+    f = io.BytesIO(data)
+    return {name: np.load(f) for name in simulator.TRACE_ARRAYS}
+
+
+def save_bytes(trace: SimulationTrace) -> bytes:
+    """The bytes np.save writes for a trace's four arrays, one after another
+    in file order: the reference the trace writer keeps."""
     buf = io.BytesIO()
-    np.savez(buf, signals=np.asarray(trace.signals, dtype="<i8"), selections=np.asarray(trace.selections, dtype="<i8"),
-             snapshot_times=np.array(trace.snapshot_times, dtype=np.int64), log_beliefs=trace.log_beliefs)
+    for name in simulator.TRACE_ARRAYS:
+        np.save(buf, getattr(trace, name))
     return buf.getvalue()
 
 
@@ -101,9 +113,9 @@ def built_traces(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(tr=built_traces(), data=st.data())
-def test_the_writer_writes_what_np_savez_writes(tr, data, tmp_path_factory):
-    want = savez_bytes(tr)
-    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+def test_the_writer_writes_what_np_save_writes(tr, data, tmp_path_factory):
+    want = save_bytes(tr)
+    path = tmp_path_factory.mktemp("trace") / "rep000.trace"
     assert write_trace(tr, path) == hashlib.sha256(want).hexdigest()
     assert path.read_bytes() == want
     # the same bytes however the rows arrive
@@ -117,7 +129,7 @@ def test_the_writer_writes_what_np_savez_writes(tr, data, tmp_path_factory):
 
 def test_a_trace_in_any_memory_order_is_written_in_c_order(ex1_cfg, tmp_path):
     tr = small_run(ex1_cfg, horizon=30, stride=4)
-    want = write_trace(tr, tmp_path / "c.npz")
+    want = write_trace(tr, tmp_path / "c.trace")
     lb = tr.log_beliefs
     spread = np.zeros(lb.shape[:2] + (2 * lb.shape[2],))
     spread[..., ::2] = lb
@@ -126,10 +138,10 @@ def test_a_trace_in_any_memory_order_is_written_in_c_order(ex1_cfg, tmp_path):
                                    ("strided", spread[..., ::2], tr.signals),
                                    ("reversed", reversed_rows, tr.signals[::-1].copy()[::-1])]:
         other = dataclasses.replace(tr, signals=signals, log_beliefs=lb_view)
-        assert write_trace(other, tmp_path / f"{name}.npz") == want, name
-    # np.savez writes an F-ordered array in its own order, flagged in its header
+        assert write_trace(other, tmp_path / f"{name}.trace") == want, name
+    # np.save writes an F-ordered array in its own order, flagged in its header
     fortran = dataclasses.replace(tr, log_beliefs=np.asfortranarray(lb))
-    assert savez_bytes(fortran) != (tmp_path / "c.npz").read_bytes()
+    assert save_bytes(fortran) != (tmp_path / "c.trace").read_bytes()
 
 
 def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
@@ -142,7 +154,7 @@ def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
             "fortran": np.asfortranarray(lb), "float32": lb.astype(np.float32), "big-endian": lb.astype(">f8")}
     files = {}
     for name, rows in ways.items():
-        path = tmp_path / f"{name}.npz"
+        path = tmp_path / f"{name}.trace"
         with TraceWriter(path, tr.signals, tr.selections, tr.snapshot_times, lb.shape[2]) as writer:
             for block in np.array_split(rows, 3):
                 writer.write(block)
@@ -151,7 +163,7 @@ def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
         assert digest == hashlib.sha256(data).hexdigest(), name
         files[name] = data
     assert not (ways["transposed"].flags.c_contiguous or ways["transposed"].flags.f_contiguous)
-    assert files["c"] == savez_bytes(dataclasses.replace(tr, log_beliefs=lb))
+    assert files["c"] == save_bytes(dataclasses.replace(tr, log_beliefs=lb))
     assert all(data == files["c"] for data in files.values())
 
 
@@ -165,7 +177,7 @@ def test_example1_draws_are_held_in_bytes(ex1_cfg):
     (2, 257, (np.uint16, np.uint8)),
     (256, 256, (np.uint8, np.uint8)),
 ])
-def test_draws_are_held_narrow_and_stored_as_int64(n, signals, dtypes, tmp_path):
+def test_draws_are_held_and_stored_narrow(n, signals, dtypes, tmp_path):
     """n agents on a ring, each consulting its predecessor, each drawing its
     last signal: the largest value each array can take."""
     net = DirectedNetwork(n, [((i - 1) % n, i) for i in range(n)])
@@ -178,12 +190,12 @@ def test_draws_are_held_narrow_and_stored_as_int64(n, signals, dtypes, tmp_path)
     assert np.all(tr.signals == signals - 1)
     assert np.all(tr.selections == (np.arange(n) - 1) % n)
 
-    digest = write_trace(tr, tmp_path / "rep000.npz")
-    with np.load(tmp_path / "rep000.npz") as npz:
-        for name in ("signals", "selections"):
-            assert npz[name].dtype.str == "<i8"
-            assert np.array_equal(npz[name], getattr(tr, name))
-    back = read_trace(tmp_path / "rep000.npz", digest, P, world, cfg)
+    digest = write_trace(tr, tmp_path / "rep000.trace")
+    stored = stored_arrays((tmp_path / "rep000.trace").read_bytes())
+    for name in ("signals", "selections"):
+        assert stored[name].dtype == getattr(tr, name).dtype
+        assert np.array_equal(stored[name], getattr(tr, name))
+    back = read_trace(tmp_path / "rep000.trace", digest, P, world, cfg)
     assert (back.signals.dtype, back.selections.dtype) == dtypes
     assert back == tr
 
@@ -202,19 +214,15 @@ def trace_dir(tmp_path_factory):
 
 def rewrite(traces, edit):
     """Apply edit to rep000's arrays (a dict it changes in place), write
-    them back with np.savez, pickling allowed, and record the new file's
-    SHA-256 in the manifest, so a read gets past the digest check."""
-    path = traces / "rep000.npz"
-    with np.load(path) as npz:
-        arrays = dict(npz)
+    them back in the dict's order with np.save, pickling allowed, and record
+    the new file's SHA-256 in the manifest, so a read gets past the digest
+    check."""
+    arrays = stored_arrays((traces / "rep000.trace").read_bytes())
     edit(arrays)
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    path.write_bytes(buf.getvalue())
-    manifest_path = traces / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["traces"][0] = hashlib.sha256(buf.getvalue()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest))
+    for values in arrays.values():
+        np.save(buf, values)
+    replace_trace(traces, buf.getvalue())
 
 
 def setitem(name, fn):
@@ -238,12 +246,6 @@ def every(*edits):
     return edit
 
 
-def rename(old, new):
-    def edit(arrays):
-        arrays[new] = arrays.pop(old)
-    return edit
-
-
 def drop_snapshot(t):
     def edit(arrays):
         keep = arrays["snapshot_times"] != t
@@ -257,60 +259,65 @@ UNSUPPORTED = int(np.flatnonzero(example1.config().selection.to_dense()[0] == 0.
 
 
 # Case names keep those of the CSV reader's checks where the same fault has
-# an npz form: a row is a row of an array, and the header is the set of
-# array names.
+# a trace-file form: a row is a row of an array.
 CASES = {
     "missing signals row": (setitem("signals", lambda a: a[:-1]),
-                            ["rep000.npz", "signals has shape (20, 8), expected (21, 8)"]),
+                            ["rep000.trace", "signals has shape (20, 8), expected (21, 8)"]),
     "missing selections row": (setitem("selections", lambda a: a[:-1]),
-                               ["rep000.npz", "selections has shape (19, 8), expected (20, 8)"]),
+                               ["rep000.trace", "selections has shape (19, 8), expected (20, 8)"]),
     "missing beliefs row": (setitem("log_beliefs", lambda a: a[:-1]),
-                            ["rep000.npz", "log_beliefs has shape (20, 8, 3), expected (21, 8, 3)"]),
+                            ["rep000.trace", "log_beliefs has shape (20, 8, 3), expected (21, 8, 3)"]),
     "duplicate selections row": (setitem("selections", lambda a: np.concatenate([a, a[6:7]])),
-                                 ["rep000.npz", "selections has shape (21, 8), expected (20, 8)"]),
+                                 ["rep000.trace", "selections has shape (21, 8), expected (20, 8)"]),
     "duplicate beliefs row": (setitem("log_beliefs", lambda a: np.concatenate([a[:1], a])),
-                              ["rep000.npz", "log_beliefs has shape (22, 8, 3)"]),
+                              ["rep000.trace", "log_beliefs has shape (22, 8, 3)"]),
     "agent id above n": (setitem("signals", lambda a: np.concatenate([a, a[:, :1]], axis=1)),
-                         ["rep000.npz", "signals has shape (21, 9), expected (21, 8)", "of 8 agents"]),
+                         ["rep000.trace", "signals has shape (21, 9), expected (21, 8)", "of 8 agents"]),
     "unknown state label": (setitem("log_beliefs", lambda a: np.concatenate([a, a[:, :, :1]], axis=2)),
-                            ["rep000.npz", "log_beliefs has shape (21, 8, 4), expected (21, 8, 3)", "over 3 states"]),
+                            ["rep000.trace", "log_beliefs has shape (21, 8, 4), expected (21, 8, 3)", "over 3 states"]),
     "round outside the horizon": (setitem("selections", lambda a: np.concatenate([a[:1], a])),
-                                  ["rep000.npz", "selections has shape (21, 8), expected (20, 8): rounds 1..20"]),
+                                  ["rep000.trace", "selections has shape (21, 8), expected (20, 8): rounds 1..20"]),
     "cell that is not a number": (setitem("selections", lambda a: np.full(a.shape, "x")),
-                                  ["rep000.npz", "selections has dtype <U1, expected int64"]),
+                                  ["rep000.trace", "selections has dtype <U1, expected uint8"]),
     "log beliefs stored as float32": (setitem("log_beliefs", lambda a: a.astype(np.float32)),
-                                      ["rep000.npz", "log_beliefs has dtype float32, expected float64"]),
-    # every dtype is checked before any shape
+                                      ["rep000.trace", "log_beliefs has dtype float32, expected float64"]),
+    # the arrays are checked in file order, so the signals' shape is named
+    # before the log beliefs' dtype
     "float32 log beliefs and a missing signals row": (
         every(setitem("log_beliefs", lambda a: a.astype(np.float32)), setitem("signals", lambda a: a[:-1])),
-        ["rep000.npz", "log_beliefs has dtype float32, expected float64"]),
-    "changed header": (rename("signals", "sig"), ["rep000.npz", "holds arrays", "'sig'", "'signals'"]),
-    "missing array": (lambda arrays: arrays.pop("log_beliefs"), ["rep000.npz", "holds arrays", "'log_beliefs'"]),
-    "extra array": (lambda arrays: arrays.update(notes=np.zeros(3)), ["rep000.npz", "holds arrays", "'notes'"]),
+        ["rep000.trace", "signals has shape (20, 8), expected (21, 8)"]),
+    # the file ends where the log beliefs' header should start
+    "missing array": (lambda arrays: arrays.pop("log_beliefs"),
+                      ["rep000.trace: log_beliefs: EOF: reading magic string, expected 8 bytes got 0"]),
+    # np.save of 3 float64 values: a 128-byte header and 24 bytes of data
+    "extra array": (lambda arrays: arrays.update(notes=np.zeros(3)),
+                    ["rep000.trace: 152 trailing bytes after the four trace arrays"]),
     "header without rows": (setitem("signals", lambda a: a[:0]),
-                            ["rep000.npz", "signals has shape (0, 8)"]),
+                            ["rep000.trace", "signals has shape (0, 8)"]),
     "signals of round 0 only": (every(setitem("signals", lambda a: a[:1]), setitem("selections", lambda a: a[:0])),
-                                ["rep000.npz", "signals has shape (1, 8), expected (21, 8): rounds 0..20"]),
+                                ["rep000.trace", "signals has shape (1, 8), expected (21, 8): rounds 0..20"]),
     "horizon differs from the config": (
         every(setitem("signals", lambda a: a[:-1]), setitem("selections", lambda a: a[:-1]),
               setitem("snapshot_times", lambda a: a[:-1]), setitem("log_beliefs", lambda a: a[:-1])),
-        ["rep000.npz", "signals has shape (20, 8), expected (21, 8): rounds 0..20 of 8 agents"]),
+        ["rep000.trace", "signals has shape (20, 8), expected (21, 8): rounds 0..20 of 8 agents"]),
     "snapshot after the last round": (set_entry("snapshot_times", -1, 21),
-                                      ["rep000.npz", "snapshot_times has no snapshot at t=20"]),
+                                      ["rep000.trace", "snapshot_times has no snapshot at t=20"]),
+    # a header's shape is checked before its values are read
     "snapshot times differ from the config": (drop_snapshot(10),
-                                              ["rep000.npz", "snapshot_times has no snapshot at t=10"]),
+                                              ["rep000.trace", "snapshot_times has shape (20,), expected (21,)"]),
     "snapshot times out of order": (setitem("snapshot_times", lambda a: a[::-1].copy()),
-                                    ["rep000.npz", "snapshot_times are not the config's times in ascending order"]),
+                                    ["rep000.trace", "snapshot_times are not the config's times in ascending order"]),
     "signal outside the agent's signals": (set_entry("signals", (9, 1), 2),
-                                           ["rep000.npz", "t=9, agent 2: signal 2 outside the agent's signals 0..1"]),
-    "chosen agent outside 1..n": (set_entry("selections", (2, 2), -1),
-                                  ["rep000.npz", "t=3, agent 3: chosen agent 0 is outside the support"]),
+                                           ["rep000.trace", "t=9, agent 2: signal 2 outside the agent's signals 0..1"]),
+    # the largest uint8 choice, named as it is, not wrapped to 0 by the + 1
+    "chosen agent outside 1..n": (set_entry("selections", (2, 2), 255),
+                                  ["rep000.trace", "t=3, agent 3: chosen agent 256 is outside the support"]),
     "chosen agent outside the row's support": (
         set_entry("selections", (4, 0), UNSUPPORTED),
-        ["rep000.npz", f"t=5, agent 1: chosen agent {UNSUPPORTED + 1} is outside the support of the agent's "
+        ["rep000.trace", f"t=5, agent 1: chosen agent {UNSUPPORTED + 1} is outside the support of the agent's "
                        "selection row"]),
     "object array": (setitem("signals", lambda a: a.astype(object)),
-                     ["rep000.npz", "signals: Object arrays cannot be loaded when allow_pickle=False"]),
+                     ["rep000.trace", "signals: Object arrays cannot be loaded when allow_pickle=False"]),
 }
 
 
@@ -339,13 +346,13 @@ LAYOUT = ("its traces are not listed as one SHA-256 digest per replication (a tr
           "versions); regenerate the traces with the run command")
 COUNT = "manifest.json: traces lists {} digest(s), but its config has 2 replication(s)"
 
-# edits of the manifest's trace list, which holds the digest of rep{k:03d}.npz
+# edits of the manifest's trace list, which holds the digest of rep{k:03d}.trace
 # at position k: a fault in the list fails the digest check of the file at
 # its position, or the count check
 MANIFEST_CASES = {
-    "entry listed twice": (lambda d: [d[0], d[0]], ["rep001.npz: SHA-256 is"]),
+    "entry listed twice": (lambda d: [d[0], d[0]], ["rep001.trace: SHA-256 is"]),
     "entry missing": (lambda d: d[:1], [COUNT.format(1)]),
-    "entries out of order": (lambda d: d[::-1], ["rep000.npz: SHA-256 is"]),
+    "entries out of order": (lambda d: d[::-1], ["rep000.trace: SHA-256 is"]),
     "entry past the config's replications": (lambda d: d + d[1:], [COUNT.format(3)]),
     "digest not a string": (lambda d: [d[0], 5], ["manifest.json: " + LAYOUT]),
 }
@@ -367,15 +374,15 @@ def test_inconsistent_trace_lists_exit_2_naming_the_entry(name, two_traces, tmp_
 
 
 def test_renamed_trace_files_exit_2(two_traces, tmp_path, capsys):
-    """The reader opens only rep{k:03d}.npz, the file run writes replication
+    """The reader opens only rep{k:03d}.trace, the file run writes replication
     k to: renamed files whose digests hold are missing to it."""
     traces = tmp_path / "traces"
     shutil.copytree(two_traces, traces)
-    for k, name in enumerate(["first.npz", "second.npz"]):
-        (traces / f"rep{k:03d}.npz").rename(traces / name)
+    for k, name in enumerate(["first.trace", "second.trace"]):
+        (traces / f"rep{k:03d}.trace").rename(traces / name)
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {traces / 'rep000.npz'}: no such trace file\n"
+    assert err == f"error: {traces / 'rep000.trace'}: no such trace file\n"
 
 
 def test_dict_entry_trace_list_asks_for_regeneration(two_traces, tmp_path, capsys):
@@ -426,24 +433,24 @@ def test_consistent_trace_list_reads_back(two_traces, tmp_path, capsys):
 def test_hash_mismatch_is_rejected_before_the_file_is_loaded(trace_dir, tmp_path, capsys):
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    path = traces / "rep000.npz"
+    path = traces / "rep000.trace"
     data = bytearray(path.read_bytes())
     data[-200] ^= 0x01
     path.write_bytes(bytes(data))
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "rep000.npz: SHA-256 is" in err and "was recorded for it" in err
+    assert "rep000.trace: SHA-256 is" in err and "was recorded for it" in err
 
 
 def test_missing_trace_file(trace_dir, tmp_path, capsys):
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    (traces / "rep000.npz").unlink()
+    (traces / "rep000.trace").unlink()
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "rep000.npz: no such trace file" in err
+    assert "rep000.trace: no such trace file" in err
 
 
 def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, ex1_cfg):
@@ -452,7 +459,7 @@ def test_csv_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys, 
     fingerprint."""
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    (traces / "rep000.npz").unlink()
+    (traces / "rep000.trace").unlink()
     files = ["beliefs.csv", "selections.csv", "signals.csv"]
     (traces / "rep000").mkdir()
     for name in files:
@@ -532,38 +539,34 @@ def test_long_horizon_traces_replay_losslessly(tmp_path):
 
 # ---- how a read takes the arrays from the file's bytes ----------------------
 
-def stored_arrays(data: bytes) -> dict:
-    """Every array of an .npz file's bytes, as read_trace takes them."""
-    return {name: simulator._npy_view(data, info) for name, info in simulator._npz_entries(data)}
-
-
 @settings(max_examples=100, deadline=None)
 @given(tr=built_traces(), fortran=st.lists(st.booleans(), min_size=4, max_size=4))
 def test_each_array_is_what_np_load_gives(tr, fortran, tmp_path_factory):
-    """The bytes of the trace writer, and np.savez's bytes with any of the
-    arrays in Fortran order: each array read from them has np.load's dtype,
-    shape, memory order and bits."""
-    path = tmp_path_factory.mktemp("trace") / "rep000.npz"
+    """The bytes of the trace writer, and np.save's bytes with any of the
+    arrays in Fortran order: each array a read takes from them has np.load's
+    dtype, shape and values, held C-ordered in memory of its own, and the
+    read hashes every byte."""
+    path = tmp_path_factory.mktemp("trace") / "rep000.trace"
     write_trace(tr, path)
-    arrays = {"signals": np.asarray(tr.signals, dtype="<i8"), "selections": np.asarray(tr.selections, dtype="<i8"),
-              "snapshot_times": np.array(tr.snapshot_times, dtype=np.int64), "log_beliefs": tr.log_beliefs}
     buf = io.BytesIO()
-    np.savez(buf, **{name: np.asfortranarray(a) if f else a for (name, a), f in zip(arrays.items(), fortran)})
+    for name, f in zip(simulator.TRACE_ARRAYS, fortran):
+        np.save(buf, np.asfortranarray(getattr(tr, name)) if f else getattr(tr, name))
     for data in (path.read_bytes(), buf.getvalue()):
-        got = stored_arrays(data)
-        with np.load(io.BytesIO(data)) as npz:
-            assert list(got) == npz.files
-            for name in npz.files:
-                have, want = got[name], npz[name]
-                assert (have.dtype, have.shape) == (want.dtype, want.shape), name
-                assert have.flags.f_contiguous == want.flags.f_contiguous, name
-                assert have.tobytes() == want.tobytes(), name
+        src, loads = simulator._Hashed(io.BytesIO(data)), io.BytesIO(data)
+        for name in simulator.TRACE_ARRAYS:
+            want = np.load(loads)
+            have = simulator._read_array(src, name, want.dtype, want.shape, "")
+            assert (have.dtype, have.shape) == (want.dtype, want.shape), name
+            assert have.flags.c_contiguous and have.base is None, name
+            assert have.tobytes() == want.tobytes(), name
+        assert src.read() == b""
+        assert src.sha.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def replace_trace(traces, data: bytes, k: int = 0):
-    """Write data as rep{k:03d}.npz and record its SHA-256 in the manifest,
+    """Write data as rep{k:03d}.trace and record its SHA-256 in the manifest,
     so a read gets past the digest check."""
-    (traces / f"rep{k:03d}.npz").write_bytes(data)
+    (traces / f"rep{k:03d}.trace").write_bytes(data)
     manifest_path = traces / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["traces"][k] = hashlib.sha256(data).hexdigest()
@@ -571,51 +574,140 @@ def replace_trace(traces, data: bytes, k: int = 0):
 
 
 def truncated_log_beliefs(data: bytes) -> bytes:
-    """The archive with the log_beliefs entry cut 8 bytes short of the
-    array its header describes."""
-    buf = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(buf, "w") as dst:
-        for name in src.namelist():
-            payload = src.read(name)
-            dst.writestr(name, payload[:-8] if name == "log_beliefs.npy" else payload)
-    return buf.getvalue()
+    """The file cut 8 bytes short of the log beliefs its last header
+    describes."""
+    return data[:-8]
 
 
 def compressed(data: bytes) -> bytes:
+    """The file's arrays as np.savez_compressed writes them: a zip archive,
+    as the traces of earlier versions were."""
     buf = io.BytesIO()
-    with np.load(io.BytesIO(data)) as npz:
-        np.savez_compressed(buf, **npz)
+    np.savez_compressed(buf, **stored_arrays(data))
     return buf.getvalue()
+
+
+# the message for a trace file in the zip layout of earlier versions
+ZIP_LAYOUT = "a zip archive, a trace layout of earlier versions; regenerate the traces with the run command"
 
 
 @pytest.mark.parametrize("edit, message", [
     (truncated_log_beliefs, f"log_beliefs: truncated: {(T + 1) * N * 3 * 8 - 8} bytes of array data, "
                             f"expected {(T + 1) * N * 3 * 8}"),
-    (compressed, "signals: entry is compressed (zip method 8); a trace file stores its entries uncompressed"),
+    (compressed, ZIP_LAYOUT),
 ], ids=["truncated entry", "compressed entry"])
 def test_unreadable_entries_exit_2_naming_the_entry(edit, message, trace_dir, tmp_path, capsys):
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    replace_trace(traces, edit((traces / "rep000.npz").read_bytes()))
+    replace_trace(traces, edit((traces / "rep000.trace").read_bytes()))
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-    assert capsys.readouterr().err == f"error: {traces / 'rep000.npz'}: {message}\n"
+    assert capsys.readouterr().err == f"error: {traces / 'rep000.trace'}: {message}\n"
+
+
+def test_npz_trace_directory_asks_for_regeneration(trace_dir, tmp_path, capsys):
+    """A trace directory as earlier versions wrote it: one repNNN.npz a
+    replication, each listed by its digest."""
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    data = savez_bytes(*stored_arrays((traces / "rep000.trace").read_bytes()).values())
+    (traces / "rep000.trace").unlink()
+    (traces / "rep000.npz").write_bytes(data)
+    manifest = json.loads((traces / "manifest.json").read_text())
+    manifest["traces"] = [hashlib.sha256(data).hexdigest()]
+    (traces / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == (f"error: {traces}: holds .npz traces (a trace layout of earlier versions); "
+                                       "regenerate the traces with the run command\n")
+
+
+# where the selections' header starts: past the signals' 128-byte header and
+# their (T + 1) x N bytes
+SELECTIONS = 128 + (T + 1) * N
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data[:SELECTIONS + 136],  # cut inside the selections' values
+    lambda data: data[:SELECTIONS] + b"X" + data[SELECTIONS + 1:],  # their magic string
+    lambda data: data[:SELECTIONS + 10] + b"(" + data[SELECTIONS + 11:],  # the { of their header
+    compressed,
+], ids=["file cut short", "bad magic string", "bad header", "zip archive"])
+def test_a_digest_mismatch_is_named_before_any_other_fault(edit, trace_dir, tmp_path, capsys):
+    """The digest covers every byte, so a file that fails it is named for
+    that, however its arrays read: a read that stops at a fault hashes the
+    rest of the file before it names the fault."""
+    traces = tmp_path / "traces"
+    shutil.copytree(trace_dir, traces)
+    path = traces / "rep000.trace"
+    path.write_bytes(edit(path.read_bytes()))
+    assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: SHA-256 is ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def short_trace(tmp_path_factory):
+    """A T = 40 run's trace directory, its one trace file's bytes, and where
+    each array's header starts in them."""
+    out = tmp_path_factory.mktemp("short")
+    assert main(["run", "--horizon", "40", "--replications", "1", "--out", str(out), "--quiet"]) == 0
+    data = (out / "rep000.trace").read_bytes()
+    f, starts = io.BytesIO(data), [0]
+    for _ in simulator.TRACE_ARRAYS[1:]:
+        np.load(f)
+        starts.append(f.tell())
+    return out, data, starts
+
+
+# Each edit sets one byte: (array, offset, value) sets byte offset % 128 of
+# the header of TRACE_ARRAYS[array], and (4, offset, value) byte offset of the
+# file. The examples are edits of the signals' header that numpy's header
+# parser answers with each kind of fault it has: a changed header length
+# (tokenize.TokenError), a stray comma (SyntaxError), a bytes key (TypeError
+# when numpy sorts the keys), a header only Python 2 wrote (a UserWarning)
+# and a deprecated dtype (a DeprecationWarning).
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2**16), st.integers(0, 255)),
+                      min_size=1, max_size=3))
+@example(edits=[(0, 8, 1)])
+@example(edits=[(0, 21, 44)])
+@example(edits=[(0, 26, 66)])
+@example(edits=[(0, 62, 76)])
+@example(edits=[(0, 22, 97)])
+def test_changed_trace_bytes_exit_with_one_error_line(edits, short_trace):
+    """A trace file with changed bytes and its digest retaken: rate --traces
+    exits 2 with one error line and no traceback, or, where the file still
+    reads (a change in the log beliefs, say), 0 or 1 with nothing on
+    stderr."""
+    traces, data, starts = short_trace
+    data = bytearray(data)
+    for array, offset, value in edits:
+        data[starts[array] + offset % 128 if array < 4 else offset % len(data)] = value
+    replace_trace(traces, bytes(data))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["rate", "--traces", str(traces), "--out", str(traces / "out"), "--quiet"])
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert code in (0, 1) and err.getvalue() == "", (code, err.getvalue())
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_a_read_trace_owns_aligned_c_ordered_log_beliefs(order, trace_dir, tmp_path, ex1_cfg):
     """However the file orders them, the draws and log beliefs come back as
-    aligned C-ordered copies that own their memory: the trace does not hold
+    aligned C-ordered arrays that own their memory: the trace does not hold
     the file's bytes."""
     traces = tmp_path / "traces"
     shutil.copytree(trace_dir, traces)
-    with np.load(traces / "rep000.npz") as npz:
-        arrays = {name: np.asarray(npz[name], order=order) for name in npz.files}
+    arrays = {name: np.asarray(a, order=order)
+              for name, a in stored_arrays((traces / "rep000.trace").read_bytes()).items()}
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    for values in arrays.values():
+        np.save(buf, values)
     replace_trace(traces, buf.getvalue())
     digest = json.loads((traces / "manifest.json").read_text())["traces"][0]
     cfg = dataclasses.replace(ex1_cfg.simulation, horizon=T, replications=1)
-    back = read_trace(traces / "rep000.npz", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
+    back = read_trace(traces / "rep000.trace", digest, ex1_cfg.selection, ex1_cfg.world, cfg)
     for name in ("signals", "selections", "log_beliefs"):
         arr = getattr(back, name)
         assert arr.flags.c_contiguous and arr.flags.aligned and arr.base is None, name
@@ -630,7 +722,7 @@ def test_rate_from_traces_holds_one_trace_at_a_time(tmp_path):
     before the next is read (holding all 8 took about 6 files' worth)."""
     traces = tmp_path / "traces"
     assert main(["run", "--horizon", "5000", "--replications", "8", "--out", str(traces), "--quiet"]) == 0
-    file_bytes = (traces / "rep000.npz").stat().st_size
+    file_bytes = (traces / "rep000.trace").stat().st_size
     # a first rate run, so lazy imports and caches are not counted
     assert main(["rate", "--traces", str(traces), "--out", str(tmp_path / "warm"), "--quiet"]) == 0
     tracemalloc.start()
@@ -648,7 +740,7 @@ def test_a_read_peaks_below_1_7_file_sizes(ex1_cfg, tmp_path):
     the selection-support check adds no int64 copy of the choices to them
     (with one, a read peaked at 2.0 file sizes)."""
     assert main(["run", "--horizon", "5000", "--replications", "1", "--out", str(tmp_path), "--quiet"]) == 0
-    path = tmp_path / "rep000.npz"
+    path = tmp_path / "rep000.trace"
     digest = json.loads((tmp_path / "manifest.json").read_text())["traces"][0]
     cfg = dataclasses.replace(ex1_cfg.simulation, horizon=5000, replications=1)
     read_trace(path, digest, ex1_cfg.selection, ex1_cfg.world, cfg)  # so lazy imports and caches are not counted
@@ -668,7 +760,7 @@ def test_faults_are_named_in_replication_order(two_traces, tmp_path, capsys):
     traces = tmp_path / "traces"
     shutil.copytree(two_traces, traces)
     rewrite(traces, set_entry("log_beliefs", (-1, slice(None), 0), -np.inf))
-    path = traces / "rep001.npz"
+    path = traces / "rep001.trace"
     data = bytearray(path.read_bytes())
     data[-200] ^= 0x01
     path.write_bytes(bytes(data))

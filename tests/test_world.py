@@ -191,6 +191,16 @@ class TestIdentifiability:
         separated = ex1_cfg.world.divergences > DISTINGUISH_TOL
         assert separated[:, 1:].tolist() == [[False, True], [True, False]] + [[False, False]] * 6
 
+    def test_a_divergence_of_1e_8_separates(self):
+        """Agent 1's signal law under state 2 is moved by e from the truth's,
+        a divergence of about 2e^2 = 1e-8: small, but far above
+        DISTINGUISH_TOL (1e-12), so the agent is a witness."""
+        e = 1e-4 / np.sqrt(2)
+        world = tiny_world([[[0.5, 0.5], [0.5 + e, 0.5 - e]]])
+        assert 0.99e-8 < world.divergences[0, 1] < 1.01e-8
+        report = check_global_identifiability(world, [0])
+        assert report.identifiable and report.witnesses == ((1, (0,)),)
+
     def test_benchmark_witnesses(self, ex1_cfg):
         report = check_global_identifiability(ex1_cfg.world, [0, 1, 2, 3, 4])
         assert report.identifiable
