@@ -46,7 +46,7 @@ def window_snapshots(snapshot_times: np.ndarray, window: tuple[int, int], horizo
         raise ValidationError(f"need a window of two integers [t_start, t_end], got {window!r}") from None
     if not (is_integer(t0) and is_integer(t1) and 0 <= t0 < t1 <= horizon):
         raise ValidationError(
-            f"need a window of integers 0 <= t_start < t_end <= horizon ({horizon}), got [{t0}, {t1}]")
+            f"need a window of integers 0 <= t_start < t_end <= horizon ({horizon}), got [{t0!r}, {t1!r}]")
     inside = slice(*np.searchsorted(snapshot_times, [t0, t1 + 1]).tolist())  # t <= t1 is t < t1 + 1
     if inside.stop - inside.start < 2:
         raise ValidationError(f"need at least 2 belief snapshots inside [{t0}, {t1}], got {inside.stop - inside.start}")

@@ -55,14 +55,6 @@ def _require_keys(obj: Any, path: str, required: tuple[str, ...], optional: tupl
     return obj
 
 
-def _as_int(v: Any, path: str, minimum: int | None = None) -> int:
-    if not is_integer(v):
-        raise ValidationError(f"{path}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ValidationError(f"{path}: must be >= {minimum}, got {v}")
-    return int(v)
-
-
 def _as_number(v: Any, path: str) -> float:
     x = float_array(v)
     if x is None or x.ndim != 0:
@@ -174,10 +166,11 @@ def _parse_selection(raw: Any, net: DirectedNetwork) -> tuple[SelectionMatrix, s
 
 def _agent_index(v: Any, path: str, n: int) -> int:
     """A 1-based agent id, one of 1..n, as its 0-based index."""
-    agent = _as_int(v, path, minimum=1)
-    if agent > n:
-        raise ValidationError(f"{path}: {agent} exceeds the {n} agents in the network")
-    return agent - 1
+    if not is_integer(v):
+        raise ValidationError(f"{path}: expected an integer, got {v!r}")
+    if not 1 <= v <= n:
+        raise ValidationError(f"{path}: agent {v} outside 1..{n}")
+    return int(v) - 1
 
 
 def _parse_world(raw: Any, n: int) -> WorldModel:
@@ -281,13 +274,7 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
     else:
         check_states = tuple(k for k in range(len(labels)) if k != theta)
 
-    if "window" in obj:
-        w = _as_list(obj["window"], "analysis.window")
-        if len(w) != 2:
-            raise ValidationError("analysis.window: expected [t_start, t_end]")
-        window = (_as_int(w[0], "analysis.window[0]"), _as_int(w[1], "analysis.window[1]"))
-    else:
-        window = (sim.horizon // 5, sim.horizon)
+    window = _as_list(obj["window"], "analysis.window") if "window" in obj else [sim.horizon // 5, sim.horizon]
     try:
         window_snapshots(sim.snapshot_times(), window, sim.horizon)
     except ValidationError as exc:
@@ -310,7 +297,7 @@ def _parse_analysis(raw: Any, world: WorldModel, sim: SimulationConfig, n: int) 
 
     return AnalysisConfig(
         check_state_indices=check_states,
-        window=window,
+        window=(int(window[0]), int(window[1])),
         rate_rel_tolerance=tol,
         agent_indices=agent_indices,
     )

@@ -594,12 +594,9 @@ def _read_array(src: _Hashed, name: str, dtype: np.dtype, shape: tuple[int, ...]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             version = np.lib.format.read_magic(src)
-            if version == (1, 0):
-                stored, fortran_order, stored_dtype = np.lib.format.read_array_header_1_0(src)
-            elif version == (2, 0):
-                stored, fortran_order, stored_dtype = np.lib.format.read_array_header_2_0(src)
-            else:
-                raise ValueError(f"NPY format version {version}, expected (1, 0) or (2, 0)")
+            if version != (1, 0):
+                raise ValueError(f"NPY format version {version}, expected (1, 0)")
+            stored, fortran_order, stored_dtype = np.lib.format.read_array_header_1_0(src)
     except (ValueError, TypeError, SyntaxError, tokenize.TokenError, Warning) as exc:
         raise ValidationError(f"{name}: {exc}") from None
     if stored_dtype.hasobject:

@@ -394,6 +394,106 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "stationary solve residual" in err, err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["world"].update(states=[1, 1.5, 3]),
+         "world.states[1]: state labels must be integers or strings, got 1.5"),
+        (lambda c: c["world"].update(states=[]), "world.states: at least one state is required"),
+        (lambda c: c["world"].update(true_state=4), "world.true_state: 4 is not one of world.states"),
+        (lambda c: c["selection"].update(rows=[[1.0]]), "selection: 'rows' only applies to kind 'explicit'"),
+        (lambda c: c["selection"].update(kind="explicit"), "selection: kind 'explicit' requires 'rows'"),
+        (lambda c: c["selection"].update(kind="foo"), "selection.kind: expected 'uniform' or 'explicit', got 'foo'"),
+        (lambda c: c.update(selection={"kind": "explicit", "rows": [0.125] * 8}),
+         "selection.rows: selection matrix must be a list of rows, each a list of numbers"),
+        (lambda c: c["world"]["likelihoods"].pop(),
+         "world.likelihoods: expected one entry per agent (8), got 7"),
+        (lambda c: c["world"]["likelihoods"][3].update(table=[[0.5, 0.5]] * 3),
+         "world.likelihoods[3]: exactly one of 'table' or 'like' is required"),
+        (lambda c: c["analysis"].update(check_states=[4]), "analysis.check_states[0]: 4 is not one of world.states"),
+        (lambda c: c["analysis"].update(check_states=[1]), "analysis.check_states[0]: 1 is the true state"),
+        (lambda c: c["analysis"].update(check_states=[2, 2]), "analysis.check_states: duplicate entries"),
+        (lambda c: c["analysis"].update(agents=[2, 2]), "analysis.agents: duplicate entries"),
+        (lambda c: c["analysis"].update(agents=[0]), "analysis.agents[0]: agent 0 outside 1..8"),
+        (lambda c: c["analysis"].update(agents=[2, 9]), "analysis.agents[1]: agent 9 outside 1..8"),
+        (lambda c: c["analysis"].update(window=[1, 2, 3]),
+         "analysis.window: need a window of two integers [t_start, t_end], got [1, 2, 3]"),
+        (lambda c: c["analysis"].update(window=[1.5, 20]),
+         "analysis.window: need a window of integers 0 <= t_start < t_end <= horizon (20), got [1.5, 20]"),
+        (lambda c: c["analysis"].update(window=["a", 20]),
+         "analysis.window: need a window of integers 0 <= t_start < t_end <= horizon (20), got ['a', 20]"),
+    ], ids=["float state label", "no states", "true state not a state", "uniform selection with rows",
+            "explicit selection without rows", "unknown selection kind", "flat selection rows",
+            "a likelihood entry short", "table and like", "check state not a state", "check state the truth",
+            "check state twice", "agent twice", "agent 0", "agent past n", "window of three",
+            "float window start", "string window start"])
+    def test_each_config_rule_exits_2_with_its_field_path(self, tmp_path, capsys, edit, message):
+        cfg = example1.config_dict(horizon=20)
+        edit(cfg)
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_a_defect_exits_4_on_one_line(self, monkeypatch, capsys):
+        """An exception that is no input or I/O fault is a defect: it exits
+        4, never 1, which only a verdict may give."""
+        def fail(cfg, say):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_check_report", fail)
+        assert main(["check", "--horizon", "20"]) == 4
+        assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+
+def config_paths(node, path=()):
+    """The path (a tuple of keys and indices) of every value in a decoded
+    JSON tree, node's own first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from config_paths(child, path + (key,))
+
+
+EX1_PATHS = list(config_paths(example1.config_dict(horizon=20)))
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.floats(), st.just(2**70),
+                       st.lists(st.lists(st.integers(-1, 9), max_size=3), max_size=3))
+
+
+@st.composite
+def config_mutants(draw):
+    """example1's config at horizon 20 with one key dropped or added, or one
+    value swapped for an odd one."""
+    raw = example1.config_dict(horizon=20)
+    path = draw(st.sampled_from(EX1_PATHS))
+    *parents, last = path or (None,)
+    node = raw
+    for key in parents:
+        node = node[key]
+    kind = draw(st.sampled_from(["drop", "add", "swap"]))
+    if kind == "drop" and path:
+        del node[last]
+    elif kind == "add" and path and isinstance(node[last], dict):
+        node[last][draw(st.sampled_from(["extra", "kind", "rows", "window"]))] = draw(ODD_VALUES)
+    elif path:
+        node[last] = draw(ODD_VALUES)
+    else:
+        raw = draw(ODD_VALUES)
+    return raw
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=config_mutants())
+def test_a_mutated_config_exits_with_a_documented_code(raw, tmp_path, capsys):
+    """check on any mutant of a valid config exits 0, 1 with a negative
+    verdict, or 2 with one error line, and never 4."""
+    code = main(["check", "--config", write_config(tmp_path, raw)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (code, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+    assert ("identifiable: no" in out) == (code == 1), out
+
 
 class TestRoundTrip:
     def test_builtin_config_round_trips_canonically(self, tmp_path):
@@ -558,6 +658,15 @@ class TestRate:
         assert "either" in capsys.readouterr().err
         assert main(["rate", "--traces", "x", "--seed", "1"]) == 2
         assert "do not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "not valid JSON: Expecting property name enclosed in double quotes"),
+        ('{"traces": []}', "missing key 'config'"),
+    ], ids=["not JSON", "no config"])
+    def test_a_manifest_that_cannot_be_used_exits_2(self, tmp_path, capsys, text, message):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["rate", "--traces", str(tmp_path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: {message}\n"
 
     def test_uninformative_world_warns_and_passes(self, tmp_path, capsys):
         cfg = {

@@ -226,6 +226,18 @@ class TestSelectionMatrix:
             SelectionMatrix(n=1, indptr=[0, 1], indices=[0], probs=probs)
         assert str(info.value) == "selection matrix probabilities must be numbers"
 
+    @pytest.mark.parametrize("indptr, indices, probs, message", [
+        ([0, 2, 1], [0, 1], [1.0, 1.0], "selection matrix indptr must rise from 0 in 3 entries"),
+        ([0, 1, 2], [0], [1.0], "selection matrix stores 2 entries, got 1 indices and 1 probabilities"),
+        ([0, 1, 2], [0, 2], [1.0, 1.0], "selection matrix column index outside 0..1"),
+        ([0, 2, 3], [1, 0, 1], [0.5, 0.5, 1.0], "selection matrix columns must ascend within each row"),
+        ([0, 2, 3], [0, 1, 1], [1.0, 0.0, 1.0], "agent 1 stores a zero probability of choosing agent 2"),
+    ], ids=["falling indptr", "entry count", "column past n", "unsorted columns", "stored zero"])
+    def test_csr_structure_faults_are_named(self, indptr, indices, probs, message):
+        with pytest.raises(ValidationError) as info:
+            SelectionMatrix(n=2, indptr=indptr, indices=indices, probs=probs)
+        assert str(info.value) == message
+
     def test_custom_rejects_mass_outside_neighborhood(self):
         net = DirectedNetwork(3, [(0, 1)])
         rows = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
@@ -375,6 +387,10 @@ class TestStationary:
     def test_nan_entry_is_rejected(self, pi):
         with pytest.raises(ValidationError, match="^stationary distribution has a negative or NaN entry$"):
             StationaryDistribution(np.array(pi))
+
+    def test_a_matrix_is_no_distribution(self):
+        with pytest.raises(ValidationError, match="^stationary distribution must be a vector$"):
+            StationaryDistribution(np.array([[1.0]]))
 
     def test_sum_off_one_is_named_as_a_float(self):
         with pytest.raises(ValidationError, match=r"^stationary distribution sums to 0\.9$"):

@@ -167,6 +167,25 @@ def test_rows_of_any_layout_or_dtype_write_the_same_bytes(ex1_cfg, tmp_path):
     assert all(data == files["c"] for data in files.values())
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda tr: tr.signals.astype(object), TypeError),
+    (lambda tr: tr.signals[:, 0], IndexError),
+], ids=["object signals fail their first write", "1-D signals fail the log beliefs' header"])
+def test_a_writer_that_fails_to_open_closes_its_file(edit, error, ex1_cfg, tmp_path, monkeypatch):
+    opened = []
+
+    class Recorded(simulator._Hashed):
+        def __init__(self, file):
+            super().__init__(file)
+            opened.append(file)
+
+    monkeypatch.setattr(simulator, "_Hashed", Recorded)
+    tr = small_run(ex1_cfg, horizon=5)
+    with pytest.raises(error):
+        TraceWriter(tmp_path / "rep000.trace", edit(tr), tr.selections, tr.snapshot_times, 3)
+    assert len(opened) == 1 and opened[0].closed
+
+
 def test_example1_draws_are_held_in_bytes(ex1_cfg):
     tr = small_run(ex1_cfg, horizon=20)
     assert (tr.signals.dtype, tr.selections.dtype) == (np.uint8, np.uint8)
@@ -214,15 +233,26 @@ def trace_dir(tmp_path_factory):
 
 def rewrite(traces, edit):
     """Apply edit to rep000's arrays (a dict it changes in place), write
-    them back in the dict's order with np.save, pickling allowed, and record
-    the new file's SHA-256 in the manifest, so a read gets past the digest
-    check."""
+    them back in the dict's order with np.save, pickling allowed, or as
+    they are where an edit made them bytes, and record the new file's
+    SHA-256 in the manifest, so a read gets past the digest check."""
     arrays = stored_arrays((traces / "rep000.trace").read_bytes())
     edit(arrays)
     buf = io.BytesIO()
     for values in arrays.values():
-        np.save(buf, values)
+        if isinstance(values, bytes):
+            buf.write(values)
+        else:
+            np.save(buf, values)
     replace_trace(traces, buf.getvalue())
+
+
+def npy_2_0(a):
+    """The bytes of array a under an NPY 2.0 header, which np.save writes
+    only for a header past 65 535 bytes."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, a, version=(2, 0))
+    return buf.getvalue()
 
 
 def setitem(name, fn):
@@ -318,6 +348,8 @@ CASES = {
                        "selection row"]),
     "object array": (setitem("signals", lambda a: a.astype(object)),
                      ["rep000.trace", "signals: Object arrays cannot be loaded when allow_pickle=False"]),
+    "NPY 2.0 header": (setitem("signals", npy_2_0),
+                       ["rep000.trace: signals: NPY format version (2, 0), expected (1, 0)"]),
 }
 
 

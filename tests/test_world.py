@@ -91,6 +91,22 @@ class TestTypes:
             )
         assert str(info.value) == "likelihood tables must be numbers"
 
+    @pytest.mark.parametrize("tables, counts, message", [
+        ([[0.5, 0.5], [0.5, 0.5]], [2], "likelihood tables must be one (agents, states, signals) array with a "
+                                        "signal count per agent, got shapes (2, 2) and (1,)"),
+        ([[[0.5, 0.5], [0.5, 0.5]]], [0], "agent 1: likelihood table must be 2-D"),
+        ([[[0.5, 0.5], [0.5, 0.5]]], [1], "agent 1: the tensor must hold 1 signals, zero-padded beyond them"),
+    ], ids=["2-D tensor", "no signals", "entry past the signals"])
+    def test_tensor_shape_faults_are_named(self, tables, counts, message):
+        with pytest.raises(ValidationError) as info:
+            WorldModel(
+                state_space=StateSpace(states=(1, 2), true_state_index=0),
+                prior=Prior(nu=np.array([0.5, 0.5])),
+                tables=tables,
+                signal_counts=counts,
+            )
+        assert str(info.value) == message
+
     def test_likelihood_row_error_carries_0_based_indices_and_a_plain_sum(self):
         with pytest.raises(ValidationError) as info:
             tiny_world([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.4]]])
