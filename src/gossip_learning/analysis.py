@@ -87,33 +87,72 @@ class RateReport:
         return all(r._verdict(rel_tolerance) is not False for r in self.rows)
 
 
+def log_ratios(rows: np.ndarray, true_state: int, check_states: Sequence[int], agents: Sequence[int],
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The log belief ratios log mu(c) - log mu(theta) of snapshot rows
+    (..., m, n, k), written into out, or into a new C-ordered array, of shape
+    (..., len(check_states), len(agents), m): entry [..., c, j, t] is
+    agents[j]'s ratio of check_states[c] to true_state at row t, so a pair's
+    series is one row. A zero true-state belief makes a ratio +inf, or nan
+    where the check state's is zero too; a zero check-state belief beside a
+    nonzero true one makes it -inf."""
+    by_state = np.moveaxis(rows, (-3, -1), (-1, -3))  # (..., k, n, m), a view
+    if out is None:
+        out = np.empty(by_state.shape[:-3] + (len(check_states), len(agents), by_state.shape[-1]))
+    truth = by_state[..., true_state, agents, :]
+    with np.errstate(invalid="ignore"):  # -inf - -inf is nan
+        for c, state in enumerate(check_states):
+            np.subtract(by_state[..., state, agents, :], truth, out=out[..., c, :, :])
+    return out
+
+
 def fit_rates(
     windows: Iterable[tuple[np.ndarray, np.ndarray]],
     pi: StationaryDistribution,
     world: WorldModel,
-    check_states: list[int],
-    agents: list[int],
-    positions: Sequence[int] | None = None,
+    check_states: Sequence[int],
+    agents: Sequence[int],
 ) -> RateReport:
     """Fit the decay rate for each (false state, agent) pair on every
     replication's window.
 
-    windows yields one (snapshot times, log beliefs) pair a replication:
-    the ascending int64 times inside the fit window and the (m, agents, states)
-    log beliefs at them, with agents[j]'s series at positions[j] of the
-    agent axis (by default at agents[j] itself, as in a trace's snapshots).
-    Each window is dropped before the next is asked for, so a lazy
-    iterable of windows is held one replication at a time. Rows and faults
-    are as rate_report states them; faults name agents[j].
+    windows yields one (snapshot times, log ratios) pair a replication: the
+    ascending int64 times inside the fit window and the C-ordered
+    (states, agents, m) log_ratios of check_states and agents at them. Each
+    window's ratios are fitted in place and dropped before the next window
+    is asked for, so a lazy iterable of windows is held one replication at a
+    time. Rows and faults are as rate_report states them.
     """
+    if not check_states:
+        raise ValidationError("need at least one check state to fit a rate on")
     theoretical = [theoretical_rate(pi, world, cs) for cs in check_states]
     separated = [bool(world.separates[pi.pi > 0.0, cs].any()) for cs in check_states]
     picked = check_indices("agent", agents, world.n_agents)
-    at = picked if positions is None else positions
     slopes = []
-    for snapshot_times, beliefs in windows:
-        slopes.append(_window_slopes(len(slopes) + 1, snapshot_times, beliefs, world, check_states, picked, at))
-        del snapshot_times, beliefs  # dropped before the next window is taken
+    for times, ratios in windows:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the float range
+            means = ratios.mean(axis=-1, keepdims=True)
+        # a row's mean is finite unless it holds an inf or a nan (or its sum overflows)
+        if not np.isfinite(means).all():
+            # a zero true-state belief is exactly a ratio of +inf or nan in every check row
+            zero_truth = ~(ratios < np.inf).any(axis=0)
+            if zero_truth.any():
+                j = int(np.argmax(zero_truth.any(axis=1)))
+                raise ValidationError(f"replication {len(slopes) + 1}: agent {picked[j] + 1} has zero belief on "
+                                      f"the true state at t={times[np.argmax(zero_truth[j])]}")
+            zero_check = np.isneginf(ratios).any(axis=-1)
+            if zero_check.any():
+                k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
+                raise ValidationError(f"replication {len(slopes) + 1}: agent {picked[j] + 1} holds exactly zero "
+                                      f"belief on state {world.state_space.states[check_states[k]]} inside the "
+                                      "window; the log-ratio regression is undefined")
+        # least-squares slopes: each mean runs along one contiguous row, as it
+        # would on that row alone, and the stacked matmul is one BLAS dot a row.
+        # The int64 times sum exactly in float64, so tc has the bits float times give
+        tc = times - times.mean()
+        ratios -= means
+        slopes.append(-(np.matmul(ratios[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc)))
+        del times, ratios  # dropped before the next window is taken
     slopes = np.stack(slopes, axis=-1)  # (states, agents, replications)
     empirical, stderr = slopes.mean(axis=-1), np.zeros(slopes.shape[:2])
     if slopes.shape[-1] > 1:
@@ -125,48 +164,12 @@ def fit_rates(
     return RateReport(replications=slopes.shape[-1], rows=rows)
 
 
-def _window_slopes(
-    replication: int,
-    times: np.ndarray,
-    beliefs: np.ndarray,
-    world: WorldModel,
-    check_states: list[int],
-    picked: list[int],
-    at: Sequence[int],
-) -> np.ndarray:
-    """The (states, agents) fitted rates of one fit window of fit_rates, the
-    1-based replication naming its faults. Its temporaries die when it
-    returns, so no two windows' are alive at once."""
-    theta = world.true_state_index
-    view = beliefs.transpose(2, 1, 0)  # (states, agents, m)
-    truth = np.ascontiguousarray(view[theta, at])
-    zero_truth = np.isneginf(truth)
-    if zero_truth.any():
-        j = int(np.argmax(zero_truth.any(axis=1)))
-        raise ValidationError(f"replication {replication}: agent {picked[j] + 1} has zero belief on the true state "
-                              f"at t={times[np.argmax(zero_truth[j])]}")
-    y = np.ascontiguousarray(view[np.ix_(check_states, at)])  # a pair's series is one row
-    y -= truth
-    zero_check = np.isneginf(y).any(axis=-1)
-    if zero_check.any():
-        k, j = np.unravel_index(np.argmax(zero_check), zero_check.shape)
-        raise ValidationError(f"replication {replication}: agent {picked[j] + 1} holds exactly zero belief on state "
-                              f"{world.state_space.states[check_states[k]]} inside the window; "
-                              "the log-ratio regression is undefined")
-    # least-squares slopes: each mean runs along one contiguous row, as it
-    # would on that row alone, and the stacked matmul is one BLAS dot a row.
-    # The int64 times sum exactly in float64, so tc has the bits float times give
-    tc = times - times.mean()
-    y -= y.mean(axis=-1, keepdims=True)
-    return -(np.matmul(y[..., None, :], tc[:, None])[..., 0, 0] / (tc @ tc))
-
-
 def rate_report(
     traces: Iterable[SimulationTrace],
     pi: StationaryDistribution,
     world: WorldModel,
-    check_states: list[int],
-    agents: list[int],
+    check_states: Sequence[int],
+    agents: Sequence[int],
     window: tuple[int, int],
 ) -> RateReport:
     """Fit the decay rate for each (false state, agent) pair on every trace.
@@ -182,8 +185,10 @@ def rate_report(
     Each trace fits all its pairs at once, with the bits of a lone pair's fit.
     The first faulty trace (1-based replication) names a zero true-state
     belief (first agent, then earliest t), else a zero check-state belief
-    (first state, then agent). pi and every trace must fit the world. Each
-    trace's window is passed to fit_rates as a view of its snapshots.
+    (first state, then agent). pi and every trace must fit the world, and at
+    least one check state is given: with none, no ratio would show a zero
+    true-state belief. Each trace's window goes to fit_rates as its
+    log_ratios.
     """
 
     def windows():
@@ -193,7 +198,8 @@ def rate_report(
             check_sizes(world_agents=world.n_agents, trace_agents=tr.n)
             check_sizes(world_states=world.num_states, trace_states=tr.log_beliefs.shape[2])
             inside = window_snapshots(tr.snapshot_times, window, tr.horizon)
-            yield tr.snapshot_times[inside], tr.log_beliefs[inside]
+            yield tr.snapshot_times[inside], log_ratios(tr.log_beliefs[inside], world.true_state_index,
+                                                        check_states, agents)
             del tr  # dropped before the next trace is taken
         if empty:
             raise ValidationError("rate_report needs at least one trace")

@@ -36,6 +36,7 @@ from .analysis import (
     RateReport,
     belief_difference,
     fit_rates,
+    log_ratios,
     occupancy,
     rate_report,
     window_snapshots,
@@ -151,16 +152,15 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
 
     Returns (digests, fit windows): with out, replication r is written to
     out/repNNN.trace and digests lists the files' SHA-256; with windows, the
-    fit windows are one (snapshot times, log beliefs) pair a replication for
-    fit_rates, the beliefs of the analysis agents inside the analysis
-    window. Each block's window rows are gathered by np.take into the held
-    windows."""
+    fit windows are one (snapshot times, log ratios) pair a replication for
+    fit_rates, the log_ratios of the analysis check states and agents inside
+    the analysis window. Each block's window rows go through log_ratios
+    straight into one held (R, check states, agents, m) array."""
     sim, world, a = cfg.simulation, cfg.world, cfg.analysis
     times = sim.snapshot_times()
     k, R = world.num_states, sim.replications
-    agents = np.array(a.agent_indices, dtype=np.int64)
     inside = window_snapshots(times, a.window, sim.horizon) if windows else slice(0, 0)
-    held = np.empty((R, inside.stop - inside.start, len(agents), k)) if windows else None
+    held = np.empty((R, len(a.check_state_indices), len(a.agent_indices), inside.stop - inside.start))
     digests = []
     for g0 in range(0, R, GROUP_REPLICATIONS):
         reps = range(g0, min(g0 + GROUP_REPLICATIONS, R))
@@ -176,13 +176,13 @@ def _simulate_streamed(cfg: ExperimentConfig, out: Path | None, say, windows: bo
                     writer.write(rep_rows)
                 lo, hi = max(slot, inside.start), min(slot + rows.shape[1], inside.stop)
                 if lo < hi:
-                    np.take(rows[:, lo - slot:hi - slot], agents, axis=2,
-                            out=held[g0:reps.stop, lo - inside.start:hi - inside.start])
+                    log_ratios(rows[:, lo - slot:hi - slot], world.true_state_index, a.check_state_indices,
+                               a.agent_indices, out=held[g0:reps.stop, ..., lo - inside.start:hi - inside.start])
             for r, writer in zip(reps, writers):
                 digests.append(writer.close())
                 say(f"wrote {out / _trace_name(r)}")
     window_times = times[inside]
-    return digests, [(window_times, rows) for rows in held] if windows else []
+    return digests, [(window_times, ratios) for ratios in held] if windows else []
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path, digests: list, say, extra_files: dict | None = None) -> None:
@@ -249,13 +249,6 @@ def _load_traces_dir(traces_dir: Path) -> tuple[ExperimentConfig, Iterator[Simul
     return cfg, traces
 
 
-def _fit_windows(cfg: ExperimentConfig, fit_windows: list, pi) -> RateReport:
-    """The rate report of the analysis agents' fit windows that _simulate_streamed collects."""
-    a = cfg.analysis
-    return fit_rates(fit_windows, pi, cfg.world, list(a.check_state_indices), list(a.agent_indices),
-                     positions=np.arange(len(a.agent_indices)))
-
-
 def _rate_verdict(cfg: ExperimentConfig, report: RateReport, out: Path, say) -> int:
     a = cfg.analysis
     labels = cfg.world.state_space.states
@@ -295,9 +288,10 @@ def cmd_rate(args) -> int:
         raise ValidationError("the world has one state, so it has no false state to check a rate on")
     a, pi = cfg.analysis, stationary_distribution(cfg.selection)
     if traces is None:
-        report = _fit_windows(cfg, _simulate_streamed(cfg, None, say, windows=True)[1], pi)
+        windows = _simulate_streamed(cfg, None, say, windows=True)[1]
+        report = fit_rates(windows, pi, cfg.world, a.check_state_indices, a.agent_indices)
     else:
-        report = rate_report(traces, pi, cfg.world, list(a.check_state_indices), list(a.agent_indices), a.window)
+        report = rate_report(traces, pi, cfg.world, a.check_state_indices, a.agent_indices, a.window)
     return _rate_verdict(cfg, report, out, say)
 
 
@@ -341,7 +335,8 @@ def cmd_example1(args) -> int:
     say(f"wrote {out / 'occupancy.csv'}")
 
     say("== rate comparison ==")
-    return _rate_verdict(cfg, _fit_windows(cfg, fit_windows, pi), out, say)
+    report = fit_rates(fit_windows, pi, world, cfg.analysis.check_state_indices, cfg.analysis.agent_indices)
+    return _rate_verdict(cfg, report, out, say)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,18 +10,19 @@ every machine. The belief bits are the same on one machine, not across CPUs:
 numpy's SIMD exp and log, and the OpenBLAS kernel of the stationary solve
 and the rate fit's dot product, round some inputs differently on another.
 
-A simulation makes two passes over blocks of rounds (a block holds
-BLOCK_AGENT_ROWS agent-rows, so its index arrays stay small at any horizon).
-The first draws every signal and selection: a block draws each stream's
-uniforms for its rounds into one float64 block buffer, reused by every block
-and both streams (consecutive calls continue a Philox stream, so each
-uniform is the one a single call over all rounds would give), and turns them
-into draws. Each agent's signal distribution (the positive entries of its
-true-state likelihood row) and its selection row are CSR rows whose CDFs are
-built once per run, and a draw inverts a row's CDF at a uniform, by one
-binary search over the row's first d - 1 entries (the last is drawn when
-every other is at or below the uniform) that halves every row's range at
-each step.
+A simulation makes two passes, over chunks and then blocks of rounds of at
+most BLOCK_AGENT_ROWS agent-rows, so its arrays stay small at any horizon.
+The first draws every signal and selection: each replication's signal
+stream, then its selection stream, in chunks of rounds of that replication,
+each chunk's uniforms by one call into one float64 buffer reused by every
+chunk and stream (consecutive calls continue a Philox stream, so each
+uniform is the one a single call over all rounds would give), and turned
+into draws by one inversion. Each agent's signal distribution (the positive
+entries of its true-state likelihood row) and its selection row are CSR
+rows whose CDFs are built once per run, and a draw inverts a row's CDF at a
+uniform, by one binary search over the row's first d - 1 entries (the last
+is drawn when every other is at or below the uniform) that halves every
+row's range at each step.
 
 The second pass runs the rounds and hands each block's belief snapshots to
 its consumer as they are made, so a run need not hold every snapshot at
@@ -75,12 +76,12 @@ from .errors import ValidationError, check_index, check_integer, check_sizes
 from .graph import DirectedNetwork, SelectionMatrix, check_selection_support, csr_contains, nonzero_csr
 from .world import WorldModel
 
-# the round loop draws and indexes this many agent-rows (replications x
-# agents x rounds) at a time, or one round where a round holds more. A
-# block's index arrays then stay at 64 KB, below glibc's 128 KB mmap
-# threshold, and its keep mask at k bytes an agent-row: at 2**16 rows,
-# example1's peak RSS rose by 2.4 MB after one run and 4.4 MB after two, and
-# 2**13 rows run it within 5% of that speed
+# a draw chunk holds this many agent-rows of one replication, and a block of
+# the round loop this many of all (replications x agents x rounds), or one
+# round where a round holds more. A block's index arrays then stay at 64 KB,
+# below glibc's 128 KB mmap threshold, and its keep mask at k bytes an
+# agent-row: at 2**16 rows, example1's peak RSS rose by 2.4 MB after one run
+# and 4.4 MB after two, and 2**13 rows run it within 5% of that speed
 BLOCK_AGENT_ROWS = 1 << 13
 
 # the most rounds a run may have: its snapshot times, up to horizon + 1
@@ -291,27 +292,24 @@ def simulate(
     signals = np.empty((R, T + 1, n), dtype=sig_dtype)
     selections = np.empty((R, T, n), dtype=sel_dtype)
 
-    seqs = [np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2) for r in replications]
-    sig_rngs, sel_rngs = ([np.random.Generator(np.random.Philox(ss[j])) for ss in seqs] for j in (0, 1))
     # a world's tables are non-negative, so the nonzero entries are the positive ones
     sig_ptr, sig_values, sig_probs = nonzero_csr(world.tables[:, world.true_state_index])
-    sig_dist = (sig_ptr, sig_values, _row_cdfs(sig_ptr, sig_probs))
-    sel_dist = (P.indptr, P.indices, _row_cdfs(P.indptr, P.probs))
-    rounds = min(max(1, BLOCK_AGENT_ROWS // (R * n)), T + 1)
-    # one block's uniforms of one stream: each call continues its stream
-    # where the block before left it
-    uniforms = np.empty((R, rounds, n))
-    for t0 in range(0, T + 1, rounds):
-        t1 = min(t0 + rounds, T + 1)
-        s0 = max(t0, 1)  # the block's first round with a selection
-        for draws, rngs, dist in ((signals[:, t0:t1], sig_rngs, sig_dist),
-                                  (selections[:, s0 - 1 : t1 - 1], sel_rngs, sel_dist)):
-            u = uniforms[:, : draws.shape[1]]
-            for b, rng in enumerate(rngs):
-                rng.random(out=u[b])
-            draws[:] = _inverse_cdf(*dist, u)
+    dists = ((sig_ptr, sig_values, _row_cdfs(sig_ptr, sig_probs)), (P.indptr, P.indices, _row_cdfs(P.indptr, P.probs)))
+    # one chunk's uniforms of one stream: each call continues its stream
+    # where the chunk before left it
+    chunk = min(max(1, BLOCK_AGENT_ROWS // n), T + 1)
+    uniforms = np.empty((chunk, n))
+    for b, r in enumerate(replications):
+        streams = np.random.SeedSequence(cfg.seed, spawn_key=(r,)).spawn(2)
+        for arr, seq, dist in zip((signals, selections), streams, dists):
+            rng, draws = np.random.Generator(np.random.Philox(seq)), arr[b]
+            for t0 in range(0, len(draws), chunk):
+                u = uniforms[: min(chunk, len(draws) - t0)]
+                rng.random(out=u)
+                draws[t0 : t0 + chunk] = _inverse_cdf(*dist, u)
     for arr in (signals, selections):
         read_only(arr)
+    rounds = min(max(1, BLOCK_AGENT_ROWS // (R * n)), T + 1)
     return signals, selections, _rounds(world, cfg, signals, selections, rounds)
 
 
@@ -672,6 +670,7 @@ def read_trace(
                 t = min(diff)
                 which = "has no snapshot" if t in want else "has a snapshot the config does not record"
                 raise ValidationError(f"snapshot_times {which} at t={t}")
+            del stored  # the trace holds the config's times, so the file's are dropped before the log beliefs are made
             log_beliefs = _read_array(src, "log_beliefs", np.dtype(np.float64), (m, n, k),
                                       f"{m} snapshots of {n} agents over {k} states")
         except ValidationError as exc:

@@ -10,6 +10,7 @@ from scipy.special import rel_entr
 
 from gossip_learning.analysis import (
     belief_difference,
+    log_ratios,
     occupancy,
     rate_report,
     theoretical_rate,
@@ -196,6 +197,18 @@ class TestEmpiricalRate:
             if fault is not None:
                 first[fault] = np.log(1 / 3)
 
+    @pytest.mark.parametrize("check_states", [[1], [1, 2], [2, 1]])
+    def test_a_zero_true_and_check_belief_at_one_t_names_the_true_state(self, check_states):
+        # agent 2's true-state and state-2 beliefs are both zero at t=2, a nan
+        # ratio (+inf for state 3); agent 1's state-3 belief is zero at t=1
+        world = tiny_world([[[0.5, 0.5]] * 3] * 2)
+        logb = np.full((4, 2, 3), np.log(1 / 3))
+        logb[2, 1, [0, 1]] = logb[1, 0, 2] = -np.inf
+        pi = StationaryDistribution(pi=np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError) as exc:
+            rate_report([log_belief_trace(logb)], pi, world, check_states, [0, 1], (0, 3))
+        assert str(exc.value) == "replication 1: agent 2 has zero belief on the true state at t=2"
+
     def test_agent_and_state_bounds(self):
         tr = synthetic_trace(rate=0.1, horizon=50)
         with pytest.raises(ValidationError, match="agent"):
@@ -268,6 +281,16 @@ class TestRateReport:
         with pytest.raises(ValidationError, match="at least one"):
             rate_report([], ex1_pi, ex1_cfg.world, [1], [0], (0, 10))
 
+    def test_an_empty_check_state_list_is_rejected_before_any_trace_is_read(self, ex1_pi, ex1_cfg):
+        # with no check state there is no ratio row to show a zero true-state belief in
+        def unread():
+            raise AssertionError("a trace was read")
+            yield
+
+        with pytest.raises(ValidationError) as info:
+            rate_report(unread(), ex1_pi, ex1_cfg.world, [], [0], (0, 10))
+        assert str(info.value) == "need at least one check state to fit a rate on"
+
     def test_any_iterable_of_traces_is_fitted_once_in_order(self, ex1_cfg, ex1_pi):
         cfg = SimulationConfig(horizon=200, seed=3, replications=3)
         traces = run_replications(ex1_cfg.network, ex1_cfg.selection, ex1_cfg.world, cfg)
@@ -314,6 +337,24 @@ def per_pair_fit(traces, world, check_state, agent, window) -> tuple[float, floa
     slopes = np.array(slopes)
     stderr = float(slopes.std(ddof=1) / np.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
     return float(slopes.mean()), stderr
+
+
+def test_log_ratios_are_each_pairs_series_in_one_row():
+    rng = np.random.default_rng(5)
+    rows = np.log(rng.dirichlet(np.ones(4), size=(2, 6, 3)))  # (R, m, n, k)
+    rows[1, 2, 0, 3] = -np.inf
+    check_states, agents = [3, 0, 2], [2, 0]
+    ratios = log_ratios(rows, 1, check_states, agents)
+    assert ratios.shape == (2, 3, 2, 6) and ratios.flags.c_contiguous and ratios.dtype == np.float64
+    for r in range(2):
+        for c, state in enumerate(check_states):
+            for j, agent in enumerate(agents):
+                assert np.array_equal(ratios[r, c, j], rows[r, :, agent, state] - rows[r, :, agent, 1])
+    assert ratios[1, 0, 1, 2] == -np.inf
+    out = np.full((2, 3, 2, 9), np.nan)
+    window = out[..., 2:8]
+    assert log_ratios(rows, 1, check_states, agents, out=window) is window
+    assert np.array_equal(window, ratios) and np.isnan(out[..., [0, 1, 8]]).all()
 
 
 @settings(max_examples=60, deadline=None)

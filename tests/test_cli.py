@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gossip_learning import cli, example1, graph
 from gossip_learning.analysis import (
     belief_difference,
+    log_ratios,
     occupancy,
     rate_report,
     write_belief_difference,
@@ -601,6 +602,25 @@ class TestRun:
             tracemalloc.stop()
         assert peak < 4 * 20001 * 8 * 3 * 8 / 2, peak
 
+    def test_a_long_rate_run_holds_its_ratios_and_draws(self, tmp_path):
+        """tracemalloc's peak over rate at 4 x 20000 rounds of the built-in
+        world stays within 1.25 MiB of the (R, check states, agents, m_w)
+        float64 log ratios it holds plus its one-byte draws. The slack covers
+        a block's buffers (its (R, rounds, n, k) snapshot rows, index arrays
+        and uniforms), the snapshot times and the fit's temporaries. Holding
+        the (R, m_w, agents, k) log beliefs instead peaked 1.3 MB above it."""
+        assert main(["rate", "--horizon", "50", "--out", str(tmp_path / "warm"), "--quiet"]) in (0, 1)
+        tracemalloc.start()
+        try:
+            assert main(["rate", "--horizon", "20000", "--replications", "4", "--out", str(tmp_path / "o"),
+                         "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios = 4 * 2 * 3 * (20000 - 4000 + 1) * 8  # check states {2, 3}, agents {2, 3, 8}, window [4000, 20000]
+        draws = 4 * (20001 + 20000) * 8  # signals and selections, one byte each
+        assert peak <= ratios + draws + 1.25 * 2**20, (peak, ratios + draws)
+
     def test_env_var_supplies_default_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("GOSSIP_LEARNING_OUT", str(target))
@@ -823,6 +843,25 @@ def test_streamed_rate_rows_are_the_bits_of_rate_report(raw, tmp_path_factory, c
     assert (code, err) == (0 if report.within(a.rate_rel_tolerance) else 1, "")
     held = write_rate_report(report, cfg.world, out / "held.csv")
     assert (out / "o" / "rate_report.csv").read_bytes() == held.read_bytes()
+
+
+def test_the_streamed_fit_holds_one_array_of_log_ratios():
+    """rate and example1 hold exactly R x |check states| x |agents| x m_w
+    float64 values for their fit: each replication's window is a row of one
+    C-ordered array of log_ratios, filled block by block as the rounds run."""
+    raw = example1.config_dict(horizon=300, replications=3)
+    raw["analysis"].update(check_states=[3], agents=[8, 2, 3, 5])
+    cfg = parse_config_dict(raw)
+    a = cfg.analysis
+    digests, windows = cli._simulate_streamed(cfg, None, lambda msg="": None, windows=True)
+    held = windows[0][1].base
+    assert digests == [] and held.shape == (3, 1, 4, 300 - 60 + 1) and held.dtype == np.float64
+    assert held.flags.c_contiguous and all(ratios.base is held for _, ratios in windows)
+    traces = run_replications(cfg.network, cfg.selection, cfg.world, cfg.simulation)
+    for (times, ratios), tr in zip(windows, traces):
+        inside = tr.snapshot_times >= 60
+        assert np.array_equal(times, tr.snapshot_times[inside])
+        assert np.array_equal(ratios, log_ratios(tr.log_beliefs[inside], 0, a.check_state_indices, a.agent_indices))
 
 
 class TestExample1:
